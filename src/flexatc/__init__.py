@@ -4,8 +4,10 @@ algorithms with probabilistic communication skipping."""
 
 from .analysis import (
     CertificateError,
+    CertificateObserver,
     ComplexityEstimate,
     FixedPoint,
+    branch_outcomes,
     complexity,
     fixed_point,
     lemma2_check,

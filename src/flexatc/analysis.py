@@ -4,7 +4,11 @@ calculator.
 
 Every "expectation" here is the exact two-point mixture over the coin
 theta in {0, 1} (weights p and 1-p), so certificate slacks carry no
-sampling noise. The certified quantities:
+sampling noise. The certificates are evaluated on the trajectory that
+solver.run integrates: a CertificateObserver receives each state with its
+gradient before the transition, evaluates both coin branches once
+(branch_outcomes), and reads every inequality from that record. Nothing
+here iterates on its own. The certified quantities:
 
     Phi  = ||x - x*||^2 + (1/p^2) ||u - u*||^2
     Psi  = ||grad F(x) - grad F(x*)||^2 + ||u - u*||^2
@@ -25,7 +29,7 @@ import numpy as np
 from .combiners import CombinerPair
 from .linalg import kron_apply, range_solve
 from .problem import ProblemInstance
-from .solver import CoinSequence, SolverState, centralized_proxgrad, flexatc_step, initial_state
+from .solver import SolverState, centralized_proxgrad, run
 
 SLACK_TOL = 1e-9
 
@@ -93,53 +97,94 @@ def fixed_point(
 
 
 def _sq(v: np.ndarray) -> float:
-    return float(np.sum(v * v))
+    # The method form runs the same add-reduction as np.sum, so the bits are
+    # the same, without np.sum's dispatch cost (several calls per step).
+    return float((v * v).sum())
 
 
 def phi_value(x: np.ndarray, u: np.ndarray, p: float, fp: FixedPoint) -> float:
     return _sq(x - fp.x_star) + _sq(u - fp.u_star_b) / (p * p)
 
 
-def psi_value(
-    x: np.ndarray,
-    u: np.ndarray,
+@dataclass(eq=False)
+class BranchOutcomes:
+    """Both coin outcomes of the transition out of one state (x, u).
+
+    With zu = w - sqrt(B) u, theta = 1 leads to (x_comm, u_comm) =
+    (prox(A zu), u + p sqrt(B) zu) and theta = 0 to (x_skip, u). phi and
+    psi describe the state itself, phi_comm and phi_skip the two successors,
+    and expected_phi = p phi_comm + (1 - p) phi_skip is E[Phi+ | theta].
+    u_gap is ||u - u*||^2.
+    """
+
+    w: np.ndarray
+    x_comm: np.ndarray
+    u_comm: np.ndarray
+    x_skip: np.ndarray
+    u_gap: float
+    phi: float
+    psi: float
+    phi_comm: float
+    phi_skip: float
+    expected_phi: float
+
+
+def branch_outcomes(
+    state: SolverState,
     instance: ProblemInstance,
+    pair: CombinerPair,
     fp: FixedPoint,
     grad_star: np.ndarray | None = None,
-) -> float:
+    grad: np.ndarray | None = None,
+    w: np.ndarray | None = None,
+) -> BranchOutcomes:
+    """Evaluate both branches of one transition exactly.
+
+    grad_star is grad_stack(fp.x_star); grad and w, when given, are
+    grad_stack(state.x) and state.x - alpha * grad as solver.run computed
+    them. Whatever is missing is evaluated here.
+    """
+    alpha, p = state.alpha, state.p
     if grad_star is None:
         grad_star = instance.grad_stack(fp.x_star)
-    gdiff = instance.grad_stack(x) - grad_star
-    return _sq(gdiff) + _sq(u - fp.u_star_b)
-
-
-def _expected_phi_next(
-    state: SolverState, instance: ProblemInstance, pair: CombinerPair, fp: FixedPoint
-) -> tuple[float, np.ndarray]:
-    """Exact E[Phi(k+1) | theta_k] over both coin outcomes; also returns w."""
-    alpha, p = state.alpha, state.p
-    w = state.x - alpha * instance.grad_stack(state.x)
+    if grad is None:
+        grad = instance.grad_stack(state.x)
+    if w is None:
+        w = state.x - alpha * grad
     zu = w - kron_apply(pair.sqrt_b, state.u)
-
     x_comm = instance.prox.apply(kron_apply(pair.a, zu), alpha)
     u_comm = state.u + p * kron_apply(pair.sqrt_b, zu)
-    phi_comm = phi_value(x_comm, u_comm, p, fp)
-
     x_skip = instance.prox.apply(zu, alpha)
-    phi_skip = phi_value(x_skip, state.u, p, fp)
 
-    return p * phi_comm + (1.0 - p) * phi_skip, w
+    u_gap = _sq(state.u - fp.u_star_b)
+    u_term = u_gap / (p * p)
+    phi_comm = phi_value(x_comm, u_comm, p, fp)
+    phi_skip = _sq(x_skip - fp.x_star) + u_term
+    return BranchOutcomes(
+        w=w, x_comm=x_comm, u_comm=u_comm, x_skip=x_skip,
+        u_gap=u_gap,
+        phi=_sq(state.x - fp.x_star) + u_term,
+        psi=_sq(grad - grad_star) + u_gap,
+        phi_comm=phi_comm,
+        phi_skip=phi_skip,
+        expected_phi=p * phi_comm + (1.0 - p) * phi_skip,
+    )
 
 
 def lemma2_check(
-    state: SolverState, instance: ProblemInstance, pair: CombinerPair, fp: FixedPoint
+    state: SolverState,
+    instance: ProblemInstance,
+    pair: CombinerPair,
+    fp: FixedPoint,
+    outcomes: BranchOutcomes | None = None,
 ) -> tuple[float, float]:
     """(slack, RHS) of the one-step descent inequality; the slack must stay
-    above -tol * (1 + RHS)."""
-    expected, w = _expected_phi_next(state, instance, pair, fp)
+    above -tol * (1 + RHS). outcomes is branch_outcomes(state, ...) if
+    already evaluated."""
+    out = outcomes or branch_outcomes(state, instance, pair, fp)
     p = state.p
-    rhs = _sq(w - fp.w_star) + (1.0 - p * p * pair.sigma_m_b) * _sq(state.u - fp.u_star_b) / (p * p)
-    return rhs - expected, rhs
+    rhs = _sq(out.w - fp.w_star) + (1.0 - p * p * pair.sigma_m_b) * out.u_gap / (p * p)
+    return rhs - out.expected_phi, rhs
 
 
 def zeta_c(big_l: float, mu: float, alpha: float) -> float:
@@ -161,15 +206,18 @@ def skip_threshold(zc: float, sigma_m: float) -> float:
 
 
 def theorem2_check(
-    state: SolverState, instance: ProblemInstance, pair: CombinerPair, fp: FixedPoint
+    state: SolverState,
+    instance: ProblemInstance,
+    pair: CombinerPair,
+    fp: FixedPoint,
+    outcomes: BranchOutcomes | None = None,
 ) -> tuple[float, float]:
     """(zeta, contraction slack zeta*Phi - E[Phi+]); needs mu > 0."""
     if instance.mu <= 0.0:
         raise CertificateError("linear-rate certificate requires a strongly convex instance")
     zeta = zeta_rate(instance.L, instance.mu, state.alpha, state.p, pair.sigma_m_b)
-    expected, _ = _expected_phi_next(state, instance, pair, fp)
-    phi = phi_value(state.x, state.u, state.p, fp)
-    return zeta, zeta * phi - expected
+    out = outcomes or branch_outcomes(state, instance, pair, fp)
+    return zeta, zeta * out.phi - out.expected_phi
 
 
 def varrho(alpha: float, big_l: float, sigma_m: float) -> float:
@@ -182,13 +230,12 @@ def theorem1_step_check(
     pair: CombinerPair,
     fp: FixedPoint,
     grad_star: np.ndarray | None = None,
+    outcomes: BranchOutcomes | None = None,
 ) -> float:
     """Slack of Phi - E[Phi+] - varrho * Psi >= 0 (convex case allowed)."""
     rho = varrho(state.alpha, instance.L, pair.sigma_m_b)
-    expected, _ = _expected_phi_next(state, instance, pair, fp)
-    phi = phi_value(state.x, state.u, state.p, fp)
-    psi = psi_value(state.x, state.u, instance, fp, grad_star)
-    return phi - expected - rho * psi
+    out = outcomes or branch_outcomes(state, instance, pair, fp, grad_star)
+    return out.phi - out.expected_phi - rho * out.psi
 
 
 def averaged_iterate_bound(
@@ -212,7 +259,8 @@ def averaged_iterate_bound(
 
 @dataclass(eq=False)
 class CertificateSweep:
-    """Per-iteration slacks along one replayed trajectory."""
+    """Per-iteration slacks along one trajectory; entry k certifies the
+    transition from iterate k to k + 1."""
 
     lemma2_slack: np.ndarray
     lemma2_rhs: np.ndarray
@@ -248,6 +296,41 @@ class CertificateSweep:
         return bad
 
 
+class CertificateObserver:
+    """solver.run observer that certifies every transition of the run it
+    watches and fills `sweep` as the run goes.
+
+    Each step evaluates one branch_outcomes record from the gradient and
+    adapt step the driver already computed, and reads Phi, Psi and every
+    slack from it; grad_stack(x*) is evaluated once, here.
+    """
+
+    def __init__(self, instance: ProblemInstance, pair: CombinerPair, fp: FixedPoint,
+                 iters: int):
+        self.instance, self.pair, self.fp = instance, pair, fp
+        self.grad_star = instance.grad_stack(fp.x_star)
+        self.check_linear = instance.mu > 0.0
+        self.sweep = CertificateSweep(
+            lemma2_slack=np.empty(iters),
+            lemma2_rhs=np.empty(iters),
+            thm1_slack=np.empty(iters),
+            thm2_slack=np.full(iters, np.nan),
+            phi=np.empty(iters),
+            psi=np.empty(iters),
+            zeta=None,
+        )
+
+    def __call__(self, k: int, state: SolverState, grad: np.ndarray, w: np.ndarray) -> None:
+        instance, pair, fp, sweep = self.instance, self.pair, self.fp, self.sweep
+        out = branch_outcomes(state, instance, pair, fp, self.grad_star, grad, w)
+        sweep.phi[k] = out.phi
+        sweep.psi[k] = out.psi
+        sweep.lemma2_slack[k], sweep.lemma2_rhs[k] = lemma2_check(state, instance, pair, fp, out)
+        sweep.thm1_slack[k] = theorem1_step_check(state, instance, pair, fp, outcomes=out)
+        if self.check_linear:
+            sweep.zeta, sweep.thm2_slack[k] = theorem2_check(state, instance, pair, fp, out)
+
+
 def sweep_certificates(
     instance: ProblemInstance,
     pair: CombinerPair,
@@ -258,29 +341,12 @@ def sweep_certificates(
     fp: FixedPoint,
     x0: np.ndarray | None = None,
 ) -> CertificateSweep:
-    """Replay a run (same coins as solver.run) and certify every transition."""
-    coins = CoinSequence(p, seed).draw(iters)
-    state = initial_state(instance, alpha, p, x0)
-    check_linear = instance.mu > 0.0
-    grad_star = instance.grad_stack(fp.x_star)
-
-    lemma2 = np.empty(iters)
-    lemma2_rhs = np.empty(iters)
-    thm1 = np.empty(iters)
-    thm2 = np.full(iters, np.nan)
-    phi = np.empty(iters)
-    psi = np.empty(iters)
-    zeta = None
-    for k in range(iters):
-        phi[k] = phi_value(state.x, state.u, p, fp)
-        psi[k] = psi_value(state.x, state.u, instance, fp, grad_star)
-        lemma2[k], lemma2_rhs[k] = lemma2_check(state, instance, pair, fp)
-        thm1[k] = theorem1_step_check(state, instance, pair, fp, grad_star)
-        if check_linear:
-            zeta, thm2[k] = theorem2_check(state, instance, pair, fp)
-        state = flexatc_step(state, instance, pair, int(coins[k]))
-
-    return CertificateSweep(lemma2, lemma2_rhs, thm1, thm2, phi, psi, zeta)
+    """Certify every transition of solver.run with the same arguments
+    (same coins, same iterates); the trace itself is discarded."""
+    observer = CertificateObserver(instance, pair, fp, iters)
+    run(instance, pair, alpha, p, seed, iters, x0=x0,
+        record_kkt=False, record_objective=False, observer=observer)
+    return observer.sweep
 
 
 @dataclass(eq=False)

@@ -112,14 +112,12 @@ def _format(v) -> str:
 
 def _execute_run(args) -> RunResult:
     (run_id, variant, p, seed, instance, pair, alpha, fp, iters, x0, record_kkt, checks) = args
+    observer = analysis.CertificateObserver(instance, pair, fp, iters) if checks else None
     trace = solver.run(
         instance, pair, alpha, p, seed, iters,
-        reference=fp.x_star, x0=x0, record_kkt=record_kkt,
+        reference=fp.x_star, x0=x0, record_kkt=record_kkt, observer=observer,
     )
-    sweep = None
-    if checks:
-        sweep = analysis.sweep_certificates(instance, pair, alpha, p, seed, iters, fp, x0)
-    return RunResult(run_id, variant, p, seed, trace, sweep)
+    return RunResult(run_id, variant, p, seed, trace, observer.sweep if checks else None)
 
 
 def _result_rows(res: RunResult) -> list[list[str]]:

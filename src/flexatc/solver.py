@@ -17,6 +17,7 @@ x-sequence given the same coins.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -31,7 +32,13 @@ _COIN_CHUNK = 1024
 class DivergenceError(Exception):
     def __init__(self, iteration: int, detail: str = ""):
         self.iteration = iteration
+        self.detail = detail
         super().__init__(f"divergence detected at iteration {iteration}" + (f": {detail}" if detail else ""))
+
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, not from the formatted
+        # message, so the error keeps its text across the process pool.
+        return type(self), (self.iteration, self.detail)
 
 
 class SolverError(Exception):
@@ -112,14 +119,18 @@ def _check_finite(x: np.ndarray, k: int) -> None:
 
 
 def flexatc_step(state: SolverState, instance: ProblemInstance,
-                 pair: CombinerPair, theta: int, mirror: bool = True) -> SolverState:
+                 pair: CombinerPair, theta: int, mirror: bool = True,
+                 grad: np.ndarray | None = None) -> SolverState:
     """Advance one iteration; communication happens only when theta = 1.
 
     The u mirror costs two extra combine applications per communication and
     is only needed by diagnostics; pass mirror=False to leave u untouched.
+    grad, when given, is grad_stack(state.x) already evaluated by the caller.
     """
     alpha, p = state.alpha, state.p
-    w = state.x - alpha * instance.grad_stack(state.x)
+    if grad is None:
+        grad = instance.grad_stack(state.x)
+    w = state.x - alpha * grad
     if theta:
         z = w + state.y
         x_next = instance.prox.apply(kron_apply(pair.a, z), alpha)
@@ -140,10 +151,13 @@ def flexatc_step(state: SolverState, instance: ProblemInstance,
 
 
 def mirror_step(state: SolverState, instance: ProblemInstance,
-                pair: CombinerPair, theta: int) -> SolverState:
+                pair: CombinerPair, theta: int,
+                grad: np.ndarray | None = None) -> SolverState:
     """Same iteration driven purely by the u variable (y is ignored)."""
     alpha, p = state.alpha, state.p
-    w = state.x - alpha * instance.grad_stack(state.x)
+    if grad is None:
+        grad = instance.grad_stack(state.x)
+    w = state.x - alpha * grad
     zu = w - kron_apply(pair.sqrt_b, state.u)
     if theta:
         x_next = instance.prox.apply(kron_apply(pair.a, zu), alpha)
@@ -199,11 +213,18 @@ def run(
     record_objective: bool = True,
     mirror: bool = True,
     step=flexatc_step,
+    observer=None,
 ) -> RunTrace:
     """Run `iters` iterations driven by CoinSequence(p, seed).
 
     reference is the replicated (n, d) optimum used for relative errors.
     Deterministic: identical arguments give an identical trace.
+
+    Each iteration evaluates the stacked gradient once and hands it to
+    `step`. observer(k, state, grad, w), when given, is called before step k
+    with the state it leaves from, grad = grad_stack(state.x) and
+    w = state.x - alpha * grad; it must not modify them, and it sees the u
+    mirror only while mirror is on. The observer does not alter the trace.
     """
     if iters < 1:
         raise SolverError("need at least one iteration")
@@ -222,13 +243,15 @@ def run(
     objective = np.full(iters, np.nan)
     kkt = np.full(iters, np.nan)
 
+    if step is flexatc_step:
+        step = partial(flexatc_step, mirror=mirror)
     for k in range(iters):
         x_sum += state.x
         u_sum += state.u
-        if step is flexatc_step:
-            state = step(state, instance, pair, int(coins[k]), mirror)
-        else:
-            state = step(state, instance, pair, int(coins[k]))
+        grad = instance.grad_stack(state.x)
+        if observer is not None:
+            observer(k, state, grad, state.x - alpha * grad)
+        state = step(state, instance, pair, int(coins[k]), grad=grad)
         comms[k] = state.comms
         if reference is not None:
             rel_err[k] = np.linalg.norm(state.x - reference) / max(ref_norm, 1e-300)

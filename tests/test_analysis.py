@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import flexatc as fa
+import flexatc.cli as cli
 from conftest import synthetic_logistic_dataset
 from flexatc.analysis import (
     CertificateError,
+    CertificateObserver,
     averaged_iterate_bound,
+    branch_outcomes,
     complexity,
     fixed_point,
     lemma2_check,
@@ -19,8 +22,8 @@ from flexatc.analysis import (
     zeta_c,
     zeta_rate,
 )
-from flexatc.problem import ProxSpec, QuadraticLoss, quadratic_instance
-from flexatc.solver import SolverState, initial_state
+from flexatc.problem import ProblemInstance, ProxSpec, QuadraticLoss, quadratic_instance
+from flexatc.solver import CoinSequence, SolverState, flexatc_step, initial_state
 
 SLACK_TOL = 1e-9
 
@@ -222,3 +225,100 @@ class TestSweepAcrossVariants:
             for p in (1.0, 0.5, 0.2):
                 sweep = sweep_certificates(inst, pair, alpha, p, seed=trial, iters=500, fp=fp)
                 assert sweep.violations() == [], f"trial {trial}, p={p}"
+
+
+def replayed_sweep(inst, pair, alpha, p, seed, iters, fp):
+    """The certificates recomputed on a second integration of the run, one
+    public check at a time; the reference the observer must match bitwise."""
+    coins = CoinSequence(p, seed).draw(iters)
+    state = initial_state(inst, alpha, p)
+    grad_star = inst.grad_stack(fp.x_star)
+    cols = {name: np.full(iters, np.nan) for name in
+            ("lemma2_slack", "lemma2_rhs", "thm1_slack", "thm2_slack", "phi", "psi")}
+    for k in range(iters):
+        x_gap, u_gap = state.x - fp.x_star, state.u - fp.u_star_b
+        g_gap = inst.grad_stack(state.x) - grad_star
+        cols["phi"][k] = float(np.sum(x_gap * x_gap)) + float(np.sum(u_gap * u_gap)) / (p * p)
+        cols["psi"][k] = float(np.sum(g_gap * g_gap)) + float(np.sum(u_gap * u_gap))
+        cols["lemma2_slack"][k], cols["lemma2_rhs"][k] = lemma2_check(state, inst, pair, fp)
+        cols["thm1_slack"][k] = theorem1_step_check(state, inst, pair, fp, grad_star)
+        if inst.mu > 0.0:
+            _, cols["thm2_slack"][k] = theorem2_check(state, inst, pair, fp)
+        state = flexatc_step(state, inst, pair, int(coins[k]))
+    return cols
+
+
+@pytest.fixture(scope="module", params=["quadratic", "logistic_mu0"])
+def observed_setup(request):
+    if request.param == "quadratic":
+        inst = quadratic_instance(8, 4, seed=23, curvature_min=0.02, curvature_max=1.0,
+                                  prox=ProxSpec("l1", 0.01))
+        pair = ring_pair(8)
+        fp = fixed_point(inst, pair, 1.0 / inst.L)
+    else:
+        # the merely convex instance of acceptance criterion 7
+        ds = synthetic_logistic_dataset(400, 5, seed=60)
+        inst = fa.logistic_instance(ds, 10, partition_seed=3, ridge=0.0,
+                                    prox=ProxSpec("l1", 0.01))
+        assert inst.mu == 0.0
+        pair = ring_pair(10)
+        fp = fixed_point(inst, pair, 1.0 / inst.L, tol=1e-12)
+    return inst, pair, 1.0 / inst.L, fp
+
+
+class TestObservedSweep:
+    ITERS = 150
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.2])
+    def test_observer_matches_replay_bitwise(self, observed_setup, p):
+        inst, pair, alpha, fp = observed_setup
+        sweep = sweep_certificates(inst, pair, alpha, p, seed=4, iters=self.ITERS, fp=fp)
+        replay = replayed_sweep(inst, pair, alpha, p, 4, self.ITERS, fp)
+        for name, expected in replay.items():
+            assert np.array_equal(getattr(sweep, name), expected, equal_nan=True), name
+        assert (sweep.zeta is None) == (inst.mu <= 0.0)
+        assert sweep.violations() == []
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.2])
+    def test_observer_leaves_trace_unchanged(self, observed_setup, p):
+        inst, pair, alpha, fp = observed_setup
+        args = (inst, pair, alpha, p, 4, self.ITERS)
+        plain = fa.run(*args, reference=fp.x_star)
+        observed = fa.run(*args, reference=fp.x_star,
+                          observer=CertificateObserver(inst, pair, fp, self.ITERS))
+        for name in ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
+                     "kkt_residual", "x_avg", "u_avg", "x0"):
+            assert np.array_equal(getattr(plain, name), getattr(observed, name)), name
+        for name in ("x", "y", "u"):
+            assert np.array_equal(getattr(plain.final, name), getattr(observed.final, name))
+
+    def test_comm_branch_is_the_solver_mirror_update(self, observed_setup):
+        inst, pair, alpha, fp = observed_setup
+        state = initial_state(inst, alpha, 0.5)
+        coins = CoinSequence(0.5, seed=2).draw(40)
+        for k in range(40):
+            out = branch_outcomes(state, inst, pair, fp)
+            communicated = flexatc_step(state, inst, pair, 1)
+            assert np.array_equal(out.u_comm, communicated.u)
+            assert np.array_equal(out.w, state.x - alpha * inst.grad_stack(state.x))
+            state = flexatc_step(state, inst, pair, int(coins[k]))
+
+    def test_one_gradient_per_step(self, certified_setup, monkeypatch):
+        inst, pair, alpha, fp = certified_setup
+        calls = []
+        original = ProblemInstance.grad_stack
+
+        def counted(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(ProblemInstance, "grad_stack", counted)
+        iters = 120
+        sweep_certificates(inst, pair, alpha, 0.5, seed=1, iters=iters, fp=fp)
+        # K iterates plus grad F(x*) once
+        assert len(calls) == iters + 1
+        calls.clear()
+        task = ("r", "ed", 0.5, 1, inst, pair, alpha, fp, iters, None, True, True)
+        result = cli._execute_run(task)
+        assert len(calls) == iters + 1
+        assert result.sweep.violations() == []

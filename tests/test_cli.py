@@ -178,10 +178,23 @@ class TestRunCommand:
 
     def test_threads_match_serial(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)
-        out1, out2 = tmp_path / "serial", tmp_path / "pool"
-        assert cli.main(["run", conf, "--out-dir", str(out1), "--threads", "1"]) == cli.EXIT_OK
-        assert cli.main(["run", conf, "--out-dir", str(out2), "--threads", "2"]) == cli.EXIT_OK
-        assert (out1 / "grid.csv").read_bytes() == (out2 / "grid.csv").read_bytes()
+        for command in ("run", "check"):
+            out1, out2 = tmp_path / command / "serial", tmp_path / command / "pool"
+            for out, threads in ((out1, "1"), (out2, "2")):
+                code = cli.main([command, conf, "--out-dir", str(out), "--threads", threads])
+                assert code == cli.EXIT_OK
+            assert (out1 / "grid.csv").read_bytes() == (out2 / "grid.csv").read_bytes()
+
+    def test_pooled_divergence_exits_3_with_message_once(self, tmp_path, capsys):
+        # iterates far past the divergence norm: every run of the grid
+        # raises DivergenceError in a pool worker
+        conf = write_config(tmp_path, GRID.replace(
+            "seeds = 1, 2", "seeds = 1, 2\ninit = random\ninit_scale = 1e13"))
+        code = cli.main(["run", conf, "--out-dir", str(tmp_path), "--threads", "2"])
+        assert code == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.count("divergence detected at iteration") == 1
+        assert "divergence detected at iteration 0: stepsize likely out of range" in err
 
     def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,14 @@ class TestFlexatcStep:
         with pytest.raises(DivergenceError):
             for _ in range(100):
                 state = flexatc_step(state, lying, pair, theta=1)
+
+    def test_divergence_error_pickles(self):
+        # errors from pool workers arrive pickled; the message must survive
+        for err in (DivergenceError(5, "x"), DivergenceError(7)):
+            back = pickle.loads(pickle.dumps(err))
+            assert str(back) == str(err)
+            assert (back.iteration, back.detail) == (err.iteration, err.detail)
+        assert str(DivergenceError(5, "x")) == "divergence detected at iteration 5: x"
 
     def test_rejects_alpha_out_of_range(self):
         inst = quadratic_instance(2, 2, seed=0)
