@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 unreadable or invalid config/dataset, 3 divergence,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -68,10 +67,10 @@ def build_problem(cfg: ExperimentConfig) -> problem.ProblemInstance:
             target_offset_scale=p.target_offset_scale,
         )
     try:
-        text = Path(p.data).read_text()
+        data = Path(p.data).read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {p.data}: {exc}") from exc
-    ds = problem.parse_libsvm(text, map_01_labels=p.map_01_labels)
+    ds = problem.parse_libsvm(data, map_01_labels=p.map_01_labels)
     if p.normalize:
         ds = problem.normalize_features(ds)
     if p.max_samples > 0:
@@ -100,14 +99,9 @@ class RunResult:
     sweep: analysis.CertificateSweep | None
 
 
-def _format(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        if math.isnan(v):
-            return ""
-        return repr(v)
-    return str(v)
+def _cells(values) -> list[str]:
+    """CSV cells of a float column: the repr of each value, NaN left empty."""
+    return ["" if c == "nan" else c for c in map(repr, np.asarray(values, dtype=float).tolist())]
 
 
 def _execute_run(args) -> RunResult:
@@ -121,33 +115,25 @@ def _execute_run(args) -> RunResult:
 
 
 def _result_rows(res: RunResult) -> list[list[str]]:
-    rows = []
-    t, sweep = res.trace, res.sweep
-    for i in range(t.k.size):
-        rows.append([
-            res.run_id, res.variant, _format(res.p), str(res.seed),
-            str(int(t.k[i])), str(int(t.theta[i])), str(int(t.comms[i])),
-            _format(float(t.rel_err[i])), _format(float(t.consensus_err[i])),
-            _format(float(t.objective[i])), _format(float(t.kkt_residual[i])),
-            _format(float(sweep.lemma2_slack[i])) if sweep else "",
-            _format(float(sweep.thm1_slack[i])) if sweep else "",
-            _format(float(sweep.thm2_slack[i])) if sweep else "",
-        ])
-    return rows
+    t, sweep, n = res.trace, res.sweep, res.trace.k.size
+    blank = np.full(n, np.nan)
+    slacks = (sweep.lemma2_slack, sweep.thm1_slack, sweep.thm2_slack) if sweep else (blank,) * 3
+    columns = [
+        [res.run_id] * n, [res.variant] * n, [repr(res.p)] * n, [str(res.seed)] * n,
+        *(list(map(str, c.astype(int).tolist())) for c in (t.k, t.theta, t.comms)),
+        *(_cells(c) for c in (t.rel_err, t.consensus_err, t.objective, t.kkt_residual, *slacks)),
+    ]
+    return [list(row) for row in zip(*columns)]
 
 
 def _summary_row(res: RunResult) -> list[str]:
     """Machine-readable per-run summary; marked by k = -1."""
-    sweep = res.sweep
-    mins = sweep.min_slacks() if sweep else {}
+    t = res.trace
+    mins = res.sweep.min_slacks() if res.sweep else {}
     return [
-        res.run_id, res.variant, _format(res.p), str(res.seed),
-        "-1", "", str(int(res.trace.comms[-1])),
-        _format(float(res.trace.rel_err[-1])),
-        _format(float(res.trace.consensus_err[-1])),
-        _format(float(res.trace.objective[-1])),
-        _format(float(res.trace.kkt_residual[-1])),
-        _format(mins.get("lemma2")), _format(mins.get("thm1")), _format(mins.get("thm2")),
+        res.run_id, res.variant, repr(res.p), str(res.seed), "-1", "", str(int(t.comms[-1])),
+        *_cells([t.rel_err[-1], t.consensus_err[-1], t.objective[-1], t.kkt_residual[-1]]),
+        *_cells([mins.get(name, np.nan) for name in ("lemma2", "thm1", "thm2")]),
     ]
 
 

@@ -97,13 +97,6 @@ def parse_variant(text: str) -> tuple[str, dict[str, float]]:
     return name, params
 
 
-def _matrix_power(w: np.ndarray, k: int) -> np.ndarray:
-    out = np.eye(w.shape[0])
-    for _ in range(k):
-        out = out @ w
-    return out
-
-
 def _validate_matrices(a: np.ndarray, b: np.ndarray, w: np.ndarray, tol: float):
     n = a.shape[0]
     ones = np.ones(n)
@@ -211,7 +204,7 @@ def preset(variant: str, w: MixingMatrix) -> CombinerPair:
         if rounds is None or rounds != int(rounds) or rounds < 1:
             raise CombinerError(f"{name} requires an integer N >= 1, got {rounds}")
         n_gossip = int(rounds)
-        wn = _matrix_power(wm, n_gossip)
+        wn = np.linalg.matrix_power(wm, n_gossip)
         if name == "mg_ed":
             return _build(
                 0.5 * (eye + wn), 0.5 * (eye - wn), w, f"mg_ed:N={n_gossip}", n_gossip

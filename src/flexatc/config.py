@@ -37,7 +37,7 @@ Unknown sections or keys are errors so that typos fail fast. Example:
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
@@ -150,22 +150,18 @@ def _parse_list(raw: str, key: str, conv) -> tuple:
     return tuple(conv(s, key) for s in items)
 
 
-_SECTION_KEYS = {
-    "graph": {"kind", "n", "q", "seed"},
-    "mixing": {"rule", "lazify"},
-    "combiner": {"variants"},
-    "problem": {
-        "type", "d", "target_seed", "curvature_min", "curvature_max",
-        "target_scale", "target_offset_scale", "data", "ridge",
-        "map_01_labels", "normalize", "max_samples", "partition_seed",
-        "prox", "prox_weight",
-    },
-    "run": {
-        "alpha", "p_list", "iterations", "seeds", "target_rel_err",
-        "init", "init_seed", "init_scale", "record_kkt",
-    },
-    "outputs": {"csv", "svg", "checks"},
+# Each key is parsed by the type of its dataclass field, and a missing key
+# keeps the field's default.
+_CONVERTERS = {
+    "str": lambda raw, key: raw.strip(),
+    "int": _parse_int,
+    "float": _parse_float,
+    "bool": _parse_bool,
+    "tuple[float, ...]": lambda raw, key: _parse_list(raw, key, _parse_float),
+    "tuple[int, ...]": lambda raw, key: _parse_list(raw, key, _parse_int),
 }
+_SECTIONS = {"graph": GraphConfig, "mixing": MixingConfig, "problem": ProblemConfig,
+             "run": RunConfig, "outputs": OutputConfig}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -176,88 +172,42 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
+    keys = {name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()}
+    keys["combiner"] = {"variants"}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in keys:
             raise ConfigError(f"unknown section [{section}]")
-        unknown = set(parser[section]) - _SECTION_KEYS[section]
+        unknown = set(parser[section]) - keys[section]
         if unknown:
             raise ConfigError(f"unknown keys in [{section}]: {sorted(unknown)}")
 
     cfg = ExperimentConfig()
-    if parser.has_section("graph"):
-        g = parser["graph"]
-        cfg.graph = GraphConfig(
-            kind=g.get("kind", cfg.graph.kind).strip(),
-            n=_parse_int(g.get("n", str(cfg.graph.n)), "graph.n"),
-            q=_parse_float(g.get("q", str(cfg.graph.q)), "graph.q"),
-            seed=_parse_int(g.get("seed", str(cfg.graph.seed)), "graph.seed"),
-        )
-        if cfg.graph.kind not in ("ring", "complete", "erdos_renyi"):
-            raise ConfigError(f"graph.kind must be ring|complete|erdos_renyi, got {cfg.graph.kind!r}")
-    if parser.has_section("mixing"):
-        m = parser["mixing"]
-        cfg.mixing = MixingConfig(
-            rule=m.get("rule", cfg.mixing.rule).strip(),
-            lazify=_parse_bool(m.get("lazify", "false"), "mixing.lazify"),
-        )
-        if cfg.mixing.rule != "metropolis":
-            raise ConfigError(f"mixing.rule only supports 'metropolis', got {cfg.mixing.rule!r}")
+    for section, cls in _SECTIONS.items():
+        if parser.has_section(section):
+            values = parser[section]
+            setattr(cfg, section, cls(**{
+                f.name: _CONVERTERS[f.type](values[f.name], f"{section}.{f.name}")
+                for f in fields(cls) if f.name in values
+            }))
     if parser.has_section("combiner"):
         raw = parser["combiner"].get("variants", "")
         cfg.variants = _parse_list(raw, "combiner.variants", lambda s, _k: s)
-    if parser.has_section("problem"):
-        p = parser["problem"]
-        cfg.problem = ProblemConfig(
-            type=p.get("type", cfg.problem.type).strip(),
-            d=_parse_int(p.get("d", str(cfg.problem.d)), "problem.d"),
-            target_seed=_parse_int(p.get("target_seed", "0"), "problem.target_seed"),
-            curvature_min=_parse_float(p.get("curvature_min", "1.0"), "problem.curvature_min"),
-            curvature_max=_parse_float(p.get("curvature_max", "1.0"), "problem.curvature_max"),
-            target_scale=_parse_float(p.get("target_scale", "1.0"), "problem.target_scale"),
-            target_offset_scale=_parse_float(
-                p.get("target_offset_scale", "0.0"), "problem.target_offset_scale"
-            ),
-            data=p.get("data", "").strip(),
-            ridge=_parse_float(p.get("ridge", "0.0"), "problem.ridge"),
-            map_01_labels=_parse_bool(p.get("map_01_labels", "false"), "problem.map_01_labels"),
-            normalize=_parse_bool(p.get("normalize", "false"), "problem.normalize"),
-            max_samples=_parse_int(p.get("max_samples", "0"), "problem.max_samples"),
-            partition_seed=_parse_int(p.get("partition_seed", "0"), "problem.partition_seed"),
-            prox=p.get("prox", "none").strip(),
-            prox_weight=_parse_float(p.get("prox_weight", "0.0"), "problem.prox_weight"),
-        )
-        if cfg.problem.type not in ("quadratic", "logistic"):
-            raise ConfigError(f"problem.type must be quadratic|logistic, got {cfg.problem.type!r}")
-        if cfg.problem.type == "logistic" and not cfg.problem.data:
-            raise ConfigError("logistic problems need problem.data (path to a LIBSVM file)")
-        if cfg.problem.prox not in ("none", "l1"):
-            raise ConfigError(f"problem.prox must be none|l1, got {cfg.problem.prox!r}")
-    if parser.has_section("run"):
-        r = parser["run"]
-        cfg.run = RunConfig(
-            alpha=r.get("alpha", "1/L").strip(),
-            p_list=_parse_list(r.get("p_list", "1"), "run.p_list", _parse_float),
-            iterations=_parse_int(r.get("iterations", "100"), "run.iterations"),
-            seeds=_parse_list(r.get("seeds", "1"), "run.seeds", _parse_int),
-            target_rel_err=_parse_float(r.get("target_rel_err", "1e-6"), "run.target_rel_err"),
-            init=r.get("init", "zeros").strip(),
-            init_seed=_parse_int(r.get("init_seed", "0"), "run.init_seed"),
-            init_scale=_parse_float(r.get("init_scale", "1.0"), "run.init_scale"),
-            record_kkt=_parse_bool(r.get("record_kkt", "true"), "run.record_kkt"),
-        )
-        if any(not (0.0 < p <= 1.0) for p in cfg.run.p_list):
-            raise ConfigError(f"run.p_list values must lie in (0, 1]: {cfg.run.p_list}")
-        if cfg.run.iterations < 1:
-            raise ConfigError("run.iterations must be >= 1")
-        if cfg.run.init not in ("zeros", "random"):
-            raise ConfigError(f"run.init must be zeros|random, got {cfg.run.init!r}")
-    if parser.has_section("outputs"):
-        o = parser["outputs"]
-        cfg.outputs = OutputConfig(
-            csv=o.get("csv", cfg.outputs.csv).strip(),
-            svg=o.get("svg", cfg.outputs.svg).strip(),
-            checks=_parse_bool(o.get("checks", "false"), "outputs.checks"),
-        )
+    if cfg.graph.kind not in ("ring", "complete", "erdos_renyi"):
+        raise ConfigError(f"graph.kind must be ring|complete|erdos_renyi, got {cfg.graph.kind!r}")
+    if cfg.mixing.rule != "metropolis":
+        raise ConfigError(f"mixing.rule only supports 'metropolis', got {cfg.mixing.rule!r}")
+    if cfg.problem.type not in ("quadratic", "logistic"):
+        raise ConfigError(f"problem.type must be quadratic|logistic, got {cfg.problem.type!r}")
+    if cfg.problem.type == "logistic" and not cfg.problem.data:
+        raise ConfigError("logistic problems need problem.data (path to a LIBSVM file)")
+    if cfg.problem.prox not in ("none", "l1"):
+        raise ConfigError(f"problem.prox must be none|l1, got {cfg.problem.prox!r}")
+    if any(not (0.0 < p <= 1.0) for p in cfg.run.p_list):
+        raise ConfigError(f"run.p_list values must lie in (0, 1]: {cfg.run.p_list}")
+    if cfg.run.iterations < 1:
+        raise ConfigError("run.iterations must be >= 1")
+    if cfg.run.init not in ("zeros", "random"):
+        raise ConfigError(f"run.init must be zeros|random, got {cfg.run.init!r}")
     return cfg
 
 

@@ -1,23 +1,16 @@
-"""Dense symmetric-matrix kernel: Jacobi eigendecomposition, PSD square
-roots, pseudo-inverse solves, and block-wise (Kronecker) application of
-small n x n matrices to stacked vectors.
-
-Everything here operates on matrices of order up to a few hundred, which
-is why a dependency-free cyclic Jacobi sweep is good enough.
+"""Dense symmetric-matrix kernel: eigendecomposition (LAPACK through
+numpy.linalg.eigh), PSD square roots, pseudo-inverse solves, and block-wise
+(Kronecker) application of small n x n matrices to stacked vectors.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # Relative threshold separating structural zero eigenvalues from round-off.
 DEFAULT_EIG_TOL = 1e-9
-
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_OFF_FACTOR = 1e-14
 
 
 class LinalgError(Exception):
@@ -68,72 +61,13 @@ class SpectralDecomposition:
         return float(self.eigenvalues[-1])
 
 
-def _off_diagonal_norm(a: np.ndarray) -> float:
-    # Computed from the off-diagonal entries themselves; the subtraction form
-    # ||A||_F^2 - sum(diag^2) cancels catastrophically near convergence.
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
 def sym_eig(m: SymMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Rotations are applied until the off-diagonal Frobenius norm drops below
-    1e-14 * ||M||_F; more than 100 sweeps signals a numerical failure.
-    """
-    a = m.entries.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return SpectralDecomposition(np.diag(a).copy(), v)
-
-    threshold = _JACOBI_OFF_FACTOR * np.linalg.norm(a)
-    off = _off_diagonal_norm(a)
-    for _ in range(_JACOBI_SWEEP_CAP):
-        if off <= threshold:
-            break
-        # Threshold sweep: skipping everything below the snapshot level still
-        # halves the off-norm, since n(n-1) entries at off/(2n) sum below
-        # (off/2)^2; every rotation removes 2 a_pq^2 from the off-norm.
-        rot_tol = max(off / (2.0 * n), threshold / n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= rot_tol:
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # A <- J^T A J for the (p,q) Givens rotation, exploiting
-                # symmetry: rotate the two rows, mirror them onto the columns,
-                # then patch the 2x2 pivot block analytically.
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                new_p = c * rp - s * rq
-                new_q = s * rp + c * rq
-                a[p, :] = new_p
-                a[:, p] = new_p
-                a[q, :] = new_q
-                a[:, q] = new_q
-                a[p, p] = c * c * app - 2.0 * s * c * apq + s * s * aqq
-                a[q, q] = s * s * app + 2.0 * s * c * apq + c * c * aqq
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        off = _off_diagonal_norm(a)
-    else:
-        if off > threshold:
-            raise LinalgError("Jacobi iteration did not converge within the sweep cap")
-
-    eigenvalues = np.diag(a).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return SpectralDecomposition(eigenvalues[order], v[:, order])
+    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(m.entries)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"eigendecomposition failed: {exc}") from exc
+    return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
 def sqrt_from_decomposition(dec: SpectralDecomposition, tol: float = DEFAULT_EIG_TOL) -> SymMatrix:

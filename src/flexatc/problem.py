@@ -1,15 +1,26 @@
 """Loss oracles, proximal terms, smoothness constants, and LIBSVM-format
 dataset handling with uniform partitioning across agents.
+
+A ProblemInstance keeps its per-agent losses as given and evaluates them on
+stacked per-network arrays, so no oracle call loops over agents in Python.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _POWER_ITER_CAP = 100_000
 _POWER_ITER_TOL = 1e-8
+
+# str.splitlines() breaks ASCII text at \n, \r, \r\n, \v, \f and \x1c-\x1e;
+# str.split() also separates tokens at tab and \x1f.
+_OTHER_SPACE = b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f"
+_TO_SPACE_OR_NEWLINE = bytes.maketrans(_OTHER_SPACE, b"\n\n\n\n\n\n  ")
+_COLON_TO_SPACE = bytes.maketrans(b":", b" ")
+_BLOCK_BYTES = 1 << 20
 
 
 class ParseError(Exception):
@@ -42,77 +53,147 @@ class Dataset:
 
     def dense(self) -> np.ndarray:
         x = np.zeros((len(self), self.d))
-        for i in range(len(self)):
-            idx, vals, _ = self.sample(i)
-            x[i, idx] = vals
+        x[np.repeat(np.arange(len(self)), np.diff(self.indptr)), self.indices] = self.values
         return x
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         rows = np.asarray(rows, dtype=int)
-        counts = self.indptr[rows + 1] - self.indptr[rows]
+        lo = self.indptr[rows]
+        counts = self.indptr[rows + 1] - lo
         indptr = np.zeros(rows.size + 1, dtype=int)
         np.cumsum(counts, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=int)
-        values = np.empty(indptr[-1])
-        for out_i, i in enumerate(rows):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            indices[indptr[out_i]:indptr[out_i + 1]] = self.indices[lo:hi]
-            values[indptr[out_i]:indptr[out_i + 1]] = self.values[lo:hi]
-        return Dataset(self.d, self.labels[rows].copy(), indptr, indices, values)
+        # entry j of output row r comes from entry lo[r] + (j - indptr[r])
+        src = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], counts)
+        return Dataset(self.d, self.labels[rows], indptr, self.indices[src], self.values[src])
 
     def head(self, m: int) -> "Dataset":
         return self.subset(np.arange(min(m, len(self))))
+
+
+def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds of the runs between spaces and newlines, buf[starts[t]:ends[t]],
+    and which of them open a line (the label)."""
+    space = np.ones(buf.size + 2, dtype=bool)
+    np.equal(buf, 32, out=space[1:-1])
+    space[1:-1] |= buf == 10
+    edges = np.flatnonzero(space[1:] != space[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    after_break = np.searchsorted(starts, np.flatnonzero(buf == 10))
+    is_label = np.zeros(starts.size, dtype=bool)
+    is_label[after_break[after_break < starts.size]] = True
+    is_label[:1] = True
+    return starts, ends, is_label
+
+
+def _malformed(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+               is_label: np.ndarray) -> np.ndarray:
+    """Tokens that fail before their numbers are read: a label has no colon;
+    a feature token has one, text on both sides, and an index of digits after
+    an optional sign.  numpy reads "nan(...)" where float() refuses it."""
+    colons = np.append(np.flatnonzero(buf == 58), buf.size)
+    first = np.searchsorted(colons, starts)
+    n_colon = np.searchsorted(colons, ends) - first
+    colon = colons[first]
+    bad = np.where(is_label, n_colon != 0,
+                   (n_colon != 1) | (colon == starts) | (colon == ends - 1))
+    bad[np.searchsorted(starts, np.flatnonzero(buf == 40), side="right") - 1] = True
+    feat = np.flatnonzero(~is_label & ~bad)
+    if feat.size:
+        lo = starts[feat] + ((buf[starts[feat]] == 43) | (buf[starts[feat]] == 45))
+        # digits are the only bytes b with (b - 48) mod 256 <= 9
+        top = np.maximum.reduceat(buf - 48, np.column_stack((lo, colon[feat])).ravel())[0::2]
+        bad[feat[top > 9]] = True
+    return bad
+
+
+def _parse_fields(data: bytes, starts: np.ndarray, is_label: np.ndarray,
+                  limit: int) -> tuple[np.ndarray, int]:
+    """The numbers of tokens [0, limit), read in one pass, and limit lowered
+    to the first token whose numbers do not parse; bisection finds that token
+    by reading about len(data) more bytes."""
+    stream = data.translate(_COLON_TO_SPACE)
+    bounds = np.append(starts, len(stream))
+
+    def numbers(lo: int, hi: int) -> np.ndarray | None:
+        count = 2 * (hi - lo) - int(np.count_nonzero(is_label[lo:hi]))
+        if count == 0:  # numpy reads a blank stream as [-1.0]
+            return np.empty(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # numpy < 2 only warns
+            try:
+                out = np.fromstring(stream[bounds[lo]:bounds[hi]], sep=" ")
+            except (ValueError, DeprecationWarning):
+                return None
+        return out if out.size == count else None
+
+    out = numbers(0, limit)
+    if out is None:
+        lo = 0
+        while limit - lo > 1:
+            mid = (lo + limit) // 2
+            lo, limit = (lo, mid) if numbers(lo, mid) is None else (mid, limit)
+        limit = lo
+        out = numbers(0, limit)
+    return out, limit
+
+
+def _parse_block(data: bytes, lo: int, hi: int, map_01_labels: bool):
+    """(labels, features per sample, 0-based indices, values) of the whole
+    lines data[lo:hi]; raises ParseError at the first malformed token."""
+    block = data[lo:hi]
+    buf = np.frombuffer(block, dtype=np.uint8)
+    starts, ends, is_label = _tokens(buf)
+    malformed = _malformed(buf, starts, ends, is_label)
+    limit = int(np.argmax(malformed)) if malformed.any() else starts.size
+    numbers, limit = _parse_fields(block, starts, is_label, limit)
+
+    head = is_label[:limit]
+    is_label_number = np.repeat(head, np.where(head, 1, 2))
+    labels = numbers[is_label_number]
+    pairs = numbers[~is_label_number].reshape(-1, 2)  # (index, value) rows
+    if map_01_labels:
+        labels[labels == 0.0] = -1.0
+    bad = [limit]
+    bad_label = (labels != 1.0) & (labels != -1.0)
+    if bad_label.any():
+        bad.append(np.flatnonzero(head)[np.argmax(bad_label)])
+    bad_index = pairs[:, 0] < 1.0
+    if bad_index.any():
+        bad.append(np.flatnonzero(~head)[np.argmax(bad_index)])
+    t = int(min(bad))
+    if t < starts.size:
+        tok = block[starts[t]:ends[t]].decode("utf-8", "replace")
+        if t == limit:
+            what = f"bad label {tok!r}" if is_label[t] else f"malformed feature token {tok!r}"
+        elif is_label[t]:
+            what = f"label {tok!r} is not +1/-1"
+        else:
+            what = f"index {int(pairs[np.count_nonzero(~head[:t]), 0])} is not 1-based"
+        raise ParseError(f"line {data.count(10, 0, lo + starts[t]) + 1}: {what}")
+    counts = np.diff(np.append(np.flatnonzero(is_label), starts.size)) - 1
+    return labels, counts, pairs[:, 0].astype(int) - 1, pairs[:, 1]
 
 
 def parse_libsvm(text: str | bytes, map_01_labels: bool = False) -> Dataset:
     """Parse "label idx:val idx:val ..." lines; 1-based indices become 0-based.
 
     Labels must be +1/-1; with map_01_labels, 0/1 files are accepted and 0 is
-    mapped to -1. The dimension is the largest index seen.
+    mapped to -1. The dimension is the largest index seen. Lines and tokens
+    split as str.splitlines() and str.split() split ASCII text; the first
+    malformed token raises ParseError naming its line.
     """
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
-    labels: list[float] = []
-    indptr = [0]
-    indices: list[int] = []
-    values: list[float] = []
-    max_index = -1
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        try:
-            label = float(tokens[0])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad label {tokens[0]!r}") from exc
-        if map_01_labels and label in (0.0, 1.0):
-            label = -1.0 if label == 0.0 else 1.0
-        if label not in (-1.0, 1.0):
-            raise ParseError(f"line {lineno}: label {tokens[0]!r} is not +1/-1")
-        for tok in tokens[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise ParseError(f"line {lineno}: malformed feature token {tok!r}")
-            try:
-                idx = int(idx_s)
-                val = float(val_s)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: malformed feature token {tok!r}") from exc
-            if idx < 1:
-                raise ParseError(f"line {lineno}: index {idx} is not 1-based")
-            indices.append(idx - 1)
-            values.append(val)
-            max_index = max(max_index, idx - 1)
-        labels.append(label)
-        indptr.append(len(indices))
-    return Dataset(
-        d=max_index + 1,
-        labels=np.asarray(labels),
-        indptr=np.asarray(indptr, dtype=int),
-        indices=np.asarray(indices, dtype=int),
-        values=np.asarray(values),
-    )
+    data = text.encode() if isinstance(text, str) else bytes(text)
+    data = data.replace(b"\r\n", b"\n")
+    if any(ch in data for ch in _OTHER_SPACE):
+        data = data.translate(_TO_SPACE_OR_NEWLINE)
+    # Blocks of whole lines keep the temporary arrays small.
+    cuts = [0]
+    while cuts[-1] < len(data) or len(cuts) == 1:
+        cuts.append(data.find(b"\n", cuts[-1] + _BLOCK_BYTES) + 1 or len(data))
+    blocks = [_parse_block(data, lo, hi, map_01_labels) for lo, hi in zip(cuts, cuts[1:])]
+    labels, counts, indices, values = (np.concatenate(parts) for parts in zip(*blocks))
+    return Dataset(int(indices.max()) + 1 if indices.size else 0, labels,
+                   np.append(0, np.cumsum(counts)), indices, values)
 
 
 def serialize_libsvm(ds: Dataset) -> str:
@@ -129,8 +210,7 @@ def serialize_libsvm(ds: Dataset) -> str:
 def normalize_features(ds: Dataset) -> Dataset:
     """Per-feature max-abs scaling (off by default everywhere)."""
     scale = np.ones(ds.d)
-    for j, v in zip(ds.indices, ds.values):
-        scale[j] = max(scale[j], abs(v))
+    np.fmax.at(scale, ds.indices, np.abs(ds.values))  # fmax, like max(), keeps 1.0 over nan
     return Dataset(ds.d, ds.labels.copy(), ds.indptr.copy(), ds.indices.copy(),
                    ds.values / scale[ds.indices])
 
@@ -182,12 +262,10 @@ class QuadraticLoss:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp(-|t|) never overflows, and each branch is the textbook stable form
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
 
 
 @dataclass(eq=False)
@@ -291,23 +369,82 @@ class ProxSpec:
 
 
 @dataclass(eq=False)
+class _QuadraticStack:
+    """Quadratic agents as (n, d) targets and curvatures."""
+
+    targets: np.ndarray
+    curvatures: np.ndarray
+
+    def grad_stack(self, x: np.ndarray) -> np.ndarray:
+        return self.curvatures * (x - self.targets)
+
+    def value(self, point: np.ndarray) -> float:
+        diff = point[None, :] - self.targets
+        return 0.5 * float(np.sum(self.curvatures * diff * diff)) / self.targets.shape[0]
+
+
+@dataclass(eq=False)
+class _LogisticStack:
+    """Logistic agents as one (n, m_max, d) feature tensor.
+
+    Agent i owns rows [0, m[i]); the padding rows carry label 0, which zeroes
+    their gradient weight, and are masked out of the value.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    m: np.ndarray
+    ridge: np.ndarray
+
+    def _margins(self, x: np.ndarray) -> np.ndarray:
+        return self.labels * (self.features @ x[:, :, None])[:, :, 0]
+
+    def grad_stack(self, x: np.ndarray) -> np.ndarray:
+        weights = self.labels * _sigmoid(-self._margins(x))
+        grads = (weights[:, None, :] @ self.features)[:, 0, :]
+        return -grads / self.m[:, None] + self.ridge[:, None] * x
+
+    def value(self, point: np.ndarray) -> float:
+        margins = self._margins(point[None, :])
+        # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out
+        losses = np.where(self.labels != 0.0,
+                          np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins))), 0.0)
+        per_agent = losses.sum(axis=1) / self.m + 0.5 * self.ridge * float(point @ point)
+        return float(per_agent.sum()) / self.m.size
+
+
+def _stack(losses: list):
+    if all(isinstance(loss, QuadraticLoss) for loss in losses):
+        return _QuadraticStack(np.stack([l.target for l in losses]),
+                               np.stack([l.curvature for l in losses]))
+    if not all(isinstance(loss, LogisticLoss) for loss in losses):
+        raise ProblemError("agent losses must be all quadratic or all logistic")
+    m = np.array([loss.m for loss in losses])
+    features = np.zeros((len(losses), m.max(), losses[0].d))
+    labels = np.zeros((len(losses), m.max()))
+    for i, loss in enumerate(losses):
+        features[i, :loss.m] = loss.features
+        labels[i, :loss.m] = loss.labels
+    return _LogisticStack(features, labels, m, np.array([loss.ridge for loss in losses]))
+
+
+@dataclass(eq=False)
 class ProblemInstance:
-    """n agent losses, a shared prox term, and the common (L, mu) constants."""
+    """n agent losses, a shared prox term, and the common (L, mu) constants.
+
+    The oracles evaluate every agent at once on the losses stacked into one
+    per-network array: row i of grad_stack is agent i's gradient.
+    """
 
     losses: list
     prox: ProxSpec
     d: int
     L: float
     mu: float
-    # stacked (n, d) targets/curvatures when every agent is quadratic; lets
-    # long runs skip the per-agent Python loop
-    _quad_targets: np.ndarray | None = field(default=None, repr=False)
-    _quad_curvatures: np.ndarray | None = field(default=None, repr=False)
+    _stacked: _QuadraticStack | _LogisticStack = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.losses and all(isinstance(l, QuadraticLoss) for l in self.losses):
-            self._quad_targets = np.stack([l.target for l in self.losses])
-            self._quad_curvatures = np.stack([l.curvature for l in self.losses])
+        self._stacked = _stack(self.losses)
 
     @property
     def n(self) -> int:
@@ -315,22 +452,14 @@ class ProblemInstance:
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         """Per-agent gradients of the stacked iterate, row i for agent i."""
-        if self._quad_targets is not None:
-            return self._quad_curvatures * (x - self._quad_targets)
-        return np.stack([loss.grad(x[i]) for i, loss in enumerate(self.losses)])
+        return self._stacked.grad_stack(x)
 
     def mean_grad(self, point: np.ndarray) -> np.ndarray:
-        if self._quad_targets is not None:
-            return np.mean(self._quad_curvatures * (point[None, :] - self._quad_targets), axis=0)
-        return sum(loss.grad(point) for loss in self.losses) / self.n
+        return np.mean(self._stacked.grad_stack(point[None, :]), axis=0)
 
     def objective(self, point: np.ndarray) -> float:
         """Consensus objective (1/n) sum_i f_i(point) + r(point)."""
-        if self._quad_targets is not None:
-            diff = point[None, :] - self._quad_targets
-            smooth = 0.5 * float(np.sum(self._quad_curvatures * diff * diff)) / self.n
-            return smooth + self.prox.value(point)
-        return sum(loss.value(point) for loss in self.losses) / self.n + self.prox.value(point)
+        return self._stacked.value(point) + self.prox.value(point)
 
 
 def constants(losses) -> tuple[float, float]:

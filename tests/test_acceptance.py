@@ -17,6 +17,7 @@ import flexatc.cli as cli
 from conftest import correlated_logistic_dataset, synthetic_logistic_dataset
 from flexatc.problem import serialize_libsvm
 from flexatc.analysis import (
+    CertificateObserver,
     averaged_iterate_bound,
     fixed_point,
     skip_threshold,
@@ -367,10 +368,13 @@ def test_criterion_7_convex_regime():
     worst_rel = np.inf
     bound_ok = True
     for seed in range(1, 11):
-        sweep = sweep_certificates(inst, pair, alpha, 0.5, seed, iters, fp)
-        worst_rel = min(worst_rel, float(np.min(sweep.thm1_slack / (1.0 + sweep.phi))))
+        # one integration per path: the observer certifies the transitions of
+        # the run whose averaged iterates feed the bound
+        observer = CertificateObserver(inst, pair, fp, iters)
         tr = fa.run(inst, pair, alpha, 0.5, seed, iters, reference=fp.x_star,
-                    record_kkt=False, record_objective=False)
+                    record_kkt=False, record_objective=False, observer=observer)
+        sweep = observer.sweep
+        worst_rel = min(worst_rel, float(np.min(sweep.thm1_slack / (1.0 + sweep.phi))))
         measured, bound = averaged_iterate_bound(
             tr.x_avg, tr.u_avg, tr.x0, iters, inst, pair, alpha, 0.5, fp)
         bound_ok = bound_ok and measured <= bound

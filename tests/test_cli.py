@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+import flexatc as fa
 import flexatc.cli as cli
+from flexatc.analysis import CertificateObserver, fixed_point
 from flexatc.config import ConfigError, parse_config
 from flexatc.graph import topology_from_edgelist
 from flexatc.solver import DivergenceError
@@ -253,6 +257,64 @@ svg = c.svg
         out = capsys.readouterr().out
         assert "mu = 0" in out
         assert "min_lemma2_slack" in out
+
+
+def _format_cell(v) -> str:
+    """The per-cell CSV formatting the column-wise writer must reproduce."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return "" if math.isnan(v) else repr(v)
+    return str(v)
+
+
+def _rows_cell_by_cell(res: cli.RunResult) -> list[list[str]]:
+    t, sweep = res.trace, res.sweep
+    rows = []
+    for i in range(t.k.size):
+        rows.append([
+            res.run_id, res.variant, _format_cell(res.p), str(res.seed),
+            str(int(t.k[i])), str(int(t.theta[i])), str(int(t.comms[i])),
+            _format_cell(float(t.rel_err[i])), _format_cell(float(t.consensus_err[i])),
+            _format_cell(float(t.objective[i])), _format_cell(float(t.kkt_residual[i])),
+            _format_cell(float(sweep.lemma2_slack[i])) if sweep else "",
+            _format_cell(float(sweep.thm1_slack[i])) if sweep else "",
+            _format_cell(float(sweep.thm2_slack[i])) if sweep else "",
+        ])
+    mins = sweep.min_slacks() if sweep else {}
+    rows.append([
+        res.run_id, res.variant, _format_cell(res.p), str(res.seed), "-1", "",
+        str(int(t.comms[-1])), _format_cell(float(t.rel_err[-1])),
+        _format_cell(float(t.consensus_err[-1])), _format_cell(float(t.objective[-1])),
+        _format_cell(float(t.kkt_residual[-1])), _format_cell(mins.get("lemma2")),
+        _format_cell(mins.get("thm1")), _format_cell(mins.get("thm2")),
+    ])
+    return rows
+
+
+class TestCsvCells:
+    @pytest.mark.parametrize("ridge", [0.0, 0.05])
+    def test_columnwise_rows_match_cell_by_cell(self, ridge):
+        # ridge 0 gives mu = 0, so thm2_slack is all NaN and has no minimum;
+        # without a reference rel_err is NaN, and record_kkt=False leaves the
+        # kkt column NaN
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((40, 3))
+        ds = fa.Dataset(3, np.where(x[:, 0] > 0.2, 1.0, -1.0), np.arange(0, 121, 3),
+                        np.tile(np.arange(3), 40), x.reshape(-1).copy())
+        inst = fa.logistic_instance(ds, 4, 0, ridge, fa.ProxSpec("l1", 0.01))
+        pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("ring", 4)))
+        alpha = 1.0 / inst.L
+        fp = fixed_point(inst, pair, alpha)
+        for reference, checks in ((None, False), (fp.x_star, True)):
+            observer = CertificateObserver(inst, pair, fp, 25) if checks else None
+            trace = fa.run(inst, pair, alpha, 0.5, 3, 25, reference=reference,
+                           record_kkt=False, observer=observer)
+            res = cli.RunResult("ed|p=0.5|seed=3", "ed", 0.5, 3, trace,
+                                observer.sweep if checks else None)
+            rows = cli._result_rows(res) + [cli._summary_row(res)]
+            assert any(cell == "" for row in rows for cell in row[7:])
+            assert rows == _rows_cell_by_cell(res)
 
 
 class TestValidateCommand:

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_sparse_dataset, synthetic_logistic_dataset
+from flexatc import problem
 from flexatc.problem import (
     LogisticLoss,
     ParseError,
@@ -12,6 +15,7 @@ from flexatc.problem import (
     QuadraticLoss,
     build_instance,
     constants,
+    logistic_instance,
     normalize_features,
     parse_libsvm,
     partition,
@@ -81,6 +85,105 @@ class TestParseLibsvm:
         scaled = normalize_features(ds)
         assert np.max(np.abs(scaled.values)) <= 1.0
         assert scaled.values[0] == 1.0
+
+    def test_crlf_and_missing_trailing_newline(self):
+        ds = parse_libsvm(b"+1 1:0.5 3:-0.25\r\n-1 2:1e-3\r\n\r\n+1 1:2")
+        assert np.array_equal(ds.labels, [1.0, -1.0, 1.0])
+        assert np.array_equal(ds.indptr, [0, 2, 3, 4])
+        assert np.array_equal(ds.indices, [0, 2, 1, 0])
+        assert np.array_equal(ds.values, [0.5, -0.25, 1e-3, 2.0])
+        with pytest.raises(ParseError, match="line 3"):
+            parse_libsvm("+1 1:0.5\r\n-1 2:1\r\n-1 x\r\n")
+        # a bare \r also ends a line, as in str.splitlines()
+        with pytest.raises(ParseError, match="line 2"):
+            parse_libsvm("+1 1:0.5\r-1 2:x")
+
+    def test_label_only_line(self):
+        ds = parse_libsvm("+1\n-1 2:0.5\n-1")
+        assert np.array_equal(ds.indptr, [0, 0, 1, 1])
+        assert ds.d == 2
+        assert np.array_equal(parse_libsvm(serialize_libsvm(ds)).indptr, ds.indptr)
+
+    @pytest.mark.parametrize("token, message", [
+        ("1:0.5:3", "malformed feature token '1:0.5:3'"),
+        ("0:1.0", "index 0 is not 1-based"),
+        ("-2:1.0", "index -2 is not 1-based"),
+        ("1.5:2", "malformed feature token '1.5:2'"),
+        ("1.0:2", "malformed feature token '1.0:2'"),
+        ("1e0:2", "malformed feature token '1e0:2'"),
+        (":2", "malformed feature token ':2'"),
+        ("3:", "malformed feature token '3:'"),
+        ("3:nan(1)", "malformed feature token '3:nan\\(1\\)'"),
+        ("3:0x10", "malformed feature token '3:0x10'"),
+    ])
+    def test_bad_feature_token_names_its_line(self, token, message):
+        text = f"+1 1:0.5\n-1 2:0.25\n+1 1:1.0 {token} 4:2.0\n-1 3:1.0\n"
+        with pytest.raises(ParseError, match=f"line 3: {message}"):
+            parse_libsvm(text)
+
+    @pytest.mark.parametrize("label, message", [
+        ("1:1", "bad label '1:1'"), ("abc", "bad label 'abc'"),
+        ("2", "label '2' is not \\+1/-1"), ("nan", "label 'nan' is not \\+1/-1"),
+    ])
+    def test_bad_label_names_its_line(self, label, message):
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            parse_libsvm(f"+1 1:0.5\n{label} 2:0.25\n+1 0:1\n")
+
+    def test_first_error_wins_across_blocks(self, monkeypatch):
+        # blocks of whole lines: the error line number must count every
+        # earlier block, and an earlier error must win over a later one
+        monkeypatch.setattr(problem, "_BLOCK_BYTES", 16)
+        lines = [f"{'+1' if i % 2 else '-1'} {i % 5 + 1}:{i / 7!r}" for i in range(60)]
+        ds = parse_libsvm("\n".join(lines))
+        assert len(ds) == 60
+        assert np.array_equal(ds.values, [i / 7 for i in range(60)])
+        lines[41] += " 7:oops"
+        lines[50] = "5 1:1"
+        with pytest.raises(ParseError, match="line 42: malformed feature token '7:oops'"):
+            parse_libsvm("\n".join(lines))
+
+    def test_nan_inf_and_exponent_values_round_trip(self):
+        text = "+1 1:nan 2:inf 3:-inf 4:1e-310 5:-2.5E+300 6:.5 7:5.\n"
+        ds = parse_libsvm(text)
+        assert np.isnan(ds.values[0])
+        assert np.array_equal(ds.values[1:], [np.inf, -np.inf, 1e-310, -2.5e300, 0.5, 5.0])
+        back = parse_libsvm(serialize_libsvm(ds))
+        assert np.array_equal(back.values, ds.values, equal_nan=True)
+        assert np.array_equal(back.indices, ds.indices)
+
+    def test_non_ascii_bytes_raise_parse_error(self):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_libsvm("+1 1:0.5\n-1 2:0.5\u00e9\n".encode())
+
+
+def _dense_by_rows(ds):
+    x = np.zeros((len(ds), ds.d))
+    for i in range(len(ds)):
+        idx, vals, _ = ds.sample(i)
+        x[i, idx] = vals
+    return x
+
+
+class TestDatasetArrays:
+    def test_dense_subset_normalize_match_row_loops(self):
+        ds = random_sparse_dataset(57, 9, seed=5, density=0.5)
+        ds.values[3] = np.nan
+        assert np.array_equal(ds.dense(), _dense_by_rows(ds), equal_nan=True)
+        rows = np.random.default_rng(2).permutation(57)[:20]
+        sub = ds.subset(rows)
+        for out_i, i in enumerate(rows):
+            for a, b in zip(sub.sample(out_i), ds.sample(i)):
+                assert np.array_equal(a, b, equal_nan=True)
+        scale = np.ones(ds.d)
+        for j, v in zip(ds.indices, ds.values):
+            scale[j] = max(scale[j], abs(v))
+        assert np.array_equal(normalize_features(ds).values, ds.values / scale[ds.indices],
+                              equal_nan=True)
+
+    def test_empty_subset(self):
+        ds = random_sparse_dataset(5, 3, seed=1)
+        empty = ds.subset(np.array([], dtype=int))
+        assert len(empty) == 0 and empty.dense().shape == (0, 3)
 
 
 class TestPartition:
@@ -261,3 +364,61 @@ class TestInstances:
         assert inst.objective(point) == pytest.approx(manual)
         manual_g = sum(l.grad(point) for l in inst.losses) / 3.0
         assert np.allclose(inst.mean_grad(point), manual_g)
+
+
+def _masked_sigmoid(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestStackedOracles:
+    def test_sigmoid_matches_masked_form_bitwise(self):
+        t = np.array([0.0, -0.0, 1e-300, -1e-300, 750.0, -750.0, 36.9, -36.9, 1.0, -1.0])
+        t = np.concatenate([t, np.random.default_rng(3).standard_normal(1000) * 40])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = problem._sigmoid(t)
+        assert np.array_equal(got.view(np.int64), _masked_sigmoid(t).view(np.int64))
+
+    @pytest.mark.parametrize("scale", [1.0, 50.0])
+    def test_logistic_stack_matches_per_agent_losses(self, scale):
+        # 103 samples over 10 agents: partitions of 10 and 11 rows, so the
+        # stack carries padding rows
+        ds = synthetic_logistic_dataset(103, 6, seed=13)
+        inst = logistic_instance(ds, 10, partition_seed=4, ridge=0.05,
+                                 prox=ProxSpec("l1", 0.1))
+        assert {loss.m for loss in inst.losses} == {10, 11}
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((10, 6))
+        margins = np.concatenate([l.labels * (l.features @ x[i]) for i, l in enumerate(inst.losses)])
+        x *= scale / np.max(np.abs(margins))  # largest margin is +-scale
+        want = np.stack([loss.grad(x[i]) for i, loss in enumerate(inst.losses)])
+        got = inst.grad_stack(x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for point in x[:3]:
+            want_mean = sum(loss.grad(point) for loss in inst.losses) / inst.n
+            got_mean = inst.mean_grad(point)
+            assert np.max(np.abs(got_mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
+            want_obj = sum(loss.value(point) for loss in inst.losses) / inst.n
+            want_obj += inst.prox.value(point)
+            assert inst.objective(point) == pytest.approx(want_obj, rel=1e-12, abs=0.0)
+
+    def test_quadratic_stack_matches_per_agent_losses_bitwise(self):
+        inst = quadratic_instance(5, 4, seed=2, curvature_min=0.1, curvature_max=3.0,
+                                  prox=ProxSpec("l1", 0.2))
+        x = np.random.default_rng(1).standard_normal((5, 4))
+        want = np.stack([loss.grad(x[i]) for i, loss in enumerate(inst.losses)])
+        assert np.array_equal(inst.grad_stack(x), want)
+        point = x[0]
+        assert np.array_equal(inst.mean_grad(point),
+                              np.mean(np.stack([l.grad(point) for l in inst.losses]), axis=0))
+
+    def test_mixed_loss_list_rejected(self):
+        ds = synthetic_logistic_dataset(10, 3, seed=0)
+        mixed = [QuadraticLoss(np.zeros(3)), LogisticLoss.from_dataset(ds)]
+        with pytest.raises(ProblemError, match="all quadratic or all logistic"):
+            build_instance(mixed, ProxSpec())
