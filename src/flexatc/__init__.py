@@ -5,6 +5,7 @@ algorithms with probabilistic communication skipping."""
 from .analysis import (
     CertificateError,
     CertificateObserver,
+    GridCertificates,
     ComplexityEstimate,
     FixedPoint,
     branch_outcomes,
@@ -25,7 +26,6 @@ from .graph import (
     gen_topology,
     lazify,
     metropolis_weights,
-    spectral_gap,
 )
 from .linalg import (
     LinalgError,
@@ -54,6 +54,7 @@ from .problem import (
 from .solver import (
     CoinSequence,
     DivergenceError,
+    GridRun,
     RunTrace,
     SolverState,
     centralized_proxgrad,
@@ -62,6 +63,7 @@ from .solver import (
     mirror_step,
     primal_recursion_step,
     run,
+    run_grid,
 )
 
 __version__ = "0.1.0"

@@ -5,10 +5,13 @@ calculator.
 Every "expectation" here is the exact two-point mixture over the coin
 theta in {0, 1} (weights p and 1-p), so certificate slacks carry no
 sampling noise. The certificates are evaluated on the trajectory that
-solver.run integrates: a CertificateObserver receives each state with its
-gradient before the transition, evaluates both coin branches once
-(branch_outcomes), and reads every inequality from that record. Nothing
-here iterates on its own. The certified quantities:
+solver.run_grid integrates: a GridCertificates observer receives each step
+of the batch, stacked over its runs, with the gradient the driver computed,
+evaluates both coin branches of every run at once, and reads every
+inequality from them. CertificateObserver is its one-run case, and
+branch_outcomes with lemma2_check, theorem1_step_check and theorem2_check
+are the single-state references it matches bit for bit. Nothing here
+iterates on its own. The certified quantities:
 
     Phi  = ||x - x*||^2 + (1/p^2) ||u - u*||^2
     Psi  = ||grad F(x) - grad F(x*)||^2 + ||u - u*||^2
@@ -29,7 +32,7 @@ import numpy as np
 from .combiners import CombinerPair
 from .linalg import kron_apply, range_solve
 from .problem import ProblemInstance
-from .solver import SolverState, centralized_proxgrad, run
+from .solver import GridStep, SolverState, centralized_proxgrad, run
 
 SLACK_TOL = 1e-9
 
@@ -135,22 +138,14 @@ def branch_outcomes(
     pair: CombinerPair,
     fp: FixedPoint,
     grad_star: np.ndarray | None = None,
-    grad: np.ndarray | None = None,
-    w: np.ndarray | None = None,
 ) -> BranchOutcomes:
-    """Evaluate both branches of one transition exactly.
-
-    grad_star is grad_stack(fp.x_star); grad and w, when given, are
-    grad_stack(state.x) and state.x - alpha * grad as solver.run computed
-    them. Whatever is missing is evaluated here.
-    """
+    """Evaluate both branches of one transition exactly; grad_star is
+    grad_stack(fp.x_star), evaluated here if not given."""
     alpha, p = state.alpha, state.p
     if grad_star is None:
         grad_star = instance.grad_stack(fp.x_star)
-    if grad is None:
-        grad = instance.grad_stack(state.x)
-    if w is None:
-        w = state.x - alpha * grad
+    grad = instance.grad_stack(state.x)
+    w = state.x - alpha * grad
     zu = w - kron_apply(pair.sqrt_b, state.u)
     x_comm = instance.prox.apply(kron_apply(pair.a, zu), alpha)
     u_comm = state.u + p * kron_apply(pair.sqrt_b, zu)
@@ -176,12 +171,10 @@ def lemma2_check(
     instance: ProblemInstance,
     pair: CombinerPair,
     fp: FixedPoint,
-    outcomes: BranchOutcomes | None = None,
 ) -> tuple[float, float]:
     """(slack, RHS) of the one-step descent inequality; the slack must stay
-    above -tol * (1 + RHS). outcomes is branch_outcomes(state, ...) if
-    already evaluated."""
-    out = outcomes or branch_outcomes(state, instance, pair, fp)
+    above -tol * (1 + RHS)."""
+    out = branch_outcomes(state, instance, pair, fp)
     p = state.p
     rhs = _sq(out.w - fp.w_star) + (1.0 - p * p * pair.sigma_m_b) * out.u_gap / (p * p)
     return rhs - out.expected_phi, rhs
@@ -210,13 +203,12 @@ def theorem2_check(
     instance: ProblemInstance,
     pair: CombinerPair,
     fp: FixedPoint,
-    outcomes: BranchOutcomes | None = None,
 ) -> tuple[float, float]:
     """(zeta, contraction slack zeta*Phi - E[Phi+]); needs mu > 0."""
     if instance.mu <= 0.0:
         raise CertificateError("linear-rate certificate requires a strongly convex instance")
     zeta = zeta_rate(instance.L, instance.mu, state.alpha, state.p, pair.sigma_m_b)
-    out = outcomes or branch_outcomes(state, instance, pair, fp)
+    out = branch_outcomes(state, instance, pair, fp)
     return zeta, zeta * out.phi - out.expected_phi
 
 
@@ -230,11 +222,10 @@ def theorem1_step_check(
     pair: CombinerPair,
     fp: FixedPoint,
     grad_star: np.ndarray | None = None,
-    outcomes: BranchOutcomes | None = None,
 ) -> float:
     """Slack of Phi - E[Phi+] - varrho * Psi >= 0 (convex case allowed)."""
     rho = varrho(state.alpha, instance.L, pair.sigma_m_b)
-    out = outcomes or branch_outcomes(state, instance, pair, fp, grad_star)
+    out = branch_outcomes(state, instance, pair, fp, grad_star)
     return out.phi - out.expected_phi - rho * out.psi
 
 
@@ -296,39 +287,91 @@ class CertificateSweep:
         return bad
 
 
-class CertificateObserver:
-    """solver.run observer that certifies every transition of the run it
-    watches and fills `sweep` as the run goes.
+def _sq_runs(v: np.ndarray) -> np.ndarray:
+    # Per run of a (S, n, d) stack, the same add-reduction as _sq of the block.
+    return (v * v).sum(axis=(1, 2))
 
-    Each step evaluates one branch_outcomes record from the gradient and
-    adapt step the driver already computed, and reads Phi, Psi and every
-    slack from it; grad_stack(x*) is evaluated once, here.
+
+class GridCertificates:
+    """solver.run_grid observer that certifies every transition of every
+    run in the batch it watches; run s pairs pairs[s] with fps[s].
+
+    Each step evaluates both coin branches for all runs at once from the
+    GridStep the driver computed (its gradient, adapt step and u-mirror
+    successor), and reads Phi, Psi and the three slacks from them with the
+    arithmetic of branch_outcomes and the checks, so each run's columns are
+    bitwise what those give on its states. grad_stack(x*) is evaluated once,
+    here. Column k of each array certifies step k.
     """
+
+    def __init__(self, instance: ProblemInstance, pairs: list[CombinerPair],
+                 fps: list[FixedPoint], iters: int):
+        self.instance = instance
+        self.a = np.stack([pair.a.entries for pair in pairs])
+        self.sigma = np.array([pair.sigma_m_b for pair in pairs])
+        self.x_star, self.w_star, self.u_star = (
+            np.stack([getattr(fp, name) for fp in fps]) for name in ("x_star", "w_star", "u_star_b"))
+        self.grad_star = instance.grad_stack(self.x_star)
+        self.check_linear = instance.mu > 0.0
+        shape = (len(pairs), iters)
+        self.lemma2_slack, self.lemma2_rhs, self.thm1_slack, self.phi, self.psi = (
+            np.empty(shape) for _ in range(5))
+        self.thm2_slack = np.full(shape, np.nan)
+        self.zeta = self.varrho = None
+
+    def _rates(self, alpha: float, p: np.ndarray) -> None:
+        big_l, mu = self.instance.L, self.instance.mu
+        self.varrho = np.array([varrho(alpha, big_l, s) for s in self.sigma])
+        if self.check_linear:
+            self.zeta = np.array([zeta_rate(big_l, mu, alpha, float(pk), s)
+                                  for pk, s in zip(p, self.sigma)])
+
+    def __call__(self, step: GridStep) -> None:
+        k, alpha, p = step.k, step.alpha, step.p
+        if k == 0:  # alpha and p arrive with the steps and stay fixed for the run
+            self._rates(alpha, p)
+        prox = self.instance.prox.apply
+        x_comm = prox(self.a @ step.zu, alpha)
+        x_skip = prox(step.zu, alpha)
+        pp = p * p
+        u_gap = _sq_runs(step.u - self.u_star)
+        u_term = u_gap / pp
+        phi_comm = _sq_runs(x_comm - self.x_star) + _sq_runs(step.u_comm - self.u_star) / pp
+        phi_skip = _sq_runs(x_skip - self.x_star) + u_term
+        expected_phi = p * phi_comm + (1.0 - p) * phi_skip
+        phi = _sq_runs(step.x - self.x_star) + u_term
+        psi = _sq_runs(step.grad - self.grad_star) + u_gap
+        rhs = _sq_runs(step.w - self.w_star) + (1.0 - pp * self.sigma) * u_gap / pp
+        self.phi[:, k], self.psi[:, k] = phi, psi
+        self.lemma2_slack[:, k], self.lemma2_rhs[:, k] = rhs - expected_phi, rhs
+        self.thm1_slack[:, k] = phi - expected_phi - self.varrho * psi
+        if self.check_linear:
+            self.thm2_slack[:, k] = self.zeta * phi - expected_phi
+
+    @property
+    def sweeps(self) -> list[CertificateSweep]:
+        """One CertificateSweep per run, viewing this observer's columns."""
+        return [
+            CertificateSweep(
+                lemma2_slack=self.lemma2_slack[s], lemma2_rhs=self.lemma2_rhs[s],
+                thm1_slack=self.thm1_slack[s], thm2_slack=self.thm2_slack[s],
+                phi=self.phi[s], psi=self.psi[s],
+                zeta=None if self.zeta is None else float(self.zeta[s]),
+            )
+            for s in range(self.phi.shape[0])
+        ]
+
+
+class CertificateObserver(GridCertificates):
+    """The one-run case of GridCertificates, for solver.run."""
 
     def __init__(self, instance: ProblemInstance, pair: CombinerPair, fp: FixedPoint,
                  iters: int):
-        self.instance, self.pair, self.fp = instance, pair, fp
-        self.grad_star = instance.grad_stack(fp.x_star)
-        self.check_linear = instance.mu > 0.0
-        self.sweep = CertificateSweep(
-            lemma2_slack=np.empty(iters),
-            lemma2_rhs=np.empty(iters),
-            thm1_slack=np.empty(iters),
-            thm2_slack=np.full(iters, np.nan),
-            phi=np.empty(iters),
-            psi=np.empty(iters),
-            zeta=None,
-        )
+        super().__init__(instance, [pair], [fp], iters)
 
-    def __call__(self, k: int, state: SolverState, grad: np.ndarray, w: np.ndarray) -> None:
-        instance, pair, fp, sweep = self.instance, self.pair, self.fp, self.sweep
-        out = branch_outcomes(state, instance, pair, fp, self.grad_star, grad, w)
-        sweep.phi[k] = out.phi
-        sweep.psi[k] = out.psi
-        sweep.lemma2_slack[k], sweep.lemma2_rhs[k] = lemma2_check(state, instance, pair, fp, out)
-        sweep.thm1_slack[k] = theorem1_step_check(state, instance, pair, fp, outcomes=out)
-        if self.check_linear:
-            sweep.zeta, sweep.thm2_slack[k] = theorem2_check(state, instance, pair, fp, out)
+    @property
+    def sweep(self) -> CertificateSweep:
+        return self.sweeps[0]
 
 
 def sweep_certificates(

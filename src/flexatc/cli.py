@@ -16,7 +16,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,14 +104,35 @@ def _cells(values) -> list[str]:
     return ["" if c == "nan" else c for c in map(repr, np.asarray(values, dtype=float).tolist())]
 
 
-def _execute_run(args) -> RunResult:
-    (run_id, variant, p, seed, instance, pair, alpha, fp, iters, x0, record_kkt, checks) = args
-    observer = analysis.CertificateObserver(instance, pair, fp, iters) if checks else None
-    trace = solver.run(
-        instance, pair, alpha, p, seed, iters,
-        reference=fp.x_star, x0=x0, record_kkt=record_kkt, observer=observer,
+@dataclass(eq=False)
+class Grid:
+    """The (variant, p, seed) runs of an experiment, in task order, with
+    what they share; fps maps each variant to its fixed point."""
+
+    instance: problem.ProblemInstance
+    alpha: float
+    iters: int
+    x0: np.ndarray | None
+    record_kkt: bool
+    checks: bool
+    fps: dict[str, analysis.FixedPoint]
+    runs: list[solver.GridRun]
+
+
+def _execute_grid(grid: Grid) -> list[RunResult]:
+    """Advance every run of the grid as one solver.run_grid batch."""
+    fps = [grid.fps[r.pair.variant] for r in grid.runs]
+    observer = (analysis.GridCertificates(grid.instance, [r.pair for r in grid.runs], fps,
+                                          grid.iters) if grid.checks else None)
+    traces = solver.run_grid(
+        grid.instance, grid.runs, grid.alpha, grid.iters,
+        reference=np.stack([fp.x_star for fp in fps]), x0=grid.x0,
+        record_kkt=grid.record_kkt, observer=observer,
     )
-    return RunResult(run_id, variant, p, seed, trace, observer.sweep if checks else None)
+    sweeps = observer.sweeps if observer else [None] * len(traces)
+    return [RunResult(f"{r.pair.variant}|p={r.p:g}|seed={r.seed}", r.pair.variant, r.p, r.seed,
+                      trace, sweep)
+            for r, trace, sweep in zip(grid.runs, traces, sweeps)]
 
 
 def _result_rows(res: RunResult) -> list[list[str]]:
@@ -178,25 +199,23 @@ def _prepare(cfg: ExperimentConfig):
     return topo, mixing, instance, pairs, alpha, fps
 
 
-def _grid(cfg: ExperimentConfig, pairs, instance, alpha, fps, x0, checks):
-    tasks = []
-    for pair in pairs:
-        for p in cfg.run.p_list:
-            for seed in cfg.run.seeds:
-                run_id = f"{pair.variant}|p={p:g}|seed={seed}"
-                tasks.append((
-                    run_id, pair.variant, p, seed, instance, pair, alpha,
-                    fps[pair.variant], cfg.run.iterations, x0,
-                    cfg.run.record_kkt, checks,
-                ))
-    return tasks
+def _grid(cfg: ExperimentConfig, pairs, instance, alpha, fps, x0, checks) -> Grid:
+    runs = [solver.GridRun(pair, p, seed)
+            for pair in pairs for p in cfg.run.p_list for seed in cfg.run.seeds]
+    return Grid(instance, alpha, cfg.run.iterations, x0, cfg.run.record_kkt, checks, fps, runs)
 
 
-def _run_grid(tasks, threads: int) -> list[RunResult]:
-    if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_execute_run, tasks))
-    return [_execute_run(t) for t in tasks]
+def _run_grid(grid: Grid, threads: int) -> list[RunResult]:
+    """Results in task order. With threads > 1 the runs are split into that
+    many contiguous batches, one pool task each, so the problem instance is
+    pickled once per worker; a run's result does not depend on its batch."""
+    count = min(threads, len(grid.runs))
+    if count <= 1:
+        return _execute_grid(grid)
+    bounds = [len(grid.runs) * i // count for i in range(count + 1)]
+    batches = [replace(grid, runs=grid.runs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    with ProcessPoolExecutor(max_workers=count) as pool:
+        return [res for batch in pool.map(_execute_grid, batches) for res in batch]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1) -> int:
@@ -206,8 +225,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
           f"alpha={alpha:.6g}")
 
     x0 = initial_x(cfg, instance)
-    tasks = _grid(cfg, pairs, instance, alpha, fps, x0, cfg.outputs.checks)
-    results = _run_grid(tasks, threads)
+    grid = _grid(cfg, pairs, instance, alpha, fps, x0, cfg.outputs.checks)
+    results = _run_grid(grid, threads)
 
     rows: list[list[str]] = []
     falsified: list[str] = []
@@ -254,8 +273,8 @@ def check_suite(cfg: ExperimentConfig, out_dir: str | None = None, threads: int 
         print("notice: mu = 0, the linear-rate certificate is skipped")
 
     x0 = initial_x(cfg, instance)
-    tasks = _grid(cfg, pairs, instance, alpha, fps, x0, checks=True)
-    results = _run_grid(tasks, threads)
+    grid = _grid(cfg, pairs, instance, alpha, fps, x0, checks=True)
+    results = _run_grid(grid, threads)
 
     rows: list[list[str]] = []
     status = EXIT_OK

@@ -9,7 +9,6 @@ Unknown sections or keys are errors so that typos fail fast. Example:
     seed = 7
 
     [mixing]
-    rule = metropolis
     lazify = false
 
     [combiner]
@@ -55,7 +54,6 @@ class GraphConfig:
 
 @dataclass(eq=False)
 class MixingConfig:
-    rule: str = "metropolis"
     lazify: bool = False
 
 
@@ -194,8 +192,6 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.variants = _parse_list(raw, "combiner.variants", lambda s, _k: s)
     if cfg.graph.kind not in ("ring", "complete", "erdos_renyi"):
         raise ConfigError(f"graph.kind must be ring|complete|erdos_renyi, got {cfg.graph.kind!r}")
-    if cfg.mixing.rule != "metropolis":
-        raise ConfigError(f"mixing.rule only supports 'metropolis', got {cfg.mixing.rule!r}")
     if cfg.problem.type not in ("quadratic", "logistic"):
         raise ConfigError(f"problem.type must be quadratic|logistic, got {cfg.problem.type!r}")
     if cfg.problem.type == "logistic" and not cfg.problem.data:

@@ -173,10 +173,6 @@ def lazify(w: MixingMatrix) -> MixingMatrix:
     return _make_mixing(SymMatrix(0.5 * (np.eye(n) + w.w.entries)))
 
 
-def spectral_gap(w: MixingMatrix) -> float:
-    return w.rho
-
-
 def topology_to_edgelist(t: Topology) -> str:
     """Serialize as "n m" followed by one "i j" line per edge (0-based)."""
     lines = [f"{t.n} {len(t.edges)}"]

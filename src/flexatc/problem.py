@@ -353,10 +353,11 @@ class ProxSpec:
         if self.kind == "l1" and not (np.isfinite(self.weight) and self.weight > 0.0):
             raise ProblemError(f"l1 weight must be positive and finite, got {self.weight}")
 
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x: np.ndarray):
+        """r(x) of a point, or of each point along the last axis."""
         if self.kind == "none":
             return 0.0
-        return self.weight * float(np.sum(np.abs(x)))
+        return self.weight * np.abs(x).sum(axis=-1)
 
     def apply(self, v: np.ndarray, alpha: float) -> np.ndarray:
         """prox_{alpha r}: identity for "none", soft threshold for "l1"."""
@@ -368,6 +369,10 @@ class ProxSpec:
         return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
+# The stacked oracles take iterates of shape (..., n, d) and points of shape
+# (..., d): any leading axes (one per run of a batch) are carried through,
+# and every run's result is bitwise the one it gets without them.
+
 @dataclass(eq=False)
 class _QuadraticStack:
     """Quadratic agents as (n, d) targets and curvatures."""
@@ -378,9 +383,9 @@ class _QuadraticStack:
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         return self.curvatures * (x - self.targets)
 
-    def value(self, point: np.ndarray) -> float:
-        diff = point[None, :] - self.targets
-        return 0.5 * float(np.sum(self.curvatures * diff * diff)) / self.targets.shape[0]
+    def value(self, point: np.ndarray) -> np.ndarray:
+        diff = point[..., None, :] - self.targets
+        return 0.5 * (self.curvatures * diff * diff).sum(axis=(-2, -1)) / self.targets.shape[0]
 
 
 @dataclass(eq=False)
@@ -397,20 +402,21 @@ class _LogisticStack:
     ridge: np.ndarray
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
-        return self.labels * (self.features @ x[:, :, None])[:, :, 0]
+        return self.labels * (self.features @ x[..., None])[..., 0]
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         weights = self.labels * _sigmoid(-self._margins(x))
-        grads = (weights[:, None, :] @ self.features)[:, 0, :]
+        grads = (weights[..., None, :] @ self.features)[..., 0, :]
         return -grads / self.m[:, None] + self.ridge[:, None] * x
 
-    def value(self, point: np.ndarray) -> float:
-        margins = self._margins(point[None, :])
+    def value(self, point: np.ndarray) -> np.ndarray:
+        margins = self._margins(point[..., None, :])
         # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out
         losses = np.where(self.labels != 0.0,
                           np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins))), 0.0)
-        per_agent = losses.sum(axis=1) / self.m + 0.5 * self.ridge * float(point @ point)
-        return float(per_agent.sum()) / self.m.size
+        ridge_term = 0.5 * self.ridge * np.vecdot(point, point)[..., None]
+        per_agent = losses.sum(axis=-1) / self.m + ridge_term
+        return per_agent.sum(axis=-1) / self.m.size
 
 
 def _stack(losses: list):
@@ -433,7 +439,9 @@ class ProblemInstance:
     """n agent losses, a shared prox term, and the common (L, mu) constants.
 
     The oracles evaluate every agent at once on the losses stacked into one
-    per-network array: row i of grad_stack is agent i's gradient.
+    per-network array: row i of grad_stack is agent i's gradient. Each oracle
+    also takes a leading run axis, (S, n, d) iterates or (S, d) points, and
+    evaluates every run in the same numpy calls.
     """
 
     losses: list
@@ -455,11 +463,13 @@ class ProblemInstance:
         return self._stacked.grad_stack(x)
 
     def mean_grad(self, point: np.ndarray) -> np.ndarray:
-        return np.mean(self._stacked.grad_stack(point[None, :]), axis=0)
+        return np.mean(self._stacked.grad_stack(point[..., None, :]), axis=-2)
 
-    def objective(self, point: np.ndarray) -> float:
-        """Consensus objective (1/n) sum_i f_i(point) + r(point)."""
-        return self._stacked.value(point) + self.prox.value(point)
+    def objective(self, point: np.ndarray):
+        """Consensus objective (1/n) sum_i f_i(point) + r(point): a float for
+        one point, an array for a stack of points."""
+        value = self._stacked.value(point) + self.prox.value(point)
+        return float(value) if np.ndim(point) == 1 else value
 
 
 def constants(losses) -> tuple[float, float]:

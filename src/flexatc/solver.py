@@ -12,12 +12,17 @@ One iteration from state (x, y), with stepsize alpha and coin theta:
 The mirror variable u tracks y = -sqrt(B) u and is updated as
 u+ = u + p theta sqrt(B) (w - sqrt(B) u); both forms generate the same
 x-sequence given the same coins.
+
+run_grid is the one iteration loop: it advances every (pair, p, seed) run
+of a batch as one stacked (S, n, d) state, each run taking the branch of
+its own coin, and run is its one-run case. flexatc_step and mirror_step
+are the single-step y-form and u-form references it is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,27 +124,17 @@ def _check_finite(x: np.ndarray, k: int) -> None:
 
 
 def flexatc_step(state: SolverState, instance: ProblemInstance,
-                 pair: CombinerPair, theta: int, mirror: bool = True,
-                 grad: np.ndarray | None = None) -> SolverState:
+                 pair: CombinerPair, theta: int) -> SolverState:
     """Advance one iteration; communication happens only when theta = 1.
-
-    The u mirror costs two extra combine applications per communication and
-    is only needed by diagnostics; pass mirror=False to leave u untouched.
-    grad, when given, is grad_stack(state.x) already evaluated by the caller.
-    """
+    The u mirror is advanced beside y."""
     alpha, p = state.alpha, state.p
-    if grad is None:
-        grad = instance.grad_stack(state.x)
-    w = state.x - alpha * grad
+    w = state.x - alpha * instance.grad_stack(state.x)
     if theta:
         z = w + state.y
         x_next = instance.prox.apply(kron_apply(pair.a, z), alpha)
         y_next = state.y - p * kron_apply(pair.b, z)
-        if mirror:
-            zu = w - kron_apply(pair.sqrt_b, state.u)
-            u_next = state.u + p * kron_apply(pair.sqrt_b, zu)
-        else:
-            u_next = state.u
+        zu = w - kron_apply(pair.sqrt_b, state.u)
+        u_next = state.u + p * kron_apply(pair.sqrt_b, zu)
         comms = state.comms + pair.comm_rounds
     else:
         x_next = instance.prox.apply(w + state.y, alpha)
@@ -151,13 +146,10 @@ def flexatc_step(state: SolverState, instance: ProblemInstance,
 
 
 def mirror_step(state: SolverState, instance: ProblemInstance,
-                pair: CombinerPair, theta: int,
-                grad: np.ndarray | None = None) -> SolverState:
+                pair: CombinerPair, theta: int) -> SolverState:
     """Same iteration driven purely by the u variable (y is ignored)."""
     alpha, p = state.alpha, state.p
-    if grad is None:
-        grad = instance.grad_stack(state.x)
-    w = state.x - alpha * grad
+    w = state.x - alpha * instance.grad_stack(state.x)
     zu = w - kron_apply(pair.sqrt_b, state.u)
     if theta:
         x_next = instance.prox.apply(kron_apply(pair.a, zu), alpha)
@@ -195,9 +187,149 @@ class RunTrace:
     final: SolverState
 
 
-def _consensus_err(x: np.ndarray) -> float:
-    mean = x.mean(axis=0, keepdims=True)
-    return float(np.linalg.norm(x - mean))
+@dataclass(frozen=True, eq=False)
+class GridRun:
+    """One run of a batch: its combiner pair, its coins Bernoulli(p) from
+    CoinSequence(p, seed)."""
+
+    pair: CombinerPair
+    p: float
+    seed: int
+
+
+class GridStep(NamedTuple):
+    """The state a batch leaves from at step k, as run_grid hands it to its
+    observer. Arrays are stacked over the S runs: p is (S,), the rest
+    (S, n, d). grad = grad_stack(x), w = x - alpha grad,
+    zu = w - sqrt(B) u and u_comm = u + p sqrt(B) zu, the u mirror's
+    successor if the coin says communicate."""
+
+    k: int
+    alpha: float
+    p: np.ndarray
+    x: np.ndarray
+    u: np.ndarray
+    grad: np.ndarray
+    w: np.ndarray
+    zu: np.ndarray
+    u_comm: np.ndarray
+
+
+def _sq_norms(v: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each run's block of a (S, ...) stack: the
+    dot product np.linalg.norm takes of the block alone, so the same bits."""
+    flat = v.reshape(v.shape[0], -1)
+    return np.vecdot(flat, flat)
+
+
+def run_grid(
+    instance: ProblemInstance,
+    runs: list[GridRun],
+    alpha: float,
+    iters: int,
+    reference: np.ndarray | None = None,
+    x0: np.ndarray | None = None,
+    record_kkt: bool = True,
+    record_objective: bool = True,
+    observer=None,
+) -> list[RunTrace]:
+    """Run `iters` iterations of every GridRun in `runs` as one stacked
+    (S, n, d) state, one RunTrace per run, in order.
+
+    reference, broadcast to (S, n, d), is the replicated optimum used for
+    relative errors; x0 is the (n, d) start of every run (zeros if None).
+    Each step evaluates the stacked gradient once, and each run takes the
+    branch its own coin picks. A run's trace is bitwise the same alone, in
+    any batch and at any position in it, and identical arguments give an
+    identical trace.
+
+    observer(step), when given, is called before step k with the GridStep
+    the batch leaves from; it must not modify the arrays, and it does not
+    alter the traces.
+    """
+    if iters < 1:
+        raise SolverError("need at least one iteration")
+    if not runs:
+        raise SolverError("need at least one run")
+    states = [initial_state(instance, alpha, r.p, x0) for r in runs]
+    count, shape = len(runs), (len(runs), instance.n, instance.d)
+    coins = np.stack([CoinSequence(r.p, r.seed).draw(iters) for r in runs])
+    comms = np.cumsum(coins, axis=1) * np.array([r.pair.comm_rounds for r in runs])[:, None]
+    take = coins.T.astype(bool)[:, :, None, None]
+    talkers = coins.sum(axis=0).tolist()
+    p = np.array([r.p for r in runs])
+    p3 = p[:, None, None]
+    a, b, sqrt_b = (np.stack([getattr(r.pair, name).entries for r in runs])
+                    for name in ("a", "b", "sqrt_b"))
+    prox = instance.prox.apply
+
+    x = np.stack([s.x for s in states])
+    y, u = np.zeros(shape), np.zeros(shape)
+    start = x.copy()
+    if reference is not None:
+        reference = np.ascontiguousarray(np.broadcast_to(reference, shape))
+
+    # Squared norms per step; the roots are taken once, after the loop.
+    x_sum, u_sum = np.zeros(shape), np.zeros(shape)
+    err_sq, kkt_sq = np.full((iters, count), np.nan), np.full((iters, count), np.nan)
+    consensus_sq = np.empty((iters, count))
+    objective = np.full((iters, count), np.nan)
+
+    for k in range(iters):
+        x_sum += x
+        u_sum += u
+        grad = instance.grad_stack(x)
+        w = x - alpha * grad
+        z = w + y
+        if talkers[k] or observer is not None:
+            zu = w - sqrt_b @ u
+            u_comm = u + p3 * (sqrt_b @ zu)
+            if observer is not None:
+                observer(GridStep(k, alpha, p, x, u, grad, w, zu, u_comm))
+        # A step whose coins all agree computes only the branch they pick.
+        if talkers[k] == count:
+            x = prox(a @ z, alpha)
+            y = y - p3 * (b @ z)
+            u = u_comm
+        elif talkers[k]:
+            theta = take[k]
+            x = prox(np.where(theta, a @ z, z), alpha)
+            y = np.where(theta, y - p3 * (b @ z), y)
+            u = np.where(theta, u_comm, u)
+        else:
+            x = prox(z, alpha)
+        if not all((np.sqrt(_sq_norms(x)) <= _DIVERGENCE_NORM).tolist()):
+            raise DivergenceError(k, "stepsize likely out of range")
+        if reference is not None:
+            err_sq[k] = _sq_norms(x - reference)
+        mean_point = np.add.reduce(x, axis=1) / instance.n
+        consensus_sq[k] = _sq_norms(x - mean_point[:, None, :])
+        if record_objective:
+            objective[k] = instance.objective(mean_point)
+        if record_kkt:
+            g = instance.mean_grad(mean_point)
+            kkt_sq[k] = _sq_norms(mean_point - prox(mean_point - alpha * g, alpha))
+
+    rel_err = err_sq if reference is None else (
+        np.sqrt(err_sq) / np.maximum(np.sqrt(_sq_norms(reference)), 1e-300))
+    consensus, kkt = np.sqrt(consensus_sq), np.sqrt(kkt_sq)
+    return [
+        RunTrace(
+            k=np.arange(iters),
+            theta=coins[s],
+            comms=comms[s],
+            rel_err=rel_err[:, s].copy(),
+            consensus_err=consensus[:, s].copy(),
+            objective=objective[:, s].copy(),
+            kkt_residual=kkt[:, s].copy(),
+            x_avg=x_sum[s] / iters,
+            u_avg=u_sum[s] / iters,
+            x0=start[s],
+            final=SolverState(x=x[s], y=y[s], u=u[s], k=iters, comms=int(comms[s, -1]),
+                              alpha=alpha, p=r.p),
+        )
+        for s, r in enumerate(runs)
+    ]
 
 
 def run(
@@ -211,74 +343,18 @@ def run(
     x0: np.ndarray | None = None,
     record_kkt: bool = True,
     record_objective: bool = True,
-    mirror: bool = True,
-    step=flexatc_step,
     observer=None,
 ) -> RunTrace:
-    """Run `iters` iterations driven by CoinSequence(p, seed).
+    """One run of `iters` iterations driven by CoinSequence(p, seed): the
+    one-run case of run_grid, with the same trace it gets in any batch.
 
-    reference is the replicated (n, d) optimum used for relative errors.
-    Deterministic: identical arguments give an identical trace.
-
-    Each iteration evaluates the stacked gradient once and hands it to
-    `step`. observer(k, state, grad, w), when given, is called before step k
-    with the state it leaves from, grad = grad_stack(state.x) and
-    w = state.x - alpha * grad; it must not modify them, and it sees the u
-    mirror only while mirror is on. The observer does not alter the trace.
+    reference is the replicated (n, d) optimum used for relative errors, or
+    a fixed point carrying it as x_star.
     """
-    if iters < 1:
-        raise SolverError("need at least one iteration")
     if reference is not None and hasattr(reference, "x_star"):
         reference = reference.x_star
-    coins = CoinSequence(p, seed).draw(iters)
-    state = initial_state(instance, alpha, p, x0)
-    start = state.x.copy()
-    ref_norm = float(np.linalg.norm(reference)) if reference is not None else 0.0
-
-    x_sum = np.zeros_like(state.x)
-    u_sum = np.zeros_like(state.u)
-    comms = np.empty(iters, dtype=int)
-    rel_err = np.full(iters, np.nan)
-    consensus = np.empty(iters)
-    objective = np.full(iters, np.nan)
-    kkt = np.full(iters, np.nan)
-
-    if step is flexatc_step:
-        step = partial(flexatc_step, mirror=mirror)
-    for k in range(iters):
-        x_sum += state.x
-        u_sum += state.u
-        grad = instance.grad_stack(state.x)
-        if observer is not None:
-            observer(k, state, grad, state.x - alpha * grad)
-        state = step(state, instance, pair, int(coins[k]), grad=grad)
-        comms[k] = state.comms
-        if reference is not None:
-            rel_err[k] = np.linalg.norm(state.x - reference) / max(ref_norm, 1e-300)
-        consensus[k] = _consensus_err(state.x)
-        if record_objective or record_kkt:
-            mean_point = state.x.mean(axis=0)
-        if record_objective:
-            objective[k] = instance.objective(mean_point)
-        if record_kkt:
-            g = instance.mean_grad(mean_point)
-            kkt[k] = np.linalg.norm(
-                mean_point - instance.prox.apply(mean_point - alpha * g, alpha)
-            )
-
-    return RunTrace(
-        k=np.arange(iters),
-        theta=coins,
-        comms=comms,
-        rel_err=rel_err,
-        consensus_err=consensus,
-        objective=objective,
-        kkt_residual=kkt,
-        x_avg=x_sum / iters,
-        u_avg=u_sum / iters,
-        x0=start,
-        final=state,
-    )
+    return run_grid(instance, [GridRun(pair, p, seed)], alpha, iters, reference, x0,
+                    record_kkt, record_objective, observer)[0]
 
 
 def primal_recursion_step(

@@ -26,7 +26,15 @@ from flexatc.analysis import (
     zeta_rate,
 )
 from flexatc.problem import LogisticLoss, ProxSpec, QuadraticLoss, quadratic_instance
-from flexatc.solver import initial_state, flexatc_step, mirror_step, primal_recursion_step
+from flexatc.solver import (
+    CoinSequence,
+    GridRun,
+    flexatc_step,
+    initial_state,
+    mirror_step,
+    primal_recursion_step,
+    run_grid,
+)
 
 SLACK_TOL = 1e-9
 PRESETS = ("nids:c=0.5", "ed", "mg_ed:N=3", "atc_gt", "mg_sonata:N=2")
@@ -121,9 +129,10 @@ def test_criterion_4_equivalence_oracles():
         pair = fa.preset("ed", mm)
         alpha = 1.0 / inst.L
         y_tr = fa.run(inst, pair, alpha, 0.5, seed=trial, iters=500, record_kkt=False)
-        u_tr = fa.run(inst, pair, alpha, 0.5, seed=trial, iters=500,
-                      record_kkt=False, step=mirror_step)
-        worst_a = max(worst_a, float(np.max(np.abs(y_tr.final.x - u_tr.final.x))))
+        state = initial_state(inst, alpha, 0.5)
+        for theta in CoinSequence(0.5, seed=trial).draw(500):
+            state = mirror_step(state, inst, pair, int(theta))
+        worst_a = max(worst_a, float(np.max(np.abs(y_tr.final.x - state.x))))
 
     # (b) p = 1, no prox: the two-variable form equals the single-variable
     # recursion seeded with (x0, x1) from one synchronized step
@@ -210,15 +219,18 @@ def test_criterion_5_communication_acceleration():
     alpha = 1.0 / inst.L
     fp = fixed_point(inst, pair, alpha, tol=1e-13)
 
-    def to_target(p, iters):
-        tr = fa.run(inst, pair, alpha, p, seed=1, iters=iters, reference=fp.x_star,
-                    record_kkt=False, record_objective=False, mirror=False)
+    # both paths advance as one batch; each trace is what it is alone
+    iters = 400_000
+    traces = run_grid(inst, [GridRun(pair, 1.0, 1), GridRun(pair, p_star, 1)], alpha, iters,
+                      reference=fp.x_star, record_kkt=False, record_objective=False)
+
+    def to_target(p, tr):
         hit = np.nonzero(tr.rel_err <= 1e-8)[0]
         assert hit.size, f"p={p} never reached 1e-8 in {iters} iterations"
         return int(hit[0]) + 1, int(tr.comms[hit[0]])
 
-    iters_full, comms_full = to_target(1.0, 300_000)
-    iters_star, comms_star = to_target(p_star, 400_000)
+    iters_full, comms_full = to_target(1.0, traces[0])
+    iters_star, comms_star = to_target(p_star, traces[1])
     iter_ratio = iters_star / iters_full
     comm_factor = comms_full / comms_star
     report(5, "communication acceleration",

@@ -23,7 +23,7 @@ from flexatc.analysis import (
     zeta_rate,
 )
 from flexatc.problem import ProblemInstance, ProxSpec, QuadraticLoss, quadratic_instance
-from flexatc.solver import CoinSequence, SolverState, flexatc_step, initial_state
+from flexatc.solver import CoinSequence, GridRun, SolverState, flexatc_step, initial_state
 
 SLACK_TOL = 1e-9
 
@@ -318,7 +318,8 @@ class TestObservedSweep:
         # K iterates plus grad F(x*) once
         assert len(calls) == iters + 1
         calls.clear()
-        task = ("r", "ed", 0.5, 1, inst, pair, alpha, fp, iters, None, True, True)
-        result = cli._execute_run(task)
+        grid = cli.Grid(inst, alpha, iters, None, True, True, {"ed": fp},
+                        [GridRun(pair, 0.5, 1)])
+        [result] = cli._execute_grid(grid)
         assert len(calls) == iters + 1
         assert result.sweep.violations() == []

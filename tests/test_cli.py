@@ -189,6 +189,40 @@ class TestRunCommand:
                 assert code == cli.EXIT_OK
             assert (out1 / "grid.csv").read_bytes() == (out2 / "grid.csv").read_bytes()
 
+    def test_pool_gets_one_contiguous_batch_per_worker(self, tmp_path, capsys, monkeypatch):
+        # the pool is replaced by one that runs its tasks here and records them
+        batches = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, grids):
+                grids = list(grids)
+                assert len(grids) <= self.max_workers
+                batches.append([[(r.pair.variant, r.p, r.seed) for r in g.runs] for g in grids])
+                return map(fn, grids)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        conf = write_config(tmp_path, GRID)
+        serial = tmp_path / "serial"
+        assert cli.main(["check", conf, "--out-dir", str(serial), "--threads", "1"]) == cli.EXIT_OK
+        assert batches == []
+        tasks = [(v, p, s) for v in ("ed", "nids:c=0.4") for p in (1.0, 0.5) for s in (1, 2)]
+        for threads in (2, 3, 20):
+            out = tmp_path / f"threads{threads}"
+            code = cli.main(["check", conf, "--out-dir", str(out), "--threads", str(threads)])
+            assert code == cli.EXIT_OK
+            assert len(batches[-1]) == min(threads, len(tasks))
+            assert [t for batch in batches[-1] for t in batch] == tasks
+            assert (out / "grid.csv").read_bytes() == (serial / "grid.csv").read_bytes()
+
     def test_pooled_divergence_exits_3_with_message_once(self, tmp_path, capsys):
         # iterates far past the divergence norm: every run of the grid
         # raises DivergenceError in a pool worker
@@ -204,7 +238,7 @@ class TestRunCommand:
         def boom(*args, **kwargs):
             raise DivergenceError(17)
 
-        monkeypatch.setattr(cli.solver, "run", boom)
+        monkeypatch.setattr(cli.solver, "run_grid", boom)
         conf = write_config(tmp_path, SMOKE)
         assert cli.main(["run", conf, "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGENCE
         assert "iteration 17" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from flexatc.graph import (
     gen_topology,
     lazify,
     metropolis_weights,
-    spectral_gap,
     topology_from_edgelist,
     topology_to_edgelist,
 )
@@ -64,7 +63,7 @@ class TestMetropolis:
         assert w[0, 1] == pytest.approx(1.0 / 3.0)
         assert w[0, 0] == pytest.approx(1.0 / 3.0)
         assert w[0, 2] == 0.0
-        assert spectral_gap(ring4) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert ring4.rho == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_single_node(self):
         mm = metropolis_weights(gen_topology("ring", 1))

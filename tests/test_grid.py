@@ -1,0 +1,154 @@
+"""The batched driver: solver.run_grid against itself (batch invariance) and
+against a per-run loop of the single-step references."""
+
+import numpy as np
+import pytest
+
+import flexatc as fa
+from conftest import synthetic_logistic_dataset
+from flexatc.analysis import (
+    GridCertificates,
+    branch_outcomes,
+    fixed_point,
+    lemma2_check,
+    theorem1_step_check,
+    theorem2_check,
+)
+from flexatc.problem import ProxSpec, quadratic_instance
+from flexatc.solver import (
+    CoinSequence,
+    GridRun,
+    SolverError,
+    flexatc_step,
+    initial_state,
+    run_grid,
+)
+
+SLACK_TOL = 1e-9
+TRAJECTORY_RTOL = 1e-12
+TRACE_COLUMNS = ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
+                 "kkt_residual", "x_avg", "u_avg", "x0")
+SWEEP_COLUMNS = ("lemma2_slack", "lemma2_rhs", "thm1_slack", "thm2_slack", "phi", "psi")
+ITERS = 120
+
+
+@pytest.fixture(scope="module", params=["quadratic", "logistic"])
+def grid_setup(request):
+    """Six runs over two combiners, three probabilities and two seeds, with
+    the fixed point of each combiner."""
+    n = 6
+    mm = fa.metropolis_weights(fa.gen_topology("ring", n))
+    if request.param == "quadratic":
+        inst = quadratic_instance(n, 3, seed=5, curvature_min=0.05, curvature_max=1.0,
+                                  prox=ProxSpec("l1", 0.02))
+    else:
+        ds = synthetic_logistic_dataset(150, 4, seed=12)
+        inst = fa.logistic_instance(ds, n, partition_seed=1, ridge=0.02,
+                                    prox=ProxSpec("l1", 0.01))
+    pairs = [fa.preset("ed", mm), fa.preset("atc_gt", fa.lazify(mm))]
+    alpha = 1.0 / inst.L
+    fps = {pair.variant: fixed_point(inst, pair, alpha) for pair in pairs}
+    runs = [GridRun(pairs[0], 1.0, 3), GridRun(pairs[1], 0.5, 3), GridRun(pairs[0], 0.2, 4),
+            GridRun(pairs[1], 1.0, 4), GridRun(pairs[0], 0.5, 5), GridRun(pairs[1], 0.2, 5)]
+    x0 = 0.5 * np.random.default_rng(9).standard_normal((n, inst.d))
+    return inst, runs, alpha, fps, x0
+
+
+def _batch(setup, runs, certify):
+    inst, _, alpha, fps, x0 = setup
+    run_fps = [fps[r.pair.variant] for r in runs]
+    observer = (GridCertificates(inst, [r.pair for r in runs], run_fps, ITERS)
+                if certify else None)
+    traces = run_grid(inst, runs, alpha, ITERS, reference=np.stack([fp.x_star for fp in run_fps]),
+                      x0=x0, observer=observer)
+    return traces, observer.sweeps if certify else [None] * len(runs)
+
+
+def _assert_same_run(got, want):
+    (trace, sweep), (ref_trace, ref_sweep) = got, want
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(trace, name), getattr(ref_trace, name), equal_nan=True), name
+    for name in ("x", "y", "u"):
+        assert np.array_equal(getattr(trace.final, name), getattr(ref_trace.final, name)), name
+    assert (trace.final.k, trace.final.comms) == (ref_trace.final.k, ref_trace.final.comms)
+    if ref_sweep is not None:
+        for name in SWEEP_COLUMNS:
+            assert np.array_equal(getattr(sweep, name), getattr(ref_sweep, name),
+                                  equal_nan=True), name
+        assert sweep.zeta == ref_sweep.zeta
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_run_is_bitwise_the_same_alone_and_in_any_batch(grid_setup, certify):
+    runs = grid_setup[1]
+    full = list(zip(*_batch(grid_setup, runs, certify)))
+    alone = [list(zip(*_batch(grid_setup, [r], certify)))[0] for r in runs]
+    split = (list(zip(*_batch(grid_setup, runs[:2], certify)))
+             + list(zip(*_batch(grid_setup, runs[2:], certify))))
+    # the same runs in reverse order, so each sits at another position
+    reverse = list(zip(*_batch(grid_setup, runs[::-1], certify)))[::-1]
+    for i in range(len(runs)):
+        for other in (alone, split, reverse):
+            _assert_same_run(other[i], full[i])
+
+
+def _reference_run(inst, pair, alpha, p, seed, iters, fp, x0):
+    """One run as a loop of flexatc_step, each state certified by
+    branch_outcomes and the single-state checks."""
+    coins = CoinSequence(p, seed).draw(iters)
+    state = initial_state(inst, alpha, p, x0)
+    grad_star = inst.grad_stack(fp.x_star)
+    ref_norm = np.linalg.norm(fp.x_star)
+    cols = {name: np.full(iters, np.nan) for name in
+            ("rel_err", "consensus_err", "objective", "kkt_residual", *SWEEP_COLUMNS)}
+    for k in range(iters):
+        out = branch_outcomes(state, inst, pair, fp, grad_star)
+        cols["phi"][k], cols["psi"][k] = out.phi, out.psi
+        cols["lemma2_slack"][k], cols["lemma2_rhs"][k] = lemma2_check(state, inst, pair, fp)
+        cols["thm1_slack"][k] = theorem1_step_check(state, inst, pair, fp, grad_star)
+        if inst.mu > 0.0:
+            _, cols["thm2_slack"][k] = theorem2_check(state, inst, pair, fp)
+        state = flexatc_step(state, inst, pair, int(coins[k]))
+        x = state.x
+        mean = x.mean(axis=0)
+        cols["rel_err"][k] = np.linalg.norm(x - fp.x_star) / ref_norm
+        cols["consensus_err"][k] = np.linalg.norm(x - mean)
+        cols["objective"][k] = inst.objective(mean)
+        step = inst.prox.apply(mean - alpha * inst.mean_grad(mean), alpha)
+        cols["kkt_residual"][k] = np.linalg.norm(mean - step)
+    return cols, state
+
+
+def test_matches_per_run_reference_loop(grid_setup):
+    inst, runs, alpha, fps, x0 = grid_setup
+    traces, sweeps = _batch(grid_setup, runs, certify=True)
+    for r, trace, sweep in zip(runs, traces, sweeps):
+        fp = fps[r.pair.variant]
+        want, state = _reference_run(inst, r.pair, alpha, r.p, r.seed, ITERS, fp, x0)
+        for name in ("rel_err", "consensus_err", "objective", "kkt_residual"):
+            got = getattr(trace, name)
+            scale = np.max(np.abs(want[name]))
+            assert np.max(np.abs(got - want[name])) <= TRAJECTORY_RTOL * scale, name
+        for name in ("lemma2_slack", "thm1_slack", "thm2_slack"):
+            if inst.mu <= 0.0 and name == "thm2_slack":
+                assert np.all(np.isnan(sweep.thm2_slack))
+                continue
+            scale = np.max(np.abs(want[name]))
+            assert np.max(np.abs(getattr(sweep, name) - want[name])) <= SLACK_TOL * (1.0 + scale)
+        assert np.max(np.abs(trace.final.x - state.x)) <= TRAJECTORY_RTOL * np.max(np.abs(state.x))
+        assert trace.final.comms == state.comms
+        assert sweep.violations() == []
+
+
+def test_rejects_bad_grids():
+    inst = quadratic_instance(3, 2, seed=0)
+    pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("ring", 3)))
+    alpha = 1.0 / inst.L
+    with pytest.raises(SolverError, match="run"):
+        run_grid(inst, [], alpha, 10)
+    with pytest.raises(SolverError, match="iteration"):
+        run_grid(inst, [GridRun(pair, 0.5, 1)], alpha, 0)
+    with pytest.raises(SolverError, match="stepsize"):
+        run_grid(inst, [GridRun(pair, 0.5, 1)], 2.0 / inst.L, 10)
+    with pytest.raises(SolverError, match="probability"):
+        run_grid(inst, [GridRun(pair, 0.5, 1), GridRun(pair, 0.0, 1)], alpha, 10)

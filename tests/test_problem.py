@@ -422,3 +422,24 @@ class TestStackedOracles:
         mixed = [QuadraticLoss(np.zeros(3)), LogisticLoss.from_dataset(ds)]
         with pytest.raises(ProblemError, match="all quadratic or all logistic"):
             build_instance(mixed, ProxSpec())
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("prox", [ProxSpec(), ProxSpec("l1", 0.1)])
+    def test_leading_run_axis_is_bitwise_per_run(self, kind, prox):
+        # a batch of S iterates or points gives each run what it gets alone
+        if kind == "quadratic":
+            inst = quadratic_instance(5, 4, seed=3, curvature_min=0.1, curvature_max=2.0,
+                                      prox=prox)
+        else:
+            ds = synthetic_logistic_dataset(103, 4, seed=14)
+            inst = logistic_instance(ds, 5, partition_seed=2, ridge=0.05, prox=prox)
+        rng = np.random.default_rng(6)
+        xs = rng.standard_normal((3, 5, 4))
+        points = rng.standard_normal((3, 4))
+        grads, means, values = inst.grad_stack(xs), inst.mean_grad(points), inst.objective(points)
+        assert grads.shape == (3, 5, 4) and means.shape == (3, 4) and values.shape == (3,)
+        for s in range(3):
+            assert np.array_equal(grads[s], inst.grad_stack(xs[s]))
+            assert np.array_equal(means[s], inst.mean_grad(points[s]))
+            single = inst.objective(points[s])
+            assert isinstance(single, float) and values[s] == single

@@ -154,8 +154,10 @@ class TestRunTrace:
         inst = quadratic_instance(5, 4, seed=9, prox=ProxSpec("l1", 0.05))
         pair = ring_pair(5)
         y_form = run(inst, pair, 1.0 / inst.L, p=0.5, seed=11, iters=500)
-        u_form = run(inst, pair, 1.0 / inst.L, p=0.5, seed=11, iters=500, step=mirror_step)
-        assert np.linalg.norm(y_form.final.x - u_form.final.x) <= 1e-10
+        state = initial_state(inst, 1.0 / inst.L, p=0.5)
+        for theta in CoinSequence(0.5, seed=11).draw(500):
+            state = mirror_step(state, inst, pair, int(theta))
+        assert np.linalg.norm(y_form.final.x - state.x) <= 1e-10
 
     def test_averaged_iterates_cover_prefix(self):
         inst = quadratic_instance(3, 2, seed=10)
