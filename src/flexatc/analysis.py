@@ -4,14 +4,15 @@ calculator.
 
 Every "expectation" here is the exact two-point mixture over the coin
 theta in {0, 1} (weights p and 1-p), so certificate slacks carry no
-sampling noise. The certificates are evaluated on the trajectory that
-solver.run_grid integrates: a GridCertificates observer receives each step
-of the batch, stacked over its runs, with the gradient the driver computed,
-evaluates both coin branches of every run at once, and reads every
-inequality from them. CertificateObserver is its one-run case, and
-branch_outcomes with lemma2_check, theorem1_step_check and theorem2_check
-are the single-state references it matches bit for bit. Nothing here
-iterates on its own. The certified quantities:
+sampling noise. The certificates cover exactly the transition that
+solver.run_grid takes: a GridCertificates observer receives each step of
+the batch, stacked over its runs, with the gradient and both coin branches
+(x_comm, u_comm) and (x_skip, u) the driver computed, and the successor
+the driver reports is the branch its coin picked. It reads every inequality
+from those branches for all runs at once. CertificateObserver is its
+one-run case, and branch_outcomes with lemma2_check, theorem1_step_check
+and theorem2_check are the single-state references it matches bit for bit.
+Nothing here iterates on its own. The certified quantities:
 
     Phi  = ||x - x*||^2 + (1/p^2) ||u - u*||^2
     Psi  = ||grad F(x) - grad F(x*)||^2 + ||u - u*||^2
@@ -296,18 +297,17 @@ class GridCertificates:
     """solver.run_grid observer that certifies every transition of every
     run in the batch it watches; run s pairs pairs[s] with fps[s].
 
-    Each step evaluates both coin branches for all runs at once from the
-    GridStep the driver computed (its gradient, adapt step and u-mirror
-    successor), and reads Phi, Psi and the three slacks from them with the
-    arithmetic of branch_outcomes and the checks, so each run's columns are
-    bitwise what those give on its states. grad_stack(x*) is evaluated once,
-    here. Column k of each array certifies step k.
+    Each step reads Phi, Psi and the three slacks for all runs at once from
+    the GridStep the driver computed (its gradient, adapt step and both coin
+    branches), with the arithmetic of branch_outcomes and the checks, so
+    each run's columns are bitwise what those give on its states.
+    grad_stack(x*) is evaluated once, here. Column k of each array
+    certifies step k.
     """
 
     def __init__(self, instance: ProblemInstance, pairs: list[CombinerPair],
                  fps: list[FixedPoint], iters: int):
         self.instance = instance
-        self.a = np.stack([pair.a.entries for pair in pairs])
         self.sigma = np.array([pair.sigma_m_b for pair in pairs])
         self.x_star, self.w_star, self.u_star = (
             np.stack([getattr(fp, name) for fp in fps]) for name in ("x_star", "w_star", "u_star_b"))
@@ -330,14 +330,11 @@ class GridCertificates:
         k, alpha, p = step.k, step.alpha, step.p
         if k == 0:  # alpha and p arrive with the steps and stay fixed for the run
             self._rates(alpha, p)
-        prox = self.instance.prox.apply
-        x_comm = prox(self.a @ step.zu, alpha)
-        x_skip = prox(step.zu, alpha)
         pp = p * p
         u_gap = _sq_runs(step.u - self.u_star)
         u_term = u_gap / pp
-        phi_comm = _sq_runs(x_comm - self.x_star) + _sq_runs(step.u_comm - self.u_star) / pp
-        phi_skip = _sq_runs(x_skip - self.x_star) + u_term
+        phi_comm = _sq_runs(step.x_comm - self.x_star) + _sq_runs(step.u_comm - self.u_star) / pp
+        phi_skip = _sq_runs(step.x_skip - self.x_star) + u_term
         expected_phi = p * phi_comm + (1.0 - p) * phi_skip
         phi = _sq_runs(step.x - self.x_star) + u_term
         psi = _sq_runs(step.grad - self.grad_star) + u_gap

@@ -1,27 +1,31 @@
 """The unified adapt-then-combine iteration with probabilistic
-communication skipping, its square-root-dual mirror, the communication-free
-primal recursion used for cross-validation, and a centralized
-proximal-gradient reference solver.
+communication skipping in its square-root-dual (u) form, the y-form it is
+equivalent to, the communication-free primal recursion used for
+cross-validation, and a centralized proximal-gradient reference solver.
 
-One iteration from state (x, y), with stepsize alpha and coin theta:
+One iteration from state (x, u), with stepsize alpha and coin theta:
 
-    w = x - alpha * grad F(x)                      (adapt, always local)
-    theta = 1:  x+ = prox(A (w + y)),  y+ = y - p B (w + y)   (communicate)
-    theta = 0:  x+ = prox(w + y),      y+ = y                 (skip)
+    w  = x - alpha * grad F(x)                     (adapt, always local)
+    zu = w - sqrt(B) u
+    theta = 1:  x+ = prox(A zu),  u+ = u + p sqrt(B) zu   (communicate)
+    theta = 0:  x+ = prox(zu),    u+ = u                  (skip)
 
-The mirror variable u tracks y = -sqrt(B) u and is updated as
-u+ = u + p theta sqrt(B) (w - sqrt(B) u); both forms generate the same
-x-sequence given the same coins.
+The dual variable of the paper's y-form is derived, y = -sqrt(B) u, so
+sum_i y_i = 0 holds by construction. The y-form advances y itself,
+theta = 1: x+ = prox(A (w + y)), y+ = y - p B (w + y); theta = 0:
+x+ = prox(w + y), y+ = y; it generates the same x-sequence given the same
+coins, up to round-off.
 
 run_grid is the one iteration loop: it advances every (pair, p, seed) run
-of a batch as one stacked (S, n, d) state, each run taking the branch of
-its own coin, and run is its one-run case. flexatc_step and mirror_step
-are the single-step y-form and u-form references it is tested against.
+of a batch as one stacked (S, n, d) u-form state, each run taking the
+branch of its own coin, and run is its one-run case. mirror_step is the
+single-step u-form reference it matches bit for bit, and flexatc_step the
+y-form reference it is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +35,6 @@ from .linalg import kron_apply
 from .problem import ProblemInstance
 
 _DIVERGENCE_NORM = 1e12
-_COIN_CHUNK = 1024
 
 
 class DivergenceError(Exception):
@@ -60,31 +63,16 @@ class CoinSequence:
 
     p: float
     seed: int
-    _rng: np.random.Generator = field(init=False, repr=False)
-    _buf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0):
             raise SolverError(f"probability must lie in (0, 1], got {self.p}")
-        self._rng = np.random.default_rng(self.seed)
-        self._buf = np.empty(0, dtype=int)
-
-    def _extend(self, upto: int) -> None:
-        if self._buf.size >= upto:
-            return
-        # Batch size does not alter the underlying uniform stream, so any
-        # access pattern sees the same coins.
-        need = max(upto - self._buf.size, _COIN_CHUNK)
-        fresh = (self._rng.random(need) < self.p).astype(int)
-        self._buf = np.concatenate([self._buf, fresh])
 
     def theta(self, k: int) -> int:
-        self._extend(k + 1)
-        return int(self._buf[k])
+        return int(self.draw(k + 1)[k])
 
     def draw(self, count: int) -> np.ndarray:
-        self._extend(count)
-        return self._buf[:count].copy()
+        return (np.random.default_rng(self.seed).random(count) < self.p).astype(int)
 
 
 @dataclass(eq=False)
@@ -125,8 +113,8 @@ def _check_finite(x: np.ndarray, k: int) -> None:
 
 def flexatc_step(state: SolverState, instance: ProblemInstance,
                  pair: CombinerPair, theta: int) -> SolverState:
-    """Advance one iteration; communication happens only when theta = 1.
-    The u mirror is advanced beside y."""
+    """Advance the y-form one iteration; communication happens only when
+    theta = 1. The u mirror is advanced beside y."""
     alpha, p = state.alpha, state.p
     w = state.x - alpha * instance.grad_stack(state.x)
     if theta:
@@ -147,7 +135,8 @@ def flexatc_step(state: SolverState, instance: ProblemInstance,
 
 def mirror_step(state: SolverState, instance: ProblemInstance,
                 pair: CombinerPair, theta: int) -> SolverState:
-    """Same iteration driven purely by the u variable (y is ignored)."""
+    """The u-form iteration run_grid advances, one step (y is ignored and
+    returned as -sqrt(B) u)."""
     alpha, p = state.alpha, state.p
     w = state.x - alpha * instance.grad_stack(state.x)
     zu = w - kron_apply(pair.sqrt_b, state.u)
@@ -199,10 +188,11 @@ class GridRun:
 
 class GridStep(NamedTuple):
     """The state a batch leaves from at step k, as run_grid hands it to its
-    observer. Arrays are stacked over the S runs: p is (S,), the rest
-    (S, n, d). grad = grad_stack(x), w = x - alpha grad,
-    zu = w - sqrt(B) u and u_comm = u + p sqrt(B) zu, the u mirror's
-    successor if the coin says communicate."""
+    observer, with both successors it may take. Arrays are stacked over the
+    S runs: p is (S,), the rest (S, n, d). grad = grad_stack(x),
+    w = x - alpha grad and zu = w - sqrt(B) u; a run whose coin says
+    communicate moves to (x_comm, u_comm) = (prox(A zu), u + p sqrt(B) zu),
+    one that skips to (x_skip, u) with x_skip = prox(zu)."""
 
     k: int
     alpha: float
@@ -211,8 +201,9 @@ class GridStep(NamedTuple):
     u: np.ndarray
     grad: np.ndarray
     w: np.ndarray
-    zu: np.ndarray
+    x_comm: np.ndarray
     u_comm: np.ndarray
+    x_skip: np.ndarray
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:
@@ -238,9 +229,10 @@ def run_grid(
 
     reference, broadcast to (S, n, d), is the replicated optimum used for
     relative errors; x0 is the (n, d) start of every run (zeros if None).
-    Each step evaluates the stacked gradient once, and each run takes the
-    branch its own coin picks. A run's trace is bitwise the same alone, in
-    any batch and at any position in it, and identical arguments give an
+    Each step evaluates the stacked gradient once and both branches of the
+    u-form transition once, and each run takes the branch its own coin
+    picks; final.y is -sqrt(B) u. A run's trace is bitwise the same alone,
+    in any batch and at any position in it, and identical arguments give an
     identical trace.
 
     observer(step), when given, is called before step k with the GridStep
@@ -256,15 +248,14 @@ def run_grid(
     coins = np.stack([CoinSequence(r.p, r.seed).draw(iters) for r in runs])
     comms = np.cumsum(coins, axis=1) * np.array([r.pair.comm_rounds for r in runs])[:, None]
     take = coins.T.astype(bool)[:, :, None, None]
-    talkers = coins.sum(axis=0).tolist()
     p = np.array([r.p for r in runs])
     p3 = p[:, None, None]
-    a, b, sqrt_b = (np.stack([getattr(r.pair, name).entries for r in runs])
-                    for name in ("a", "b", "sqrt_b"))
+    a, sqrt_b = (np.stack([getattr(r.pair, name).entries for r in runs])
+                 for name in ("a", "sqrt_b"))
     prox = instance.prox.apply
 
     x = np.stack([s.x for s in states])
-    y, u = np.zeros(shape), np.zeros(shape)
+    u = np.zeros(shape)
     start = x.copy()
     if reference is not None:
         reference = np.ascontiguousarray(np.broadcast_to(reference, shape))
@@ -280,24 +271,12 @@ def run_grid(
         u_sum += u
         grad = instance.grad_stack(x)
         w = x - alpha * grad
-        z = w + y
-        if talkers[k] or observer is not None:
-            zu = w - sqrt_b @ u
-            u_comm = u + p3 * (sqrt_b @ zu)
-            if observer is not None:
-                observer(GridStep(k, alpha, p, x, u, grad, w, zu, u_comm))
-        # A step whose coins all agree computes only the branch they pick.
-        if talkers[k] == count:
-            x = prox(a @ z, alpha)
-            y = y - p3 * (b @ z)
-            u = u_comm
-        elif talkers[k]:
-            theta = take[k]
-            x = prox(np.where(theta, a @ z, z), alpha)
-            y = np.where(theta, y - p3 * (b @ z), y)
-            u = np.where(theta, u_comm, u)
-        else:
-            x = prox(z, alpha)
+        zu = w - sqrt_b @ u
+        x_comm, u_comm = prox(a @ zu, alpha), u + p3 * (sqrt_b @ zu)
+        x_skip = prox(zu, alpha)
+        if observer is not None:
+            observer(GridStep(k, alpha, p, x, u, grad, w, x_comm, u_comm, x_skip))
+        x, u = np.where(take[k], x_comm, x_skip), np.where(take[k], u_comm, u)
         if not all((np.sqrt(_sq_norms(x)) <= _DIVERGENCE_NORM).tolist()):
             raise DivergenceError(k, "stepsize likely out of range")
         if reference is not None:
@@ -313,6 +292,7 @@ def run_grid(
     rel_err = err_sq if reference is None else (
         np.sqrt(err_sq) / np.maximum(np.sqrt(_sq_norms(reference)), 1e-300))
     consensus, kkt = np.sqrt(consensus_sq), np.sqrt(kkt_sq)
+    y = -(sqrt_b @ u)
     return [
         RunTrace(
             k=np.arange(iters),

@@ -31,7 +31,6 @@ from flexatc.solver import (
     GridRun,
     flexatc_step,
     initial_state,
-    mirror_step,
     primal_recursion_step,
     run_grid,
 )
@@ -122,17 +121,17 @@ def _random_instance(rng, with_prox):
 def test_criterion_4_equivalence_oracles():
     rng = np.random.default_rng(44)
 
-    # (a) y-form vs u-form with shared coins, 500 steps
+    # (a) u-form (run) vs y-form with shared coins, 500 steps
     worst_a = 0.0
     for trial in range(20):
         inst, mm = _random_instance(rng, with_prox=trial % 2 == 0)
         pair = fa.preset("ed", mm)
         alpha = 1.0 / inst.L
-        y_tr = fa.run(inst, pair, alpha, 0.5, seed=trial, iters=500, record_kkt=False)
+        u_tr = fa.run(inst, pair, alpha, 0.5, seed=trial, iters=500, record_kkt=False)
         state = initial_state(inst, alpha, 0.5)
         for theta in CoinSequence(0.5, seed=trial).draw(500):
-            state = mirror_step(state, inst, pair, int(theta))
-        worst_a = max(worst_a, float(np.max(np.abs(y_tr.final.x - state.x))))
+            state = flexatc_step(state, inst, pair, int(theta))
+        worst_a = max(worst_a, float(np.max(np.abs(u_tr.final.x - state.x))))
 
     # (b) p = 1, no prox: the two-variable form equals the single-variable
     # recursion seeded with (x0, x1) from one synchronized step
@@ -220,7 +219,7 @@ def test_criterion_5_communication_acceleration():
     fp = fixed_point(inst, pair, alpha, tol=1e-13)
 
     # both paths advance as one batch; each trace is what it is alone
-    iters = 400_000
+    iters = 250_000
     traces = run_grid(inst, [GridRun(pair, 1.0, 1), GridRun(pair, p_star, 1)], alpha, iters,
                       reference=fp.x_star, record_kkt=False, record_objective=False)
 

@@ -23,7 +23,14 @@ from flexatc.analysis import (
     zeta_rate,
 )
 from flexatc.problem import ProblemInstance, ProxSpec, QuadraticLoss, quadratic_instance
-from flexatc.solver import CoinSequence, GridRun, SolverState, flexatc_step, initial_state
+from flexatc.solver import (
+    CoinSequence,
+    GridRun,
+    SolverState,
+    flexatc_step,
+    initial_state,
+    mirror_step,
+)
 
 SLACK_TOL = 1e-9
 
@@ -228,8 +235,9 @@ class TestSweepAcrossVariants:
 
 
 def replayed_sweep(inst, pair, alpha, p, seed, iters, fp):
-    """The certificates recomputed on a second integration of the run, one
-    public check at a time; the reference the observer must match bitwise."""
+    """The certificates recomputed on a second integration of the run with
+    the u-form single-step reference, one public check at a time; the
+    reference the observer must match bitwise."""
     coins = CoinSequence(p, seed).draw(iters)
     state = initial_state(inst, alpha, p)
     grad_star = inst.grad_stack(fp.x_star)
@@ -244,7 +252,7 @@ def replayed_sweep(inst, pair, alpha, p, seed, iters, fp):
         cols["thm1_slack"][k] = theorem1_step_check(state, inst, pair, fp, grad_star)
         if inst.mu > 0.0:
             _, cols["thm2_slack"][k] = theorem2_check(state, inst, pair, fp)
-        state = flexatc_step(state, inst, pair, int(coins[k]))
+        state = mirror_step(state, inst, pair, int(coins[k]))
     return cols
 
 

@@ -92,6 +92,26 @@ def test_run_is_bitwise_the_same_alone_and_in_any_batch(grid_setup, certify):
             _assert_same_run(other[i], full[i])
 
 
+def test_reported_successor_is_the_certified_branch(grid_setup):
+    inst, runs, alpha, _, x0 = grid_setup
+    steps = []
+
+    def record(step):
+        steps.append(step._replace(**{name: getattr(step, name).copy() for name in
+                                      ("x", "u", "x_comm", "u_comm", "x_skip")}))
+
+    traces = run_grid(inst, runs, alpha, ITERS, x0=x0, observer=record)
+    assert [step.k for step in steps] == list(range(ITERS))
+    coins = np.stack([trace.theta for trace in traces]).astype(bool)[:, :, None, None]
+    final = (np.stack([trace.final.x for trace in traces]),
+             np.stack([trace.final.u for trace in traces]))
+    for k, step in enumerate(steps):
+        theta = coins[:, k]
+        x_next, u_next = (steps[k + 1].x, steps[k + 1].u) if k + 1 < ITERS else final
+        assert np.array_equal(x_next, np.where(theta, step.x_comm, step.x_skip)), k
+        assert np.array_equal(u_next, np.where(theta, step.u_comm, step.u)), k
+
+
 def _reference_run(inst, pair, alpha, p, seed, iters, fp, x0):
     """One run as a loop of flexatc_step, each state certified by
     branch_outcomes and the single-state checks."""

@@ -153,11 +153,32 @@ class TestRunTrace:
     def test_u_form_equals_y_form(self):
         inst = quadratic_instance(5, 4, seed=9, prox=ProxSpec("l1", 0.05))
         pair = ring_pair(5)
-        y_form = run(inst, pair, 1.0 / inst.L, p=0.5, seed=11, iters=500)
+        u_form = run(inst, pair, 1.0 / inst.L, p=0.5, seed=11, iters=500)
         state = initial_state(inst, 1.0 / inst.L, p=0.5)
         for theta in CoinSequence(0.5, seed=11).draw(500):
+            state = flexatc_step(state, inst, pair, int(theta))
+        assert np.linalg.norm(u_form.final.x - state.x) <= 1e-10
+
+    def test_run_is_the_mirror_step_loop(self):
+        inst = quadratic_instance(5, 4, seed=9, prox=ProxSpec("l1", 0.05))
+        pair = ring_pair(5)
+        trace = run(inst, pair, 1.0 / inst.L, p=0.5, seed=11, iters=300)
+        state = initial_state(inst, 1.0 / inst.L, p=0.5)
+        for theta in CoinSequence(0.5, seed=11).draw(300):
             state = mirror_step(state, inst, pair, int(theta))
-        assert np.linalg.norm(y_form.final.x - state.x) <= 1e-10
+        for name in ("x", "y", "u"):
+            assert np.array_equal(getattr(trace.final, name), getattr(state, name)), name
+        assert trace.final.comms == state.comms
+
+    def test_dual_state_sums_to_zero(self):
+        # the criterion-5 instance at p = 1: y = -sqrt(B) u keeps sum_i y_i
+        # at round-off, where the y-form's own update drifts past 1e-13
+        inst = quadratic_instance(20, 5, seed=42, curvature_min=1e-4, curvature_max=1.0,
+                                  target_offset_scale=4.0)
+        pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("ring", 20)))
+        final = run(inst, pair, 1.0 / inst.L, p=1.0, seed=1, iters=20_000,
+                    record_kkt=False, record_objective=False).final
+        assert np.linalg.norm(final.y.sum(axis=0)) <= 1e-13 * (1.0 + np.linalg.norm(final.y))
 
     def test_averaged_iterates_cover_prefix(self):
         inst = quadratic_instance(3, 2, seed=10)
