@@ -67,7 +67,8 @@ class Dataset:
         return Dataset(self.d, self.labels[rows], indptr, self.indices[src], self.values[src])
 
     def head(self, m: int) -> "Dataset":
-        return self.subset(np.arange(min(m, len(self))))
+        """The first m samples; the dataset itself when it has no more."""
+        return self if m >= len(self) else self.subset(np.arange(m))
 
 
 def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,7 +184,8 @@ def parse_libsvm(text: str | bytes, map_01_labels: bool = False) -> Dataset:
     malformed token raises ParseError naming its line.
     """
     data = text.encode() if isinstance(text, str) else bytes(text)
-    data = data.replace(b"\r\n", b"\n")
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
     if any(ch in data for ch in _OTHER_SPACE):
         data = data.translate(_TO_SPACE_OR_NEWLINE)
     # Blocks of whole lines keep the temporary arrays small.
@@ -390,29 +392,40 @@ class _QuadraticStack:
 
 @dataclass(eq=False)
 class _LogisticStack:
-    """Logistic agents as one (n, m_max, d) feature tensor.
+    """Logistic agents as one (n, d, m_max) tensor of label-signed features.
 
-    Agent i owns rows [0, m[i]); the padding rows carry label 0, which zeroes
-    their gradient weight, and are masked out of the value.
+    signed[i] = (y_i * X_i).T for agent i's labels y_i and (m_i, d) features
+    X_i, so a margin y <X_j, x> is one entry of x @ signed[i] and a gradient
+    is one signed[i] @ weights. Agent i owns columns [0, m[i]); the padding
+    columns are zero, which zeroes their gradient contribution, and the
+    boolean mask real hides them from the value. Each (run, agent) pair gets
+    its own matrix-vector product, so a run gets the same bits alone as in a
+    batch. LogisticLoss and _sigmoid remain the per-agent reference.
     """
 
-    features: np.ndarray
-    labels: np.ndarray
+    signed: np.ndarray
+    real: np.ndarray
     m: np.ndarray
     ridge: np.ndarray
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
-        return self.labels * (self.features @ x[..., None])[..., 0]
+        return (x[..., None, :] @ self.signed)[..., 0, :]
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
-        weights = self.labels * _sigmoid(-self._margins(x))
-        grads = (weights[..., None, :] @ self.features)[..., 0, :]
+        # d/dx ln(1 + e^-t) = -yX sigma(-t), and sigma(-t) = 1 / (1 + e^t) is
+        # exactly 0 where e^t overflows to inf
+        weights = self._margins(x)
+        with np.errstate(over="ignore"):
+            np.exp(weights, out=weights)
+        weights += 1.0
+        np.reciprocal(weights, out=weights)
+        grads = (self.signed @ weights[..., None])[..., 0]
         return -grads / self.m[:, None] + self.ridge[:, None] * x
 
     def value(self, point: np.ndarray) -> np.ndarray:
         margins = self._margins(point[..., None, :])
         # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out
-        losses = np.where(self.labels != 0.0,
+        losses = np.where(self.real,
                           np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins))), 0.0)
         ridge_term = 0.5 * self.ridge * np.vecdot(point, point)[..., None]
         per_agent = losses.sum(axis=-1) / self.m + ridge_term
@@ -426,12 +439,12 @@ def _stack(losses: list):
     if not all(isinstance(loss, LogisticLoss) for loss in losses):
         raise ProblemError("agent losses must be all quadratic or all logistic")
     m = np.array([loss.m for loss in losses])
-    features = np.zeros((len(losses), m.max(), losses[0].d))
-    labels = np.zeros((len(losses), m.max()))
+    # filled one agent at a time: no transient copy of the whole tensor
+    signed = np.zeros((len(losses), losses[0].d, m.max()))
     for i, loss in enumerate(losses):
-        features[i, :loss.m] = loss.features
-        labels[i, :loss.m] = loss.labels
-    return _LogisticStack(features, labels, m, np.array([loss.ridge for loss in losses]))
+        np.multiply(loss.features.T, loss.labels, out=signed[i, :, :loss.m])
+    real = np.arange(m.max()) < m[:, None]
+    return _LogisticStack(signed, real, m, np.array([loss.ridge for loss in losses]))
 
 
 @dataclass(eq=False)

@@ -185,6 +185,17 @@ class TestDatasetArrays:
         empty = ds.subset(np.array([], dtype=int))
         assert len(empty) == 0 and empty.dense().shape == (0, 3)
 
+    def test_head_keeps_the_whole_dataset(self):
+        ds = random_sparse_dataset(12, 4, seed=2)
+        for m in (len(ds), len(ds) + 5):
+            head = ds.head(m)
+            assert head.d == ds.d
+            for name in ("labels", "indptr", "indices", "values"):
+                assert np.array_equal(getattr(head, name), getattr(ds, name))
+        first = ds.head(7)
+        assert np.array_equal(first.labels, ds.labels[:7])
+        assert np.array_equal(first.indptr, ds.indptr[:8])
+
 
 class TestPartition:
     def test_even_split(self):
@@ -384,10 +395,10 @@ class TestStackedOracles:
             got = problem._sigmoid(t)
         assert np.array_equal(got.view(np.int64), _masked_sigmoid(t).view(np.int64))
 
-    @pytest.mark.parametrize("scale", [1.0, 50.0])
+    @pytest.mark.parametrize("scale", [1.0, 50.0, 750.0])
     def test_logistic_stack_matches_per_agent_losses(self, scale):
         # 103 samples over 10 agents: partitions of 10 and 11 rows, so the
-        # stack carries padding rows
+        # stack carries padding columns
         ds = synthetic_logistic_dataset(103, 6, seed=13)
         inst = logistic_instance(ds, 10, partition_seed=4, ridge=0.05,
                                  prox=ProxSpec("l1", 0.1))
@@ -396,16 +407,22 @@ class TestStackedOracles:
         x = rng.standard_normal((10, 6))
         margins = np.concatenate([l.labels * (l.features @ x[i]) for i, l in enumerate(inst.losses)])
         x *= scale / np.max(np.abs(margins))  # largest margin is +-scale
-        want = np.stack([loss.grad(x[i]) for i, loss in enumerate(inst.losses)])
-        got = inst.grad_stack(x)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        for point in x[:3]:
-            want_mean = sum(loss.grad(point) for loss in inst.losses) / inst.n
-            got_mean = inst.mean_grad(point)
-            assert np.max(np.abs(got_mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
-            want_obj = sum(loss.value(point) for loss in inst.losses) / inst.n
-            want_obj += inst.prox.value(point)
-            assert inst.objective(point) == pytest.approx(want_obj, rel=1e-12, abs=0.0)
+        # at x or at -x the largest margin is +scale: at 750, e^t overflows in
+        # some entries, and the stacked oracles must not warn about it
+        for x in (x, -x):
+            want = np.stack([loss.grad(x[i]) for i, loss in enumerate(inst.losses)])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = inst.grad_stack(x)
+                got_means = [inst.mean_grad(point) for point in x[:3]]
+                got_objs = [inst.objective(point) for point in x[:3]]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            for point, got_mean, got_obj in zip(x[:3], got_means, got_objs):
+                want_mean = sum(loss.grad(point) for loss in inst.losses) / inst.n
+                assert np.max(np.abs(got_mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
+                want_obj = sum(loss.value(point) for loss in inst.losses) / inst.n
+                want_obj += inst.prox.value(point)
+                assert got_obj == pytest.approx(want_obj, rel=1e-12, abs=0.0)
 
     def test_quadratic_stack_matches_per_agent_losses_bitwise(self):
         inst = quadratic_instance(5, 4, seed=2, curvature_min=0.1, curvature_max=3.0,
