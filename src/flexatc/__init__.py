@@ -44,10 +44,10 @@ from .problem import (
     ProblemInstance,
     ProxSpec,
     QuadraticLoss,
-    build_instance,
     logistic_instance,
     parse_libsvm,
     partition,
+    quadratic_from_targets,
     quadratic_instance,
     serialize_libsvm,
 )

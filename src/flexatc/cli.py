@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, combiners, graph, problem, solver
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, check_seed, check_unique, load_config
 from .svgplot import Series, render_convergence_svg
 
 EXIT_OK = 0
@@ -79,7 +79,10 @@ def build_problem(cfg: ExperimentConfig) -> problem.ProblemInstance:
 
 
 def build_pairs(cfg: ExperimentConfig, mixing: graph.MixingMatrix) -> list[combiners.CombinerPair]:
-    return [combiners.preset(v, mixing) for v in cfg.variants]
+    pairs = [combiners.preset(v, mixing) for v in cfg.variants]
+    # a variant is named as preset normalises it: "nids" is "nids:c=0.5"
+    check_unique([pair.variant for pair in pairs], "combiner.variants")
+    return pairs
 
 
 def initial_x(cfg: ExperimentConfig, instance: problem.ProblemInstance) -> np.ndarray | None:
@@ -304,6 +307,7 @@ def validate_config(cfg: ExperimentConfig, export_topology: str | None = None) -
     print(f"problem: {cfg.problem.type} n={instance.n} d={instance.d} "
           f"L={instance.L:.6g} mu={instance.mu:.6g} alpha={alpha:.6g}")
     status = EXIT_OK
+    names = []
     for variant in cfg.variants:
         try:
             pair = combiners.preset(variant, mixing)
@@ -311,10 +315,12 @@ def validate_config(cfg: ExperimentConfig, export_topology: str | None = None) -
             print(f"{variant}: INVALID\n{exc}", file=sys.stderr)
             status = EXIT_FALSIFIED
             continue
+        names.append(pair.variant)
         report = combiners.validate(pair)
         print(f"{variant}: ok, comm_rounds={pair.comm_rounds} sigma_m={pair.sigma_m_b:.6g}")
         for line in str(report).splitlines():
             print(f"  {line}")
+    check_unique(names, "combiner.variants")
     return status
 
 
@@ -343,6 +349,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed_override is not None:
+            check_seed(args.seed_override, "--seed-override")
             cfg.run.seeds = (args.seed_override,)
         if args.command == "run":
             return run_experiment(cfg, args.out_dir, args.threads)

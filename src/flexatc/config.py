@@ -162,6 +162,16 @@ _SECTIONS = {"graph": GraphConfig, "mixing": MixingConfig, "problem": ProblemCon
              "run": RunConfig, "outputs": OutputConfig}
 
 
+def check_seed(seed: int, key: str) -> None:
+    if seed < 0:
+        raise ConfigError(f"{key} must be >= 0, got {seed}")
+
+
+def check_unique(values, key: str) -> None:
+    if len(set(values)) < len(values):
+        raise ConfigError(f"{key} lists a value twice: {', '.join(map(str, values))}")
+
+
 def parse_config(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # keep keys case-sensitive
@@ -198,6 +208,16 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("logistic problems need problem.data (path to a LIBSVM file)")
     if cfg.problem.prox not in ("none", "l1"):
         raise ConfigError(f"problem.prox must be none|l1, got {cfg.problem.prox!r}")
+    if cfg.problem.d < 1:
+        raise ConfigError(f"problem.d must be >= 1, got {cfg.problem.d}")
+    for key, seed in (("graph.seed", cfg.graph.seed), ("run.init_seed", cfg.run.init_seed),
+                      ("problem.target_seed", cfg.problem.target_seed),
+                      ("problem.partition_seed", cfg.problem.partition_seed),
+                      ("run.seeds", min(cfg.run.seeds))):
+        check_seed(seed, key)
+    # run ids print p with 6 significant digits
+    check_unique([f"{p:g}" for p in cfg.run.p_list], "run.p_list (to 6 significant digits)")
+    check_unique(cfg.run.seeds, "run.seeds")
     if any(not (0.0 < p <= 1.0) for p in cfg.run.p_list):
         raise ConfigError(f"run.p_list values must lie in (0, 1]: {cfg.run.p_list}")
     if cfg.run.iterations < 1:

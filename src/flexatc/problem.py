@@ -1,14 +1,17 @@
 """Loss oracles, proximal terms, smoothness constants, and LIBSVM-format
 dataset handling with uniform partitioning across agents.
 
-A ProblemInstance keeps its per-agent losses as given and evaluates them on
-stacked per-network arrays, so no oracle call loops over agents in Python.
+A ProblemInstance is its stacked per-network oracle: the constructors build
+the agents' arrays directly, so no oracle call loops over agents in Python.
+QuadraticLoss and LogisticLoss evaluate one agent at a time; they are the
+reference the stacked oracles are tested against, and only the instance
+constructors check their inputs.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -236,19 +239,8 @@ class QuadraticLoss:
     curvature: np.ndarray | None = None
 
     def __post_init__(self):
-        self.target = np.asarray(self.target, dtype=float)
         if self.curvature is None:
             self.curvature = np.ones_like(self.target)
-        else:
-            self.curvature = np.asarray(self.curvature, dtype=float)
-            if self.curvature.shape != self.target.shape:
-                raise ProblemError("curvature and target shapes differ")
-            if np.any(self.curvature <= 0.0):
-                raise ProblemError("curvature entries must be positive")
-
-    @property
-    def d(self) -> int:
-        return self.target.size
 
     def value(self, x: np.ndarray) -> float:
         diff = x - self.target
@@ -280,25 +272,10 @@ class LogisticLoss:
     features: np.ndarray
     labels: np.ndarray
     ridge: float = 0.0
-    _lmax_cache: float | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=float)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.size:
-            raise ProblemError("features must be (m, d) matching m labels")
-        if self.features.shape[0] == 0:
-            raise ProblemError("logistic loss needs at least one sample")
-        if self.ridge < 0.0:
-            raise ProblemError("ridge must be nonnegative")
 
     @classmethod
     def from_dataset(cls, ds: Dataset, ridge: float = 0.0) -> "LogisticLoss":
         return cls(ds.dense(), ds.labels, ridge)
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
 
     @property
     def m(self) -> int:
@@ -310,18 +287,14 @@ class LogisticLoss:
         return loss + 0.5 * self.ridge * float(x @ x)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.d,):
-            raise ProblemError(f"gradient point has shape {x.shape}, expected ({self.d},)")
         margins = self.labels * (self.features @ x)
         # d/dx ln(1+e^{-t}) with t = y<X,x> gives -yX * sigmoid(-t)
         weights = self.labels * _sigmoid(-margins)
         return -(self.features.T @ weights) / self.m + self.ridge * x
 
     def constants(self) -> tuple[float, float]:
-        if self._lmax_cache is None:
-            gram = (self.features.T @ self.features) / (4.0 * self.m)
-            self._lmax_cache = _power_iteration_lmax(gram)
-        return self._lmax_cache + self.ridge, self.ridge
+        gram = (self.features.T @ self.features) / (4.0 * self.m)
+        return _power_iteration_lmax(gram) + self.ridge, self.ridge
 
 
 def _power_iteration_lmax(gram: np.ndarray, tol: float = _POWER_ITER_TOL) -> float:
@@ -382,6 +355,10 @@ class _QuadraticStack:
     targets: np.ndarray
     curvatures: np.ndarray
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.targets.shape
+
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         return self.curvatures * (x - self.targets)
 
@@ -400,13 +377,17 @@ class _LogisticStack:
     columns are zero, which zeroes their gradient contribution, and the
     boolean mask real hides them from the value. Each (run, agent) pair gets
     its own matrix-vector product, so a run gets the same bits alone as in a
-    batch. LogisticLoss and _sigmoid remain the per-agent reference.
+    batch. Every agent has the same ridge.
     """
 
     signed: np.ndarray
     real: np.ndarray
     m: np.ndarray
-    ridge: np.ndarray
+    ridge: float
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.signed.shape[:2]
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
         return (x[..., None, :] @ self.signed)[..., 0, :]
@@ -420,7 +401,7 @@ class _LogisticStack:
         weights += 1.0
         np.reciprocal(weights, out=weights)
         grads = (self.signed @ weights[..., None])[..., 0]
-        return -grads / self.m[:, None] + self.ridge[:, None] * x
+        return -grads / self.m[:, None] + self.ridge * x
 
     def value(self, point: np.ndarray) -> np.ndarray:
         margins = self._margins(point[..., None, :])
@@ -432,77 +413,54 @@ class _LogisticStack:
         return per_agent.sum(axis=-1) / self.m.size
 
 
-def _stack(losses: list):
-    if all(isinstance(loss, QuadraticLoss) for loss in losses):
-        return _QuadraticStack(np.stack([l.target for l in losses]),
-                               np.stack([l.curvature for l in losses]))
-    if not all(isinstance(loss, LogisticLoss) for loss in losses):
-        raise ProblemError("agent losses must be all quadratic or all logistic")
-    m = np.array([loss.m for loss in losses])
-    # filled one agent at a time: no transient copy of the whole tensor
-    signed = np.zeros((len(losses), losses[0].d, m.max()))
-    for i, loss in enumerate(losses):
-        np.multiply(loss.features.T, loss.labels, out=signed[i, :, :loss.m])
-    real = np.arange(m.max()) < m[:, None]
-    return _LogisticStack(signed, real, m, np.array([loss.ridge for loss in losses]))
-
-
 @dataclass(eq=False)
 class ProblemInstance:
-    """n agent losses, a shared prox term, and the common (L, mu) constants.
+    """The consensus problem min_x (1/n) sum_i f_i(x) + r(x): the n agent
+    losses as one stacked oracle, the shared prox term r, and the common
+    constants L = max_i L_i and mu = min_i mu_i; n and d are the stack's.
 
-    The oracles evaluate every agent at once on the losses stacked into one
-    per-network array: row i of grad_stack is agent i's gradient. Each oracle
-    also takes a leading run axis, (S, n, d) iterates or (S, d) points, and
-    evaluates every run in the same numpy calls.
+    Row i of grad_stack is agent i's gradient. Each oracle also takes a
+    leading run axis, (S, n, d) iterates or (S, d) points, and evaluates
+    every run in the same numpy calls.
     """
 
-    losses: list
+    stack: _QuadraticStack | _LogisticStack
     prox: ProxSpec
-    d: int
     L: float
     mu: float
-    _stacked: _QuadraticStack | _LogisticStack = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._stacked = _stack(self.losses)
-
-    @property
-    def n(self) -> int:
-        return len(self.losses)
+        if not self.L > 0.0:
+            raise ProblemError("smoothness constant must be positive")
+        self.n, self.d = self.stack.shape
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         """Per-agent gradients of the stacked iterate, row i for agent i."""
-        return self._stacked.grad_stack(x)
+        return self.stack.grad_stack(x)
 
     def mean_grad(self, point: np.ndarray) -> np.ndarray:
-        return np.mean(self._stacked.grad_stack(point[..., None, :]), axis=-2)
+        return np.mean(self.stack.grad_stack(point[..., None, :]), axis=-2)
 
     def objective(self, point: np.ndarray):
         """Consensus objective (1/n) sum_i f_i(point) + r(point): a float for
         one point, an array for a stack of points."""
-        value = self._stacked.value(point) + self.prox.value(point)
+        value = self.stack.value(point) + self.prox.value(point)
         return float(value) if np.ndim(point) == 1 else value
 
 
-def constants(losses) -> tuple[float, float]:
-    """Common smoothness/strong-convexity pair: max of L_i, min of mu_i."""
-    pairs = [loss.constants() for loss in losses]
-    big_l = max(p[0] for p in pairs)
-    small_mu = min(p[1] for p in pairs)
-    if big_l <= 0.0:
-        raise ProblemError("smoothness constant must be positive")
-    return big_l, small_mu
-
-
-def build_instance(losses, prox: ProxSpec) -> ProblemInstance:
-    if not losses:
-        raise ProblemError("need at least one agent loss")
-    dims = {loss.d for loss in losses}
-    if len(dims) != 1:
-        raise ProblemError(f"agents disagree on dimension: {sorted(dims)}")
-    big_l, small_mu = constants(losses)
-    return ProblemInstance(list(losses), prox, dims.pop(), big_l, small_mu)
+def quadratic_from_targets(targets, curvatures=None, prox=None) -> ProblemInstance:
+    """Quadratic agents f_i(x) = 1/2 sum_j h_ij (x_j - b_ij)^2 from (n, d)
+    targets b and positive curvatures h (all ones by default)."""
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 2 or targets.size == 0:
+        raise ProblemError(f"targets must be a nonempty (n, d) array, got shape {targets.shape}")
+    curvatures = np.ones_like(targets) if curvatures is None else np.asarray(curvatures, float)
+    if curvatures.shape != targets.shape:
+        raise ProblemError("curvature and target shapes differ")
+    if not np.all(curvatures > 0.0):
+        raise ProblemError("curvature entries must be positive")
+    return ProblemInstance(_QuadraticStack(targets, curvatures), prox or ProxSpec(),
+                           float(curvatures.max()), float(curvatures.min()))
 
 
 def quadratic_instance(
@@ -527,11 +485,8 @@ def quadratic_instance(
     rng = np.random.default_rng(seed)
     h = np.geomspace(curvature_min, curvature_max, d) if d > 1 else np.array([curvature_max])
     offset = target_offset_scale * rng.standard_normal(d)
-    losses = [
-        QuadraticLoss(offset + target_scale * rng.standard_normal(d), h.copy())
-        for _ in range(n)
-    ]
-    return build_instance(losses, prox or ProxSpec())
+    targets = offset + target_scale * rng.standard_normal((n, d))
+    return quadratic_from_targets(targets, np.tile(h, (n, 1)), prox)
 
 
 def logistic_instance(
@@ -541,6 +496,21 @@ def logistic_instance(
     ridge: float,
     prox: ProxSpec | None = None,
 ) -> ProblemInstance:
+    """Logistic agents with a common ridge on a seeded uniform partition,
+    which gives every agent at least one sample. Each slice is scattered from
+    its CSR arrays into the signed stack, and L_i is the ridge plus the power
+    iteration's top eigenvalue of the Gram X_i^T X_i / (4 m_i) of its block."""
+    if not ridge >= 0.0:
+        raise ProblemError("ridge must be nonnegative")
     slices = partition(ds, n, partition_seed)
-    losses = [LogisticLoss.from_dataset(s, ridge) for s in slices]
-    return build_instance(losses, prox or ProxSpec())
+    m = np.array([len(s) for s in slices])
+    signed = np.zeros((n, ds.d, m.max()))
+    lmax = []
+    for i, s in enumerate(slices):
+        rows = np.repeat(np.arange(m[i]), np.diff(s.indptr))
+        signed[i, s.indices, rows] = s.values * s.labels[rows]
+        block = np.ascontiguousarray(signed[i, :, :m[i]].T)
+        lmax.append(_power_iteration_lmax(block.T @ block / (4.0 * m[i])))
+    real = np.arange(m.max()) < m[:, None]
+    return ProblemInstance(_LogisticStack(signed, real, m, float(ridge)), prox or ProxSpec(),
+                           max(lmax) + ridge, float(ridge))

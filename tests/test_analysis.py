@@ -22,7 +22,7 @@ from flexatc.analysis import (
     zeta_c,
     zeta_rate,
 )
-from flexatc.problem import ProblemInstance, ProxSpec, QuadraticLoss, quadratic_instance
+from flexatc.problem import ProblemInstance, ProxSpec, quadratic_instance
 from flexatc.solver import (
     CoinSequence,
     GridRun,
@@ -47,14 +47,14 @@ def state_at(x, u, alpha, p):
 class TestFixedPoint:
     def test_quadratic_two_agents_mean(self):
         targets = [np.array([1.0, -2.0, 0.5]), np.array([3.0, 4.0, -0.5])]
-        inst = fa.build_instance([QuadraticLoss(t) for t in targets], ProxSpec())
+        inst = fa.quadratic_from_targets(np.stack(targets))
         pair = ring_pair(2)
         fp = fixed_point(inst, pair, alpha=1.0)
         assert np.allclose(fp.x_opt, np.mean(targets, axis=0), atol=1e-11)
         assert fp.kkt_residual <= 1e-8
 
     def test_single_node_degenerate(self):
-        inst = fa.build_instance([QuadraticLoss(np.array([2.0]))], ProxSpec("l1", 0.1))
+        inst = fa.quadratic_from_targets([[2.0]], prox=ProxSpec("l1", 0.1))
         pair = ring_pair(1)
         fp = fixed_point(inst, pair, alpha=1.0)
         assert np.array_equal(fp.u_star_b, np.zeros((1, 1)))

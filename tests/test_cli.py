@@ -108,6 +108,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config("[run]\nalpha = fast\n").resolve_alpha(1.0)
 
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(ConfigError, match="problem.d must be >= 1, got 0"):
+            parse_config("[problem]\nd = 0\n")
+
     def test_logistic_requires_data(self):
         with pytest.raises(ConfigError, match="problem.data"):
             parse_config("[problem]\ntype = logistic\n")
@@ -171,6 +175,37 @@ class TestRunCommand:
         body = [r for r in rows if r[4] != "-1"]
         assert all(r[11] != "" for r in body)  # lemma2 slack populated
         assert len(body) == 8 * 40
+
+    @pytest.mark.parametrize("key,edit,argv", [
+        ("run.seeds", ("seeds = 1, 2", "seeds = 1, -1"), []),
+        ("problem.target_seed", ("target_seed = 1", "target_seed = -1"), []),
+        ("problem.partition_seed", ("target_seed = 1", "target_seed = 1\npartition_seed = -1"),
+         []),
+        ("graph.seed", ("n = 6", "n = 6\nseed = -1"), []),
+        ("run.init_seed", ("seeds = 1, 2", "seeds = 1, 2\ninit_seed = -1"), []),
+        ("--seed-override", ("", ""), ["--seed-override", "-5"]),
+    ])
+    def test_negative_seed_exits_2_naming_the_key(self, tmp_path, capsys, key, edit, argv):
+        conf = write_config(tmp_path, GRID.replace(*edit))
+        assert cli.main(["run", conf, "--out-dir", str(tmp_path), *argv]) == cli.EXIT_CONFIG
+        assert f"error: {key} must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("edit,message", [
+        (("p_list = 1, 0.5", "p_list = 1, 1"), "run.p_list (to 6 significant digits) lists"),
+        (("p_list = 1, 0.5", "p_list = 0.1234567, 0.1234568"),
+         "run.p_list (to 6 significant digits) lists a value twice: 0.123457, 0.123457"),
+        (("seeds = 1, 2", "seeds = 1, 1"), "run.seeds lists a value twice"),
+        # "nids" is "nids:c=0.5" once normalised, so both runs would share a run_id
+        (("variants = ed, nids:c=0.4", "variants = nids, nids:c=0.5"),
+         "combiner.variants lists a value twice: nids:c=0.5, nids:c=0.5"),
+    ])
+    @pytest.mark.parametrize("command", ["run", "check", "validate"])
+    def test_duplicate_runs_exit_2(self, tmp_path, capsys, edit, message, command):
+        conf = write_config(tmp_path, GRID.replace(*edit))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
 
     def test_seed_override(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)

@@ -8,17 +8,17 @@ from hypothesis import strategies as st
 from conftest import random_sparse_dataset, synthetic_logistic_dataset
 from flexatc import problem
 from flexatc.problem import (
+    Dataset,
     LogisticLoss,
     ParseError,
     ProblemError,
     ProxSpec,
     QuadraticLoss,
-    build_instance,
-    constants,
     logistic_instance,
     normalize_features,
     parse_libsvm,
     partition,
+    quadratic_from_targets,
     quadratic_instance,
     serialize_libsvm,
 )
@@ -338,11 +338,8 @@ class TestConstants:
         assert loss.constants()[0] == pytest.approx(np.linalg.eigvalsh(gram)[-1], rel=1e-7)
 
     def test_common_constants_max_min(self):
-        losses = [
-            QuadraticLoss(np.zeros(2), np.array([0.5, 2.0])),
-            QuadraticLoss(np.zeros(2), np.array([1.0, 3.0])),
-        ]
-        assert constants(losses) == (3.0, 0.5)
+        inst = quadratic_from_targets(np.zeros((2, 2)), np.array([[0.5, 2.0], [1.0, 3.0]]))
+        assert (inst.L, inst.mu) == (3.0, 0.5)
 
     def test_smoothness_bounds_lipschitz_ratio(self):
         rng = np.random.default_rng(41)
@@ -362,19 +359,59 @@ class TestInstances:
         assert inst.mu == pytest.approx(0.01)
         assert inst.n == 4
 
-    def test_dimension_mismatch_detected(self):
-        with pytest.raises(ProblemError, match="dimension"):
-            build_instance(
-                [QuadraticLoss(np.zeros(2)), QuadraticLoss(np.zeros(3))], ProxSpec()
-            )
+    def test_targets_keep_the_per_agent_draw_order(self):
+        # one (n, d) draw reads the seeded stream as n draws of d did
+        inst = quadratic_instance(4, 3, seed=7, target_scale=2.0, target_offset_scale=0.5)
+        rng = np.random.default_rng(7)
+        offset = 0.5 * rng.standard_normal(3)
+        want = np.stack([offset + 2.0 * rng.standard_normal(3) for _ in range(4)])
+        assert np.array_equal(inst.stack.targets, want)
+
+    @pytest.mark.parametrize("targets,curvatures,message", [
+        (np.zeros((2, 3)), np.ones((2, 2)), "shapes differ"),
+        (np.zeros((2, 3)), np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0]]), "positive"),
+        (np.zeros((2, 3)), np.full((2, 3), np.nan), "positive"),
+        (np.zeros((2, 0)), None, "nonempty"),
+        (np.zeros(3), None, "nonempty"),
+    ])
+    def test_quadratic_from_targets_rejects(self, targets, curvatures, message):
+        with pytest.raises(ProblemError, match=message):
+            quadratic_from_targets(targets, curvatures)
+
+    def test_logistic_instance_rejects_negative_ridge(self):
+        ds = synthetic_logistic_dataset(10, 3, seed=0)
+        with pytest.raises(ProblemError, match="ridge must be nonnegative"):
+            logistic_instance(ds, 2, partition_seed=0, ridge=-0.01)
+
+    def test_logistic_instance_needs_a_sample_per_agent(self):
+        ds = random_sparse_dataset(3, 2, seed=5)
+        with pytest.raises(ProblemError, match="cannot split 3 samples across 4 agents"):
+            logistic_instance(ds, 4, partition_seed=0, ridge=0.0)
+
+    def test_logistic_instance_needs_positive_smoothness(self):
+        # samples without features and no ridge: every L_i is 0
+        ds = Dataset(2, np.array([1.0, -1.0]), np.zeros(3, dtype=int),
+                     np.zeros(0, dtype=int), np.zeros(0))
+        with pytest.raises(ProblemError, match="smoothness constant must be positive"):
+            logistic_instance(ds, 2, partition_seed=0, ridge=0.0)
 
     def test_objective_and_mean_grad(self):
         inst = quadratic_instance(3, 2, seed=1)
+        losses = _quadratic_references(inst)
         point = np.zeros(2)
-        manual = sum(l.value(point) for l in inst.losses) / 3.0
+        manual = sum(l.value(point) for l in losses) / 3.0
         assert inst.objective(point) == pytest.approx(manual)
-        manual_g = sum(l.grad(point) for l in inst.losses) / 3.0
+        manual_g = sum(l.grad(point) for l in losses) / 3.0
         assert np.allclose(inst.mean_grad(point), manual_g)
+
+
+def _quadratic_references(inst):
+    stack = inst.stack
+    return [QuadraticLoss(b, h) for b, h in zip(stack.targets, stack.curvatures)]
+
+
+def _logistic_references(ds, n, partition_seed, ridge):
+    return [LogisticLoss.from_dataset(s, ridge) for s in partition(ds, n, partition_seed)]
 
 
 def _masked_sigmoid(t):
@@ -402,15 +439,16 @@ class TestStackedOracles:
         ds = synthetic_logistic_dataset(103, 6, seed=13)
         inst = logistic_instance(ds, 10, partition_seed=4, ridge=0.05,
                                  prox=ProxSpec("l1", 0.1))
-        assert {loss.m for loss in inst.losses} == {10, 11}
+        losses = _logistic_references(ds, 10, partition_seed=4, ridge=0.05)
+        assert {loss.m for loss in losses} == {10, 11}
         rng = np.random.default_rng(8)
         x = rng.standard_normal((10, 6))
-        margins = np.concatenate([l.labels * (l.features @ x[i]) for i, l in enumerate(inst.losses)])
+        margins = np.concatenate([l.labels * (l.features @ x[i]) for i, l in enumerate(losses)])
         x *= scale / np.max(np.abs(margins))  # largest margin is +-scale
         # at x or at -x the largest margin is +scale: at 750, e^t overflows in
         # some entries, and the stacked oracles must not warn about it
         for x in (x, -x):
-            want = np.stack([loss.grad(x[i]) for i, loss in enumerate(inst.losses)])
+            want = np.stack([loss.grad(x[i]) for i, loss in enumerate(losses)])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = inst.grad_stack(x)
@@ -418,27 +456,38 @@ class TestStackedOracles:
                 got_objs = [inst.objective(point) for point in x[:3]]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             for point, got_mean, got_obj in zip(x[:3], got_means, got_objs):
-                want_mean = sum(loss.grad(point) for loss in inst.losses) / inst.n
+                want_mean = sum(loss.grad(point) for loss in losses) / inst.n
                 assert np.max(np.abs(got_mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
-                want_obj = sum(loss.value(point) for loss in inst.losses) / inst.n
+                want_obj = sum(loss.value(point) for loss in losses) / inst.n
                 want_obj += inst.prox.value(point)
                 assert got_obj == pytest.approx(want_obj, rel=1e-12, abs=0.0)
 
     def test_quadratic_stack_matches_per_agent_losses_bitwise(self):
         inst = quadratic_instance(5, 4, seed=2, curvature_min=0.1, curvature_max=3.0,
                                   prox=ProxSpec("l1", 0.2))
+        losses = _quadratic_references(inst)
         x = np.random.default_rng(1).standard_normal((5, 4))
-        want = np.stack([loss.grad(x[i]) for i, loss in enumerate(inst.losses)])
+        want = np.stack([loss.grad(x[i]) for i, loss in enumerate(losses)])
         assert np.array_equal(inst.grad_stack(x), want)
         point = x[0]
         assert np.array_equal(inst.mean_grad(point),
-                              np.mean(np.stack([l.grad(point) for l in inst.losses]), axis=0))
+                              np.mean(np.stack([l.grad(point) for l in losses]), axis=0))
 
-    def test_mixed_loss_list_rejected(self):
-        ds = synthetic_logistic_dataset(10, 3, seed=0)
-        mixed = [QuadraticLoss(np.zeros(3)), LogisticLoss.from_dataset(ds)]
-        with pytest.raises(ProblemError, match="all quadratic or all logistic"):
-            build_instance(mixed, ProxSpec())
+    def test_sparse_uneven_partition_matches_per_agent_references(self):
+        # about 30% of the entries are stored and some samples store none;
+        # 47 samples over 6 agents give slices of 7 and 8
+        ds = random_sparse_dataset(47, 6, seed=17, density=0.3)
+        assert (np.diff(ds.indptr) == 0).any()
+        inst = logistic_instance(ds, 6, partition_seed=5, ridge=0.03)
+        losses = _logistic_references(ds, 6, partition_seed=5, ridge=0.03)
+        assert {loss.m for loss in losses} == {7, 8}
+        signed = inst.stack.signed
+        for i, loss in enumerate(losses):
+            assert np.array_equal(signed[i, :, :loss.m], (loss.labels[:, None] * loss.features).T)
+            assert not signed[i, :, loss.m:].any()
+        pairs = [loss.constants() for loss in losses]
+        assert inst.L == max(p[0] for p in pairs)
+        assert inst.mu == min(p[1] for p in pairs)
 
     @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
     @pytest.mark.parametrize("prox", [ProxSpec(), ProxSpec("l1", 0.1)])

@@ -1,11 +1,12 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import flexatc as fa
 from conftest import synthetic_logistic_dataset
-from flexatc.problem import ProblemInstance, ProxSpec, QuadraticLoss, quadratic_instance
+from flexatc.problem import ProxSpec, quadratic_instance
 from flexatc.solver import (
     CoinSequence,
     DivergenceError,
@@ -59,7 +60,7 @@ class TestFlexatcStep:
         # one agent, unit quadratic, alpha = 1/L = 1: the adapt step lands on
         # the target and the 1x1 combiner is the identity
         target = np.array([2.0, -1.0])
-        inst = fa.build_instance([QuadraticLoss(target)], ProxSpec())
+        inst = fa.quadratic_from_targets(target[None, :])
         pair = ring_pair(1)
         state = initial_state(inst, alpha=1.0, p=1.0)
         state = flexatc_step(state, inst, pair, theta=1)
@@ -77,7 +78,7 @@ class TestFlexatcStep:
 
     def test_two_agents_reach_target_average(self):
         b0, b1 = np.array([1.0, 3.0]), np.array([-2.0, 5.0])
-        inst = fa.build_instance([QuadraticLoss(b0), QuadraticLoss(b1)], ProxSpec())
+        inst = fa.quadratic_from_targets(np.stack([b0, b1]))
         pair = ring_pair(2)
         state = initial_state(inst, alpha=1.0 / inst.L, p=1.0)
         for _ in range(200):
@@ -94,7 +95,7 @@ class TestFlexatcStep:
 
     def test_divergence_detected(self):
         # understate L so the nominally valid stepsize explodes the iterates
-        lying = ProblemInstance([QuadraticLoss(np.ones(2))], ProxSpec(), d=2, L=0.1, mu=0.0)
+        lying = replace(fa.quadratic_from_targets(np.ones((1, 2))), L=0.1, mu=0.0)
         pair = ring_pair(1)
         state = initial_state(lying, alpha=15.0, p=1.0)
         with pytest.raises(DivergenceError):
@@ -194,7 +195,7 @@ class TestRunTrace:
 
 class TestPrimalRecursion:
     def test_single_node_reduces_to_gradient_descent(self):
-        inst = fa.build_instance([QuadraticLoss(np.array([1.5]))], ProxSpec())
+        inst = fa.quadratic_from_targets([[1.5]])
         pair = ring_pair(1)
         x_prev = np.array([[0.0]])
         x_k = x_prev - 0.5 * inst.grad_stack(x_prev)
@@ -226,14 +227,14 @@ class TestPrimalRecursion:
 class TestCentralizedProxgrad:
     def test_quadratic_mean(self):
         targets = [np.array([1.0, 2.0]), np.array([3.0, -4.0]), np.array([-1.0, 5.0])]
-        inst = fa.build_instance([QuadraticLoss(t) for t in targets], ProxSpec())
+        inst = fa.quadratic_from_targets(np.stack(targets))
         x = centralized_proxgrad(inst, alpha=1.0, tol=1e-14)
         assert np.allclose(x, np.mean(targets, axis=0), atol=1e-12)
 
     def test_l1_dominating_gradient_gives_zero(self):
         # f = x^2/2, r = 2|x|: the subgradient interval [-2, 2] at zero
         # absorbs the gradient, so the solution is exactly 0
-        inst = fa.build_instance([QuadraticLoss(np.array([1.0]))], ProxSpec("l1", 2.0))
+        inst = fa.quadratic_from_targets([[1.0]], prox=ProxSpec("l1", 2.0))
         x = centralized_proxgrad(inst, alpha=1.0, tol=1e-14)
         assert x[0] == 0.0
 
