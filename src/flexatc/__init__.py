@@ -8,13 +8,9 @@ from .analysis import (
     GridCertificates,
     ComplexityEstimate,
     FixedPoint,
-    branch_outcomes,
     complexity,
     fixed_point,
-    lemma2_check,
     sweep_certificates,
-    theorem1_step_check,
-    theorem2_check,
     zeta_c,
     zeta_rate,
 )
@@ -32,8 +28,6 @@ from .linalg import (
     SpectralDecomposition,
     SymMatrix,
     kron_apply,
-    min_nonzero_eig,
-    psd_sqrt,
     range_solve,
     sym_eig,
 )
@@ -58,10 +52,7 @@ from .solver import (
     RunTrace,
     SolverState,
     centralized_proxgrad,
-    flexatc_step,
     initial_state,
-    mirror_step,
-    primal_recursion_step,
     run,
     run_grid,
 )

@@ -9,10 +9,10 @@ solver.run_grid takes: a GridCertificates observer receives each step of
 the batch, stacked over its runs, with the gradient and both coin branches
 (x_comm, u_comm) and (x_skip, u) the driver computed, and the successor
 the driver reports is the branch its coin picked. It reads every inequality
-from those branches for all runs at once. CertificateObserver is its
-one-run case, and branch_outcomes with lemma2_check, theorem1_step_check
-and theorem2_check are the single-state references it matches bit for bit.
-Nothing here iterates on its own. The certified quantities:
+from those branches for all runs at once, and CertificateObserver is its
+one-run case. The tests match it bit for bit against single-state
+references of every certificate, kept in tests/reference.py. Nothing here
+iterates on its own. The certified quantities:
 
     Phi  = ||x - x*||^2 + (1/p^2) ||u - u*||^2
     Psi  = ||grad F(x) - grad F(x*)||^2 + ||u - u*||^2
@@ -33,7 +33,7 @@ import numpy as np
 from .combiners import CombinerPair
 from .linalg import kron_apply, range_solve
 from .problem import ProblemInstance
-from .solver import GridStep, SolverState, centralized_proxgrad, run
+from .solver import GridStep, centralized_proxgrad, run
 
 SLACK_TOL = 1e-9
 
@@ -102,83 +102,12 @@ def fixed_point(
 
 def _sq(v: np.ndarray) -> float:
     # The method form runs the same add-reduction as np.sum, so the bits are
-    # the same, without np.sum's dispatch cost (several calls per step).
+    # the same, without np.sum's dispatch cost.
     return float((v * v).sum())
 
 
 def phi_value(x: np.ndarray, u: np.ndarray, p: float, fp: FixedPoint) -> float:
     return _sq(x - fp.x_star) + _sq(u - fp.u_star_b) / (p * p)
-
-
-@dataclass(eq=False)
-class BranchOutcomes:
-    """Both coin outcomes of the transition out of one state (x, u).
-
-    With zu = w - sqrt(B) u, theta = 1 leads to (x_comm, u_comm) =
-    (prox(A zu), u + p sqrt(B) zu) and theta = 0 to (x_skip, u). phi and
-    psi describe the state itself, phi_comm and phi_skip the two successors,
-    and expected_phi = p phi_comm + (1 - p) phi_skip is E[Phi+ | theta].
-    u_gap is ||u - u*||^2.
-    """
-
-    w: np.ndarray
-    x_comm: np.ndarray
-    u_comm: np.ndarray
-    x_skip: np.ndarray
-    u_gap: float
-    phi: float
-    psi: float
-    phi_comm: float
-    phi_skip: float
-    expected_phi: float
-
-
-def branch_outcomes(
-    state: SolverState,
-    instance: ProblemInstance,
-    pair: CombinerPair,
-    fp: FixedPoint,
-    grad_star: np.ndarray | None = None,
-) -> BranchOutcomes:
-    """Evaluate both branches of one transition exactly; grad_star is
-    grad_stack(fp.x_star), evaluated here if not given."""
-    alpha, p = state.alpha, state.p
-    if grad_star is None:
-        grad_star = instance.grad_stack(fp.x_star)
-    grad = instance.grad_stack(state.x)
-    w = state.x - alpha * grad
-    zu = w - kron_apply(pair.sqrt_b, state.u)
-    x_comm = instance.prox.apply(kron_apply(pair.a, zu), alpha)
-    u_comm = state.u + p * kron_apply(pair.sqrt_b, zu)
-    x_skip = instance.prox.apply(zu, alpha)
-
-    u_gap = _sq(state.u - fp.u_star_b)
-    u_term = u_gap / (p * p)
-    phi_comm = phi_value(x_comm, u_comm, p, fp)
-    phi_skip = _sq(x_skip - fp.x_star) + u_term
-    return BranchOutcomes(
-        w=w, x_comm=x_comm, u_comm=u_comm, x_skip=x_skip,
-        u_gap=u_gap,
-        phi=_sq(state.x - fp.x_star) + u_term,
-        psi=_sq(grad - grad_star) + u_gap,
-        phi_comm=phi_comm,
-        phi_skip=phi_skip,
-        expected_phi=p * phi_comm + (1.0 - p) * phi_skip,
-    )
-
-
-def lemma2_check(
-    state: SolverState,
-    instance: ProblemInstance,
-    pair: CombinerPair,
-    fp: FixedPoint,
-) -> tuple[float, float]:
-    """(slack, RHS) of the one-step descent inequality; the slack must stay
-    above -tol * (1 + RHS)."""
-    out = branch_outcomes(state, instance, pair, fp)
-    p = state.p
-    rhs = _sq(out.w - fp.w_star) + (1.0 - p * p * pair.sigma_m_b) * out.u_gap / (p * p)
-    return rhs - out.expected_phi, rhs
 
 
 def zeta_c(big_l: float, mu: float, alpha: float) -> float:
@@ -199,35 +128,8 @@ def skip_threshold(zc: float, sigma_m: float) -> float:
     return math.sqrt((1.0 - zc) / sigma_m)
 
 
-def theorem2_check(
-    state: SolverState,
-    instance: ProblemInstance,
-    pair: CombinerPair,
-    fp: FixedPoint,
-) -> tuple[float, float]:
-    """(zeta, contraction slack zeta*Phi - E[Phi+]); needs mu > 0."""
-    if instance.mu <= 0.0:
-        raise CertificateError("linear-rate certificate requires a strongly convex instance")
-    zeta = zeta_rate(instance.L, instance.mu, state.alpha, state.p, pair.sigma_m_b)
-    out = branch_outcomes(state, instance, pair, fp)
-    return zeta, zeta * out.phi - out.expected_phi
-
-
 def varrho(alpha: float, big_l: float, sigma_m: float) -> float:
     return min(alpha * (2.0 / big_l - alpha), sigma_m)
-
-
-def theorem1_step_check(
-    state: SolverState,
-    instance: ProblemInstance,
-    pair: CombinerPair,
-    fp: FixedPoint,
-    grad_star: np.ndarray | None = None,
-) -> float:
-    """Slack of Phi - E[Phi+] - varrho * Psi >= 0 (convex case allowed)."""
-    rho = varrho(state.alpha, instance.L, pair.sigma_m_b)
-    out = branch_outcomes(state, instance, pair, fp, grad_star)
-    return out.phi - out.expected_phi - rho * out.psi
 
 
 def averaged_iterate_bound(
@@ -299,8 +201,8 @@ class GridCertificates:
 
     Each step reads Phi, Psi and the three slacks for all runs at once from
     the GridStep the driver computed (its gradient, adapt step and both coin
-    branches), with the arithmetic of branch_outcomes and the checks, so
-    each run's columns are bitwise what those give on its states.
+    branches). Each run's columns are bitwise what the single-state
+    references of tests/reference.py give on its states.
     grad_stack(x*) is evaluated once, here. Column k of each array
     certifies step k.
     """

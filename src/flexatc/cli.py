@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 unreadable or invalid config/dataset, 3 divergence,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -35,8 +34,6 @@ CSV_COLUMNS = (
     "consensus_err", "objective", "kkt_residual", "lemma2_slack",
     "thm1_slack", "thm2_slack",
 )
-
-THREADS_ENV = "FLEXATC_THREADS"
 
 
 class DatasetError(Exception):
@@ -190,12 +187,8 @@ def _prepare(cfg: ExperimentConfig):
     topo = build_topology(cfg)
     mixing = build_mixing(cfg, topo)
     instance = build_problem(cfg)
-    if instance.n != cfg.graph.n:
-        raise ConfigError("problem and graph disagree on the number of agents")
     pairs = build_pairs(cfg, mixing)
     alpha = cfg.resolve_alpha(instance.L)
-    if not (0.0 < alpha < 2.0 / instance.L):
-        raise ConfigError(f"alpha={alpha:g} outside (0, 2/L) with L={instance.L:g}")
     x_opt = solver.centralized_proxgrad(instance, alpha)
     fps = {pair.variant: analysis.fixed_point(instance, pair, alpha, x_opt=x_opt)
            for pair in pairs}
@@ -324,14 +317,6 @@ def validate_config(cfg: ExperimentConfig, export_topology: str | None = None) -
     return status
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="flexatc", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -340,13 +325,15 @@ def main(argv=None) -> int:
         s = sub.add_parser(name)
         s.add_argument("config")
         s.add_argument("--out-dir", default=None)
-        s.add_argument("--threads", type=int, default=_default_threads())
+        s.add_argument("--threads", type=int, default=1)
         s.add_argument("--seed-override", type=int, default=None)
         if name == "validate":
             s.add_argument("--export-topology", default=None)
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
         if args.seed_override is not None:
             check_seed(args.seed_override, "--seed-override")

@@ -75,10 +75,6 @@ class CombinerPair:
     sigma_m_b: float
     sqrt_b: SymMatrix
 
-    @property
-    def n(self) -> int:
-        return self.a.n
-
 
 def parse_variant(text: str) -> tuple[str, dict[str, float]]:
     """Split a config string like "nids:c=0.5" into name and parameters."""

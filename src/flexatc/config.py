@@ -109,13 +109,18 @@ class ExperimentConfig:
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
     def resolve_alpha(self, big_l: float) -> float:
+        """The stepsize run.alpha names, checked against (0, 2/L)."""
         raw = self.run.alpha.strip()
         if raw.lower() in ("1/l", "1/ l"):
-            return 1.0 / big_l
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"alpha must be a number or '1/L', got {raw!r}") from exc
+            alpha = 1.0 / big_l
+        else:
+            try:
+                alpha = float(raw)
+            except ValueError as exc:
+                raise ConfigError(f"alpha must be a number or '1/L', got {raw!r}") from exc
+        if not (0.0 < alpha < 2.0 / big_l):
+            raise ConfigError(f"alpha={alpha:g} outside (0, 2/L) with L={big_l:g}")
+        return alpha
 
 
 def _parse_bool(raw: str, key: str) -> bool:

@@ -178,14 +178,3 @@ def topology_to_edgelist(t: Topology) -> str:
     lines = [f"{t.n} {len(t.edges)}"]
     lines.extend(f"{i} {j}" for i, j in t.edges)
     return "\n".join(lines) + "\n"
-
-
-def topology_from_edgelist(text: str) -> Topology:
-    rows = [line.split() for line in text.splitlines() if line.strip()]
-    if not rows or len(rows[0]) != 2:
-        raise GraphError("edge list must start with a 'n m' line")
-    n, m = int(rows[0][0]), int(rows[0][1])
-    if len(rows) - 1 != m:
-        raise GraphError(f"expected {m} edges, found {len(rows) - 1}")
-    edges = tuple((int(r[0]), int(r[1])) for r in rows[1:])
-    return Topology(n, edges)

@@ -41,24 +41,12 @@ class SymMatrix:
         return self.entries @ np.asarray(other)
 
 
-def identity(n: int) -> SymMatrix:
-    return SymMatrix(np.eye(n))
-
-
 @dataclass(eq=False)
 class SpectralDecomposition:
     """Eigenvalues ascending with matching orthonormal eigenvector columns."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def lambda_min(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.eigenvalues[-1])
 
 
 def sym_eig(m: SymMatrix) -> SpectralDecomposition:
@@ -71,7 +59,8 @@ def sym_eig(m: SymMatrix) -> SpectralDecomposition:
 
 
 def sqrt_from_decomposition(dec: SpectralDecomposition, tol: float = DEFAULT_EIG_TOL) -> SymMatrix:
-    """PSD square root from an existing decomposition (see psd_sqrt)."""
+    """Symmetric PSD square root from a decomposition; eigenvalues in
+    [-tol, 0) are clamped to 0."""
     lam = dec.eigenvalues
     if lam[0] < -tol:
         raise LinalgError(f"matrix is not PSD: eigenvalue {lam[0]:.3e} < -{tol:.1e}")
@@ -82,12 +71,9 @@ def sqrt_from_decomposition(dec: SpectralDecomposition, tol: float = DEFAULT_EIG
     return SymMatrix(dec.eigenvectors @ (root[:, None] * dec.eigenvectors.T))
 
 
-def psd_sqrt(m: SymMatrix, tol: float = DEFAULT_EIG_TOL) -> SymMatrix:
-    """Symmetric PSD square root; eigenvalues in [-tol, 0) are clamped to 0."""
-    return sqrt_from_decomposition(sym_eig(m), tol)
-
-
 def min_nonzero_from_eigenvalues(lam: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> float:
+    """Smallest of the ascending eigenvalues lam above tol * lambda_max; 0
+    if every one is below."""
     lam_max = lam[-1]
     if lam_max <= 0.0:
         return 0.0
@@ -95,26 +81,13 @@ def min_nonzero_from_eigenvalues(lam: np.ndarray, tol: float = DEFAULT_EIG_TOL) 
     return float(above[0]) if above.size else 0.0
 
 
-def min_nonzero_eig(m: SymMatrix, tol: float = DEFAULT_EIG_TOL) -> float:
-    """Smallest eigenvalue above tol * lambda_max; 0 if every one is below."""
-    return min_nonzero_from_eigenvalues(sym_eig(m).eigenvalues, tol)
-
-
 def kron_apply(m: SymMatrix, x: np.ndarray) -> np.ndarray:
-    """Apply m (x) I_d to a stacked vector without materializing it.
-
-    Accepts either a flat vector of n*d entries or an (n, d) array of
-    per-block rows; the output matches the input layout.
-    """
+    """Apply m (x) I_d to an (n, d) array of per-block rows without
+    materializing the Kronecker product."""
     x = np.asarray(x, dtype=float)
-    n = m.n
-    if x.ndim == 1:
-        if x.size == 0 or x.size % n != 0:
-            raise LinalgError(f"stacked vector of length {x.size} is not divisible into {n} blocks")
-        return (m.entries @ x.reshape(n, -1)).reshape(-1)
-    if x.ndim == 2 and x.shape[0] == n:
-        return m.entries @ x
-    raise LinalgError(f"cannot apply {n}x{n} matrix block-wise to shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] != m.n:
+        raise LinalgError(f"cannot apply {m.n}x{m.n} matrix block-wise to shape {x.shape}")
+    return m.entries @ x
 
 
 def range_solve(
@@ -123,23 +96,16 @@ def range_solve(
     tol: float = 1e-9,
     eig_tol: float = DEFAULT_EIG_TOL,
 ) -> np.ndarray:
-    """Minimum-norm u with (b (x) I) u = rhs, for PSD b and rhs in range(b).
+    """Minimum-norm (n, d) u with (b (x) I) u = rhs, for PSD b and an (n, d)
+    rhs in range(b).
 
     The null-space projection of rhs must be at most tol * ||rhs||; anything
     larger means the right-hand side is inconsistent. The solution carries no
     null-space component.
     """
     rhs = np.asarray(rhs, dtype=float)
-    flat = rhs.ndim == 1
-    n = b.n
-    if flat:
-        if rhs.size == 0 or rhs.size % n != 0:
-            raise LinalgError(f"rhs of length {rhs.size} is not divisible into {n} blocks")
-        rhs2 = rhs.reshape(n, -1)
-    elif rhs.ndim == 2 and rhs.shape[0] == n:
-        rhs2 = rhs
-    else:
-        raise LinalgError(f"rhs shape {rhs.shape} does not match a {n}-block stacked vector")
+    if rhs.ndim != 2 or rhs.shape[0] != b.n:
+        raise LinalgError(f"rhs shape {rhs.shape} does not match a {b.n}-block stacked vector")
 
     dec = sym_eig(b)
     lam = dec.eigenvalues
@@ -148,12 +114,11 @@ def range_solve(
         raise LinalgError(f"matrix is not PSD: eigenvalue {lam[0]:.3e}")
     keep = lam > eig_tol * max(lam[-1], 0.0)
 
-    coeffs = dec.eigenvectors.T @ rhs2
+    coeffs = dec.eigenvectors.T @ rhs
     null_resid = np.linalg.norm(coeffs[~keep])
-    if null_resid > tol * max(np.linalg.norm(rhs2), 1e-300):
+    if null_resid > tol * max(np.linalg.norm(rhs), 1e-300):
         raise LinalgError(
             f"rhs lies outside range(b): null-space residual {null_resid:.3e}"
         )
     inv = np.where(keep, 1.0 / np.where(keep, lam, 1.0), 0.0)
-    u2 = dec.eigenvectors @ (inv[:, None] * coeffs)
-    return u2.reshape(-1) if flat else u2
+    return dec.eigenvectors @ (inv[:, None] * coeffs)

@@ -1,7 +1,6 @@
 """The unified adapt-then-combine iteration with probabilistic
-communication skipping in its square-root-dual (u) form, the y-form it is
-equivalent to, the communication-free primal recursion used for
-cross-validation, and a centralized proximal-gradient reference solver.
+communication skipping in its square-root-dual (u) form, and a centralized
+proximal-gradient reference solver.
 
 One iteration from state (x, u), with stepsize alpha and coin theta:
 
@@ -18,20 +17,19 @@ coins, up to round-off.
 
 run_grid is the one iteration loop: it advances every (pair, p, seed) run
 of a batch as one stacked (S, n, d) u-form state, each run taking the
-branch of its own coin, and run is its one-run case. mirror_step is the
-single-step u-form reference it matches bit for bit, and flexatc_step the
-y-form reference it is tested against.
+branch of its own coin, and run is its one-run case. The tests check it
+against single-step references of both forms and of the p = 1 primal
+recursion, kept in tests/reference.py.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .combiners import CombinerPair
-from .linalg import kron_apply
 from .problem import ProblemInstance
 
 _DIVERGENCE_NORM = 1e12
@@ -68,9 +66,6 @@ class CoinSequence:
         if not (0.0 < self.p <= 1.0):
             raise SolverError(f"probability must lie in (0, 1], got {self.p}")
 
-    def theta(self, k: int) -> int:
-        return int(self.draw(k + 1)[k])
-
     def draw(self, count: int) -> np.ndarray:
         return (np.random.default_rng(self.seed).random(count) < self.p).astype(int)
 
@@ -104,53 +99,6 @@ def initial_state(instance: ProblemInstance, alpha: float, p: float,
         raise SolverError(f"probability must lie in (0, 1], got {p}")
     return SolverState(x=x, y=np.zeros(shape), u=np.zeros(shape),
                        k=0, comms=0, alpha=alpha, p=p)
-
-
-def _check_finite(x: np.ndarray, k: int) -> None:
-    if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGENCE_NORM:
-        raise DivergenceError(k, "stepsize likely out of range")
-
-
-def flexatc_step(state: SolverState, instance: ProblemInstance,
-                 pair: CombinerPair, theta: int) -> SolverState:
-    """Advance the y-form one iteration; communication happens only when
-    theta = 1. The u mirror is advanced beside y."""
-    alpha, p = state.alpha, state.p
-    w = state.x - alpha * instance.grad_stack(state.x)
-    if theta:
-        z = w + state.y
-        x_next = instance.prox.apply(kron_apply(pair.a, z), alpha)
-        y_next = state.y - p * kron_apply(pair.b, z)
-        zu = w - kron_apply(pair.sqrt_b, state.u)
-        u_next = state.u + p * kron_apply(pair.sqrt_b, zu)
-        comms = state.comms + pair.comm_rounds
-    else:
-        x_next = instance.prox.apply(w + state.y, alpha)
-        y_next = state.y
-        u_next = state.u
-        comms = state.comms
-    _check_finite(x_next, state.k)
-    return replace(state, x=x_next, y=y_next, u=u_next, k=state.k + 1, comms=comms)
-
-
-def mirror_step(state: SolverState, instance: ProblemInstance,
-                pair: CombinerPair, theta: int) -> SolverState:
-    """The u-form iteration run_grid advances, one step (y is ignored and
-    returned as -sqrt(B) u)."""
-    alpha, p = state.alpha, state.p
-    w = state.x - alpha * instance.grad_stack(state.x)
-    zu = w - kron_apply(pair.sqrt_b, state.u)
-    if theta:
-        x_next = instance.prox.apply(kron_apply(pair.a, zu), alpha)
-        u_next = state.u + p * kron_apply(pair.sqrt_b, zu)
-        comms = state.comms + pair.comm_rounds
-    else:
-        x_next = instance.prox.apply(zu, alpha)
-        u_next = state.u
-        comms = state.comms
-    _check_finite(x_next, state.k)
-    return replace(state, x=x_next, y=-kron_apply(pair.sqrt_b, u_next),
-                   u=u_next, k=state.k + 1, comms=comms)
 
 
 @dataclass(eq=False)
@@ -335,29 +283,6 @@ def run(
         reference = reference.x_star
     return run_grid(instance, [GridRun(pair, p, seed)], alpha, iters, reference, x0,
                     record_kkt, record_objective, observer)[0]
-
-
-def primal_recursion_step(
-    x_k: np.ndarray,
-    x_prev: np.ndarray,
-    grad_k: np.ndarray,
-    grad_prev: np.ndarray,
-    pair: CombinerPair,
-    alpha: float,
-) -> np.ndarray:
-    """One step of the equivalent single-variable recursion (p = 1, no prox):
-
-    x+ = x - A x_prev - B x + A (x - alpha (grad F(x) - grad F(x_prev)))
-
-    Valid from k >= 1 given a history produced by the two-variable form.
-    """
-    correction = x_k - alpha * (grad_k - grad_prev)
-    return (
-        x_k
-        - kron_apply(pair.a, x_prev)
-        - kron_apply(pair.b, x_k)
-        + kron_apply(pair.a, correction)
-    )
 
 
 def centralized_proxgrad(

@@ -29,11 +29,10 @@ from flexatc.problem import LogisticLoss, ProxSpec, QuadraticLoss, quadratic_ins
 from flexatc.solver import (
     CoinSequence,
     GridRun,
-    flexatc_step,
     initial_state,
-    primal_recursion_step,
     run_grid,
 )
+from reference import flexatc_step, primal_recursion_step
 
 SLACK_TOL = 1e-9
 PRESETS = ("nids:c=0.5", "ed", "mg_ed:N=3", "atc_gt", "mg_sonata:N=2")

@@ -10,14 +10,10 @@ from flexatc.analysis import (
     CertificateError,
     CertificateObserver,
     averaged_iterate_bound,
-    branch_outcomes,
     complexity,
     fixed_point,
-    lemma2_check,
     skip_threshold,
     sweep_certificates,
-    theorem1_step_check,
-    theorem2_check,
     varrho,
     zeta_c,
     zeta_rate,
@@ -27,10 +23,10 @@ from flexatc.solver import (
     CoinSequence,
     GridRun,
     SolverState,
-    flexatc_step,
     initial_state,
-    mirror_step,
 )
+from reference import (branch_outcomes, flexatc_step, lemma2_check, mirror_step,
+                       theorem1_step_check, theorem2_check)
 
 SLACK_TOL = 1e-9
 

@@ -7,7 +7,7 @@ import flexatc as fa
 import flexatc.cli as cli
 from flexatc.analysis import CertificateObserver, fixed_point
 from flexatc.config import ConfigError, parse_config
-from flexatc.graph import topology_from_edgelist
+from flexatc.graph import topology_to_edgelist
 from flexatc.solver import DivergenceError
 
 SMOKE = """
@@ -207,6 +207,22 @@ class TestRunCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "check", "validate"])
+    def test_alpha_outside_range_exits_2(self, tmp_path, capsys, command):
+        # unit curvatures by default, so L = 1 and 2/L = 2
+        conf = write_config(tmp_path, "[graph]\nn = 4\n[problem]\nd = 2\n[run]\nalpha = 5\n")
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "error: alpha=5 outside (0, 2/L) with L=1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["run", "check", "validate"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, command, threads):
+        conf = write_config(tmp_path, GRID)
+        argv = [command, conf, "--out-dir", str(tmp_path), "--threads", threads]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert f"error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
+        assert not (tmp_path / "grid.csv").exists()
+
     def test_seed_override(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)
         assert cli.main(["run", conf, "--out-dir", str(tmp_path),
@@ -394,8 +410,12 @@ class TestValidateCommand:
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "contraction_psd: pass" in out
-        back = topology_from_edgelist(topo_path.read_text())
-        assert back.n == 6
+        topo = fa.gen_topology("ring", 6)
+        text = topo_path.read_text()
+        assert text == topology_to_edgelist(topo)
+        header, *rows = text.splitlines()
+        assert header == "6 6"
+        assert [tuple(map(int, row.split())) for row in rows] == list(topo.edges)
 
     def test_invalid_combiner_named(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID.replace("ed, nids:c=0.4", "mg_sonata:N=2"))

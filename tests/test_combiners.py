@@ -11,7 +11,8 @@ from flexatc.combiners import (
     sigma_m,
     validate,
 )
-from flexatc.linalg import SymMatrix, min_nonzero_eig, psd_sqrt, sym_eig
+from flexatc.linalg import (SymMatrix, min_nonzero_from_eigenvalues, sqrt_from_decomposition,
+                            sym_eig)
 
 
 def w_eigs_ring(n: int) -> np.ndarray:
@@ -104,9 +105,11 @@ class TestPresets:
 class TestValidate:
     def _raw_pair(self, a, b, w, rounds=1):
         b_sym = SymMatrix(b)
+        dec_b = sym_eig(b_sym)
         return CombinerPair(
             a=SymMatrix(a), b=b_sym, w=w, variant="custom", comm_rounds=rounds,
-            sigma_m_b=min_nonzero_eig(b_sym), sqrt_b=psd_sqrt(b_sym),
+            sigma_m_b=min_nonzero_from_eigenvalues(dec_b.eigenvalues),
+            sqrt_b=sqrt_from_decomposition(dec_b),
         )
 
     def test_all_presets_pass_on_test_graphs(self, ring10):

@@ -8,21 +8,18 @@ import flexatc as fa
 from conftest import synthetic_logistic_dataset
 from flexatc.analysis import (
     GridCertificates,
-    branch_outcomes,
     fixed_point,
-    lemma2_check,
-    theorem1_step_check,
-    theorem2_check,
 )
 from flexatc.problem import ProxSpec, quadratic_instance
 from flexatc.solver import (
     CoinSequence,
     GridRun,
     SolverError,
-    flexatc_step,
     initial_state,
     run_grid,
 )
+from reference import (branch_outcomes, flexatc_step, lemma2_check, theorem1_step_check,
+                       theorem2_check)
 
 SLACK_TOL = 1e-9
 TRAJECTORY_RTOL = 1e-12

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from flexatc.linalg import (
     LinalgError,
     SymMatrix,
-    identity,
     kron_apply,
-    min_nonzero_eig,
-    psd_sqrt,
+    min_nonzero_from_eigenvalues,
     range_solve,
+    sqrt_from_decomposition,
     sym_eig,
 )
 
@@ -26,7 +25,7 @@ def ring4_coupling():
 
 class TestSymEig:
     def test_identity(self):
-        dec = sym_eig(identity(3))
+        dec = sym_eig(SymMatrix(np.eye(3)))
         assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0], atol=1e-12)
 
     def test_2x2_against_closed_form(self):
@@ -68,16 +67,16 @@ class TestSymEig:
 
 class TestPsdSqrt:
     def test_diagonal(self):
-        s = psd_sqrt(SymMatrix(np.diag([4.0, 9.0])))
+        s = sqrt_from_decomposition(sym_eig(SymMatrix(np.diag([4.0, 9.0]))))
         assert np.allclose(s.entries, np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_zero(self):
-        s = psd_sqrt(SymMatrix(np.zeros((3, 3))))
+        s = sqrt_from_decomposition(sym_eig(SymMatrix(np.zeros((3, 3)))))
         assert np.array_equal(s.entries, np.zeros((3, 3)))
 
     def test_ring4_coupling(self):
         b = ring4_coupling()
-        s = psd_sqrt(b)
+        s = sqrt_from_decomposition(sym_eig(b))
         assert np.max(np.abs(s.entries @ s.entries - b.entries)) < 1e-10
 
     def test_random_gram_matrices(self):
@@ -86,22 +85,22 @@ class TestPsdSqrt:
             n = int(rng.integers(1, 21))
             g = rng.standard_normal((n, n))
             m = SymMatrix(g.T @ g)
-            s = psd_sqrt(m)
+            s = sqrt_from_decomposition(sym_eig(m))
             err = np.max(np.abs(s.entries @ s.entries - m.entries))
             assert err <= 1e-8 * (1.0 + np.max(np.abs(m.entries)))
 
     def test_rejects_indefinite(self):
         with pytest.raises(LinalgError, match="not PSD"):
-            psd_sqrt(SymMatrix(np.diag([1.0, -0.5])))
+            sqrt_from_decomposition(sym_eig(SymMatrix(np.diag([1.0, -0.5]))))
 
     def test_clamps_tiny_negative(self):
-        s = psd_sqrt(SymMatrix(np.diag([1.0, -1e-12])), tol=1e-9)
+        s = sqrt_from_decomposition(sym_eig(SymMatrix(np.diag([1.0, -1e-12]))), tol=1e-9)
         assert s.entries[1, 1] == 0.0
 
 
 class TestMinNonzeroEig:
     def test_diagonal(self):
-        assert min_nonzero_eig(SymMatrix(np.diag([0.0, 0.3, 1.0]))) == pytest.approx(0.3)
+        assert min_nonzero_from_eigenvalues(np.array([0.0, 0.3, 1.0])) == pytest.approx(0.3)
 
     def test_ring4_coupling_is_one_third(self):
         # circulant eigenvalues of W are (1/3)(1 + 2 cos(2 pi k / 4)); the
@@ -110,25 +109,26 @@ class TestMinNonzeroEig:
         b_eigs = 0.5 * (1.0 - w_eigs)
         expected = np.min(b_eigs[b_eigs > 1e-12])
         assert expected == pytest.approx(1.0 / 3.0)
-        assert min_nonzero_eig(ring4_coupling()) == pytest.approx(expected, abs=1e-12)
+        lam = sym_eig(ring4_coupling()).eigenvalues
+        assert min_nonzero_from_eigenvalues(lam) == pytest.approx(expected, abs=1e-12)
 
     def test_zero_matrix(self):
-        assert min_nonzero_eig(SymMatrix(np.zeros((2, 2)))) == 0.0
+        assert min_nonzero_from_eigenvalues(np.zeros(2)) == 0.0
 
 
 class TestKronApply:
     def test_identity(self):
-        x = np.arange(6.0)
-        assert np.array_equal(kron_apply(identity(3), x), x)
+        x = np.arange(6.0).reshape(3, 2)
+        assert np.array_equal(kron_apply(SymMatrix(np.eye(3)), x), x)
 
     def test_block_swap(self):
         m = SymMatrix([[0.0, 1.0], [1.0, 0.0]])
-        out = kron_apply(m, np.array([1.0, 2.0, 3.0, 4.0]))
-        assert np.array_equal(out, [3.0, 4.0, 1.0, 2.0])
+        out = kron_apply(m, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert np.array_equal(out, [[3.0, 4.0], [1.0, 2.0]])
 
     def test_row_stochastic_fixes_constant_blocks(self, ring4):
         block = np.array([2.5, -1.0, 0.25])
-        x = np.tile(block, 4)
+        x = np.tile(block, (4, 1))
         assert np.allclose(kron_apply(ring4.w, x), x, atol=1e-14)
 
     def test_matches_explicit_kron(self):
@@ -137,47 +137,41 @@ class TestKronApply:
             n = int(rng.integers(1, 11))
             d = int(rng.integers(1, 1 + 60 // n))
             m = SymMatrix(rng.standard_normal((n, n)))
-            x = rng.standard_normal(n * d)
-            explicit = np.kron(m.entries, np.eye(d)) @ x
+            x = rng.standard_normal((n, d))
+            explicit = (np.kron(m.entries, np.eye(d)) @ x.reshape(-1)).reshape(n, d)
             assert np.max(np.abs(kron_apply(m, x) - explicit)) <= 1e-12
-
-    def test_two_d_layout_agrees_with_flat(self):
-        rng = np.random.default_rng(4)
-        m = SymMatrix(rng.standard_normal((5, 5)))
-        x = rng.standard_normal((5, 3))
-        assert np.array_equal(kron_apply(m, x).reshape(-1), kron_apply(m, x.reshape(-1)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(LinalgError):
-            kron_apply(identity(3), np.ones(7))
+            kron_apply(SymMatrix(np.eye(3)), np.ones(7))
         with pytest.raises(LinalgError):
-            kron_apply(identity(3), np.ones((4, 2)))
+            kron_apply(SymMatrix(np.eye(3)), np.ones((4, 2)))
 
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_kron_property(self, n, d, seed):
         rng = np.random.default_rng(seed)
         m = SymMatrix(rng.standard_normal((n, n)))
-        x = rng.standard_normal(n * d)
-        explicit = np.kron(m.entries, np.eye(d)) @ x
+        x = rng.standard_normal((n, d))
+        explicit = (np.kron(m.entries, np.eye(d)) @ x.reshape(-1)).reshape(n, d)
         assert np.max(np.abs(kron_apply(m, x) - explicit)) <= 1e-12
 
 
 class TestRangeSolve:
     def test_diagonal_min_norm(self):
         b = SymMatrix(np.diag([2.0, 0.0]))
-        u = range_solve(b, np.array([6.0, 0.0]))
-        assert np.allclose(u, [3.0, 0.0], atol=1e-14)
+        u = range_solve(b, np.array([[6.0], [0.0]]))
+        assert np.allclose(u, [[3.0], [0.0]], atol=1e-14)
 
     def test_zero_matrix_zero_rhs(self):
-        u = range_solve(SymMatrix(np.zeros((2, 2))), np.zeros(2))
-        assert np.array_equal(u, np.zeros(2))
+        u = range_solve(SymMatrix(np.zeros((2, 2))), np.zeros((2, 1)))
+        assert np.array_equal(u, np.zeros((2, 1)))
 
     def test_round_trip_recovers_range_projection(self):
         rng = np.random.default_rng(5)
         g = rng.standard_normal((2, 4))
         b = SymMatrix(g.T @ g)  # rank 2, null dimension 2
-        u0 = rng.standard_normal(4)
+        u0 = rng.standard_normal((4, 1))
         rhs = kron_apply(b, u0)
         u = range_solve(b, rhs)
         assert np.max(np.abs(kron_apply(b, u) - rhs)) <= 1e-9
@@ -191,7 +185,7 @@ class TestRangeSolve:
         rng = np.random.default_rng(6)
         g = rng.standard_normal((3, 5))
         b = SymMatrix(g.T @ g)
-        u0 = rng.standard_normal(5 * 2)
+        u0 = rng.standard_normal((5, 2))
         rhs = kron_apply(b, u0)
         u = range_solve(b, rhs)
         assert np.max(np.abs(kron_apply(b, u) - rhs)) <= 1e-9
@@ -199,4 +193,4 @@ class TestRangeSolve:
     def test_rejects_rhs_outside_range(self):
         b = SymMatrix(np.diag([2.0, 0.0]))
         with pytest.raises(LinalgError, match="outside range"):
-            range_solve(b, np.array([1.0, 1.0]))
+            range_solve(b, np.array([[1.0], [1.0]]))
