@@ -14,7 +14,7 @@ from .analysis import (
     zeta_c,
     zeta_rate,
 )
-from .combiners import CombinerError, CombinerPair, custom_pair, preset, sigma_m, validate
+from .combiners import CombinerError, CombinerPair, preset, sigma_m, validate
 from .graph import (
     GraphError,
     MixingMatrix,

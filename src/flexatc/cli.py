@@ -287,14 +287,17 @@ def check_suite(cfg: ExperimentConfig, out_dir: str | None = None, threads: int 
     return status
 
 
-def validate_config(cfg: ExperimentConfig, export_topology: str | None = None) -> int:
+def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
+                    export_topology: str | None = None) -> int:
     topo = build_topology(cfg)
     mixing = build_mixing(cfg, topo)
     print(f"graph: {cfg.graph.kind} n={topo.n} edges={len(topo.edges)} "
           f"rho={mixing.rho:.6f} psd={mixing.psd}")
     if export_topology:
-        Path(export_topology).write_text(graph.topology_to_edgelist(topo))
-        print(f"topology written to {export_topology}")
+        topo_path = _resolve_out(export_topology, out_dir)
+        topo_path.parent.mkdir(parents=True, exist_ok=True)
+        topo_path.write_text(graph.topology_to_edgelist(topo))
+        print(f"topology written to {topo_path}")
     instance = build_problem(cfg)
     alpha = cfg.resolve_alpha(instance.L)
     print(f"problem: {cfg.problem.type} n={instance.n} d={instance.d} "
@@ -310,7 +313,12 @@ def validate_config(cfg: ExperimentConfig, export_topology: str | None = None) -
             continue
         names.append(pair.variant)
         report = combiners.validate(pair)
-        print(f"{variant}: ok, comm_rounds={pair.comm_rounds} sigma_m={pair.sigma_m_b:.6g}")
+        if report.ok:
+            print(f"{variant}: ok, comm_rounds={pair.comm_rounds} sigma_m={pair.sigma_m_b:.6g}")
+        else:
+            failed = ", ".join(c.name for c in report.failures())
+            print(f"{variant}: FAILED audit: {failed}", file=sys.stderr)
+            status = EXIT_FALSIFIED
         for line in str(report).splitlines():
             print(f"  {line}")
     check_unique(names, "combiner.variants")
@@ -342,7 +350,7 @@ def main(argv=None) -> int:
             return run_experiment(cfg, args.out_dir, args.threads)
         if args.command == "check":
             return check_suite(cfg, args.out_dir, args.threads)
-        return validate_config(cfg, args.export_topology)
+        return validate_config(cfg, args.out_dir, args.export_topology)
     except (ConfigError, DatasetError, problem.ParseError, problem.ProblemError,
             graph.GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,18 @@
 """Combiner pairs (A, B): polynomials in the mixing matrix that drive the
 combine step of the adapt-then-combine family.
 
-Presets (selected by config string):
+Presets (selected by config string), as maps of an eigenvalue lam of W:
 
-    nids:c=0.5    A = I - c(I - W),     B = c(I - W),        1 round
-    ed            A = (I + W)/2,        B = (I - W)/2,       1 round
-    mg_ed:N=3     A = (I + W^N)/2,      B = (I - W^N)/2,     N rounds
-    atc_gt        A = W^2,              B = (I - W)^2,       2 rounds
-    mg_sonata:N=2 A = W^(2N),           B = (I - W^N)^2,     2N rounds
+    nids:c=0.5    A = 1 - c(1 - lam),   B = c(1 - lam),       1 round
+    ed            A = (1 + lam)/2,      B = (1 - lam)/2,      1 round
+    mg_ed:N=3     A = (1 + lam^N)/2,    B = (1 - lam^N)/2,    N rounds
+    atc_gt        A = lam^2,            B = (1 - lam)^2,      2 rounds
+    mg_sonata:N=2 A = lam^(2N),         B = (1 - lam^N)^2,    2N rounds
+
+A, B and sqrt(B) are formed on W's one eigendecomposition, and the
+structural assumptions (row sums, B >= 0, null(B) = span(1),
+I - A^2 - B >= 0) are checked on those scalars. validate() is the
+independent dense audit of a built pair.
 
 The multi-gossip and gradient-tracking presets require a PSD mixing matrix
 (lazify first).
@@ -20,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MixingMatrix
-from .linalg import (
-    DEFAULT_EIG_TOL,
-    SymMatrix,
-    min_nonzero_from_eigenvalues,
-    sqrt_from_decomposition,
-    sym_eig,
-)
+from .linalg import DEFAULT_EIG_TOL, SymMatrix, sym_eig
 
 PRESET_NAMES = ("nids", "ed", "mg_ed", "atc_gt", "mg_sonata")
 
@@ -93,7 +92,14 @@ def parse_variant(text: str) -> tuple[str, dict[str, float]]:
     return name, params
 
 
-def _validate_matrices(a: np.ndarray, b: np.ndarray, w: np.ndarray, tol: float):
+def validate(pair: CombinerPair, tol: float = 1e-9) -> ValidationReport:
+    """Audit every structural condition on the dense (A, B) from scratch,
+    independently of how the pair was built; never raises.
+
+    Margins are lambda_min for PSD conditions and -max_error for equality
+    conditions, so a comfortable pass is a margin well above -tol.
+    """
+    a, b, w = pair.a.entries, pair.b.entries, pair.w.entries
     n = a.shape[0]
     ones = np.ones(n)
     checks = []
@@ -104,8 +110,7 @@ def _validate_matrices(a: np.ndarray, b: np.ndarray, w: np.ndarray, tol: float):
     row_err = np.max(np.abs(a @ ones - ones))
     checks.append(CheckResult("a_row_sums_one", row_err <= 1e-10, -float(row_err)))
 
-    dec_b = sym_eig(SymMatrix(b))
-    lam_b = dec_b.eigenvalues
+    lam_b = sym_eig(SymMatrix(b)).eigenvalues
     checks.append(CheckResult("b_psd", lam_b[0] >= -tol, float(lam_b[0])))
 
     null_dim = int(np.sum(lam_b <= DEFAULT_EIG_TOL * max(lam_b[-1], 0.0)))
@@ -129,39 +134,43 @@ def _validate_matrices(a: np.ndarray, b: np.ndarray, w: np.ndarray, tol: float):
     checks.append(CheckResult("b_commutes_with_w", comm_bw <= 1e-10, -float(comm_bw)))
     checks.append(CheckResult("a_commutes_with_b", comm_ab <= 1e-10, -float(comm_ab)))
 
-    return ValidationReport(checks), dec_b
+    return ValidationReport(checks)
 
 
-def validate(pair: CombinerPair, tol: float = 1e-9) -> ValidationReport:
-    """Check every structural condition on (A, B) from scratch; never raises.
+def _build(w: MixingMatrix, variant: str, comm_rounds: int, f, g) -> CombinerPair:
+    """Pair A = f(W), B = g(W) from the scalar maps f and g on W's spectrum.
 
-    Margins are lambda_min for PSD conditions and -max_error for equality
-    conditions, so a comfortable pass is a margin well above -tol.
+    W's top eigenvalue is simple and 1 to within 1e-10 (graph._make_mixing),
+    so it is pinned to exactly 1.0: every preset then has f(1) = 1 and
+    g(1) = 0 exactly. The structural conditions reduce to scalar checks;
+    symmetry and commutation with W hold by construction.
     """
-    report, _ = _validate_matrices(pair.a.entries, pair.b.entries, pair.w.entries, tol)
-    return report
+    dec = w.decomposition
+    lam = dec.eigenvalues.copy()
+    lam[-1] = 1.0
+    fl, gl = f(lam), g(lam)
+    checks = {
+        "a_row_sums_one": fl[-1] == 1.0,
+        "b_psd": np.all(gl >= 0.0),
+        "b_null_space_span_ones": gl[-1] == 0.0 and np.all(gl[:-1] > 0.0),
+        "contraction_psd": np.all(1.0 - fl * fl - gl >= -1e-9),
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise CombinerError(f"combiner {variant!r} violates: {', '.join(failed)}")
+    v = dec.eigenvectors
 
+    def spectral(values: np.ndarray) -> SymMatrix:
+        return SymMatrix(v @ (values[:, None] * v.T))
 
-def _build(
-    a: np.ndarray,
-    b: np.ndarray,
-    w: MixingMatrix,
-    variant: str,
-    comm_rounds: int,
-) -> CombinerPair:
-    a_sym, b_sym = SymMatrix(a), SymMatrix(b)
-    report, dec_b = _validate_matrices(a_sym.entries, b_sym.entries, w.w.entries, 1e-9)
-    if not report.ok:
-        failed = ", ".join(c.name for c in report.failures())
-        raise CombinerError(f"combiner {variant!r} violates: {failed}\n{report}")
     return CombinerPair(
-        a=a_sym,
-        b=b_sym,
+        a=spectral(fl),
+        b=spectral(gl),
         w=w.w,
         variant=variant,
         comm_rounds=comm_rounds,
-        sigma_m_b=min_nonzero_from_eigenvalues(dec_b.eigenvalues),
-        sqrt_b=sqrt_from_decomposition(dec_b),
+        sigma_m_b=float(np.min(gl[:-1])) if w.n > 1 else 0.0,
+        sqrt_b=spectral(np.sqrt(gl)),
     )
 
 
@@ -175,22 +184,17 @@ def _require_psd(w: MixingMatrix, variant: str) -> None:
 def preset(variant: str, w: MixingMatrix) -> CombinerPair:
     """Build a named combiner pair from a config string (see module doc)."""
     name, params = parse_variant(variant)
-    eye = np.eye(w.n)
-    wm = w.w.entries
 
-    if name == "nids":
-        c = params.pop("c", 0.5)
+    if name in ("nids", "ed"):
+        c = params.pop("c", 0.5) if name == "nids" else 0.5
         if params:
-            raise CombinerError(f"unknown parameters {sorted(params)} for nids")
+            raise CombinerError(f"unknown parameters {sorted(params)} for {name}")
         if not (0.0 < c <= 0.5):
             raise CombinerError(f"nids requires c in (0, 1/2], got {c}")
-        lap = eye - wm
-        return _build(eye - c * lap, c * lap, w, f"nids:c={c:g}", 1)
-
-    if name == "ed":
-        if params:
-            raise CombinerError(f"unknown parameters {sorted(params)} for ed")
-        return _build(0.5 * (eye + wm), 0.5 * (eye - wm), w, "ed", 1)
+        # ed is nids at c = 1/2, built from the same expressions so the two
+        # pairs are bitwise equal
+        label = f"nids:c={c:g}" if name == "nids" else "ed"
+        return _build(w, label, 1, lambda lam: 1.0 - c * (1.0 - lam), lambda lam: c * (1.0 - lam))
 
     if name in ("mg_ed", "mg_sonata"):
         _require_psd(w, name)
@@ -199,29 +203,20 @@ def preset(variant: str, w: MixingMatrix) -> CombinerPair:
             raise CombinerError(f"unknown parameters {sorted(params)} for {name}")
         if rounds is None or rounds != int(rounds) or rounds < 1:
             raise CombinerError(f"{name} requires an integer N >= 1, got {rounds}")
-        n_gossip = int(rounds)
-        wn = np.linalg.matrix_power(wm, n_gossip)
+        k = int(rounds)
         if name == "mg_ed":
-            return _build(
-                0.5 * (eye + wn), 0.5 * (eye - wn), w, f"mg_ed:N={n_gossip}", n_gossip
-            )
-        return _build(
-            wn @ wn, (eye - wn) @ (eye - wn), w, f"mg_sonata:N={n_gossip}", 2 * n_gossip
-        )
+            return _build(w, f"mg_ed:N={k}", k,
+                          lambda lam: 0.5 * (1.0 + lam**k), lambda lam: 0.5 * (1.0 - lam**k))
+        return _build(w, f"mg_sonata:N={k}", 2 * k,
+                      lambda lam: lam ** (2 * k), lambda lam: (1.0 - lam**k) ** 2)
 
     if name == "atc_gt":
         if params:
             raise CombinerError(f"unknown parameters {sorted(params)} for atc_gt")
         _require_psd(w, name)
-        lap = eye - wm
-        return _build(wm @ wm, lap @ lap, w, "atc_gt", 2)
+        return _build(w, "atc_gt", 2, lambda lam: lam * lam, lambda lam: (1.0 - lam) ** 2)
 
     raise CombinerError(f"unknown combiner variant {name!r}")
-
-
-def custom_pair(a, b, w: MixingMatrix, comm_rounds: int) -> CombinerPair:
-    """Wrap user-provided matrices; validation always runs."""
-    return _build(np.asarray(a, float), np.asarray(b, float), w, "custom", comm_rounds)
 
 
 def sigma_m(pair: CombinerPair) -> float:

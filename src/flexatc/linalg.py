@@ -1,6 +1,6 @@
 """Dense symmetric-matrix kernel: eigendecomposition (LAPACK through
-numpy.linalg.eigh), PSD square roots, pseudo-inverse solves, and block-wise
-(Kronecker) application of small n x n matrices to stacked vectors.
+numpy.linalg.eigh), pseudo-inverse solves, and block-wise (Kronecker)
+application of small n x n matrices to stacked vectors.
 """
 
 from __future__ import annotations
@@ -56,29 +56,6 @@ def sym_eig(m: SymMatrix) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         raise LinalgError(f"eigendecomposition failed: {exc}") from exc
     return SpectralDecomposition(eigenvalues, eigenvectors)
-
-
-def sqrt_from_decomposition(dec: SpectralDecomposition, tol: float = DEFAULT_EIG_TOL) -> SymMatrix:
-    """Symmetric PSD square root from a decomposition; eigenvalues in
-    [-tol, 0) are clamped to 0."""
-    lam = dec.eigenvalues
-    if lam[0] < -tol:
-        raise LinalgError(f"matrix is not PSD: eigenvalue {lam[0]:.3e} < -{tol:.1e}")
-    # Structural zeros that round off to ~1e-16 would otherwise be amplified
-    # to sqrt-scale (~1e-8) and leak out of the null space.
-    null_cut = DEFAULT_EIG_TOL * max(lam[-1], 0.0)
-    root = np.where(lam > null_cut, np.sqrt(np.clip(lam, 0.0, None)), 0.0)
-    return SymMatrix(dec.eigenvectors @ (root[:, None] * dec.eigenvectors.T))
-
-
-def min_nonzero_from_eigenvalues(lam: np.ndarray, tol: float = DEFAULT_EIG_TOL) -> float:
-    """Smallest of the ascending eigenvalues lam above tol * lambda_max; 0
-    if every one is below."""
-    lam_max = lam[-1]
-    if lam_max <= 0.0:
-        return 0.0
-    above = lam[lam > tol * lam_max]
-    return float(above[0]) if above.size else 0.0
 
 
 def kron_apply(m: SymMatrix, x: np.ndarray) -> np.ndarray:

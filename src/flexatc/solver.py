@@ -276,11 +276,8 @@ def run(
     """One run of `iters` iterations driven by CoinSequence(p, seed): the
     one-run case of run_grid, with the same trace it gets in any batch.
 
-    reference is the replicated (n, d) optimum used for relative errors, or
-    a fixed point carrying it as x_star.
+    reference is the replicated (n, d) optimum used for relative errors.
     """
-    if reference is not None and hasattr(reference, "x_star"):
-        reference = reference.x_star
     return run_grid(instance, [GridRun(pair, p, seed)], alpha, iters, reference, x0,
                     record_kkt, record_objective, observer)[0]
 

@@ -5,6 +5,7 @@ import pytest
 
 import flexatc as fa
 import flexatc.cli as cli
+from flexatc import combiners
 from flexatc.analysis import CertificateObserver, fixed_point
 from flexatc.config import ConfigError, parse_config
 from flexatc.graph import topology_to_edgelist
@@ -416,6 +417,29 @@ class TestValidateCommand:
         header, *rows = text.splitlines()
         assert header == "6 6"
         assert [tuple(map(int, row.split())) for row in rows] == list(topo.edges)
+
+    def test_export_resolves_under_out_dir(self, tmp_path, monkeypatch):
+        conf = write_config(tmp_path, GRID)
+        monkeypatch.chdir(tmp_path)
+        out_dir = tmp_path / "od"
+        code = cli.main(["validate", conf, "--out-dir", str(out_dir),
+                         "--export-topology", "topo.txt"])
+        assert code == cli.EXIT_OK
+        assert not (tmp_path / "topo.txt").exists()
+        assert (out_dir / "topo.txt").read_text() == topology_to_edgelist(fa.gen_topology("ring", 6))
+
+    def test_failed_audit_exits_falsified(self, tmp_path, capsys, monkeypatch):
+        failing = combiners.ValidationReport([
+            combiners.CheckResult("symmetry", True, 0.0),
+            combiners.CheckResult("contraction_psd", False, -0.5),
+        ])
+        monkeypatch.setattr(combiners, "validate", lambda pair: failing)
+        conf = write_config(tmp_path, GRID)
+        assert cli.main(["validate", conf]) == cli.EXIT_FALSIFIED
+        captured = capsys.readouterr()
+        assert "contraction_psd" in captured.err
+        assert "symmetry" not in captured.err
+        assert ": ok" not in captured.out
 
     def test_invalid_combiner_named(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID.replace("ed, nids:c=0.4", "mg_sonata:N=2"))

@@ -5,14 +5,13 @@ import flexatc as fa
 from flexatc.combiners import (
     CombinerError,
     CombinerPair,
-    custom_pair,
+    _build,
     parse_variant,
     preset,
     sigma_m,
     validate,
 )
-from flexatc.linalg import (SymMatrix, min_nonzero_from_eigenvalues, sqrt_from_decomposition,
-                            sym_eig)
+from flexatc.linalg import SymMatrix, sym_eig
 
 
 def w_eigs_ring(n: int) -> np.ndarray:
@@ -104,12 +103,12 @@ class TestPresets:
 
 class TestValidate:
     def _raw_pair(self, a, b, w, rounds=1):
-        b_sym = SymMatrix(b)
-        dec_b = sym_eig(b_sym)
+        lam, vec = np.linalg.eigh(b)
+        keep = lam > 1e-9 * max(lam[-1], 0.0)
         return CombinerPair(
-            a=SymMatrix(a), b=b_sym, w=w, variant="custom", comm_rounds=rounds,
-            sigma_m_b=min_nonzero_from_eigenvalues(dec_b.eigenvalues),
-            sqrt_b=sqrt_from_decomposition(dec_b),
+            a=SymMatrix(a), b=SymMatrix(b), w=w, variant="custom", comm_rounds=rounds,
+            sigma_m_b=float(lam[keep][0]) if keep.any() else 0.0,
+            sqrt_b=SymMatrix(vec @ (np.sqrt(np.where(keep, lam, 0.0))[:, None] * vec.T)),
         )
 
     def test_all_presets_pass_on_test_graphs(self, ring10):
@@ -153,17 +152,81 @@ class TestValidate:
             a, b = pair.a.entries, pair.b.entries
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-10
 
-    def test_custom_pair_runs_validation(self, ring4):
-        w = ring4.w.entries
-        pair = custom_pair(0.5 * (np.eye(4) + w), 0.5 * (np.eye(4) - w), ring4, 1)
-        assert pair.variant == "custom"
-        with pytest.raises(CombinerError, match="violates"):
-            custom_pair(np.eye(4), np.zeros((4, 4)), ring4, 1)
-
     def test_sigma_m_zero_rejected(self, ring4):
         pair = self._raw_pair(np.eye(4), np.zeros((4, 4)), ring4.w)
         with pytest.raises(CombinerError, match="sigma_m"):
             sigma_m(pair)
+
+
+def _spectral_graphs():
+    ring10 = fa.metropolis_weights(fa.gen_topology("ring", 10))
+    er12 = fa.metropolis_weights(fa.gen_topology("erdos_renyi", 12, seed=4, q=0.4))
+    return {
+        "ring10": ring10,
+        "ring10_lazy": fa.lazify(ring10),
+        "complete5": fa.metropolis_weights(fa.gen_topology("complete", 5)),
+        "er12_lazy": fa.lazify(er12),
+        "single": fa.metropolis_weights(fa.gen_topology("ring", 1)),
+    }
+
+
+SPECTRAL_GRAPHS = _spectral_graphs()
+VARIANTS = ("nids:c=0.5", "nids:c=0.3", "ed", "mg_ed:N=3", "atc_gt", "mg_sonata:N=2")
+PSD_ONLY = ("mg_ed", "atc_gt", "mg_sonata")
+# (f, g) that break one scalar check each; a negative g breaks the null-space
+# check as well
+BAD_MAPS = {
+    "a_row_sums_one": (lambda lam: 0.99 * (1.0 + lam) / 2.0, lambda lam: (1.0 - lam) / 2.0),
+    "b_psd": (lambda lam: (1.0 + lam) / 2.0, lambda lam: -(1.0 - lam) / 2.0),
+    "b_null_space_span_ones": (lambda lam: (1.0 + lam) / 2.0, lambda lam: 0.0 * lam),
+    "contraction_psd": (lambda lam: 1.0 - 0.9 * (1.0 - lam), lambda lam: 0.9 * (1.0 - lam)),
+}
+
+
+def dense_pair(variant: str, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of a preset as matrix polynomials of W, built densely."""
+    name, params = parse_variant(variant)
+    eye = np.eye(w.shape[0])
+    if name in ("nids", "ed"):
+        c = params.get("c", 0.5)
+        return eye - c * (eye - w), c * (eye - w)
+    if name == "atc_gt":
+        return w @ w, (eye - w) @ (eye - w)
+    wn = np.linalg.matrix_power(w, int(params["N"]))
+    if name == "mg_ed":
+        return 0.5 * (eye + wn), 0.5 * (eye - wn)
+    return wn @ wn, (eye - wn) @ (eye - wn)
+
+
+class TestSpectralPairs:
+    @pytest.mark.parametrize("graph_name, variant", [
+        (g, v) for g, mm in SPECTRAL_GRAPHS.items() for v in VARIANTS
+        if mm.psd or not v.startswith(PSD_ONLY)
+    ])
+    def test_matches_dense_polynomials(self, graph_name, variant):
+        mm = SPECTRAL_GRAPHS[graph_name]
+        pair = preset(variant, mm)
+        a, b = dense_pair(variant, mm.w.entries)
+        assert np.max(np.abs(pair.a.entries - a)) <= 1e-13
+        assert np.max(np.abs(pair.b.entries - b)) <= 1e-13
+        root = pair.sqrt_b.entries
+        assert np.max(np.abs(root @ root - pair.b.entries)) <= 1e-13
+        assert np.max(np.abs(pair.b.entries @ np.ones(mm.n))) <= 1e-14
+        lam_b = np.linalg.eigvalsh(pair.b.entries)
+        assert abs(lam_b[0]) <= 1e-14
+        if mm.n == 1:
+            assert pair.sigma_m_b == 0.0
+            with pytest.raises(CombinerError, match="sigma_m"):
+                sigma_m(pair)
+        else:
+            assert lam_b[1] > 1e-6
+            assert pair.sigma_m_b == pytest.approx(lam_b[1], abs=1e-12)
+
+    @pytest.mark.parametrize("check", BAD_MAPS)
+    def test_builder_names_the_failed_check(self, ring4, check):
+        f, g = BAD_MAPS[check]
+        with pytest.raises(CombinerError, match=f"combiner 'bad' violates: .*{check}"):
+            _build(ring4, "bad", 1, f, g)
 
 
 class TestParseVariant:

@@ -7,20 +7,9 @@ from flexatc.linalg import (
     LinalgError,
     SymMatrix,
     kron_apply,
-    min_nonzero_from_eigenvalues,
     range_solve,
-    sqrt_from_decomposition,
     sym_eig,
 )
-
-
-def ring4_coupling():
-    """B = 0.5 (I - W) for the 4-ring Metropolis matrix, built by hand."""
-    w = np.full((4, 4), 0.0)
-    for i in range(4):
-        w[i, i] = 1.0 / 3.0
-        w[i, (i + 1) % 4] = w[(i + 1) % 4, i] = 1.0 / 3.0
-    return SymMatrix(0.5 * (np.eye(4) - w))
 
 
 class TestSymEig:
@@ -63,57 +52,6 @@ class TestSymEig:
             # independent check against LAPACK
             assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(m.entries),
                                atol=1e-10 * scale)
-
-
-class TestPsdSqrt:
-    def test_diagonal(self):
-        s = sqrt_from_decomposition(sym_eig(SymMatrix(np.diag([4.0, 9.0]))))
-        assert np.allclose(s.entries, np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_zero(self):
-        s = sqrt_from_decomposition(sym_eig(SymMatrix(np.zeros((3, 3)))))
-        assert np.array_equal(s.entries, np.zeros((3, 3)))
-
-    def test_ring4_coupling(self):
-        b = ring4_coupling()
-        s = sqrt_from_decomposition(sym_eig(b))
-        assert np.max(np.abs(s.entries @ s.entries - b.entries)) < 1e-10
-
-    def test_random_gram_matrices(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            n = int(rng.integers(1, 21))
-            g = rng.standard_normal((n, n))
-            m = SymMatrix(g.T @ g)
-            s = sqrt_from_decomposition(sym_eig(m))
-            err = np.max(np.abs(s.entries @ s.entries - m.entries))
-            assert err <= 1e-8 * (1.0 + np.max(np.abs(m.entries)))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(LinalgError, match="not PSD"):
-            sqrt_from_decomposition(sym_eig(SymMatrix(np.diag([1.0, -0.5]))))
-
-    def test_clamps_tiny_negative(self):
-        s = sqrt_from_decomposition(sym_eig(SymMatrix(np.diag([1.0, -1e-12]))), tol=1e-9)
-        assert s.entries[1, 1] == 0.0
-
-
-class TestMinNonzeroEig:
-    def test_diagonal(self):
-        assert min_nonzero_from_eigenvalues(np.array([0.0, 0.3, 1.0])) == pytest.approx(0.3)
-
-    def test_ring4_coupling_is_one_third(self):
-        # circulant eigenvalues of W are (1/3)(1 + 2 cos(2 pi k / 4)); the
-        # smallest nonzero eigenvalue of 0.5 (I - W) is therefore 1/3
-        w_eigs = np.array([(1.0 + 2.0 * np.cos(2.0 * np.pi * k / 4)) / 3.0 for k in range(4)])
-        b_eigs = 0.5 * (1.0 - w_eigs)
-        expected = np.min(b_eigs[b_eigs > 1e-12])
-        assert expected == pytest.approx(1.0 / 3.0)
-        lam = sym_eig(ring4_coupling()).eigenvalues
-        assert min_nonzero_from_eigenvalues(lam) == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_matrix(self):
-        assert min_nonzero_from_eigenvalues(np.zeros(2)) == 0.0
 
 
 class TestKronApply:
