@@ -3,11 +3,12 @@
 Subcommands:
 
     run <config>       execute the (variant, p, seed) grid, write CSV + SVG
-    check <config>     certificate sweeps only; min slack per inequality
-    validate <config>  dry run: parse config, build graph/combiners/problem
+    check <config>     the run pipeline with certificates on: CSV + min slacks
+    validate <config>  dry run: parse config, build graph/problem/combiners
 
-Exit codes: 0 success, 2 unreadable or invalid config/dataset, 3 divergence,
-4 combiner-assumption or certificate falsification.
+Exit codes: 0 success, 2 unreadable or invalid config/dataset, 3 divergence
+or a reference solve that does not converge, 4 combiner-assumption or
+certificate falsification.
 """
 
 from __future__ import annotations
@@ -40,53 +41,36 @@ class DatasetError(Exception):
     pass
 
 
-def build_topology(cfg: ExperimentConfig) -> graph.Topology:
+def build_network(cfg: ExperimentConfig) -> tuple[graph.Topology, graph.MixingMatrix]:
     g = cfg.graph
-    q = g.q if g.kind == "erdos_renyi" else None
-    return graph.gen_topology(g.kind, g.n, g.seed, q)
-
-
-def build_mixing(cfg: ExperimentConfig, topo: graph.Topology) -> graph.MixingMatrix:
+    topo = graph.gen_topology(g.kind, g.n, g.seed, g.q if g.kind == "erdos_renyi" else None)
     mixing = graph.metropolis_weights(topo)
-    if cfg.mixing.lazify:
-        mixing = graph.lazify(mixing)
-    return mixing
+    return topo, graph.lazify(mixing) if cfg.mixing.lazify else mixing
 
 
-def build_problem(cfg: ExperimentConfig) -> problem.ProblemInstance:
+def build_problem(cfg: ExperimentConfig) -> tuple[problem.ProblemInstance, float]:
+    """The problem instance and the stepsize run.alpha resolves to on it."""
     p = cfg.problem
     prox = problem.ProxSpec(p.prox, p.prox_weight)
     if p.type == "quadratic":
-        return problem.quadratic_instance(
+        instance = problem.quadratic_instance(
             cfg.graph.n, p.d, p.target_seed,
             curvature_min=p.curvature_min, curvature_max=p.curvature_max,
             prox=prox, target_scale=p.target_scale,
             target_offset_scale=p.target_offset_scale,
         )
-    try:
-        data = Path(p.data).read_bytes()
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset {p.data}: {exc}") from exc
-    ds = problem.parse_libsvm(data, map_01_labels=p.map_01_labels)
-    if p.normalize:
-        ds = problem.normalize_features(ds)
-    if p.max_samples > 0:
-        ds = ds.head(p.max_samples)
-    return problem.logistic_instance(ds, cfg.graph.n, p.partition_seed, p.ridge, prox)
-
-
-def build_pairs(cfg: ExperimentConfig, mixing: graph.MixingMatrix) -> list[combiners.CombinerPair]:
-    pairs = [combiners.preset(v, mixing) for v in cfg.variants]
-    # a variant is named as preset normalises it: "nids" is "nids:c=0.5"
-    check_unique([pair.variant for pair in pairs], "combiner.variants")
-    return pairs
-
-
-def initial_x(cfg: ExperimentConfig, instance: problem.ProblemInstance) -> np.ndarray | None:
-    if cfg.run.init == "zeros":
-        return None
-    rng = np.random.default_rng(cfg.run.init_seed)
-    return cfg.run.init_scale * rng.standard_normal((instance.n, instance.d))
+    else:
+        try:
+            data = Path(p.data).read_bytes()
+        except OSError as exc:
+            raise DatasetError(f"cannot read dataset {p.data}: {exc}") from exc
+        ds = problem.parse_libsvm(data, map_01_labels=p.map_01_labels)
+        if p.normalize:
+            ds = problem.normalize_features(ds)
+        if p.max_samples > 0:
+            ds = ds.head(p.max_samples)
+        instance = problem.logistic_instance(ds, cfg.graph.n, p.partition_seed, p.ridge, prox)
+    return instance, cfg.resolve_alpha(instance.L)
 
 
 @dataclass(eq=False)
@@ -165,6 +149,19 @@ def _write_csv(path: Path, rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_svg(path: Path, results: list[RunResult], first_seed: int) -> None:
+    """One polyline per (variant, p) pair; the first seed represents the pair."""
+    iter_series, comm_series = [], []
+    for res in results:
+        if res.seed == first_seed:
+            label = f"{res.variant} p={res.p:g}"
+            errs = res.trace.rel_err.tolist()
+            iter_series.append(Series(label, (res.trace.k + 1).tolist(), errs))
+            comm_series.append(Series(label, res.trace.comms.tolist(), errs))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(render_convergence_svg(iter_series, comm_series))
+
+
 def iterations_to_target(trace: solver.RunTrace, target: float) -> tuple[int, int]:
     """(iterations, comms) needed to first reach the target relative error;
     (-1, -1) if the run never got there."""
@@ -182,23 +179,26 @@ def _resolve_out(path_str: str, out_dir: str | None) -> Path:
     return path
 
 
-def _prepare(cfg: ExperimentConfig):
-    """Shared build pipeline: topology, mixing, problem, pairs, fixed points."""
-    topo = build_topology(cfg)
-    mixing = build_mixing(cfg, topo)
-    instance = build_problem(cfg)
-    pairs = build_pairs(cfg, mixing)
-    alpha = cfg.resolve_alpha(instance.L)
+def _prepare(cfg: ExperimentConfig,
+             checks: bool) -> tuple[graph.Topology, graph.MixingMatrix, Grid]:
+    """The shared build: network, problem and stepsize, combiner pairs, then
+    the reference solve, one fixed point per pair and the grid of runs."""
+    topo, mixing = build_network(cfg)
+    instance, alpha = build_problem(cfg)
+    pairs = [combiners.preset(v, mixing) for v in cfg.variants]
+    # a variant is named as preset normalises it: "nids" is "nids:c=0.5"
+    check_unique([pair.variant for pair in pairs], "combiner.variants")
     x_opt = solver.centralized_proxgrad(instance, alpha)
     fps = {pair.variant: analysis.fixed_point(instance, pair, alpha, x_opt=x_opt)
            for pair in pairs}
-    return topo, mixing, instance, pairs, alpha, fps
-
-
-def _grid(cfg: ExperimentConfig, pairs, instance, alpha, fps, x0, checks) -> Grid:
+    x0 = None
+    if cfg.run.init != "zeros":
+        rng = np.random.default_rng(cfg.run.init_seed)
+        x0 = cfg.run.init_scale * rng.standard_normal((instance.n, instance.d))
     runs = [solver.GridRun(pair, p, seed)
             for pair in pairs for p in cfg.run.p_list for seed in cfg.run.seeds]
-    return Grid(instance, alpha, cfg.run.iterations, x0, cfg.run.record_kkt, checks, fps, runs)
+    grid = Grid(instance, alpha, cfg.run.iterations, x0, cfg.run.record_kkt, checks, fps, runs)
+    return topo, mixing, grid
 
 
 def _run_grid(grid: Grid, threads: int) -> list[RunResult]:
@@ -214,14 +214,19 @@ def _run_grid(grid: Grid, threads: int) -> list[RunResult]:
         return [res for batch in pool.map(_execute_grid, batches) for res in batch]
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1) -> int:
-    topo, mixing, instance, pairs, alpha, fps = _prepare(cfg)
-    print(f"graph: {cfg.graph.kind} n={topo.n} edges={len(topo.edges)} rho={mixing.rho:.6f}")
-    print(f"problem: {cfg.problem.type} d={instance.d} L={instance.L:.6g} mu={instance.mu:.6g} "
-          f"alpha={alpha:.6g}")
-
-    x0 = initial_x(cfg, instance)
-    grid = _grid(cfg, pairs, instance, alpha, fps, x0, cfg.outputs.checks)
+def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1,
+                   check: bool = False) -> int:
+    """The run command, or with check=True the check command: the same grid
+    with the certificates forced on, min slacks in place of the
+    iterations-to-target line, and no SVG."""
+    topo, mixing, grid = _prepare(cfg, checks=check or cfg.outputs.checks)
+    instance, target = grid.instance, cfg.run.target_rel_err
+    if not check:
+        print(f"graph: {cfg.graph.kind} n={topo.n} edges={len(topo.edges)} rho={mixing.rho:.6f}")
+        print(f"problem: {cfg.problem.type} d={instance.d} L={instance.L:.6g} "
+              f"mu={instance.mu:.6g} alpha={grid.alpha:.6g}")
+    elif instance.mu <= 0.0:
+        print("notice: mu = 0, the linear-rate certificate is skipped")
     results = _run_grid(grid, threads)
 
     rows: list[list[str]] = []
@@ -229,68 +234,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
     for res in results:
         rows.extend(_result_rows(res))
         rows.append(_summary_row(res))
-        iters, comms = iterations_to_target(res.trace, cfg.run.target_rel_err)
-        print(
-            f"{res.run_id}: final rel_err={res.trace.rel_err[-1]:.3e} "
-            f"comms={int(res.trace.comms[-1])} "
-            f"iters_to_{cfg.run.target_rel_err:g}={iters} (comms {comms})"
-        )
+        if check:
+            mins = res.sweep.min_slacks()
+            print(f"{res.run_id}: "
+                  + " ".join(f"min_{name}_slack={val:.3e}" for name, val in mins.items()))
+        else:
+            iters, comms = iterations_to_target(res.trace, target)
+            print(f"{res.run_id}: final rel_err={res.trace.rel_err[-1]:.3e} "
+                  f"comms={int(res.trace.comms[-1])} "
+                  f"iters_to_{target:g}={iters} (comms {comms})")
         if res.sweep is not None:
-            for name, idx in res.sweep.violations():
-                falsified.append(f"{res.run_id}: {name} violated at iteration {idx}")
+            falsified.extend(f"{res.run_id}: {name} violated at iteration {idx}"
+                             for name, idx in res.sweep.violations())
 
     _write_csv(_resolve_out(cfg.outputs.csv, out_dir), rows)
-
-    # One polyline per (variant, p) pair; the first seed represents the pair.
-    first_seed = cfg.run.seeds[0]
-    iter_series, comm_series = [], []
-    for res in results:
-        if res.seed != first_seed:
-            continue
-        label = f"{res.variant} p={res.p:g}"
-        ks = (res.trace.k + 1).tolist()
-        errs = res.trace.rel_err.tolist()
-        iter_series.append(Series(label, ks, errs))
-        comm_series.append(Series(label, res.trace.comms.tolist(), errs))
-    svg_path = _resolve_out(cfg.outputs.svg, out_dir)
-    svg_path.parent.mkdir(parents=True, exist_ok=True)
-    svg_path.write_text(render_convergence_svg(iter_series, comm_series))
-
-    if falsified:
-        for line in falsified:
-            print(f"FALSIFIED {line}", file=sys.stderr)
-        return EXIT_FALSIFIED
-    return EXIT_OK
-
-
-def check_suite(cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1) -> int:
-    topo, mixing, instance, pairs, alpha, fps = _prepare(cfg)
-    if instance.mu <= 0.0:
-        print("notice: mu = 0, the linear-rate certificate is skipped")
-
-    x0 = initial_x(cfg, instance)
-    grid = _grid(cfg, pairs, instance, alpha, fps, x0, checks=True)
-    results = _run_grid(grid, threads)
-
-    rows: list[list[str]] = []
-    status = EXIT_OK
-    for res in results:
-        rows.extend(_result_rows(res))
-        rows.append(_summary_row(res))
-        mins = res.sweep.min_slacks()
-        summary = " ".join(f"min_{name}_slack={val:.3e}" for name, val in mins.items())
-        print(f"{res.run_id}: {summary}")
-        for name, idx in res.sweep.violations():
-            print(f"FALSIFIED {res.run_id}: {name} violated at iteration {idx}", file=sys.stderr)
-            status = EXIT_FALSIFIED
-    _write_csv(_resolve_out(cfg.outputs.csv, out_dir), rows)
-    return status
+    if not check:
+        _write_svg(_resolve_out(cfg.outputs.svg, out_dir), results, cfg.run.seeds[0])
+    for line in falsified:
+        print(f"FALSIFIED {line}", file=sys.stderr)
+    return EXIT_FALSIFIED if falsified else EXIT_OK
 
 
 def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
                     export_topology: str | None = None) -> int:
-    topo = build_topology(cfg)
-    mixing = build_mixing(cfg, topo)
+    topo, mixing = build_network(cfg)
     print(f"graph: {cfg.graph.kind} n={topo.n} edges={len(topo.edges)} "
           f"rho={mixing.rho:.6f} psd={mixing.psd}")
     if export_topology:
@@ -298,8 +265,7 @@ def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
         topo_path.parent.mkdir(parents=True, exist_ok=True)
         topo_path.write_text(graph.topology_to_edgelist(topo))
         print(f"topology written to {topo_path}")
-    instance = build_problem(cfg)
-    alpha = cfg.resolve_alpha(instance.L)
+    instance, alpha = build_problem(cfg)
     print(f"problem: {cfg.problem.type} n={instance.n} d={instance.d} "
           f"L={instance.L:.6g} mu={instance.mu:.6g} alpha={alpha:.6g}")
     status = EXIT_OK
@@ -333,29 +299,28 @@ def main(argv=None) -> int:
         s = sub.add_parser(name)
         s.add_argument("config")
         s.add_argument("--out-dir", default=None)
-        s.add_argument("--threads", type=int, default=1)
-        s.add_argument("--seed-override", type=int, default=None)
         if name == "validate":
             s.add_argument("--export-topology", default=None)
+        else:
+            s.add_argument("--threads", type=int, default=1)
+            s.add_argument("--seed-override", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
+        if args.command == "validate":
+            return validate_config(load_config(args.config), args.out_dir, args.export_topology)
         if args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         cfg = load_config(args.config)
         if args.seed_override is not None:
             check_seed(args.seed_override, "--seed-override")
             cfg.run.seeds = (args.seed_override,)
-        if args.command == "run":
-            return run_experiment(cfg, args.out_dir, args.threads)
-        if args.command == "check":
-            return check_suite(cfg, args.out_dir, args.threads)
-        return validate_config(cfg, args.out_dir, args.export_topology)
+        return run_experiment(cfg, args.out_dir, args.threads, check=args.command == "check")
     except (ConfigError, DatasetError, problem.ParseError, problem.ProblemError,
             graph.GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except solver.DivergenceError as exc:
+    except (solver.DivergenceError, solver.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     except (combiners.CombinerError, analysis.CertificateError) as exc:

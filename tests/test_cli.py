@@ -9,7 +9,7 @@ from flexatc import combiners
 from flexatc.analysis import CertificateObserver, fixed_point
 from flexatc.config import ConfigError, parse_config
 from flexatc.graph import topology_to_edgelist
-from flexatc.solver import DivergenceError
+from flexatc.solver import DivergenceError, SolverError
 
 SMOKE = """
 [graph]
@@ -215,13 +215,27 @@ class TestRunCommand:
         assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "error: alpha=5 outside (0, 2/L) with L=1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "check", "validate"])
+    def test_invalid_alpha_and_combiner_exit_2_on_alpha(self, tmp_path, capsys, command):
+        # every command resolves the stepsize before it builds the combiner pairs
+        conf = write_config(tmp_path, "[graph]\nn = 4\n[combiner]\nvariants = nids:c=0.9\n"
+                                      "[problem]\nd = 2\n[run]\nalpha = 5\n")
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert "error: alpha=5 outside (0, 2/L)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("command", ["run", "check", "validate"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, command, threads):
         conf = write_config(tmp_path, GRID)
         argv = [command, conf, "--out-dir", str(tmp_path), "--threads", threads]
-        assert cli.main(argv) == cli.EXIT_CONFIG
-        assert f"error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
+        if command == "validate":
+            # validate has no --threads, so argparse rejects the flag
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+        else:
+            assert cli.main(argv) == cli.EXIT_CONFIG
+            assert f"error: --threads must be >= 1, got {threads}" in capsys.readouterr().err
         assert not (tmp_path / "grid.csv").exists()
 
     def test_seed_override(self, tmp_path, capsys):
@@ -286,6 +300,17 @@ class TestRunCommand:
         assert err.count("divergence detected at iteration") == 1
         assert "divergence detected at iteration 0: stepsize likely out of range" in err
 
+    def test_reference_solve_not_converging_exits_3(self, tmp_path, capsys, monkeypatch):
+        def stuck(*args, **kwargs):
+            raise SolverError("reference solver hit 500000 iterations with residual 1.0e-09 > 1e-12")
+
+        monkeypatch.setattr(cli.solver, "centralized_proxgrad", stuck)
+        conf = write_config(tmp_path, SMOKE)
+        assert cli.main(["run", conf, "--out-dir", str(tmp_path)]) == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: reference solver hit 500000 iterations with residual "
+                                    "1.0e-09 > 1e-12"]
+
     def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise DivergenceError(17)
@@ -297,6 +322,15 @@ class TestRunCommand:
 
 
 class TestCheckCommand:
+    def test_certified_run_writes_the_check_csv(self, tmp_path, capsys):
+        # GRID sets outputs.checks = true, so run certifies the same grid as check
+        conf = write_config(tmp_path, GRID)
+        for command in ("run", "check"):
+            assert cli.main([command, conf, "--out-dir", str(tmp_path / command)]) == cli.EXIT_OK
+        assert (tmp_path / "run" / "grid.csv").read_bytes() == (
+            tmp_path / "check" / "grid.csv").read_bytes()
+        assert not (tmp_path / "check" / "grid.svg").exists()
+
     def test_min_slacks_reported(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)
         assert cli.main(["check", conf, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
@@ -440,6 +474,14 @@ class TestValidateCommand:
         assert "contraction_psd" in captured.err
         assert "symmetry" not in captured.err
         assert ": ok" not in captured.out
+
+    def test_seed_override_rejected(self, tmp_path, capsys):
+        # validate runs nothing, so it has no --seed-override (nor --threads)
+        conf = write_config(tmp_path, GRID)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", conf, "--seed-override", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed-override 3" in capsys.readouterr().err
 
     def test_invalid_combiner_named(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID.replace("ed, nids:c=0.4", "mg_sonata:N=2"))
