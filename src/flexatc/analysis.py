@@ -8,11 +8,12 @@ sampling noise. The certificates cover exactly the transition that
 solver.run_grid takes: a GridCertificates observer receives each step of
 the batch, stacked over its runs, with the gradient and both coin branches
 (x_comm, u_comm) and (x_skip, u) the driver computed, and the successor
-the driver reports is the branch its coin picked. It reads every inequality
-from those branches for all runs at once, and CertificateObserver is its
-one-run case. The tests match it bit for bit against single-state
-references of every certificate, kept in tests/reference.py. Nothing here
-iterates on its own. The certified quantities:
+the driver reports is the branch its coin picked. It buffers the steps and
+reads every inequality from those branches for all runs and a block of
+steps at once, and CertificateObserver is its one-run case. The tests
+match it bit for bit against single-state references of every
+certificate, kept in tests/reference.py. Nothing here iterates on its own.
+The certified quantities:
 
     Phi  = ||x - x*||^2 + (1/p^2) ||u - u*||^2
     Psi  = ||grad F(x) - grad F(x*)||^2 + ||u - u*||^2
@@ -33,7 +34,7 @@ import numpy as np
 from .combiners import CombinerPair
 from .linalg import kron_apply, range_solve
 from .problem import ProblemInstance
-from .solver import GridStep, centralized_proxgrad, run
+from .solver import GridStep, block_length, centralized_proxgrad, run
 
 SLACK_TOL = 1e-9
 
@@ -190,19 +191,24 @@ class CertificateSweep:
         return bad
 
 
-def _sq_runs(v: np.ndarray) -> np.ndarray:
-    # Per run of a (S, n, d) stack, the same add-reduction as _sq of the block.
-    return (v * v).sum(axis=(1, 2))
+def _sq_rows(v: np.ndarray) -> np.ndarray:
+    # Per (step, run) of a (T, S, n, d) block, the same add-reduction as _sq
+    # of the (n, d) state, over its flat (T, S, n d) view.
+    v = v.reshape(v.shape[:2] + (-1,))
+    return (v * v).sum(axis=-1)
 
 
 class GridCertificates:
     """solver.run_grid observer that certifies every transition of every
     run in the batch it watches; run s pairs pairs[s] with fps[s].
 
-    Each step reads Phi, Psi and the three slacks for all runs at once from
-    the GridStep the driver computed (its gradient, adapt step and both coin
-    branches). Each run's columns are bitwise what the single-state
-    references of tests/reference.py give on its states.
+    Each call copies the GridStep's seven arrays (its state, gradient,
+    adapt step and both coin branches) into preallocated block buffers of
+    solver.block_length steps. A full block, and the block that ends at step
+    iters - 1, is certified at once: Phi, Psi and the three slacks for every
+    run and step of the block. sweeps certifies any steps still pending.
+    Each run's columns are bitwise what the single-state references of
+    tests/reference.py give on its states, whatever the block length.
     grad_stack(x*) is evaluated once, here. Column k of each array
     certifies step k.
     """
@@ -210,6 +216,7 @@ class GridCertificates:
     def __init__(self, instance: ProblemInstance, pairs: list[CombinerPair],
                  fps: list[FixedPoint], iters: int):
         self.instance = instance
+        self.iters = iters
         self.sigma = np.array([pair.sigma_m_b for pair in pairs])
         self.x_star, self.w_star, self.u_star = (
             np.stack([getattr(fp, name) for fp in fps]) for name in ("x_star", "w_star", "u_star_b"))
@@ -219,37 +226,57 @@ class GridCertificates:
         self.lemma2_slack, self.lemma2_rhs, self.thm1_slack, self.phi, self.psi = (
             np.empty(shape) for _ in range(5))
         self.thm2_slack = np.full(shape, np.nan)
-        self.zeta = self.varrho = None
+        self.zeta = self.varrho = self.p = None
+        # x, u, grad, w, x_comm, u_comm and x_skip of steps k0, k0 + 1, ...
+        length = min(iters, block_length(instance, len(pairs)))
+        self._block = np.empty((7, length) + self.x_star.shape)
+        self._k0, self._pending = 0, 0
 
     def _rates(self, alpha: float, p: np.ndarray) -> None:
         big_l, mu = self.instance.L, self.instance.mu
+        self.p = p
         self.varrho = np.array([varrho(alpha, big_l, s) for s in self.sigma])
         if self.check_linear:
             self.zeta = np.array([zeta_rate(big_l, mu, alpha, float(pk), s)
                                   for pk, s in zip(p, self.sigma)])
 
     def __call__(self, step: GridStep) -> None:
-        k, alpha, p = step.k, step.alpha, step.p
-        if k == 0:  # alpha and p arrive with the steps and stay fixed for the run
-            self._rates(alpha, p)
+        if step.k == 0:  # alpha and p arrive with the steps and stay fixed for the run
+            self._rates(step.alpha, step.p)
+        if not self._pending:
+            self._k0 = step.k
+        for buffer, array in zip(self._block, step[3:]):
+            buffer[self._pending] = array
+        self._pending += 1
+        if self._pending == self._block.shape[1] or step.k == self.iters - 1:
+            self._certify()
+
+    def _certify(self) -> None:
+        """Read the slacks of the pending steps from the block buffers."""
+        x, u, grad, w, x_comm, u_comm, x_skip = self._block[:, :self._pending]
+        p = self.p
         pp = p * p
-        u_gap = _sq_runs(step.u - self.u_star)
+        u_gap = _sq_rows(u - self.u_star)
         u_term = u_gap / pp
-        phi_comm = _sq_runs(step.x_comm - self.x_star) + _sq_runs(step.u_comm - self.u_star) / pp
-        phi_skip = _sq_runs(step.x_skip - self.x_star) + u_term
+        phi_comm = _sq_rows(x_comm - self.x_star) + _sq_rows(u_comm - self.u_star) / pp
+        phi_skip = _sq_rows(x_skip - self.x_star) + u_term
         expected_phi = p * phi_comm + (1.0 - p) * phi_skip
-        phi = _sq_runs(step.x - self.x_star) + u_term
-        psi = _sq_runs(step.grad - self.grad_star) + u_gap
-        rhs = _sq_runs(step.w - self.w_star) + (1.0 - pp * self.sigma) * u_gap / pp
-        self.phi[:, k], self.psi[:, k] = phi, psi
-        self.lemma2_slack[:, k], self.lemma2_rhs[:, k] = rhs - expected_phi, rhs
-        self.thm1_slack[:, k] = phi - expected_phi - self.varrho * psi
+        phi = _sq_rows(x - self.x_star) + u_term
+        psi = _sq_rows(grad - self.grad_star) + u_gap
+        rhs = _sq_rows(w - self.w_star) + (1.0 - pp * self.sigma) * u_gap / pp
+        cols = slice(self._k0, self._k0 + self._pending)
+        self.phi[:, cols], self.psi[:, cols] = phi.T, psi.T
+        self.lemma2_slack[:, cols], self.lemma2_rhs[:, cols] = (rhs - expected_phi).T, rhs.T
+        self.thm1_slack[:, cols] = (phi - expected_phi - self.varrho * psi).T
         if self.check_linear:
-            self.thm2_slack[:, k] = self.zeta * phi - expected_phi
+            self.thm2_slack[:, cols] = (self.zeta * phi - expected_phi).T
+        self._pending = 0
 
     @property
     def sweeps(self) -> list[CertificateSweep]:
         """One CertificateSweep per run, viewing this observer's columns."""
+        if self._pending:
+            self._certify()
         return [
             CertificateSweep(
                 lemma2_slack=self.lemma2_slack[s], lemma2_rhs=self.lemma2_rhs[s],

@@ -142,11 +142,16 @@ def _summary_row(res: RunResult) -> list[str]:
     ]
 
 
-def _write_csv(path: Path, rows: list[list[str]]) -> None:
+def _write_csv(path: Path, results: list[RunResult]) -> None:
+    """The header, then each run's rows and its summary row, one run's
+    cells at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for res in results:
+            rows = _result_rows(res)
+            rows.append(_summary_row(res))
+            fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
 def _write_svg(path: Path, results: list[RunResult], first_seed: int) -> None:
@@ -229,11 +234,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
         print("notice: mu = 0, the linear-rate certificate is skipped")
     results = _run_grid(grid, threads)
 
-    rows: list[list[str]] = []
     falsified: list[str] = []
     for res in results:
-        rows.extend(_result_rows(res))
-        rows.append(_summary_row(res))
         if check:
             mins = res.sweep.min_slacks()
             print(f"{res.run_id}: "
@@ -247,7 +249,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
             falsified.extend(f"{res.run_id}: {name} violated at iteration {idx}"
                              for name, idx in res.sweep.violations())
 
-    _write_csv(_resolve_out(cfg.outputs.csv, out_dir), rows)
+    _write_csv(_resolve_out(cfg.outputs.csv, out_dir), results)
     if not check:
         _write_svg(_resolve_out(cfg.outputs.svg, out_dir), results, cfg.run.seeds[0])
     for line in falsified:

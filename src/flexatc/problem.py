@@ -359,6 +359,11 @@ class _QuadraticStack:
     def shape(self) -> tuple[int, int]:
         return self.targets.shape
 
+    @property
+    def width(self) -> int:
+        """Entries per agent of the objective's temporaries at one point."""
+        return self.targets.shape[1]
+
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         return self.curvatures * (x - self.targets)
 
@@ -389,6 +394,11 @@ class _LogisticStack:
     def shape(self) -> tuple[int, int]:
         return self.signed.shape[:2]
 
+    @property
+    def width(self) -> int:
+        """Entries per agent of the objective's margins at one point, m_max."""
+        return self.signed.shape[2]
+
     def _margins(self, x: np.ndarray) -> np.ndarray:
         return (x[..., None, :] @ self.signed)[..., 0, :]
 
@@ -404,12 +414,20 @@ class _LogisticStack:
         return -grads / self.m[:, None] + self.ridge * x
 
     def value(self, point: np.ndarray) -> np.ndarray:
-        margins = self._margins(point[..., None, :])
-        # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out
-        losses = np.where(self.real,
-                          np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins))), 0.0)
-        ridge_term = 0.5 * self.ridge * np.vecdot(point, point)[..., None]
-        per_agent = losses.sum(axis=-1) / self.m + ridge_term
+        # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out;
+        # computed in place in the margins' buffer and one more
+        losses = self._margins(point[..., None, :])
+        soft = np.abs(losses)
+        np.negative(soft, out=soft)
+        np.exp(soft, out=soft)
+        np.log1p(soft, out=soft)
+        np.negative(losses, out=losses)
+        np.maximum(losses, 0.0, out=losses)
+        losses += soft
+        np.copyto(losses, 0.0, where=~self.real)
+        per_agent = losses.sum(axis=-1)
+        per_agent /= self.m
+        per_agent += 0.5 * self.ridge * np.vecdot(point, point)[..., None]
         return per_agent.sum(axis=-1) / self.m.size
 
 

@@ -20,6 +20,17 @@ of a batch as one stacked (S, n, d) u-form state, each run taking the
 branch of its own coin, and run is its one-run case. The tests check it
 against single-step references of both forms and of the p = 1 primal
 recursion, kept in tests/reference.py.
+
+The per-step loop only advances the state: it writes each new x into a
+(T, S, n, d) block buffer, and at the end of each block of T steps the
+divergence test and the recorded columns (relative error, consensus,
+objective and kkt) are computed for the whole block at once, with the
+same per-row reductions, so the same bits, as one step at a time.
+block_length sizes T so that the largest per-step temporary (the iterates,
+or the logistic objective's margins) stays within _BLOCK_BUDGET doubles
+over the block. A divergence is reported at the end of the block it
+happens in, as the first step whose iterate left the finite ball; the
+later steps of that block run with numpy's overflow warnings silenced.
 """
 
 from __future__ import annotations
@@ -33,6 +44,8 @@ from .combiners import CombinerPair
 from .problem import ProblemInstance
 
 _DIVERGENCE_NORM = 1e12
+# Doubles per block-wide temporary, about 128 KiB, so a block stays in L2.
+_BLOCK_BUDGET = 2**14
 
 
 class DivergenceError(Exception):
@@ -140,7 +153,10 @@ class GridStep(NamedTuple):
     S runs: p is (S,), the rest (S, n, d). grad = grad_stack(x),
     w = x - alpha grad and zu = w - sqrt(B) u; a run whose coin says
     communicate moves to (x_comm, u_comm) = (prox(A zu), u + p sqrt(B) zu),
-    one that skips to (x_skip, u) with x_skip = prox(zu)."""
+    one that skips to (x_skip, u) with x_skip = prox(zu). The driver hands
+    one GridStep per step, k = 0, 1, ... in order; an observer may buffer
+    the arrays (GridCertificates copies them into block buffers) but must
+    not modify them."""
 
     k: int
     alpha: float
@@ -154,10 +170,19 @@ class GridStep(NamedTuple):
     x_skip: np.ndarray
 
 
+def block_length(instance: ProblemInstance, count: int) -> int:
+    """Steps per recording block for a batch of `count` runs: as many as keep
+    the largest per-step temporary, count * n * max(d, m_max) doubles (the
+    iterates, or the logistic objective's margins), within _BLOCK_BUDGET."""
+    per_step = count * instance.n * max(instance.d, instance.stack.width)
+    return max(1, _BLOCK_BUDGET // per_step)
+
+
 def _sq_norms(v: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each run's block of a (S, ...) stack: the
-    dot product np.linalg.norm takes of the block alone, so the same bits."""
-    flat = v.reshape(v.shape[0], -1)
+    """Squared Frobenius norm of each (step, run) block of a (T, S, ...)
+    stack: the dot product np.linalg.norm takes of the block alone, so the
+    same bits."""
+    flat = v.reshape(v.shape[:2] + (-1,))
     return np.vecdot(flat, flat)
 
 
@@ -180,8 +205,13 @@ def run_grid(
     Each step evaluates the stacked gradient once and both branches of the
     u-form transition once, and each run takes the branch its own coin
     picks; final.y is -sqrt(B) u. A run's trace is bitwise the same alone,
-    in any batch and at any position in it, and identical arguments give an
-    identical trace.
+    in any batch and at any position in it, and for any block length, and
+    identical arguments give an identical trace.
+
+    The records and the divergence test are computed once per block of
+    block_length steps (see the module docstring): a DivergenceError names
+    the first step of the block whose iterate is not finite or has norm
+    above _DIVERGENCE_NORM, and is raised at the end of that block.
 
     observer(step), when given, is called before step k with the GridStep
     the batch leaves from; it must not modify the arrays, and it does not
@@ -213,32 +243,45 @@ def run_grid(
     err_sq, kkt_sq = np.full((iters, count), np.nan), np.full((iters, count), np.nan)
     consensus_sq = np.empty((iters, count))
     objective = np.full((iters, count), np.nan)
+    block = np.empty((min(iters, block_length(instance, count)),) + shape)
 
-    for k in range(iters):
-        x_sum += x
-        u_sum += u
-        grad = instance.grad_stack(x)
-        w = x - alpha * grad
-        zu = w - sqrt_b @ u
-        x_comm, u_comm = prox(a @ zu, alpha), u + p3 * (sqrt_b @ zu)
-        x_skip = prox(zu, alpha)
-        if observer is not None:
-            observer(GridStep(k, alpha, p, x, u, grad, w, x_comm, u_comm, x_skip))
-        x, u = np.where(take[k], x_comm, x_skip), np.where(take[k], u_comm, u)
-        if not all((np.sqrt(_sq_norms(x)) <= _DIVERGENCE_NORM).tolist()):
-            raise DivergenceError(k, "stepsize likely out of range")
+    def record(k0: int, xs: np.ndarray) -> None:
+        """Check and measure steps k0 .. k0 + len(xs) - 1 from their new iterates."""
+        bad = np.flatnonzero(~(np.sqrt(_sq_norms(xs)) <= _DIVERGENCE_NORM).all(axis=1))
+        if bad.size:
+            raise DivergenceError(k0 + int(bad[0]), "stepsize likely out of range")
+        rows = slice(k0, k0 + len(xs))
         if reference is not None:
-            err_sq[k] = _sq_norms(x - reference)
-        mean_point = np.add.reduce(x, axis=1) / instance.n
-        consensus_sq[k] = _sq_norms(x - mean_point[:, None, :])
+            err_sq[rows] = _sq_norms(xs - reference)
+        mean_point = np.add.reduce(xs, axis=2) / instance.n
+        consensus_sq[rows] = _sq_norms(xs - mean_point[:, :, None, :])
         if record_objective:
-            objective[k] = instance.objective(mean_point)
+            objective[rows] = instance.objective(mean_point)
         if record_kkt:
             g = instance.mean_grad(mean_point)
-            kkt_sq[k] = _sq_norms(mean_point - prox(mean_point - alpha * g, alpha))
+            kkt_sq[rows] = _sq_norms(mean_point - prox(mean_point - alpha * g, alpha))
+
+    # A diverging run overflows in the steps left in its block; the block's
+    # divergence test reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iters):
+            x_sum += x
+            u_sum += u
+            grad = instance.grad_stack(x)
+            w = x - alpha * grad
+            zu = w - sqrt_b @ u
+            x_comm, u_comm = prox(a @ zu, alpha), u + p3 * (sqrt_b @ zu)
+            x_skip = prox(zu, alpha)
+            if observer is not None:
+                observer(GridStep(k, alpha, p, x, u, grad, w, x_comm, u_comm, x_skip))
+            x, u = np.where(take[k], x_comm, x_skip), np.where(take[k], u_comm, u)
+            j = k % len(block)
+            block[j] = x
+            if j == len(block) - 1 or k == iters - 1:
+                record(k - j, block[:j + 1])
 
     rel_err = err_sq if reference is None else (
-        np.sqrt(err_sq) / np.maximum(np.sqrt(_sq_norms(reference)), 1e-300))
+        np.sqrt(err_sq) / np.maximum(np.sqrt(_sq_norms(reference[None])[0]), 1e-300))
     consensus, kkt = np.sqrt(consensus_sq), np.sqrt(kkt_sq)
     y = -(sqrt_b @ u)
     return [

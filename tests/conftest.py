@@ -3,6 +3,7 @@ import pytest
 
 import flexatc as fa
 from flexatc import problem as pb
+from flexatc import solver
 
 
 def synthetic_logistic_dataset(m: int, d: int, seed: int) -> pb.Dataset:
@@ -28,6 +29,14 @@ def correlated_logistic_dataset(m: int, d: int, seed: int) -> pb.Dataset:
     labels = np.where(x @ plane + 0.5 * rng.standard_normal(m) > 0.8, 1.0, -1.0)
     indptr = np.arange(0, m * d + 1, d)
     return pb.Dataset(d, labels, indptr, np.tile(np.arange(d), m), x.reshape(-1).copy())
+
+
+def set_steps_per_block(monkeypatch, inst: pb.ProblemInstance, count: int, steps: int) -> None:
+    """Shrink solver's block budget so a batch of `count` runs on `inst`
+    records `steps` steps per block."""
+    monkeypatch.setattr(solver, "_BLOCK_BUDGET",
+                        steps * count * inst.n * max(inst.d, inst.stack.width))
+    assert solver.block_length(inst, count) == steps
 
 
 def random_sparse_dataset(m: int, d: int, seed: int, density: float = 0.4) -> pb.Dataset:

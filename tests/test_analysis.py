@@ -5,7 +5,7 @@ import pytest
 
 import flexatc as fa
 import flexatc.cli as cli
-from conftest import synthetic_logistic_dataset
+from conftest import set_steps_per_block, synthetic_logistic_dataset
 from flexatc.analysis import (
     CertificateError,
     CertificateObserver,
@@ -282,6 +282,24 @@ class TestObservedSweep:
             assert np.array_equal(getattr(sweep, name), expected, equal_nan=True), name
         assert (sweep.zeta is None) == (inst.mu <= 0.0)
         assert sweep.violations() == []
+
+    @pytest.mark.parametrize("p", [1.0, 0.5, 0.2])
+    def test_observer_matches_replay_bitwise_across_blocks(self, observed_setup, p, monkeypatch):
+        # seven steps per block: 21 block boundaries and a three-step last block
+        set_steps_per_block(monkeypatch, observed_setup[0], 1, 7)
+        self.test_observer_matches_replay_bitwise(observed_setup, p)
+
+    def test_sweeps_certify_the_pending_steps(self, observed_setup, monkeypatch):
+        inst, pair, alpha, fp = observed_setup
+        set_steps_per_block(monkeypatch, inst, 1, 7)
+        whole = CertificateObserver(inst, pair, fp, 10)
+        fa.run(inst, pair, alpha, 0.5, 4, 10, observer=whole)
+        # sized for more steps than it sees, so steps 7 to 9 are still pending
+        cut = CertificateObserver(inst, pair, fp, self.ITERS)
+        fa.run(inst, pair, alpha, 0.5, 4, 10, observer=cut)
+        for name in ("lemma2_slack", "lemma2_rhs", "thm1_slack", "thm2_slack", "phi", "psi"):
+            assert np.array_equal(getattr(cut.sweep, name)[:10], getattr(whole.sweep, name),
+                                  equal_nan=True), name
 
     @pytest.mark.parametrize("p", [1.0, 0.5, 0.2])
     def test_observer_leaves_trace_unchanged(self, observed_setup, p):

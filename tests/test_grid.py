@@ -1,25 +1,30 @@
 """The batched driver: solver.run_grid against itself (batch invariance) and
 against a per-run loop of the single-step references."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import flexatc as fa
-from conftest import synthetic_logistic_dataset
+from conftest import set_steps_per_block, synthetic_logistic_dataset
 from flexatc.analysis import (
     GridCertificates,
     fixed_point,
 )
-from flexatc.problem import ProxSpec, quadratic_instance
+from flexatc.problem import ProxSpec, quadratic_from_targets, quadratic_instance
 from flexatc.solver import (
     CoinSequence,
+    DivergenceError,
     GridRun,
     SolverError,
+    block_length,
     initial_state,
     run_grid,
 )
-from reference import (branch_outcomes, flexatc_step, lemma2_check, theorem1_step_check,
-                       theorem2_check)
+from reference import (branch_outcomes, flexatc_step, lemma2_check, mirror_step,
+                       theorem1_step_check, theorem2_check)
 
 SLACK_TOL = 1e-9
 TRAJECTORY_RTOL = 1e-12
@@ -51,14 +56,25 @@ def grid_setup(request):
     return inst, runs, alpha, fps, x0
 
 
-def _batch(setup, runs, certify):
+def _batch(setup, runs, certify, iters=ITERS):
     inst, _, alpha, fps, x0 = setup
     run_fps = [fps[r.pair.variant] for r in runs]
-    observer = (GridCertificates(inst, [r.pair for r in runs], run_fps, ITERS)
+    observer = (GridCertificates(inst, [r.pair for r in runs], run_fps, iters)
                 if certify else None)
-    traces = run_grid(inst, runs, alpha, ITERS, reference=np.stack([fp.x_star for fp in run_fps]),
+    traces = run_grid(inst, runs, alpha, iters, reference=np.stack([fp.x_star for fp in run_fps]),
                       x0=x0, observer=observer)
     return traces, observer.sweeps if certify else [None] * len(runs)
+
+
+@pytest.fixture
+def small_blocks(grid_setup, monkeypatch):
+    """Seven steps per block for the six-run batch, so ITERS crosses 17 block
+    boundaries and ends in a one-step block; the runs alone, and the batches
+    of two and four, get 46, 23 and 11 steps, each with a partial last
+    block."""
+    inst = grid_setup[0]
+    set_steps_per_block(monkeypatch, inst, 1, 46)
+    assert [block_length(inst, count) for count in (2, 4, 6)] == [23, 11, 7]
 
 
 def _assert_same_run(got, want):
@@ -87,6 +103,28 @@ def test_run_is_bitwise_the_same_alone_and_in_any_batch(grid_setup, certify):
     for i in range(len(runs)):
         for other in (alone, split, reverse):
             _assert_same_run(other[i], full[i])
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_bitwise_alone_and_in_any_batch_across_blocks(grid_setup, small_blocks, certify):
+    test_run_is_bitwise_the_same_alone_and_in_any_batch(grid_setup, certify)
+
+
+@pytest.mark.parametrize("certify", [False, True])
+def test_one_iteration_is_the_first_row(grid_setup, small_blocks, certify):
+    runs = grid_setup[1]
+    one = _batch(grid_setup, runs, certify, iters=1)
+    full = _batch(grid_setup, runs, certify)
+    for (trace, sweep), (ref_trace, ref_sweep) in zip(zip(*one), zip(*full)):
+        for name in ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
+                     "kkt_residual"):
+            assert np.array_equal(getattr(trace, name), getattr(ref_trace, name)[:1],
+                                  equal_nan=True), name
+        assert np.array_equal(trace.x_avg, trace.x0)
+        if certify:
+            for name in SWEEP_COLUMNS:
+                assert np.array_equal(getattr(sweep, name), getattr(ref_sweep, name)[:1],
+                                      equal_nan=True), name
 
 
 def test_reported_successor_is_the_certified_branch(grid_setup):
@@ -155,6 +193,40 @@ def test_matches_per_run_reference_loop(grid_setup):
         assert np.max(np.abs(trace.final.x - state.x)) <= TRAJECTORY_RTOL * np.max(np.abs(state.x))
         assert trace.final.comms == state.comms
         assert sweep.violations() == []
+
+
+def test_matches_per_run_reference_loop_across_blocks(grid_setup, small_blocks):
+    test_matches_per_run_reference_loop(grid_setup)
+
+
+@pytest.mark.parametrize("steps", [None, 4])
+def test_divergence_inside_a_block_names_the_reference_step(monkeypatch, steps):
+    # understate L so the nominally valid stepsize explodes the iterates
+    lying = replace(quadratic_from_targets(np.ones((4, 2))), L=0.1, mu=0.0)
+    pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("ring", 4)))
+    alpha, iters = 15.0, 400
+    x0 = np.random.default_rng(2).standard_normal((4, 2))
+    runs = [GridRun(pair, 1.0, 0), GridRun(pair, 0.5, 0)]
+    first = []
+    for r in runs:
+        coins = CoinSequence(r.p, r.seed).draw(iters)
+        state = initial_state(lying, alpha, r.p, x0)
+        with pytest.raises(DivergenceError) as err:
+            for k in range(iters):
+                state = mirror_step(state, lying, r.pair, int(coins[k]))
+        first.append(err.value.iteration)
+    if steps:
+        set_steps_per_block(monkeypatch, lying, len(runs), steps)
+    # inside its block, not at its end; with one block for the whole run the
+    # later steps overflow, which must stay silent
+    assert (min(first) + 1) % min(iters, block_length(lying, len(runs))) != 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as err:
+            run_grid(lying, runs, alpha, iters, x0=x0)
+    assert err.value.iteration == min(first)
+    assert str(err.value) == (f"divergence detected at iteration {min(first)}: "
+                              "stepsize likely out of range")
 
 
 def test_rejects_bad_grids():
