@@ -4,7 +4,6 @@ algorithms with probabilistic communication skipping."""
 
 from .analysis import (
     CertificateError,
-    CertificateObserver,
     GridCertificates,
     ComplexityEstimate,
     FixedPoint,
@@ -52,7 +51,6 @@ from .solver import (
     RunTrace,
     SolverState,
     centralized_proxgrad,
-    initial_state,
     run,
     run_grid,
 )

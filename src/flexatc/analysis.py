@@ -5,14 +5,15 @@ calculator.
 Every "expectation" here is the exact two-point mixture over the coin
 theta in {0, 1} (weights p and 1-p), so certificate slacks carry no
 sampling noise. The certificates cover exactly the transition that
-solver.run_grid takes: a GridCertificates observer receives each step of
-the batch, stacked over its runs, with the gradient and both coin branches
-(x_comm, u_comm) and (x_skip, u) the driver computed, and the successor
-the driver reports is the branch its coin picked. It buffers the steps and
-reads every inequality from those branches for all runs and a block of
-steps at once, and CertificateObserver is its one-run case. The tests
-match it bit for bit against single-state references of every
-certificate, kept in tests/reference.py. Nothing here iterates on its own.
+solver.run_grid takes: a GridCertificates observer receives each block of
+steps of the batch, stacked over its runs, with the gradient and both coin
+branches (x_comm, u_comm) and (x_skip, u) the driver computed, and the
+successor the driver reports is the branch its coin picked. It reads every
+inequality from those branches for all runs and all steps of the block at
+once, into the block's columns; it keeps no state between blocks but the
+rates set by the first. The tests match it bit for bit against
+single-state references of every certificate, kept in tests/reference.py.
+Nothing here iterates on its own.
 The certified quantities:
 
     Phi  = ||x - x*||^2 + (1/p^2) ||u - u*||^2
@@ -34,7 +35,7 @@ import numpy as np
 from .combiners import CombinerPair
 from .linalg import kron_apply, range_solve
 from .problem import ProblemInstance
-from .solver import GridStep, block_length, centralized_proxgrad, run
+from .solver import GridBlock, centralized_proxgrad, run
 
 SLACK_TOL = 1e-9
 
@@ -202,12 +203,10 @@ class GridCertificates:
     """solver.run_grid observer that certifies every transition of every
     run in the batch it watches; run s pairs pairs[s] with fps[s].
 
-    Each call copies the GridStep's seven arrays (its state, gradient,
-    adapt step and both coin branches) into preallocated block buffers of
-    solver.block_length steps. A full block, and the block that ends at step
-    iters - 1, is certified at once: Phi, Psi and the three slacks for every
-    run and step of the block. sweeps certifies any steps still pending.
-    Each run's columns are bitwise what the single-state references of
+    Each call certifies one GridBlock: Phi, Psi and the three slacks for
+    every run and step of the block, read from its state, gradient, adapt
+    step and both coin branches, into the block's columns. Each run's
+    columns are bitwise what the single-state references of
     tests/reference.py give on its states, whatever the block length.
     grad_stack(x*) is evaluated once, here. Column k of each array
     certifies step k.
@@ -216,7 +215,6 @@ class GridCertificates:
     def __init__(self, instance: ProblemInstance, pairs: list[CombinerPair],
                  fps: list[FixedPoint], iters: int):
         self.instance = instance
-        self.iters = iters
         self.sigma = np.array([pair.sigma_m_b for pair in pairs])
         self.x_star, self.w_star, self.u_star = (
             np.stack([getattr(fp, name) for fp in fps]) for name in ("x_star", "w_star", "u_star_b"))
@@ -227,33 +225,16 @@ class GridCertificates:
             np.empty(shape) for _ in range(5))
         self.thm2_slack = np.full(shape, np.nan)
         self.zeta = self.varrho = self.p = None
-        # x, u, grad, w, x_comm, u_comm and x_skip of steps k0, k0 + 1, ...
-        length = min(iters, block_length(instance, len(pairs)))
-        self._block = np.empty((7, length) + self.x_star.shape)
-        self._k0, self._pending = 0, 0
 
-    def _rates(self, alpha: float, p: np.ndarray) -> None:
-        big_l, mu = self.instance.L, self.instance.mu
-        self.p = p
-        self.varrho = np.array([varrho(alpha, big_l, s) for s in self.sigma])
-        if self.check_linear:
-            self.zeta = np.array([zeta_rate(big_l, mu, alpha, float(pk), s)
-                                  for pk, s in zip(p, self.sigma)])
-
-    def __call__(self, step: GridStep) -> None:
-        if step.k == 0:  # alpha and p arrive with the steps and stay fixed for the run
-            self._rates(step.alpha, step.p)
-        if not self._pending:
-            self._k0 = step.k
-        for buffer, array in zip(self._block, step[3:]):
-            buffer[self._pending] = array
-        self._pending += 1
-        if self._pending == self._block.shape[1] or step.k == self.iters - 1:
-            self._certify()
-
-    def _certify(self) -> None:
-        """Read the slacks of the pending steps from the block buffers."""
-        x, u, grad, w, x_comm, u_comm, x_skip = self._block[:, :self._pending]
+    def __call__(self, block: GridBlock) -> None:
+        if block.k0 == 0:  # alpha and p arrive with the blocks and stay fixed for the run
+            big_l, mu = self.instance.L, self.instance.mu
+            self.p = block.p
+            self.varrho = np.array([varrho(block.alpha, big_l, s) for s in self.sigma])
+            if self.check_linear:
+                self.zeta = np.array([zeta_rate(big_l, mu, block.alpha, float(pk), s)
+                                      for pk, s in zip(block.p, self.sigma)])
+        x, u, grad, w, x_comm, u_comm, x_skip = block[3:]
         p = self.p
         pp = p * p
         u_gap = _sq_rows(u - self.u_star)
@@ -264,19 +245,16 @@ class GridCertificates:
         phi = _sq_rows(x - self.x_star) + u_term
         psi = _sq_rows(grad - self.grad_star) + u_gap
         rhs = _sq_rows(w - self.w_star) + (1.0 - pp * self.sigma) * u_gap / pp
-        cols = slice(self._k0, self._k0 + self._pending)
+        cols = slice(block.k0, block.k0 + len(x))
         self.phi[:, cols], self.psi[:, cols] = phi.T, psi.T
         self.lemma2_slack[:, cols], self.lemma2_rhs[:, cols] = (rhs - expected_phi).T, rhs.T
         self.thm1_slack[:, cols] = (phi - expected_phi - self.varrho * psi).T
         if self.check_linear:
             self.thm2_slack[:, cols] = (self.zeta * phi - expected_phi).T
-        self._pending = 0
 
     @property
     def sweeps(self) -> list[CertificateSweep]:
         """One CertificateSweep per run, viewing this observer's columns."""
-        if self._pending:
-            self._certify()
         return [
             CertificateSweep(
                 lemma2_slack=self.lemma2_slack[s], lemma2_rhs=self.lemma2_rhs[s],
@@ -286,18 +264,6 @@ class GridCertificates:
             )
             for s in range(self.phi.shape[0])
         ]
-
-
-class CertificateObserver(GridCertificates):
-    """The one-run case of GridCertificates, for solver.run."""
-
-    def __init__(self, instance: ProblemInstance, pair: CombinerPair, fp: FixedPoint,
-                 iters: int):
-        super().__init__(instance, [pair], [fp], iters)
-
-    @property
-    def sweep(self) -> CertificateSweep:
-        return self.sweeps[0]
 
 
 def sweep_certificates(
@@ -312,10 +278,10 @@ def sweep_certificates(
 ) -> CertificateSweep:
     """Certify every transition of solver.run with the same arguments
     (same coins, same iterates); the trace itself is discarded."""
-    observer = CertificateObserver(instance, pair, fp, iters)
+    observer = GridCertificates(instance, [pair], [fp], iters)
     run(instance, pair, alpha, p, seed, iters, x0=x0,
         record_kkt=False, record_objective=False, observer=observer)
-    return observer.sweep
+    return observer.sweeps[0]
 
 
 @dataclass(eq=False)

@@ -36,6 +36,7 @@ Unknown sections or keys are errors so that typos fail fast. Example:
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -229,6 +230,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("run.iterations must be >= 1")
     if cfg.run.init not in ("zeros", "random"):
         raise ConfigError(f"run.init must be zeros|random, got {cfg.run.init!r}")
+    if not math.isfinite(cfg.run.init_scale):
+        raise ConfigError(f"run.init_scale must be finite, got {cfg.run.init_scale}")
     return cfg
 
 

@@ -468,15 +468,17 @@ class ProblemInstance:
 
 def quadratic_from_targets(targets, curvatures=None, prox=None) -> ProblemInstance:
     """Quadratic agents f_i(x) = 1/2 sum_j h_ij (x_j - b_ij)^2 from (n, d)
-    targets b and positive curvatures h (all ones by default)."""
+    targets b and positive curvatures h (all ones by default), all finite."""
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 2 or targets.size == 0:
         raise ProblemError(f"targets must be a nonempty (n, d) array, got shape {targets.shape}")
     curvatures = np.ones_like(targets) if curvatures is None else np.asarray(curvatures, float)
     if curvatures.shape != targets.shape:
         raise ProblemError("curvature and target shapes differ")
-    if not np.all(curvatures > 0.0):
-        raise ProblemError("curvature entries must be positive")
+    if not np.all(np.isfinite(targets)):
+        raise ProblemError("target entries must be finite")
+    if not np.all((curvatures > 0.0) & (curvatures < np.inf)):
+        raise ProblemError("curvature entries must be positive and finite")
     return ProblemInstance(_QuadraticStack(targets, curvatures), prox or ProxSpec(),
                            float(curvatures.max()), float(curvatures.min()))
 
@@ -498,8 +500,8 @@ def quadratic_instance(
     A common random offset (target_offset_scale) shifts every target without
     changing the heterogeneity.
     """
-    if not (0.0 < curvature_min <= curvature_max):
-        raise ProblemError("need 0 < curvature_min <= curvature_max")
+    if not (0.0 < curvature_min <= curvature_max < np.inf):
+        raise ProblemError("need 0 < curvature_min <= curvature_max < inf")
     rng = np.random.default_rng(seed)
     h = np.geomspace(curvature_min, curvature_max, d) if d > 1 else np.array([curvature_max])
     offset = target_offset_scale * rng.standard_normal(d)

@@ -22,19 +22,23 @@ against single-step references of both forms and of the p = 1 primal
 recursion, kept in tests/reference.py.
 
 The per-step loop only advances the state: it writes each new x into a
-(T, S, n, d) block buffer, and at the end of each block of T steps the
-divergence test and the recorded columns (relative error, consensus,
-objective and kkt) are computed for the whole block at once, with the
-same per-row reductions, so the same bits, as one step at a time.
+block buffer of T + 1 rows (row 0 the iterate the block leaves from,
+row j + 1 the iterate after its step j), and at the end of each block of T
+steps the divergence test and the recorded columns (relative error,
+consensus, objective and kkt) are computed for the whole block at once,
+with the same per-row reductions, so the same bits, as one step at a time.
 block_length sizes T so that the largest per-step temporary (the iterates,
 or the logistic objective's margins) stays within _BLOCK_BUDGET doubles
 over the block. A divergence is reported at the end of the block it
 happens in, as the first step whose iterate left the finite ball; the
 later steps of that block run with numpy's overflow warnings silenced.
+An observer receives each block, once it has been recorded, as a GridBlock
+of the states its steps leave from and both of their coin branches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -96,32 +100,13 @@ class SolverState:
     p: float
 
 
-def initial_state(instance: ProblemInstance, alpha: float, p: float,
-                  x0: np.ndarray | None = None) -> SolverState:
-    """Fresh state with y = u = 0; x0 defaults to all agents at zero."""
-    shape = (instance.n, instance.d)
-    if x0 is None:
-        x = np.zeros(shape)
-    else:
-        x = np.array(x0, dtype=float)
-        if x.shape != shape:
-            raise SolverError(f"x0 has shape {x.shape}, expected {shape}")
-    if not (0.0 < alpha < 2.0 / instance.L):
-        raise SolverError(f"stepsize {alpha} outside (0, 2/L) with L={instance.L}")
-    if not (0.0 < p <= 1.0):
-        raise SolverError(f"probability must lie in (0, 1], got {p}")
-    return SolverState(x=x, y=np.zeros(shape), u=np.zeros(shape),
-                       k=0, comms=0, alpha=alpha, p=p)
-
-
 @dataclass(eq=False)
 class RunTrace:
     """Per-iteration records; row k describes the state after step k.
 
     rel_err is ||x - x*|| / ||x*|| (NaN without a reference); consensus_err
     is the Frobenius distance to the block-mean; objective and kkt_residual
-    are evaluated at the network-average point. x_avg and u_avg average the
-    K iterates seen before each step (k = 0 .. K-1).
+    are evaluated at the network-average point.
     """
 
     k: np.ndarray
@@ -131,8 +116,6 @@ class RunTrace:
     consensus_err: np.ndarray
     objective: np.ndarray
     kkt_residual: np.ndarray
-    x_avg: np.ndarray
-    u_avg: np.ndarray
     x0: np.ndarray
     final: SolverState
 
@@ -147,18 +130,18 @@ class GridRun:
     seed: int
 
 
-class GridStep(NamedTuple):
-    """The state a batch leaves from at step k, as run_grid hands it to its
-    observer, with both successors it may take. Arrays are stacked over the
-    S runs: p is (S,), the rest (S, n, d). grad = grad_stack(x),
+class GridBlock(NamedTuple):
+    """Steps k0 .. k0 + T - 1 of a batch, as run_grid hands them to its
+    observer: the state each step leaves from and both successors it may
+    take. p is (S,); the other arrays are (T, S, n, d), row j describing
+    step k0 + j of each of the S runs. grad = grad_stack(x),
     w = x - alpha grad and zu = w - sqrt(B) u; a run whose coin says
     communicate moves to (x_comm, u_comm) = (prox(A zu), u + p sqrt(B) zu),
     one that skips to (x_skip, u) with x_skip = prox(zu). The driver hands
-    one GridStep per step, k = 0, 1, ... in order; an observer may buffer
-    the arrays (GridCertificates copies them into block buffers) but must
-    not modify them."""
+    the blocks in step order, each step in exactly one; the arrays are views
+    of its buffers, valid only during the call, and must not be modified."""
 
-    k: int
+    k0: int
     alpha: float
     p: np.ndarray
     x: np.ndarray
@@ -213,16 +196,20 @@ def run_grid(
     the first step of the block whose iterate is not finite or has norm
     above _DIVERGENCE_NORM, and is raised at the end of that block.
 
-    observer(step), when given, is called before step k with the GridStep
-    the batch leaves from; it must not modify the arrays, and it does not
-    alter the traces.
+    observer(block), when given, is called with each GridBlock once the
+    block has been recorded, so a block that diverges is never observed; it
+    must not modify the arrays, and it does not alter the traces.
     """
     if iters < 1:
         raise SolverError("need at least one iteration")
     if not runs:
         raise SolverError("need at least one run")
-    states = [initial_state(instance, alpha, r.p, x0) for r in runs]
-    count, shape = len(runs), (len(runs), instance.n, instance.d)
+    shape = (instance.n, instance.d)
+    if x0 is not None and np.shape(x0) != shape:
+        raise SolverError(f"x0 has shape {np.shape(x0)}, expected {shape}")
+    if not (0.0 < alpha < 2.0 / instance.L):
+        raise SolverError(f"stepsize {alpha} outside (0, 2/L) with L={instance.L}")
+    count = len(runs)
     coins = np.stack([CoinSequence(r.p, r.seed).draw(iters) for r in runs])
     comms = np.cumsum(coins, axis=1) * np.array([r.pair.comm_rounds for r in runs])[:, None]
     take = coins.T.astype(bool)[:, :, None, None]
@@ -232,29 +219,31 @@ def run_grid(
                  for name in ("a", "sqrt_b"))
     prox = instance.prox.apply
 
-    x = np.stack([s.x for s in states])
-    u = np.zeros(shape)
-    start = x.copy()
+    start = np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
+    u = np.zeros((count,) + shape)
     if reference is not None:
-        reference = np.ascontiguousarray(np.broadcast_to(reference, shape))
+        reference = np.ascontiguousarray(np.broadcast_to(reference, u.shape))
 
     # Squared norms per step; the roots are taken once, after the loop.
-    x_sum, u_sum = np.zeros(shape), np.zeros(shape)
     err_sq, kkt_sq = np.full((iters, count), np.nan), np.full((iters, count), np.nan)
     consensus_sq = np.empty((iters, count))
     objective = np.full((iters, count), np.nan)
-    block = np.empty((min(iters, block_length(instance, count)),) + shape)
+    length = min(iters, block_length(instance, count))
+    xs = np.empty((length + 1,) + u.shape)
+    xs[0] = start
+    # u, grad, w, x_comm, u_comm and x_skip of the block's steps
+    steps = None if observer is None else np.empty((6, length) + u.shape)
 
-    def record(k0: int, xs: np.ndarray) -> None:
-        """Check and measure steps k0 .. k0 + len(xs) - 1 from their new iterates."""
-        bad = np.flatnonzero(~(np.sqrt(_sq_norms(xs)) <= _DIVERGENCE_NORM).all(axis=1))
+    def record(k0: int, new: np.ndarray) -> None:
+        """Check and measure steps k0 .. k0 + len(new) - 1 from their new iterates."""
+        bad = np.flatnonzero(~(np.sqrt(_sq_norms(new)) <= _DIVERGENCE_NORM).all(axis=1))
         if bad.size:
             raise DivergenceError(k0 + int(bad[0]), "stepsize likely out of range")
-        rows = slice(k0, k0 + len(xs))
+        rows = slice(k0, k0 + len(new))
         if reference is not None:
-            err_sq[rows] = _sq_norms(xs - reference)
-        mean_point = np.add.reduce(xs, axis=2) / instance.n
-        consensus_sq[rows] = _sq_norms(xs - mean_point[:, :, None, :])
+            err_sq[rows] = _sq_norms(new - reference)
+        mean_point = np.add.reduce(new, axis=2) / instance.n
+        consensus_sq[rows] = _sq_norms(new - mean_point[:, :, None, :])
         if record_objective:
             objective[rows] = instance.objective(mean_point)
         if record_kkt:
@@ -265,21 +254,25 @@ def run_grid(
     # divergence test reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iters):
-            x_sum += x
-            u_sum += u
+            j = k % length
+            x = xs[j]
             grad = instance.grad_stack(x)
             w = x - alpha * grad
             zu = w - sqrt_b @ u
             x_comm, u_comm = prox(a @ zu, alpha), u + p3 * (sqrt_b @ zu)
             x_skip = prox(zu, alpha)
-            if observer is not None:
-                observer(GridStep(k, alpha, p, x, u, grad, w, x_comm, u_comm, x_skip))
-            x, u = np.where(take[k], x_comm, x_skip), np.where(take[k], u_comm, u)
-            j = k % len(block)
-            block[j] = x
-            if j == len(block) - 1 or k == iters - 1:
-                record(k - j, block[:j + 1])
+            if steps is not None:
+                for buffer, array in zip(steps, (u, grad, w, x_comm, u_comm, x_skip)):
+                    buffer[j] = array
+            xs[j + 1] = np.where(take[k], x_comm, x_skip)
+            u = np.where(take[k], u_comm, u)
+            if j == length - 1 or k == iters - 1:
+                record(k - j, xs[1:j + 2])
+                if observer is not None:
+                    observer(GridBlock(k - j, alpha, p, xs[:j + 1], *steps[:, :j + 1]))
+                xs[0] = xs[j + 1]
 
+    x = xs[0].copy()
     rel_err = err_sq if reference is None else (
         np.sqrt(err_sq) / np.maximum(np.sqrt(_sq_norms(reference[None])[0]), 1e-300))
     consensus, kkt = np.sqrt(consensus_sq), np.sqrt(kkt_sq)
@@ -293,9 +286,7 @@ def run_grid(
             consensus_err=consensus[:, s].copy(),
             objective=objective[:, s].copy(),
             kkt_residual=kkt[:, s].copy(),
-            x_avg=x_sum[s] / iters,
-            u_avg=u_sum[s] / iters,
-            x0=start[s],
+            x0=start.copy(),
             final=SolverState(x=x[s], y=y[s], u=u[s], k=iters, comms=int(comms[s, -1]),
                               alpha=alpha, p=r.p),
         )
@@ -334,18 +325,22 @@ def centralized_proxgrad(
     """Reference solver: proximal gradient on the consensus problem.
 
     Iterates x+ = prox(x - alpha * mean_grad(x)) until the fixed-point
-    residual ||x - x+|| drops to tol.
+    residual ||x - x+|| drops to tol; a residual that is not finite ends
+    the solve at once.
     """
     if not (0.0 < alpha < 2.0 / instance.L):
         raise SolverError(f"stepsize {alpha} outside (0, 2/L) with L={instance.L}")
     x = np.zeros(instance.d)
     residual = np.inf
-    for _ in range(max_iters):
-        x_next = instance.prox.apply(x - alpha * instance.mean_grad(x), alpha)
-        residual = float(np.linalg.norm(x - x_next))
-        x = x_next
-        if residual <= tol:
-            return x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max_iters):
+            x_next = instance.prox.apply(x - alpha * instance.mean_grad(x), alpha)
+            residual = float(np.linalg.norm(x - x_next))
+            x = x_next
+            if residual <= tol:
+                return x
+            if not math.isfinite(residual):
+                raise SolverError(f"reference solver residual is {residual} at iteration {k}")
     raise SolverError(
         f"reference solver hit {max_iters} iterations with residual {residual:.3e} > {tol:.1e}"
     )

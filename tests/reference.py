@@ -6,7 +6,9 @@ same arithmetic one state at a time: the u-form step (mirror_step, which
 run_grid matches bit for bit), the paper's y-form step (flexatc_step, equal
 up to round-off), the p = 1 primal recursion, and every certificate of one
 state (branch_outcomes and the three checks, which GridCertificates matches
-bit for bit).
+bit for bit). initial_state starts a single-state loop, and
+IterateAverages is the run_grid observer behind the averaged-iterate
+bound.
 """
 
 from dataclasses import dataclass, replace
@@ -17,7 +19,51 @@ from flexatc.analysis import CertificateError, FixedPoint, _sq, phi_value, varrh
 from flexatc.combiners import CombinerPair
 from flexatc.linalg import kron_apply
 from flexatc.problem import ProblemInstance
-from flexatc.solver import _DIVERGENCE_NORM, DivergenceError, SolverState
+from flexatc.solver import _DIVERGENCE_NORM, DivergenceError, GridBlock, SolverError, SolverState
+
+
+def initial_state(instance: ProblemInstance, alpha: float, p: float,
+                  x0: np.ndarray | None = None) -> SolverState:
+    """Fresh state with y = u = 0; x0 defaults to all agents at zero."""
+    shape = (instance.n, instance.d)
+    if x0 is None:
+        x = np.zeros(shape)
+    else:
+        x = np.array(x0, dtype=float)
+        if x.shape != shape:
+            raise SolverError(f"x0 has shape {x.shape}, expected {shape}")
+    if not (0.0 < alpha < 2.0 / instance.L):
+        raise SolverError(f"stepsize {alpha} outside (0, 2/L) with L={instance.L}")
+    if not (0.0 < p <= 1.0):
+        raise SolverError(f"probability must lie in (0, 1], got {p}")
+    return SolverState(x=x, y=np.zeros(shape), u=np.zeros(shape),
+                       k=0, comms=0, alpha=alpha, p=p)
+
+
+class IterateAverages:
+    """run_grid observer averaging the iterates each run leaves from,
+    x_k and u_k for k = 0 .. K-1, stacked (S, n, d) over the batch. The
+    sums add one step at a time, in step order."""
+
+    def __init__(self):
+        self.x_sum = self.u_sum = None
+        self.steps = 0
+
+    def __call__(self, block: GridBlock) -> None:
+        if self.x_sum is None:
+            self.x_sum, self.u_sum = np.zeros_like(block.x[0]), np.zeros_like(block.u[0])
+        for x, u in zip(block.x, block.u):
+            self.x_sum += x
+            self.u_sum += u
+        self.steps += len(block.x)
+
+    @property
+    def x_avg(self) -> np.ndarray:
+        return self.x_sum / self.steps
+
+    @property
+    def u_avg(self) -> np.ndarray:
+        return self.u_sum / self.steps
 
 
 def _check_finite(x: np.ndarray, k: int) -> None:

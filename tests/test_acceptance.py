@@ -17,7 +17,7 @@ import flexatc.cli as cli
 from conftest import correlated_logistic_dataset, synthetic_logistic_dataset
 from flexatc.problem import serialize_libsvm
 from flexatc.analysis import (
-    CertificateObserver,
+    GridCertificates,
     averaged_iterate_bound,
     fixed_point,
     skip_threshold,
@@ -29,10 +29,9 @@ from flexatc.problem import LogisticLoss, ProxSpec, QuadraticLoss, quadratic_ins
 from flexatc.solver import (
     CoinSequence,
     GridRun,
-    initial_state,
     run_grid,
 )
-from reference import flexatc_step, primal_recursion_step
+from reference import IterateAverages, flexatc_step, initial_state, primal_recursion_step
 
 SLACK_TOL = 1e-9
 PRESETS = ("nids:c=0.5", "ed", "mg_ed:N=3", "atc_gt", "mg_sonata:N=2")
@@ -380,13 +379,14 @@ def test_criterion_7_convex_regime():
     for seed in range(1, 11):
         # one integration per path: the observer certifies the transitions of
         # the run whose averaged iterates feed the bound
-        observer = CertificateObserver(inst, pair, fp, iters)
+        certificates, averages = GridCertificates(inst, [pair], [fp], iters), IterateAverages()
         tr = fa.run(inst, pair, alpha, 0.5, seed, iters, reference=fp.x_star,
-                    record_kkt=False, record_objective=False, observer=observer)
-        sweep = observer.sweep
+                    record_kkt=False, record_objective=False,
+                    observer=lambda block: (certificates(block), averages(block)))
+        sweep = certificates.sweeps[0]
         worst_rel = min(worst_rel, float(np.min(sweep.thm1_slack / (1.0 + sweep.phi))))
         measured, bound = averaged_iterate_bound(
-            tr.x_avg, tr.u_avg, tr.x0, iters, inst, pair, alpha, 0.5, fp)
+            averages.x_avg[0], averages.u_avg[0], tr.x0, iters, inst, pair, alpha, 0.5, fp)
         bound_ok = bound_ok and measured <= bound
     report(7, "convex-regime certificate", worst_rel >= -SLACK_TOL and bound_ok,
            f"10 paths x {iters} steps, worst relative slack {worst_rel:.2e}, "

@@ -8,7 +8,7 @@ import flexatc.cli as cli
 from conftest import set_steps_per_block, synthetic_logistic_dataset
 from flexatc.analysis import (
     CertificateError,
-    CertificateObserver,
+    GridCertificates,
     averaged_iterate_bound,
     complexity,
     fixed_point,
@@ -23,10 +23,9 @@ from flexatc.solver import (
     CoinSequence,
     GridRun,
     SolverState,
-    initial_state,
 )
-from reference import (branch_outcomes, flexatc_step, lemma2_check, mirror_step,
-                       theorem1_step_check, theorem2_check)
+from reference import (IterateAverages, branch_outcomes, flexatc_step, initial_state,
+                       lemma2_check, mirror_step, theorem1_step_check, theorem2_check)
 
 SLACK_TOL = 1e-9
 
@@ -154,10 +153,11 @@ class TestTheorem1:
         alpha = 1.0 / inst.L
         fp = fixed_point(inst, pair, alpha, tol=1e-13)
         for seed in (1, 2):
+            averages = IterateAverages()
             trace = fa.run(inst, pair, alpha, p=0.5, seed=seed, iters=400,
-                           reference=fp.x_star, record_kkt=False)
+                           reference=fp.x_star, record_kkt=False, observer=averages)
             measured, bound = averaged_iterate_bound(
-                trace.x_avg, trace.u_avg, trace.x0, 400, inst, pair, alpha, 0.5, fp
+                averages.x_avg[0], averages.u_avg[0], trace.x0, 400, inst, pair, alpha, 0.5, fp
             )
             assert measured <= bound
 
@@ -289,27 +289,15 @@ class TestObservedSweep:
         set_steps_per_block(monkeypatch, observed_setup[0], 1, 7)
         self.test_observer_matches_replay_bitwise(observed_setup, p)
 
-    def test_sweeps_certify_the_pending_steps(self, observed_setup, monkeypatch):
-        inst, pair, alpha, fp = observed_setup
-        set_steps_per_block(monkeypatch, inst, 1, 7)
-        whole = CertificateObserver(inst, pair, fp, 10)
-        fa.run(inst, pair, alpha, 0.5, 4, 10, observer=whole)
-        # sized for more steps than it sees, so steps 7 to 9 are still pending
-        cut = CertificateObserver(inst, pair, fp, self.ITERS)
-        fa.run(inst, pair, alpha, 0.5, 4, 10, observer=cut)
-        for name in ("lemma2_slack", "lemma2_rhs", "thm1_slack", "thm2_slack", "phi", "psi"):
-            assert np.array_equal(getattr(cut.sweep, name)[:10], getattr(whole.sweep, name),
-                                  equal_nan=True), name
-
     @pytest.mark.parametrize("p", [1.0, 0.5, 0.2])
     def test_observer_leaves_trace_unchanged(self, observed_setup, p):
         inst, pair, alpha, fp = observed_setup
         args = (inst, pair, alpha, p, 4, self.ITERS)
         plain = fa.run(*args, reference=fp.x_star)
         observed = fa.run(*args, reference=fp.x_star,
-                          observer=CertificateObserver(inst, pair, fp, self.ITERS))
+                          observer=GridCertificates(inst, [pair], [fp], self.ITERS))
         for name in ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
-                     "kkt_residual", "x_avg", "u_avg", "x0"):
+                     "kkt_residual", "x0"):
             assert np.array_equal(getattr(plain, name), getattr(observed, name)), name
         for name in ("x", "y", "u"):
             assert np.array_equal(getattr(plain.final, name), getattr(observed.final, name))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import flexatc as fa
 import flexatc.cli as cli
 from flexatc import combiners
-from flexatc.analysis import CertificateObserver, fixed_point
+from flexatc.analysis import GridCertificates, fixed_point
 from flexatc.config import ConfigError, parse_config
 from flexatc.graph import topology_to_edgelist
 from flexatc.solver import DivergenceError, SolverError
@@ -113,6 +114,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="problem.d must be >= 1, got 0"):
             parse_config("[problem]\nd = 0\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_init_scale_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match=f"run.init_scale must be finite, got {value}"):
+            parse_config(f"[run]\ninit = random\ninit_scale = {value}\n")
+        # large but finite stays valid: the run itself reports the divergence
+        assert parse_config("[run]\ninit_scale = 1e13\n").run.init_scale == 1e13
+
     def test_logistic_requires_data(self):
         with pytest.raises(ConfigError, match="problem.data"):
             parse_config("[problem]\ntype = logistic\n")
@@ -130,6 +138,29 @@ class TestRunCommand:
         # alpha = 1/L on a single unit-curvature agent solves in one step
         assert k == 0 and rel_err <= 1e-12
         assert "iters_to_" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("setting,message", [
+        pytest.param("curvature_max = 1.0\ntarget_scale = nan", "target entries must be finite",
+                     id="target_scale-nan"),
+        pytest.param("curvature_max = 1.0\ntarget_scale = inf", "target entries must be finite",
+                     id="target_scale-inf"),
+        pytest.param("curvature_max = inf", "need 0 < curvature_min <= curvature_max < inf",
+                     id="curvature_max-inf"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    def test_non_finite_problem_exits_2(self, tmp_path, capsys, command, setting, message):
+        conf = write_config(tmp_path, GRID.replace("curvature_max = 1.0", setting))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    def test_non_finite_init_scale_exits_2(self, tmp_path, capsys, command):
+        conf = write_config(tmp_path, GRID.replace(
+            "seeds = 1, 2", "seeds = 1, 2\ninit = random\ninit_scale = nan"))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: run.init_scale must be finite, got nan\n"
 
     def test_missing_config_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent.ini"]) == cli.EXIT_CONFIG
@@ -427,11 +458,11 @@ class TestCsvCells:
         alpha = 1.0 / inst.L
         fp = fixed_point(inst, pair, alpha)
         for reference, checks in ((None, False), (fp.x_star, True)):
-            observer = CertificateObserver(inst, pair, fp, 25) if checks else None
+            observer = GridCertificates(inst, [pair], [fp], 25) if checks else None
             trace = fa.run(inst, pair, alpha, 0.5, 3, 25, reference=reference,
                            record_kkt=False, observer=observer)
             res = cli.RunResult("ed|p=0.5|seed=3", "ed", 0.5, 3, trace,
-                                observer.sweep if checks else None)
+                                observer.sweeps[0] if checks else None)
             rows = cli._result_rows(res) + [cli._summary_row(res)]
             assert any(cell == "" for row in rows for cell in row[7:])
             assert rows == _rows_cell_by_cell(res)

@@ -10,6 +10,7 @@ import pytest
 import flexatc as fa
 from conftest import set_steps_per_block, synthetic_logistic_dataset
 from flexatc.analysis import (
+    FixedPoint,
     GridCertificates,
     fixed_point,
 )
@@ -17,19 +18,19 @@ from flexatc.problem import ProxSpec, quadratic_from_targets, quadratic_instance
 from flexatc.solver import (
     CoinSequence,
     DivergenceError,
+    GridBlock,
     GridRun,
     SolverError,
     block_length,
-    initial_state,
     run_grid,
 )
-from reference import (branch_outcomes, flexatc_step, lemma2_check, mirror_step,
-                       theorem1_step_check, theorem2_check)
+from reference import (IterateAverages, branch_outcomes, flexatc_step, initial_state,
+                       lemma2_check, mirror_step, theorem1_step_check, theorem2_check)
 
 SLACK_TOL = 1e-9
 TRAJECTORY_RTOL = 1e-12
 TRACE_COLUMNS = ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
-                 "kkt_residual", "x_avg", "u_avg", "x0")
+                 "kkt_residual", "x0")
 SWEEP_COLUMNS = ("lemma2_slack", "lemma2_rhs", "thm1_slack", "thm2_slack", "phi", "psi")
 ITERS = 120
 
@@ -112,7 +113,10 @@ def test_bitwise_alone_and_in_any_batch_across_blocks(grid_setup, small_blocks, 
 
 @pytest.mark.parametrize("certify", [False, True])
 def test_one_iteration_is_the_first_row(grid_setup, small_blocks, certify):
-    runs = grid_setup[1]
+    inst, runs, alpha, _, x0 = grid_setup
+    averages = IterateAverages()
+    run_grid(inst, runs, alpha, 1, x0=x0, observer=averages)
+    assert np.array_equal(averages.x_avg, np.broadcast_to(x0, averages.x_avg.shape))
     one = _batch(grid_setup, runs, certify, iters=1)
     full = _batch(grid_setup, runs, certify)
     for (trace, sweep), (ref_trace, ref_sweep) in zip(zip(*one), zip(*full)):
@@ -120,31 +124,42 @@ def test_one_iteration_is_the_first_row(grid_setup, small_blocks, certify):
                      "kkt_residual"):
             assert np.array_equal(getattr(trace, name), getattr(ref_trace, name)[:1],
                                   equal_nan=True), name
-        assert np.array_equal(trace.x_avg, trace.x0)
         if certify:
             for name in SWEEP_COLUMNS:
                 assert np.array_equal(getattr(sweep, name), getattr(ref_sweep, name)[:1],
                                       equal_nan=True), name
 
 
-def test_reported_successor_is_the_certified_branch(grid_setup):
+def test_reported_successor_is_the_certified_branch(grid_setup, small_blocks):
     inst, runs, alpha, _, x0 = grid_setup
-    steps = []
+    blocks = []
 
-    def record(step):
-        steps.append(step._replace(**{name: getattr(step, name).copy() for name in
-                                      ("x", "u", "x_comm", "u_comm", "x_skip")}))
+    def record(block):
+        # the arrays are views of the driver's buffers, valid only during the call
+        blocks.append(block._replace(**{name: getattr(block, name).copy()
+                                        for name in GridBlock._fields[3:]}))
 
     traces = run_grid(inst, runs, alpha, ITERS, x0=x0, observer=record)
-    assert [step.k for step in steps] == list(range(ITERS))
+    # one call per seven-step block, the last a one-step block
+    assert [block.k0 for block in blocks] == list(range(0, ITERS, 7))
+    assert [len(block.x) for block in blocks] == [7] * 17 + [1]
+    # every step once, in order, each array (T, S, n, d) over the block
+    assert [k for block in blocks for k in range(block.k0, block.k0 + len(block.x))] == \
+        list(range(ITERS))
+    for block in blocks:
+        assert block.alpha == alpha and np.array_equal(block.p, [r.p for r in runs])
+        for name in GridBlock._fields[3:]:
+            assert getattr(block, name).shape == (len(block.x), len(runs), inst.n, inst.d), name
+    steps = {name: np.concatenate([getattr(block, name) for block in blocks])
+             for name in ("x", "u", "x_comm", "u_comm", "x_skip")}
     coins = np.stack([trace.theta for trace in traces]).astype(bool)[:, :, None, None]
     final = (np.stack([trace.final.x for trace in traces]),
              np.stack([trace.final.u for trace in traces]))
-    for k, step in enumerate(steps):
+    for k in range(ITERS):
         theta = coins[:, k]
-        x_next, u_next = (steps[k + 1].x, steps[k + 1].u) if k + 1 < ITERS else final
-        assert np.array_equal(x_next, np.where(theta, step.x_comm, step.x_skip)), k
-        assert np.array_equal(u_next, np.where(theta, step.u_comm, step.u)), k
+        x_next, u_next = (steps["x"][k + 1], steps["u"][k + 1]) if k + 1 < ITERS else final
+        assert np.array_equal(x_next, np.where(theta, steps["x_comm"][k], steps["x_skip"][k])), k
+        assert np.array_equal(u_next, np.where(theta, steps["u_comm"][k], steps["u"][k])), k
 
 
 def _reference_run(inst, pair, alpha, p, seed, iters, fp, x0):
@@ -200,7 +215,7 @@ def test_matches_per_run_reference_loop_across_blocks(grid_setup, small_blocks):
 
 
 @pytest.mark.parametrize("steps", [None, 4])
-def test_divergence_inside_a_block_names_the_reference_step(monkeypatch, steps):
+def test_divergence_inside_a_block_names_the_reference_step(monkeypatch, steps, certify=False):
     # understate L so the nominally valid stepsize explodes the iterates
     lying = replace(quadratic_from_targets(np.ones((4, 2))), L=0.1, mu=0.0)
     pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("ring", 4)))
@@ -220,13 +235,34 @@ def test_divergence_inside_a_block_names_the_reference_step(monkeypatch, steps):
     # inside its block, not at its end; with one block for the whole run the
     # later steps overflow, which must stay silent
     assert (min(first) + 1) % min(iters, block_length(lying, len(runs))) != 0
+    observer, certified = None, []
+    if certify:
+        # any point serves as x* here: the certificates only have to run
+        zeros = np.zeros((4, 2))
+        certificates = GridCertificates(
+            lying, [pair] * len(runs), [FixedPoint(zeros[0], zeros, zeros, zeros, 0.0)] * len(runs),
+            iters)
+
+        def observer(block):
+            certified.extend(range(block.k0, block.k0 + len(block.x)))
+            certificates(block)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as err:
-            run_grid(lying, runs, alpha, iters, x0=x0)
+            run_grid(lying, runs, alpha, iters, x0=x0, observer=observer)
     assert err.value.iteration == min(first)
     assert str(err.value) == (f"divergence detected at iteration {min(first)}: "
                               "stepsize likely out of range")
+    # the blocks before the diverging one, and not that one, were certified
+    length = min(iters, block_length(lying, len(runs)))
+    assert certified == (list(range(min(first) // length * length)) if certify else [])
+
+
+@pytest.mark.parametrize("steps", [None, 4])
+def test_divergence_inside_a_certified_block_names_the_reference_step(monkeypatch, steps):
+    # the block is recorded before it is observed, so the error is the same
+    test_divergence_inside_a_block_names_the_reference_step(monkeypatch, steps, certify=True)
 
 
 def test_rejects_bad_grids():

@@ -378,6 +378,23 @@ class TestInstances:
         with pytest.raises(ProblemError, match=message):
             quadratic_from_targets(targets, curvatures)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_quadratic_inputs_are_rejected(self, bad):
+        targets = np.zeros((2, 3))
+        targets[1, 2] = bad
+        with pytest.raises(ProblemError, match="target entries must be finite"):
+            quadratic_from_targets(targets)
+        curvatures = np.ones((2, 3))
+        curvatures[0, 1] = bad
+        with pytest.raises(ProblemError, match="curvature entries must be positive and finite"):
+            quadratic_from_targets(np.zeros((2, 3)), curvatures)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProblemError, match="target entries must be finite"):
+                quadratic_instance(3, 2, seed=0, target_scale=bad)
+            with pytest.raises(ProblemError, match="curvature_max < inf"):
+                quadratic_instance(3, 2, seed=0, curvature_max=abs(bad))
+
     def test_logistic_instance_rejects_negative_ridge(self):
         ds = synthetic_logistic_dataset(10, 3, seed=0)
         with pytest.raises(ProblemError, match="ridge must be nonnegative"):

@@ -1,4 +1,5 @@
 import pickle
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,10 +13,10 @@ from flexatc.solver import (
     DivergenceError,
     SolverError,
     centralized_proxgrad,
-    initial_state,
     run,
 )
-from reference import flexatc_step, mirror_step, primal_recursion_step
+from reference import (IterateAverages, flexatc_step, initial_state, mirror_step,
+                       primal_recursion_step)
 
 
 def ring_pair(n: int, variant: str = "ed", lazy: bool = False):
@@ -187,8 +188,9 @@ class TestRunTrace:
         for _ in range(4):
             state = flexatc_step(state, inst, pair, 1)
             xs.append(state.x.copy())
-        trace = run(inst, pair, 1.0 / inst.L, p=1.0, seed=0, iters=5)
-        assert np.allclose(trace.x_avg, np.mean(xs[:5], axis=0), atol=1e-14)
+        averages = IterateAverages()
+        run(inst, pair, 1.0 / inst.L, p=1.0, seed=0, iters=5, observer=averages)
+        assert np.allclose(averages.x_avg[0], np.mean(xs[:5], axis=0), atol=1e-14)
 
 
 class TestPrimalRecursion:
@@ -244,6 +246,17 @@ class TestCentralizedProxgrad:
         x = centralized_proxgrad(inst, alpha, tol=1e-12)
         step = inst.prox.apply(x - alpha * inst.mean_grad(x), alpha)
         assert np.linalg.norm(x - step) <= 1e-12
+
+    def test_non_finite_residual_stops_at_once(self):
+        # understate L so the nominally valid stepsize explodes the iterates;
+        # the solve ends when the residual overflows, not after max_iters
+        lying = replace(fa.quadratic_from_targets(np.ones((1, 2))), L=0.1, mu=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match=r"reference solver residual is inf") as err:
+                centralized_proxgrad(lying, alpha=15.0)
+        iteration = int(str(err.value).rsplit(" ", 1)[1])
+        assert 0 < iteration < 1000
 
     def test_iteration_cap_reports_residual(self):
         inst = quadratic_instance(2, 2, seed=15, target_scale=10.0)
