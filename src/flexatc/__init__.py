@@ -42,6 +42,7 @@ from .problem import (
     partition,
     quadratic_from_targets,
     quadratic_instance,
+    read_libsvm,
     serialize_libsvm,
 )
 from .solver import (

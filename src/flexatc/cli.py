@@ -14,6 +14,7 @@ certificate falsification.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -61,10 +62,9 @@ def build_problem(cfg: ExperimentConfig) -> tuple[problem.ProblemInstance, float
         )
     else:
         try:
-            data = Path(p.data).read_bytes()
+            ds = problem.read_libsvm(p.data, map_01_labels=p.map_01_labels)
         except OSError as exc:
             raise DatasetError(f"cannot read dataset {p.data}: {exc}") from exc
-        ds = problem.parse_libsvm(data, map_01_labels=p.map_01_labels)
         if p.normalize:
             ds = problem.normalize_features(ds)
         if p.max_samples > 0:
@@ -268,8 +268,9 @@ def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
         topo_path.write_text(graph.topology_to_edgelist(topo))
         print(f"topology written to {topo_path}")
     instance, alpha = build_problem(cfg)
+    kappa = instance.L / instance.mu if instance.mu > 0.0 else math.inf
     print(f"problem: {cfg.problem.type} n={instance.n} d={instance.d} "
-          f"L={instance.L:.6g} mu={instance.mu:.6g} alpha={alpha:.6g}")
+          f"L={instance.L:.6g} mu={instance.mu:.6g} kappa={kappa:.6g} alpha={alpha:.6g}")
     status = EXIT_OK
     names = []
     for variant in cfg.variants:

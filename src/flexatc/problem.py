@@ -10,8 +10,12 @@ constructors check their inputs.
 
 from __future__ import annotations
 
+import io
+import os
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -141,10 +145,10 @@ def _parse_fields(data: bytes, starts: np.ndarray, is_label: np.ndarray,
     return out, limit
 
 
-def _parse_block(data: bytes, lo: int, hi: int, map_01_labels: bool):
-    """(labels, features per sample, 0-based indices, values) of the whole
-    lines data[lo:hi]; raises ParseError at the first malformed token."""
-    block = data[lo:hi]
+def _parse_block(block: bytes, first_line: int, map_01_labels: bool):
+    """(labels, features per sample, (index, value) rows) of the whole lines
+    of a normalised block whose first line is line first_line + 1 of the
+    input; raises ParseError at the first malformed token."""
     buf = np.frombuffer(block, dtype=np.uint8)
     starts, ends, is_label = _tokens(buf)
     malformed = _malformed(buf, starts, ends, is_label)
@@ -173,9 +177,67 @@ def _parse_block(data: bytes, lo: int, hi: int, map_01_labels: bool):
             what = f"label {tok!r} is not +1/-1"
         else:
             what = f"index {int(pairs[np.count_nonzero(~head[:t]), 0])} is not 1-based"
-        raise ParseError(f"line {data.count(10, 0, lo + starts[t]) + 1}: {what}")
+        raise ParseError(f"line {first_line + block.count(10, 0, starts[t]) + 1}: {what}")
     counts = np.diff(np.append(np.flatnonzero(is_label), starts.size)) - 1
-    return labels, counts, pairs[:, 0].astype(int) - 1, pairs[:, 1]
+    return labels, counts, pairs
+
+
+def _normalise(data: bytes) -> bytes:
+    """Every line break as a newline and every other separator as a space."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    if any(ch in data for ch in _OTHER_SPACE):
+        data = data.translate(_TO_SPACE_OR_NEWLINE)
+    return data
+
+
+def _line_blocks(stream: BinaryIO) -> Iterator[bytes]:
+    """The normalised input in blocks of whole lines, one read of about
+    _BLOCK_BYTES each; the last block may lack its final newline. A read
+    that ends in a carriage return keeps it for the next, whose first byte
+    may be the newline that pairs with it."""
+    tail = b""
+    while chunk := stream.read(_BLOCK_BYTES):
+        data = tail + chunk
+        keep = data[-1:] if data[-1:] == b"\r" else b""
+        data = _normalise(data[:len(data) - len(keep)])
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        tail = data[cut:] + keep
+    if tail:
+        yield _normalise(tail)
+
+
+def _read_stream(stream: BinaryIO, map_01_labels: bool) -> Dataset:
+    """The dataset of a seekable binary stream, read from its start in blocks
+    of whole lines. Every feature token holds one colon, so a first pass
+    counting colons sizes the index and value arrays, and each block's pairs
+    are written into them."""
+    size = sum(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 58)
+               for chunk in iter(lambda: stream.read(_BLOCK_BYTES), b""))
+    stream.seek(0)
+    indices, values = np.empty(size, dtype=int), np.empty(size)
+    labels, counts = [np.empty(0)], [np.empty(0, dtype=int)]
+    end = lines = 0
+    for block in _line_blocks(stream):
+        block_labels, block_counts, pairs = _parse_block(block, lines, map_01_labels)
+        start, end = end, end + pairs.shape[0]
+        indices[start:end] = pairs[:, 0]
+        values[start:end] = pairs[:, 1]
+        labels.append(block_labels)
+        counts.append(block_counts)
+        lines += block.count(b"\n")
+    indices -= 1
+    return Dataset(int(indices.max()) + 1 if size else 0, np.concatenate(labels),
+                   np.append(0, np.cumsum(np.concatenate(counts))), indices, values)
+
+
+def read_libsvm(path: str | os.PathLike, map_01_labels: bool = False) -> Dataset:
+    """parse_libsvm of a file's bytes, streamed: the file is never held whole,
+    and the only full-size arrays are the dataset's own. OSError propagates."""
+    with open(path, "rb") as stream:
+        return _read_stream(stream, map_01_labels)
 
 
 def parse_libsvm(text: str | bytes, map_01_labels: bool = False) -> Dataset:
@@ -186,19 +248,8 @@ def parse_libsvm(text: str | bytes, map_01_labels: bool = False) -> Dataset:
     split as str.splitlines() and str.split() split ASCII text; the first
     malformed token raises ParseError naming its line.
     """
-    data = text.encode() if isinstance(text, str) else bytes(text)
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    if any(ch in data for ch in _OTHER_SPACE):
-        data = data.translate(_TO_SPACE_OR_NEWLINE)
-    # Blocks of whole lines keep the temporary arrays small.
-    cuts = [0]
-    while cuts[-1] < len(data) or len(cuts) == 1:
-        cuts.append(data.find(b"\n", cuts[-1] + _BLOCK_BYTES) + 1 or len(data))
-    blocks = [_parse_block(data, lo, hi, map_01_labels) for lo, hi in zip(cuts, cuts[1:])]
-    labels, counts, indices, values = (np.concatenate(parts) for parts in zip(*blocks))
-    return Dataset(int(indices.max()) + 1 if indices.size else 0, labels,
-                   np.append(0, np.cumsum(counts)), indices, values)
+    return _read_stream(io.BytesIO(text.encode() if isinstance(text, str) else text),
+                        map_01_labels)
 
 
 def serialize_libsvm(ds: Dataset) -> str:
@@ -220,15 +271,19 @@ def normalize_features(ds: Dataset) -> Dataset:
                    ds.values / scale[ds.indices])
 
 
-def partition(ds: Dataset, n: int, seed: int) -> list[Dataset]:
-    """Seeded uniform shuffle split into n slices with sizes differing by <= 1."""
-    m = len(ds)
+def _shuffled_split(m: int, n: int, seed: int) -> list[np.ndarray]:
+    """The sample rows of each of n agents: a seeded shuffle of range(m) cut
+    into n slices with sizes differing by <= 1."""
     if n < 1:
         raise ProblemError("need at least one agent")
     if n > m:
         raise ProblemError(f"cannot split {m} samples across {n} agents")
-    perm = np.random.default_rng(seed).permutation(m)
-    return [ds.subset(chunk) for chunk in np.array_split(perm, n)]
+    return np.array_split(np.random.default_rng(seed).permutation(m), n)
+
+
+def partition(ds: Dataset, n: int, seed: int) -> list[Dataset]:
+    """Seeded uniform shuffle split into n slices with sizes differing by <= 1."""
+    return [ds.subset(rows) for rows in _shuffled_split(len(ds), n, seed)]
 
 
 @dataclass(eq=False)
@@ -382,7 +437,7 @@ class _LogisticStack:
     columns are zero, which zeroes their gradient contribution, and the
     boolean mask real hides them from the value. Each (run, agent) pair gets
     its own matrix-vector product, so a run gets the same bits alone as in a
-    batch. Every agent has the same ridge.
+    batch; the products loop agent by agent. Every agent has the same ridge.
     """
 
     signed: np.ndarray
@@ -399,8 +454,30 @@ class _LogisticStack:
         """Entries per agent of the objective's margins at one point, m_max."""
         return self.signed.shape[2]
 
+    def _signed(self, ndim: int) -> np.ndarray:
+        """signed as (n, 1, ..., 1, d, m_max), an operand of ndim axes."""
+        n, d, width = self.signed.shape
+        return self.signed.reshape((n,) + (1,) * (ndim - 3) + (d, width))
+
+    def _by_agent(self, left: np.ndarray, right: np.ndarray, runs: tuple) -> np.ndarray:
+        """left @ right, one product per (agent, run), as a C-ordered
+        (*runs, n, rows, cols) array. Both operands put the agent axis first,
+        as x.swapaxes(0, -2) does to (*runs, n, d). numpy orders the loop by
+        the first operand whose strides rank the two axes, so a contiguous
+        agent-first operand makes every run reuse an agent's block while it
+        is in cache."""
+        out = np.empty(runs + (self.signed.shape[0], left.shape[-2], right.shape[-1]))
+        np.matmul(left, right, out=out.swapaxes(0, -3))
+        return out
+
     def _margins(self, x: np.ndarray) -> np.ndarray:
-        return (x[..., None, :] @ self.signed)[..., 0, :]
+        """x[..., i, :] @ signed[i] for each agent i, (..., n, m_max). An x
+        with one row for all agents is spread to n rows first, so that it is
+        the operand that orders the loop."""
+        runs = x.shape[:-2]
+        x = np.broadcast_to(x, runs + self.signed.shape[:2])
+        xt = np.ascontiguousarray(x.swapaxes(0, -2))[..., None, :]
+        return self._by_agent(xt, self._signed(xt.ndim), runs)[..., 0, :]
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         # d/dx ln(1 + e^-t) = -yX sigma(-t), and sigma(-t) = 1 / (1 + e^t) is
@@ -410,8 +487,12 @@ class _LogisticStack:
             np.exp(weights, out=weights)
         weights += 1.0
         np.reciprocal(weights, out=weights)
-        grads = (self.signed @ weights[..., None])[..., 0]
-        return -grads / self.m[:, None] + self.ridge * x
+        weights = np.ascontiguousarray(weights.swapaxes(0, -2))[..., None]
+        grads = self._by_agent(self._signed(weights.ndim), weights, x.shape[:-2])[..., 0]
+        np.negative(grads, out=grads)
+        grads /= self.m[:, None]
+        grads += self.ridge * x
+        return grads
 
     def value(self, point: np.ndarray) -> np.ndarray:
         # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out;
@@ -517,18 +598,20 @@ def logistic_instance(
     prox: ProxSpec | None = None,
 ) -> ProblemInstance:
     """Logistic agents with a common ridge on a seeded uniform partition,
-    which gives every agent at least one sample. Each slice is scattered from
-    its CSR arrays into the signed stack, and L_i is the ridge plus the power
+    which gives every agent at least one sample. The agents' slices are
+    scattered from the CSR arrays into the signed stack one at a time, so no
+    second copy of the dataset is built, and L_i is the ridge plus the power
     iteration's top eigenvalue of the Gram X_i^T X_i / (4 m_i) of its block."""
     if not ridge >= 0.0:
         raise ProblemError("ridge must be nonnegative")
-    slices = partition(ds, n, partition_seed)
-    m = np.array([len(s) for s in slices])
+    chunks = _shuffled_split(len(ds), n, partition_seed)
+    m = np.array([rows.size for rows in chunks])
     signed = np.zeros((n, ds.d, m.max()))
     lmax = []
-    for i, s in enumerate(slices):
-        rows = np.repeat(np.arange(m[i]), np.diff(s.indptr))
-        signed[i, s.indices, rows] = s.values * s.labels[rows]
+    for i, rows in enumerate(chunks):
+        s = ds.subset(rows)
+        sample = np.repeat(np.arange(m[i]), np.diff(s.indptr))
+        signed[i, s.indices, sample] = s.values * s.labels[sample]
         block = np.ascontiguousarray(signed[i, :, :m[i]].T)
         lmax.append(_power_iteration_lmax(block.T @ block / (4.0 * m[i])))
     real = np.arange(m.max()) < m[:, None]

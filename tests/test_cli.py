@@ -172,6 +172,19 @@ class TestRunCommand:
         ))
         assert cli.main(["run", conf]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_dataset_exits_2(self, tmp_path, capsys, kind):
+        data = tmp_path / kind
+        if kind == "directory":
+            data.mkdir()
+        conf = write_config(tmp_path, SMOKE.replace(
+            "type = quadratic\nd = 2\ntarget_seed = 3",
+            f"type = logistic\ndata = {data}\nridge = 0.1",
+        ))
+        for command in ("validate", "run", "check"):
+            assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+            assert capsys.readouterr().err.startswith(f"error: cannot read dataset {data}: ")
+
     def test_invalid_combiner_exits_4_with_reason(self, tmp_path, capsys):
         conf = write_config(tmp_path, SMOKE.replace("variants = ed", "variants = nids:c=0.9"))
         code = cli.main(["run", conf, "--out-dir", str(tmp_path)])
@@ -482,6 +495,20 @@ class TestValidateCommand:
         header, *rows = text.splitlines()
         assert header == "6 6"
         assert [tuple(map(int, row.split())) for row in rows] == list(topo.edges)
+
+    def test_problem_line_reports_kappa(self, tmp_path, capsys):
+        # GRID's curvatures span [0.1, 1]; a logistic problem without ridge
+        # has mu = 0 and an infinite condition number
+        assert cli.main(["validate", write_config(tmp_path, GRID)]) == cli.EXIT_OK
+        assert " mu=0.1 kappa=10 alpha=" in capsys.readouterr().out
+        data = tmp_path / "data.libsvm"
+        data.write_text(fa.serialize_libsvm(fa.parse_libsvm("+1 1:0.5 2:1\n-1 1:-1\n")))
+        conf = write_config(tmp_path, SMOKE.replace(
+            "type = quadratic\nd = 2\ntarget_seed = 3",
+            f"type = logistic\ndata = {data}\nridge = 0",
+        ))
+        assert cli.main(["validate", conf]) == cli.EXIT_OK
+        assert " mu=0 kappa=inf alpha=" in capsys.readouterr().out
 
     def test_export_resolves_under_out_dir(self, tmp_path, monkeypatch):
         conf = write_config(tmp_path, GRID)

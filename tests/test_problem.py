@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from flexatc.problem import (
     partition,
     quadratic_from_targets,
     quadratic_instance,
+    read_libsvm,
     serialize_libsvm,
 )
 
@@ -154,6 +156,92 @@ class TestParseLibsvm:
     def test_non_ascii_bytes_raise_parse_error(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_libsvm("+1 1:0.5\n-1 2:0.5\u00e9\n".encode())
+
+
+def _assert_same_dataset(got, want):
+    assert got.d == want.d
+    for name in ("labels", "indptr", "indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+class TestReadLibsvm:
+    """read_libsvm streams a file through the block loop parse_libsvm runs
+    on its bytes; tiny reads put every block boundary inside the text."""
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"+1 1:0.5\r\n-1 2:0.25 3:1\r\n+1 3:-1\r\n", id="crlf"),
+        pytest.param(b"+1 1:0.5\r-1 2:0.25\r\r+1 3:-1\r", id="bare-cr"),
+        pytest.param(b"+1 1:0.5\n-1 2:0.25 3:1e-3", id="no-final-newline"),
+        pytest.param(b"\n\n+1 1:0.5\n\n\n-1 2:1\n\n", id="blank-lines"),
+        pytest.param(b"", id="empty"),
+    ])
+    def test_file_matches_parse_of_its_bytes(self, tmp_path, monkeypatch, data):
+        want = parse_libsvm(data)  # one block: the whole input
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(data)
+        for block_bytes in range(1, len(data) + 2):
+            monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
+            _assert_same_dataset(read_libsvm(path), want)
+            _assert_same_dataset(parse_libsvm(data), want)
+
+    def test_crlf_pair_split_by_a_read(self, tmp_path, monkeypatch):
+        # the first read ends in the \r of line 1's \r\n, so the \n opens
+        # the next read; taken apart, they would end two lines
+        data = b"+1 1:0.5\r\n-1 2:0.25\r\nx 1:1\r\n"
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(data)
+        monkeypatch.setattr(problem, "_BLOCK_BYTES", data.index(b"\n"))
+        with pytest.raises(ParseError, match="^line 3: bad label 'x'$"):
+            read_libsvm(path)
+        path.write_bytes(data.replace(b"x 1:1\r\n", b""))
+        _assert_same_dataset(read_libsvm(path), parse_libsvm(b"+1 1:0.5\n-1 2:0.25\n"))
+
+    def test_parse_error_line_in_a_later_block(self, tmp_path, monkeypatch):
+        lines = [f"{'+1' if i % 2 else '-1'} {i % 5 + 1}:{i / 7!r}" for i in range(60)]
+        lines[41] += " 7:oops"
+        data = "\n".join(lines).encode()
+        with pytest.raises(ParseError) as whole:
+            parse_libsvm(data)
+        assert str(whole.value) == "line 42: malformed feature token '7:oops'"
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(data)
+        monkeypatch.setattr(problem, "_BLOCK_BYTES", 16)
+        for parse in (lambda: read_libsvm(path), lambda: parse_libsvm(data)):
+            with pytest.raises(ParseError) as streamed:
+                parse()
+            assert str(streamed.value) == str(whole.value)
+
+    def test_many_blocks_round_trip(self, tmp_path, monkeypatch):
+        ds = correlated_logistic_dataset(2_000, 22, seed=1)
+        path = tmp_path / "data.libsvm"
+        path.write_text(serialize_libsvm(ds))
+        monkeypatch.setattr(problem, "_BLOCK_BYTES", 4096)
+        _assert_same_dataset(read_libsvm(path), ds)
+
+    def test_peak_memory_is_the_returned_arrays(self, tmp_path, monkeypatch):
+        # a 4.7 MB file read in 64 KiB blocks and scattered over 50 agents:
+        # holding the file whole, a second copy of the samples or the
+        # partition's 50 slices each adds at least half of what is returned
+        ds = correlated_logistic_dataset(10_000, 22, seed=0)
+        path = tmp_path / "data.libsvm"
+        path.write_text(serialize_libsvm(ds))
+        del ds
+        monkeypatch.setattr(problem, "_BLOCK_BYTES", 1 << 16)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ds = read_libsvm(path)
+            stack = logistic_instance(ds, 50, partition_seed=0, ridge=0.01).stack
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        returned = sum(a.nbytes for a in (ds.labels, ds.indptr, ds.indices, ds.values,
+                                          stack.signed, stack.real, stack.m))
+        assert peak <= 1.5 * returned
 
 
 def _dense_by_rows(ds):
