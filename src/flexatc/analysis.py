@@ -5,14 +5,15 @@ calculator.
 Every "expectation" here is the exact two-point mixture over the coin
 theta in {0, 1} (weights p and 1-p), so certificate slacks carry no
 sampling noise. The certificates cover exactly the transition that
-solver.run_grid takes: a GridCertificates observer receives each block of
+solver.run_grid takes: a GridCertificates observer, whose rates are fixed
+by the batch's runs, fixed points and stepsize, receives each block of
 steps of the batch, stacked over its runs, with the gradient and both coin
 branches (x_comm, u_comm) and (x_skip, u) the driver computed, and the
 successor the driver reports is the branch its coin picked. It reads every
 inequality from those branches for all runs and all steps of the block at
-once, into the block's columns; it keeps no state between blocks but the
-rates set by the first. The tests match it bit for bit against
-single-state references of every certificate, kept in tests/reference.py.
+once, into the block's columns; it keeps no state between blocks. The
+tests match it bit for bit against single-state references of every
+certificate, kept in tests/reference.py.
 Nothing here iterates on its own.
 The certified quantities:
 
@@ -35,7 +36,7 @@ import numpy as np
 from .combiners import CombinerPair
 from .linalg import kron_apply, range_solve
 from .problem import ProblemInstance
-from .solver import GridBlock, centralized_proxgrad, run
+from .solver import GridBlock, GridRun, centralized_proxgrad, run
 
 SLACK_TOL = 1e-9
 
@@ -60,19 +61,19 @@ def fixed_point(
     instance: ProblemInstance,
     pair: CombinerPair,
     alpha: float,
-    tol: float = 1e-12,
-    max_iters: int = 2_000_000,
     x_opt: np.ndarray | None = None,
 ) -> FixedPoint:
-    """Solve the consensus problem to `tol` and lift it to (x*, w*, u*_b).
+    """Solve the consensus problem with centralized_proxgrad and lift it to
+    (x*, w*, u*_b).
 
     u*_b is the minimum-norm solution of B u = sqrt(B) w*, which puts it in
     range(sqrt(B)). All stationarity residuals are verified before return.
     Passing a precomputed x_opt skips the centralized solve (useful when
-    several combiner pairs share one problem).
+    several combiner pairs share one problem, or to solve to another
+    tolerance).
     """
     if x_opt is None:
-        x_opt = centralized_proxgrad(instance, alpha, max_iters=max_iters, tol=tol)
+        x_opt = centralized_proxgrad(instance, alpha)
     x_star = np.tile(x_opt, (instance.n, 1))
     w_star = x_star - alpha * instance.grad_stack(x_star)
     u_star = range_solve(pair.b, kron_apply(pair.sqrt_b, w_star), tol=1e-8)
@@ -103,8 +104,8 @@ def fixed_point(
 
 
 def _sq(v: np.ndarray) -> float:
-    # The method form runs the same add-reduction as np.sum, so the bits are
-    # the same, without np.sum's dispatch cost.
+    # The same add-reduction as _sq_rows takes of each (step, run) block, so
+    # the single-state references agree with GridCertificates bit for bit.
     return float((v * v).sum())
 
 
@@ -201,40 +202,37 @@ def _sq_rows(v: np.ndarray) -> np.ndarray:
 
 class GridCertificates:
     """solver.run_grid observer that certifies every transition of every
-    run in the batch it watches; run s pairs pairs[s] with fps[s].
+    run in the batch it watches, stepped with stepsize alpha; run s pairs
+    runs[s] with fps[s].
 
     Each call certifies one GridBlock: Phi, Psi and the three slacks for
     every run and step of the block, read from its state, gradient, adapt
-    step and both coin branches, into the block's columns. Each run's
-    columns are bitwise what the single-state references of
-    tests/reference.py give on its states, whatever the block length.
-    grad_stack(x*) is evaluated once, here. Column k of each array
-    certifies step k.
+    step w = x - alpha grad and both coin branches, into the block's
+    columns. Each run's columns are bitwise what the single-state references
+    of tests/reference.py give on its states, whatever the block length.
+    grad_stack(x*) and the rates are evaluated once, here. Column k of each
+    array certifies step k.
     """
 
-    def __init__(self, instance: ProblemInstance, pairs: list[CombinerPair],
-                 fps: list[FixedPoint], iters: int):
-        self.instance = instance
-        self.sigma = np.array([pair.sigma_m_b for pair in pairs])
+    def __init__(self, instance: ProblemInstance, runs: list[GridRun],
+                 fps: list[FixedPoint], alpha: float, iters: int):
+        self.alpha = alpha
+        self.p = np.array([r.p for r in runs])
+        self.sigma = np.array([r.pair.sigma_m_b for r in runs])
         self.x_star, self.w_star, self.u_star = (
             np.stack([getattr(fp, name) for fp in fps]) for name in ("x_star", "w_star", "u_star_b"))
         self.grad_star = instance.grad_stack(self.x_star)
-        self.check_linear = instance.mu > 0.0
-        shape = (len(pairs), iters)
+        big_l, mu = instance.L, instance.mu
+        self.varrho = np.array([varrho(alpha, big_l, s) for s in self.sigma])
+        self.zeta = (np.array([zeta_rate(big_l, mu, alpha, r.p, s)
+                               for r, s in zip(runs, self.sigma)]) if mu > 0.0 else None)
+        shape = (len(runs), iters)
         self.lemma2_slack, self.lemma2_rhs, self.thm1_slack, self.phi, self.psi = (
             np.empty(shape) for _ in range(5))
         self.thm2_slack = np.full(shape, np.nan)
-        self.zeta = self.varrho = self.p = None
 
     def __call__(self, block: GridBlock) -> None:
-        if block.k0 == 0:  # alpha and p arrive with the blocks and stay fixed for the run
-            big_l, mu = self.instance.L, self.instance.mu
-            self.p = block.p
-            self.varrho = np.array([varrho(block.alpha, big_l, s) for s in self.sigma])
-            if self.check_linear:
-                self.zeta = np.array([zeta_rate(big_l, mu, block.alpha, float(pk), s)
-                                      for pk, s in zip(block.p, self.sigma)])
-        x, u, grad, w, x_comm, u_comm, x_skip = block[3:]
+        x, u, grad, x_comm, u_comm, x_skip = block[1:]
         p = self.p
         pp = p * p
         u_gap = _sq_rows(u - self.u_star)
@@ -244,12 +242,13 @@ class GridCertificates:
         expected_phi = p * phi_comm + (1.0 - p) * phi_skip
         phi = _sq_rows(x - self.x_star) + u_term
         psi = _sq_rows(grad - self.grad_star) + u_gap
+        w = x - self.alpha * grad
         rhs = _sq_rows(w - self.w_star) + (1.0 - pp * self.sigma) * u_gap / pp
         cols = slice(block.k0, block.k0 + len(x))
         self.phi[:, cols], self.psi[:, cols] = phi.T, psi.T
         self.lemma2_slack[:, cols], self.lemma2_rhs[:, cols] = (rhs - expected_phi).T, rhs.T
         self.thm1_slack[:, cols] = (phi - expected_phi - self.varrho * psi).T
-        if self.check_linear:
+        if self.zeta is not None:
             self.thm2_slack[:, cols] = (self.zeta * phi - expected_phi).T
 
     @property
@@ -278,9 +277,8 @@ def sweep_certificates(
 ) -> CertificateSweep:
     """Certify every transition of solver.run with the same arguments
     (same coins, same iterates); the trace itself is discarded."""
-    observer = GridCertificates(instance, [pair], [fp], iters)
-    run(instance, pair, alpha, p, seed, iters, x0=x0,
-        record_kkt=False, record_objective=False, observer=observer)
+    observer = GridCertificates(instance, [GridRun(pair, p, seed)], [fp], alpha, iters)
+    run(instance, pair, alpha, p, seed, iters, x0=x0, record_kkt=False, observer=observer)
     return observer.sweeps[0]
 
 

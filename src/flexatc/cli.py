@@ -106,8 +106,8 @@ class Grid:
 def _execute_grid(grid: Grid) -> list[RunResult]:
     """Advance every run of the grid as one solver.run_grid batch."""
     fps = [grid.fps[r.pair.variant] for r in grid.runs]
-    observer = (analysis.GridCertificates(grid.instance, [r.pair for r in grid.runs], fps,
-                                          grid.iters) if grid.checks else None)
+    observer = (analysis.GridCertificates(grid.instance, grid.runs, fps, grid.alpha, grid.iters)
+                if grid.checks else None)
     traces = solver.run_grid(
         grid.instance, grid.runs, grid.alpha, grid.iters,
         reference=np.stack([fp.x_star for fp in fps]), x0=grid.x0,

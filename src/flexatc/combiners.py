@@ -27,8 +27,6 @@ import numpy as np
 from .graph import MixingMatrix
 from .linalg import DEFAULT_EIG_TOL, SymMatrix, sym_eig
 
-PRESET_NAMES = ("nids", "ed", "mg_ed", "atc_gt", "mg_sonata")
-
 
 class CombinerError(Exception):
     """A combiner pair violates one of its structural requirements."""

@@ -216,6 +216,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"problem.prox must be none|l1, got {cfg.problem.prox!r}")
     if cfg.problem.d < 1:
         raise ConfigError(f"problem.d must be >= 1, got {cfg.problem.d}")
+    if cfg.problem.max_samples < 0:
+        raise ConfigError(f"problem.max_samples must be >= 0, got {cfg.problem.max_samples}")
     for key, seed in (("graph.seed", cfg.graph.seed), ("run.init_seed", cfg.run.init_seed),
                       ("problem.target_seed", cfg.problem.target_seed),
                       ("problem.partition_seed", cfg.problem.partition_seed),

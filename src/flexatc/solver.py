@@ -33,7 +33,8 @@ over the block. A divergence is reported at the end of the block it
 happens in, as the first step whose iterate left the finite ball; the
 later steps of that block run with numpy's overflow warnings silenced.
 An observer receives each block, once it has been recorded, as a GridBlock
-of the states its steps leave from and both of their coin branches.
+of the states its steps leave from, their gradients and both of their coin
+branches.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ class RunTrace:
     consensus_err: np.ndarray
     objective: np.ndarray
     kkt_residual: np.ndarray
-    x0: np.ndarray
     final: SolverState
 
 
@@ -133,21 +133,19 @@ class GridRun:
 class GridBlock(NamedTuple):
     """Steps k0 .. k0 + T - 1 of a batch, as run_grid hands them to its
     observer: the state each step leaves from and both successors it may
-    take. p is (S,); the other arrays are (T, S, n, d), row j describing
-    step k0 + j of each of the S runs. grad = grad_stack(x),
-    w = x - alpha grad and zu = w - sqrt(B) u; a run whose coin says
-    communicate moves to (x_comm, u_comm) = (prox(A zu), u + p sqrt(B) zu),
-    one that skips to (x_skip, u) with x_skip = prox(zu). The driver hands
-    the blocks in step order, each step in exactly one; the arrays are views
-    of its buffers, valid only during the call, and must not be modified."""
+    take. The arrays are (T, S, n, d), row j describing step k0 + j of each
+    of the S runs. grad = grad_stack(x); with the batch's stepsize alpha and
+    each run's p, w = x - alpha grad and zu = w - sqrt(B) u, and a run whose
+    coin says communicate moves to (x_comm, u_comm) =
+    (prox(A zu), u + p sqrt(B) zu), one that skips to (x_skip, u) with
+    x_skip = prox(zu). run_grid hands the blocks in step order, each step
+    in exactly one; the arrays are views of its buffers, valid only during
+    the call, and must not be modified."""
 
     k0: int
-    alpha: float
-    p: np.ndarray
     x: np.ndarray
     u: np.ndarray
     grad: np.ndarray
-    w: np.ndarray
     x_comm: np.ndarray
     u_comm: np.ndarray
     x_skip: np.ndarray
@@ -177,7 +175,6 @@ def run_grid(
     reference: np.ndarray | None = None,
     x0: np.ndarray | None = None,
     record_kkt: bool = True,
-    record_objective: bool = True,
     observer=None,
 ) -> list[RunTrace]:
     """Run `iters` iterations of every GridRun in `runs` as one stacked
@@ -213,8 +210,7 @@ def run_grid(
     coins = np.stack([CoinSequence(r.p, r.seed).draw(iters) for r in runs])
     comms = np.cumsum(coins, axis=1) * np.array([r.pair.comm_rounds for r in runs])[:, None]
     take = coins.T.astype(bool)[:, :, None, None]
-    p = np.array([r.p for r in runs])
-    p3 = p[:, None, None]
+    p = np.array([r.p for r in runs])[:, None, None]
     a, sqrt_b = (np.stack([getattr(r.pair, name).entries for r in runs])
                  for name in ("a", "sqrt_b"))
     prox = instance.prox.apply
@@ -227,12 +223,12 @@ def run_grid(
     # Squared norms per step; the roots are taken once, after the loop.
     err_sq, kkt_sq = np.full((iters, count), np.nan), np.full((iters, count), np.nan)
     consensus_sq = np.empty((iters, count))
-    objective = np.full((iters, count), np.nan)
+    objective = np.empty((iters, count))
     length = min(iters, block_length(instance, count))
     xs = np.empty((length + 1,) + u.shape)
     xs[0] = start
-    # u, grad, w, x_comm, u_comm and x_skip of the block's steps
-    steps = None if observer is None else np.empty((6, length) + u.shape)
+    # u, grad, x_comm, u_comm and x_skip of the block's steps
+    steps = None if observer is None else np.empty((5, length) + u.shape)
 
     def record(k0: int, new: np.ndarray) -> None:
         """Check and measure steps k0 .. k0 + len(new) - 1 from their new iterates."""
@@ -244,8 +240,7 @@ def run_grid(
             err_sq[rows] = _sq_norms(new - reference)
         mean_point = np.add.reduce(new, axis=2) / instance.n
         consensus_sq[rows] = _sq_norms(new - mean_point[:, :, None, :])
-        if record_objective:
-            objective[rows] = instance.objective(mean_point)
+        objective[rows] = instance.objective(mean_point)
         if record_kkt:
             g = instance.mean_grad(mean_point)
             kkt_sq[rows] = _sq_norms(mean_point - prox(mean_point - alpha * g, alpha))
@@ -259,17 +254,17 @@ def run_grid(
             grad = instance.grad_stack(x)
             w = x - alpha * grad
             zu = w - sqrt_b @ u
-            x_comm, u_comm = prox(a @ zu, alpha), u + p3 * (sqrt_b @ zu)
+            x_comm, u_comm = prox(a @ zu, alpha), u + p * (sqrt_b @ zu)
             x_skip = prox(zu, alpha)
             if steps is not None:
-                for buffer, array in zip(steps, (u, grad, w, x_comm, u_comm, x_skip)):
+                for buffer, array in zip(steps, (u, grad, x_comm, u_comm, x_skip)):
                     buffer[j] = array
             xs[j + 1] = np.where(take[k], x_comm, x_skip)
             u = np.where(take[k], u_comm, u)
             if j == length - 1 or k == iters - 1:
                 record(k - j, xs[1:j + 2])
                 if observer is not None:
-                    observer(GridBlock(k - j, alpha, p, xs[:j + 1], *steps[:, :j + 1]))
+                    observer(GridBlock(k - j, xs[:j + 1], *steps[:, :j + 1]))
                 xs[0] = xs[j + 1]
 
     x = xs[0].copy()
@@ -286,7 +281,6 @@ def run_grid(
             consensus_err=consensus[:, s].copy(),
             objective=objective[:, s].copy(),
             kkt_residual=kkt[:, s].copy(),
-            x0=start.copy(),
             final=SolverState(x=x[s], y=y[s], u=u[s], k=iters, comms=int(comms[s, -1]),
                               alpha=alpha, p=r.p),
         )
@@ -304,7 +298,6 @@ def run(
     reference: np.ndarray | None = None,
     x0: np.ndarray | None = None,
     record_kkt: bool = True,
-    record_objective: bool = True,
     observer=None,
 ) -> RunTrace:
     """One run of `iters` iterations driven by CoinSequence(p, seed): the
@@ -313,7 +306,7 @@ def run(
     reference is the replicated (n, d) optimum used for relative errors.
     """
     return run_grid(instance, [GridRun(pair, p, seed)], alpha, iters, reference, x0,
-                    record_kkt, record_objective, observer)[0]
+                    record_kkt, observer)[0]
 
 
 def centralized_proxgrad(

@@ -29,6 +29,7 @@ from flexatc.problem import LogisticLoss, ProxSpec, QuadraticLoss, quadratic_ins
 from flexatc.solver import (
     CoinSequence,
     GridRun,
+    centralized_proxgrad,
     run_grid,
 )
 from reference import IterateAverages, flexatc_step, initial_state, primal_recursion_step
@@ -214,12 +215,12 @@ def test_criterion_5_communication_acceleration():
     assert kappa == pytest.approx(1e4)
     p_star = min(1.0, 1.0 / np.sqrt(kappa * pair.sigma_m_b))
     alpha = 1.0 / inst.L
-    fp = fixed_point(inst, pair, alpha, tol=1e-13)
+    fp = fixed_point(inst, pair, alpha, x_opt=centralized_proxgrad(inst, alpha, tol=1e-13))
 
     # both paths advance as one batch; each trace is what it is alone
     iters = 250_000
     traces = run_grid(inst, [GridRun(pair, 1.0, 1), GridRun(pair, p_star, 1)], alpha, iters,
-                      reference=fp.x_star, record_kkt=False, record_objective=False)
+                      reference=fp.x_star, record_kkt=False)
 
     def to_target(p, tr):
         hit = np.nonzero(tr.rel_err <= 1e-8)[0]
@@ -372,21 +373,22 @@ def test_criterion_7_convex_regime():
     mm = fa.metropolis_weights(fa.gen_topology("ring", 10))
     pair = fa.preset("ed", mm)
     alpha = 1.0 / inst.L
-    fp = fixed_point(inst, pair, alpha, tol=1e-12)
+    fp = fixed_point(inst, pair, alpha)
     iters = 2000
     worst_rel = np.inf
     bound_ok = True
     for seed in range(1, 11):
         # one integration per path: the observer certifies the transitions of
         # the run whose averaged iterates feed the bound
-        certificates, averages = GridCertificates(inst, [pair], [fp], iters), IterateAverages()
-        tr = fa.run(inst, pair, alpha, 0.5, seed, iters, reference=fp.x_star,
-                    record_kkt=False, record_objective=False,
-                    observer=lambda block: (certificates(block), averages(block)))
+        certificates = GridCertificates(inst, [GridRun(pair, 0.5, seed)], [fp], alpha, iters)
+        averages = IterateAverages()
+        fa.run(inst, pair, alpha, 0.5, seed, iters, reference=fp.x_star, record_kkt=False,
+               observer=lambda block: (certificates(block), averages(block)))
         sweep = certificates.sweeps[0]
         worst_rel = min(worst_rel, float(np.min(sweep.thm1_slack / (1.0 + sweep.phi))))
         measured, bound = averaged_iterate_bound(
-            averages.x_avg[0], averages.u_avg[0], tr.x0, iters, inst, pair, alpha, 0.5, fp)
+            averages.x_avg[0], averages.u_avg[0], np.zeros((inst.n, inst.d)), iters, inst, pair,
+            alpha, 0.5, fp)
         bound_ok = bound_ok and measured <= bound
     report(7, "convex-regime certificate", worst_rel >= -SLACK_TOL and bound_ok,
            f"10 paths x {iters} steps, worst relative slack {worst_rel:.2e}, "

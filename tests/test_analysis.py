@@ -23,6 +23,7 @@ from flexatc.solver import (
     CoinSequence,
     GridRun,
     SolverState,
+    centralized_proxgrad,
 )
 from reference import (IterateAverages, branch_outcomes, flexatc_step, initial_state,
                        lemma2_check, mirror_step, theorem1_step_check, theorem2_check)
@@ -151,13 +152,14 @@ class TestTheorem1:
         assert inst.mu == 0.0
         pair = ring_pair(4)
         alpha = 1.0 / inst.L
-        fp = fixed_point(inst, pair, alpha, tol=1e-13)
+        fp = fixed_point(inst, pair, alpha, x_opt=centralized_proxgrad(inst, alpha, tol=1e-13))
         for seed in (1, 2):
             averages = IterateAverages()
-            trace = fa.run(inst, pair, alpha, p=0.5, seed=seed, iters=400,
-                           reference=fp.x_star, record_kkt=False, observer=averages)
+            fa.run(inst, pair, alpha, p=0.5, seed=seed, iters=400,
+                   reference=fp.x_star, record_kkt=False, observer=averages)
             measured, bound = averaged_iterate_bound(
-                averages.x_avg[0], averages.u_avg[0], trace.x0, 400, inst, pair, alpha, 0.5, fp
+                averages.x_avg[0], averages.u_avg[0], np.zeros((inst.n, inst.d)), 400, inst, pair,
+                alpha, 0.5, fp
             )
             assert measured <= bound
 
@@ -266,7 +268,7 @@ def observed_setup(request):
                                     prox=ProxSpec("l1", 0.01))
         assert inst.mu == 0.0
         pair = ring_pair(10)
-        fp = fixed_point(inst, pair, 1.0 / inst.L, tol=1e-12)
+        fp = fixed_point(inst, pair, 1.0 / inst.L)
     return inst, pair, 1.0 / inst.L, fp
 
 
@@ -295,9 +297,10 @@ class TestObservedSweep:
         args = (inst, pair, alpha, p, 4, self.ITERS)
         plain = fa.run(*args, reference=fp.x_star)
         observed = fa.run(*args, reference=fp.x_star,
-                          observer=GridCertificates(inst, [pair], [fp], self.ITERS))
+                          observer=GridCertificates(inst, [GridRun(pair, p, 4)], [fp], alpha,
+                                                    self.ITERS))
         for name in ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
-                     "kkt_residual", "x0"):
+                     "kkt_residual"):
             assert np.array_equal(getattr(plain, name), getattr(observed, name)), name
         for name in ("x", "y", "u"):
             assert np.array_equal(getattr(plain.final, name), getattr(observed.final, name))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import flexatc as fa
 import flexatc.cli as cli
 from flexatc import combiners
 from flexatc.analysis import GridCertificates, fixed_point
-from flexatc.config import ConfigError, parse_config
+from flexatc.config import ConfigError, load_config, parse_config
 from flexatc.graph import topology_to_edgelist
 from flexatc.solver import DivergenceError, SolverError
 
@@ -125,6 +126,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="problem.data"):
             parse_config("[problem]\ntype = logistic\n")
 
+    def test_every_shipped_config_parses(self):
+        paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+        assert paths
+        for path in paths:
+            load_config(path)
+
 
 class TestRunCommand:
     def test_single_node_smoke_converges_fast(self, tmp_path, capsys):
@@ -161,6 +168,18 @@ class TestRunCommand:
             "seeds = 1, 2", "seeds = 1, 2\ninit = random\ninit_scale = nan"))
         assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "error: run.init_scale must be finite, got nan\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    def test_negative_max_samples_exits_2(self, tmp_path, capsys, command):
+        data = tmp_path / "data.svm"
+        data.write_text("1 1:0.5\n-1 1:-0.5\n")
+        conf = write_config(tmp_path, SMOKE.replace(
+            "type = quadratic\nd = 2\ntarget_seed = 3",
+            f"type = logistic\ndata = {data}\nridge = 0.1\nmax_samples = -1",
+        ))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: problem.max_samples must be >= 0, got -1\n"
+        assert not (tmp_path / "smoke.csv").exists()
 
     def test_missing_config_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent.ini"]) == cli.EXIT_CONFIG
@@ -471,7 +490,8 @@ class TestCsvCells:
         alpha = 1.0 / inst.L
         fp = fixed_point(inst, pair, alpha)
         for reference, checks in ((None, False), (fp.x_star, True)):
-            observer = GridCertificates(inst, [pair], [fp], 25) if checks else None
+            observer = (GridCertificates(inst, [fa.GridRun(pair, 0.5, 3)], [fp], alpha, 25)
+                        if checks else None)
             trace = fa.run(inst, pair, alpha, 0.5, 3, 25, reference=reference,
                            record_kkt=False, observer=observer)
             res = cli.RunResult("ed|p=0.5|seed=3", "ed", 0.5, 3, trace,

@@ -30,7 +30,7 @@ from reference import (IterateAverages, branch_outcomes, flexatc_step, initial_s
 SLACK_TOL = 1e-9
 TRAJECTORY_RTOL = 1e-12
 TRACE_COLUMNS = ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
-                 "kkt_residual", "x0")
+                 "kkt_residual")
 SWEEP_COLUMNS = ("lemma2_slack", "lemma2_rhs", "thm1_slack", "thm2_slack", "phi", "psi")
 ITERS = 120
 
@@ -60,8 +60,7 @@ def grid_setup(request):
 def _batch(setup, runs, certify, iters=ITERS):
     inst, _, alpha, fps, x0 = setup
     run_fps = [fps[r.pair.variant] for r in runs]
-    observer = (GridCertificates(inst, [r.pair for r in runs], run_fps, iters)
-                if certify else None)
+    observer = GridCertificates(inst, runs, run_fps, alpha, iters) if certify else None
     traces = run_grid(inst, runs, alpha, iters, reference=np.stack([fp.x_star for fp in run_fps]),
                       x0=x0, observer=observer)
     return traces, observer.sweeps if certify else [None] * len(runs)
@@ -137,7 +136,7 @@ def test_reported_successor_is_the_certified_branch(grid_setup, small_blocks):
     def record(block):
         # the arrays are views of the driver's buffers, valid only during the call
         blocks.append(block._replace(**{name: getattr(block, name).copy()
-                                        for name in GridBlock._fields[3:]}))
+                                        for name in GridBlock._fields[1:]}))
 
     traces = run_grid(inst, runs, alpha, ITERS, x0=x0, observer=record)
     # one call per seven-step block, the last a one-step block
@@ -147,8 +146,7 @@ def test_reported_successor_is_the_certified_branch(grid_setup, small_blocks):
     assert [k for block in blocks for k in range(block.k0, block.k0 + len(block.x))] == \
         list(range(ITERS))
     for block in blocks:
-        assert block.alpha == alpha and np.array_equal(block.p, [r.p for r in runs])
-        for name in GridBlock._fields[3:]:
+        for name in GridBlock._fields[1:]:
             assert getattr(block, name).shape == (len(block.x), len(runs), inst.n, inst.d), name
     steps = {name: np.concatenate([getattr(block, name) for block in blocks])
              for name in ("x", "u", "x_comm", "u_comm", "x_skip")}
@@ -240,8 +238,7 @@ def test_divergence_inside_a_block_names_the_reference_step(monkeypatch, steps, 
         # any point serves as x* here: the certificates only have to run
         zeros = np.zeros((4, 2))
         certificates = GridCertificates(
-            lying, [pair] * len(runs), [FixedPoint(zeros[0], zeros, zeros, zeros, 0.0)] * len(runs),
-            iters)
+            lying, runs, [FixedPoint(zeros[0], zeros, zeros, zeros, 0.0)] * len(runs), alpha, iters)
 
         def observer(block):
             certified.extend(range(block.k0, block.k0 + len(block.x)))

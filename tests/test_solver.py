@@ -177,7 +177,7 @@ class TestRunTrace:
                                   target_offset_scale=4.0)
         pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("ring", 20)))
         final = run(inst, pair, 1.0 / inst.L, p=1.0, seed=1, iters=20_000,
-                    record_kkt=False, record_objective=False).final
+                    record_kkt=False).final
         assert np.linalg.norm(final.y.sum(axis=0)) <= 1e-13 * (1.0 + np.linalg.norm(final.y))
 
     def test_averaged_iterates_cover_prefix(self):
