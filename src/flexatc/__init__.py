@@ -13,7 +13,7 @@ from .analysis import (
     zeta_c,
     zeta_rate,
 )
-from .combiners import CombinerError, CombinerPair, preset, sigma_m, validate
+from .combiners import CombinerError, CombinerPair, preset, validate
 from .graph import (
     GraphError,
     MixingMatrix,
@@ -32,14 +32,11 @@ from .linalg import (
 )
 from .problem import (
     Dataset,
-    LogisticLoss,
     ParseError,
     ProblemInstance,
     ProxSpec,
-    QuadraticLoss,
     logistic_instance,
     parse_libsvm,
-    partition,
     quadratic_from_targets,
     quadratic_instance,
     read_libsvm,
@@ -50,7 +47,6 @@ from .solver import (
     DivergenceError,
     GridRun,
     RunTrace,
-    SolverState,
     centralized_proxgrad,
     run,
     run_grid,

@@ -21,9 +21,10 @@ The certified quantities:
     Psi  = ||grad F(x) - grad F(x*)||^2 + ||u - u*||^2
 
 with the descent inequality  E[Phi+ | theta] <= ||w - w*||^2
-+ (1 - p^2 sigma_m(B)) (1/p^2) ||u - u*||^2, the linear contraction
++ (1 - p^2 sigma_m) (1/p^2) ||u - u*||^2, the linear contraction
 E[Phi+ | theta] <= zeta Phi, and the sublinear step bound
-E[Phi+ | theta] <= Phi - varrho Psi.
+E[Phi+ | theta] <= Phi - varrho Psi, where sigma_m is the pair's
+sigma_m_b, the smallest nonzero eigenvalue of B.
 """
 
 from __future__ import annotations
@@ -103,16 +104,6 @@ def fixed_point(
     )
 
 
-def _sq(v: np.ndarray) -> float:
-    # The same add-reduction as _sq_rows takes of each (step, run) block, so
-    # the single-state references agree with GridCertificates bit for bit.
-    return float((v * v).sum())
-
-
-def phi_value(x: np.ndarray, u: np.ndarray, p: float, fp: FixedPoint) -> float:
-    return _sq(x - fp.x_star) + _sq(u - fp.u_star_b) / (p * p)
-
-
 def zeta_c(big_l: float, mu: float, alpha: float) -> float:
     """Function-only part of the linear rate, max{(1-aL)^2, (1-a mu)^2}."""
     return max((1.0 - alpha * big_l) ** 2, (1.0 - alpha * mu) ** 2)
@@ -123,35 +114,8 @@ def zeta_rate(big_l: float, mu: float, alpha: float, p: float, sigma_m: float) -
     return max(zeta_c(big_l, mu, alpha), 1.0 - p * p * sigma_m)
 
 
-def skip_threshold(zc: float, sigma_m: float) -> float:
-    """Smallest p that keeps the linear rate at its p = 1 value.
-
-    Values above 1 mean no skipping is free (communicate every iteration).
-    """
-    return math.sqrt((1.0 - zc) / sigma_m)
-
-
 def varrho(alpha: float, big_l: float, sigma_m: float) -> float:
     return min(alpha * (2.0 / big_l - alpha), sigma_m)
-
-
-def averaged_iterate_bound(
-    x_avg: np.ndarray,
-    u_avg: np.ndarray,
-    x0: np.ndarray,
-    iters: int,
-    instance: ProblemInstance,
-    pair: CombinerPair,
-    alpha: float,
-    p: float,
-    fp: FixedPoint,
-) -> tuple[float, float]:
-    """Realized-path averaged bound: returns (measured, Phi0 / (varrho K))."""
-    gdiff = instance.grad_stack(x_avg) - instance.grad_stack(fp.x_star)
-    measured = _sq(gdiff) + _sq(u_avg - fp.u_star_b)
-    phi0 = phi_value(x0, np.zeros_like(u_avg), p, fp)
-    bound = phi0 / (varrho(alpha, instance.L, pair.sigma_m_b) * iters)
-    return measured, bound
 
 
 @dataclass(eq=False)
@@ -194,8 +158,9 @@ class CertificateSweep:
 
 
 def _sq_rows(v: np.ndarray) -> np.ndarray:
-    # Per (step, run) of a (T, S, n, d) block, the same add-reduction as _sq
-    # of the (n, d) state, over its flat (T, S, n d) view.
+    # Per (step, run) of a (T, S, n, d) block, one add-reduction over its
+    # flat (T, S, n d) view: the one tests/reference.py's _sq takes of an
+    # (n, d) state, so the single-state references agree bit for bit.
     v = v.reshape(v.shape[:2] + (-1,))
     return (v * v).sum(axis=-1)
 

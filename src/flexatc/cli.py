@@ -62,11 +62,9 @@ def build_problem(cfg: ExperimentConfig) -> tuple[problem.ProblemInstance, float
         )
     else:
         try:
-            ds = problem.read_libsvm(p.data, map_01_labels=p.map_01_labels)
+            ds = problem.read_libsvm(p.data)
         except OSError as exc:
             raise DatasetError(f"cannot read dataset {p.data}: {exc}") from exc
-        if p.normalize:
-            ds = problem.normalize_features(ds)
         if p.max_samples > 0:
             ds = ds.head(p.max_samples)
         instance = problem.logistic_instance(ds, cfg.graph.n, p.partition_seed, p.ridge, prox)

@@ -215,10 +215,3 @@ def preset(variant: str, w: MixingMatrix) -> CombinerPair:
         return _build(w, "atc_gt", 2, lambda lam: lam * lam, lambda lam: (1.0 - lam) ** 2)
 
     raise CombinerError(f"unknown combiner variant {name!r}")
-
-
-def sigma_m(pair: CombinerPair) -> float:
-    """Minimum nonzero eigenvalue of B; zero means the pair is unusable."""
-    if pair.sigma_m_b <= 0.0:
-        raise CombinerError(f"combiner {pair.variant!r} has sigma_m(B) = 0")
-    return pair.sigma_m_b

@@ -71,8 +71,6 @@ class ProblemConfig:
     # logistic knobs
     data: str = ""
     ridge: float = 0.0
-    map_01_labels: bool = False
-    normalize: bool = False
     max_samples: int = 0
     partition_seed: int = 0
     # shared prox term
@@ -234,6 +232,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"run.init must be zeros|random, got {cfg.run.init!r}")
     if not math.isfinite(cfg.run.init_scale):
         raise ConfigError(f"run.init_scale must be finite, got {cfg.run.init_scale}")
+    target = cfg.run.target_rel_err
+    if not (0.0 < target < math.inf):
+        raise ConfigError(f"run.target_rel_err must be finite and > 0, got {target}")
     return cfg
 
 

@@ -35,11 +35,6 @@ class SymMatrix:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def __matmul__(self, other):
-        if isinstance(other, SymMatrix):
-            return self.entries @ other.entries
-        return self.entries @ np.asarray(other)
-
 
 @dataclass(eq=False)
 class SpectralDecomposition:

@@ -2,10 +2,9 @@
 dataset handling with uniform partitioning across agents.
 
 A ProblemInstance is its stacked per-network oracle: the constructors build
-the agents' arrays directly, so no oracle call loops over agents in Python.
-QuadraticLoss and LogisticLoss evaluate one agent at a time; they are the
-reference the stacked oracles are tested against, and only the instance
-constructors check their inputs.
+the agents' arrays directly and check their inputs, so no oracle call loops
+over agents in Python. The per-agent losses the tests compare the stacked
+oracles against live in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -57,11 +56,6 @@ class Dataset:
     def sample(self, i: int) -> tuple[np.ndarray, np.ndarray, float]:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi], float(self.labels[i])
-
-    def dense(self) -> np.ndarray:
-        x = np.zeros((len(self), self.d))
-        x[np.repeat(np.arange(len(self)), np.diff(self.indptr)), self.indices] = self.values
-        return x
 
     def subset(self, rows: np.ndarray) -> "Dataset":
         rows = np.asarray(rows, dtype=int)
@@ -145,7 +139,7 @@ def _parse_fields(data: bytes, starts: np.ndarray, is_label: np.ndarray,
     return out, limit
 
 
-def _parse_block(block: bytes, first_line: int, map_01_labels: bool):
+def _parse_block(block: bytes, first_line: int):
     """(labels, features per sample, (index, value) rows) of the whole lines
     of a normalised block whose first line is line first_line + 1 of the
     input; raises ParseError at the first malformed token."""
@@ -159,8 +153,6 @@ def _parse_block(block: bytes, first_line: int, map_01_labels: bool):
     is_label_number = np.repeat(head, np.where(head, 1, 2))
     labels = numbers[is_label_number]
     pairs = numbers[~is_label_number].reshape(-1, 2)  # (index, value) rows
-    if map_01_labels:
-        labels[labels == 0.0] = -1.0
     bad = [limit]
     bad_label = (labels != 1.0) & (labels != -1.0)
     if bad_label.any():
@@ -209,7 +201,7 @@ def _line_blocks(stream: BinaryIO) -> Iterator[bytes]:
         yield _normalise(tail)
 
 
-def _read_stream(stream: BinaryIO, map_01_labels: bool) -> Dataset:
+def _read_stream(stream: BinaryIO) -> Dataset:
     """The dataset of a seekable binary stream, read from its start in blocks
     of whole lines. Every feature token holds one colon, so a first pass
     counting colons sizes the index and value arrays, and each block's pairs
@@ -221,7 +213,7 @@ def _read_stream(stream: BinaryIO, map_01_labels: bool) -> Dataset:
     labels, counts = [np.empty(0)], [np.empty(0, dtype=int)]
     end = lines = 0
     for block in _line_blocks(stream):
-        block_labels, block_counts, pairs = _parse_block(block, lines, map_01_labels)
+        block_labels, block_counts, pairs = _parse_block(block, lines)
         start, end = end, end + pairs.shape[0]
         indices[start:end] = pairs[:, 0]
         values[start:end] = pairs[:, 1]
@@ -233,23 +225,21 @@ def _read_stream(stream: BinaryIO, map_01_labels: bool) -> Dataset:
                    np.append(0, np.cumsum(np.concatenate(counts))), indices, values)
 
 
-def read_libsvm(path: str | os.PathLike, map_01_labels: bool = False) -> Dataset:
+def read_libsvm(path: str | os.PathLike) -> Dataset:
     """parse_libsvm of a file's bytes, streamed: the file is never held whole,
     and the only full-size arrays are the dataset's own. OSError propagates."""
     with open(path, "rb") as stream:
-        return _read_stream(stream, map_01_labels)
+        return _read_stream(stream)
 
 
-def parse_libsvm(text: str | bytes, map_01_labels: bool = False) -> Dataset:
+def parse_libsvm(text: str | bytes) -> Dataset:
     """Parse "label idx:val idx:val ..." lines; 1-based indices become 0-based.
 
-    Labels must be +1/-1; with map_01_labels, 0/1 files are accepted and 0 is
-    mapped to -1. The dimension is the largest index seen. Lines and tokens
-    split as str.splitlines() and str.split() split ASCII text; the first
-    malformed token raises ParseError naming its line.
+    Labels must be +1/-1. The dimension is the largest index seen. Lines and
+    tokens split as str.splitlines() and str.split() split ASCII text; the
+    first malformed token raises ParseError naming its line.
     """
-    return _read_stream(io.BytesIO(text.encode() if isinstance(text, str) else text),
-                        map_01_labels)
+    return _read_stream(io.BytesIO(text.encode() if isinstance(text, str) else text))
 
 
 def serialize_libsvm(ds: Dataset) -> str:
@@ -263,14 +253,6 @@ def serialize_libsvm(ds: Dataset) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def normalize_features(ds: Dataset) -> Dataset:
-    """Per-feature max-abs scaling (off by default everywhere)."""
-    scale = np.ones(ds.d)
-    np.fmax.at(scale, ds.indices, np.abs(ds.values))  # fmax, like max(), keeps 1.0 over nan
-    return Dataset(ds.d, ds.labels.copy(), ds.indptr.copy(), ds.indices.copy(),
-                   ds.values / scale[ds.indices])
-
-
 def _shuffled_split(m: int, n: int, seed: int) -> list[np.ndarray]:
     """The sample rows of each of n agents: a seeded shuffle of range(m) cut
     into n slices with sizes differing by <= 1."""
@@ -279,77 +261,6 @@ def _shuffled_split(m: int, n: int, seed: int) -> list[np.ndarray]:
     if n > m:
         raise ProblemError(f"cannot split {m} samples across {n} agents")
     return np.array_split(np.random.default_rng(seed).permutation(m), n)
-
-
-def partition(ds: Dataset, n: int, seed: int) -> list[Dataset]:
-    """Seeded uniform shuffle split into n slices with sizes differing by <= 1."""
-    return [ds.subset(rows) for rows in _shuffled_split(len(ds), n, seed)]
-
-
-@dataclass(eq=False)
-class QuadraticLoss:
-    """f(x) = 1/2 sum_j h_j (x_j - b_j)^2 with per-coordinate curvature h."""
-
-    target: np.ndarray
-    curvature: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.curvature is None:
-            self.curvature = np.ones_like(self.target)
-
-    def value(self, x: np.ndarray) -> float:
-        diff = x - self.target
-        return 0.5 * float(np.sum(self.curvature * diff * diff))
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != self.target.shape:
-            raise ProblemError(f"gradient point has shape {x.shape}, expected {self.target.shape}")
-        return self.curvature * (x - self.target)
-
-    def constants(self) -> tuple[float, float]:
-        return float(np.max(self.curvature)), float(np.min(self.curvature))
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # exp(-|t|) never overflows, and each branch is the textbook stable form
-    e = np.exp(-np.abs(t))
-    d = 1.0 + e
-    return np.where(t >= 0, 1.0 / d, e / d)
-
-
-@dataclass(eq=False)
-class LogisticLoss:
-    """Mean logistic loss over a data slice plus an optional ridge term.
-
-    f(x) = (1/m) sum_j ln(1 + exp(-y_j <X_j, x>)) + (ridge/2) ||x||^2
-    """
-
-    features: np.ndarray
-    labels: np.ndarray
-    ridge: float = 0.0
-
-    @classmethod
-    def from_dataset(cls, ds: Dataset, ridge: float = 0.0) -> "LogisticLoss":
-        return cls(ds.dense(), ds.labels, ridge)
-
-    @property
-    def m(self) -> int:
-        return self.features.shape[0]
-
-    def value(self, x: np.ndarray) -> float:
-        margins = self.labels * (self.features @ x)
-        loss = float(np.mean(np.logaddexp(0.0, -margins)))
-        return loss + 0.5 * self.ridge * float(x @ x)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        margins = self.labels * (self.features @ x)
-        # d/dx ln(1+e^{-t}) with t = y<X,x> gives -yX * sigmoid(-t)
-        weights = self.labels * _sigmoid(-margins)
-        return -(self.features.T @ weights) / self.m + self.ridge * x
-
-    def constants(self) -> tuple[float, float]:
-        gram = (self.features.T @ self.features) / (4.0 * self.m)
-        return _power_iteration_lmax(gram) + self.ridge, self.ridge
 
 
 def _power_iteration_lmax(gram: np.ndarray, tol: float = _POWER_ITER_TOL) -> float:

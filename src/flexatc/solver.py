@@ -9,11 +9,11 @@ One iteration from state (x, u), with stepsize alpha and coin theta:
     theta = 1:  x+ = prox(A zu),  u+ = u + p sqrt(B) zu   (communicate)
     theta = 0:  x+ = prox(zu),    u+ = u                  (skip)
 
-The dual variable of the paper's y-form is derived, y = -sqrt(B) u, so
-sum_i y_i = 0 holds by construction. The y-form advances y itself,
-theta = 1: x+ = prox(A (w + y)), y+ = y - p B (w + y); theta = 0:
-x+ = prox(w + y), y+ = y; it generates the same x-sequence given the same
-coins, up to round-off.
+The dual variable of the paper's y-form is y = -sqrt(B) u, so
+sum_i y_i = 0 for every u; a run's trace keeps only its final (x, u). The
+y-form advances y itself, theta = 1: x+ = prox(A (w + y)),
+y+ = y - p B (w + y); theta = 0: x+ = prox(w + y), y+ = y; it generates the
+same x-sequence given the same coins, up to round-off.
 
 run_grid is the one iteration loop: it advances every (pair, p, seed) run
 of a batch as one stacked (S, n, d) u-form state, each run taking the
@@ -89,25 +89,13 @@ class CoinSequence:
 
 
 @dataclass(eq=False)
-class SolverState:
-    """Stacked iterates plus counters; x, y, u are (n, d) arrays."""
-
-    x: np.ndarray
-    y: np.ndarray
-    u: np.ndarray
-    k: int
-    comms: int
-    alpha: float
-    p: float
-
-
-@dataclass(eq=False)
 class RunTrace:
     """Per-iteration records; row k describes the state after step k.
 
     rel_err is ||x - x*|| / ||x*|| (NaN without a reference); consensus_err
     is the Frobenius distance to the block-mean; objective and kkt_residual
-    are evaluated at the network-average point.
+    are evaluated at the network-average point. x and u are the (n, d)
+    state after the last step.
     """
 
     k: np.ndarray
@@ -117,7 +105,8 @@ class RunTrace:
     consensus_err: np.ndarray
     objective: np.ndarray
     kkt_residual: np.ndarray
-    final: SolverState
+    x: np.ndarray
+    u: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +173,7 @@ def run_grid(
     relative errors; x0 is the (n, d) start of every run (zeros if None).
     Each step evaluates the stacked gradient once and both branches of the
     u-form transition once, and each run takes the branch its own coin
-    picks; final.y is -sqrt(B) u. A run's trace is bitwise the same alone,
+    picks. A run's trace is bitwise the same alone,
     in any batch and at any position in it, and for any block length, and
     identical arguments give an identical trace.
 
@@ -271,7 +260,6 @@ def run_grid(
     rel_err = err_sq if reference is None else (
         np.sqrt(err_sq) / np.maximum(np.sqrt(_sq_norms(reference[None])[0]), 1e-300))
     consensus, kkt = np.sqrt(consensus_sq), np.sqrt(kkt_sq)
-    y = -(sqrt_b @ u)
     return [
         RunTrace(
             k=np.arange(iters),
@@ -281,10 +269,10 @@ def run_grid(
             consensus_err=consensus[:, s].copy(),
             objective=objective[:, s].copy(),
             kkt_residual=kkt[:, s].copy(),
-            final=SolverState(x=x[s], y=y[s], u=u[s], k=iters, comms=int(comms[s, -1]),
-                              alpha=alpha, p=r.p),
+            x=x[s],
+            u=u[s],
         )
-        for s, r in enumerate(runs)
+        for s in range(count)
     ]
 
 

@@ -7,19 +7,118 @@ run_grid matches bit for bit), the paper's y-form step (flexatc_step, equal
 up to round-off), the p = 1 primal recursion, and every certificate of one
 state (branch_outcomes and the three checks, which GridCertificates matches
 bit for bit). initial_state starts a single-state loop, and
-IterateAverages is the run_grid observer behind the averaged-iterate
-bound.
+IterateAverages is the run_grid observer behind the averaged-iterate bound
+(averaged_iterate_bound); skip_threshold is the smallest p that keeps the
+linear rate.
+
+The stacked oracles of problem.ProblemInstance are held against per-agent
+losses: QuadraticLoss, and LogisticLoss over the dense rows of one agent's
+slice of the seeded partition.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from flexatc.analysis import CertificateError, FixedPoint, _sq, phi_value, varrho, zeta_rate
+from flexatc.analysis import CertificateError, FixedPoint, varrho, zeta_rate
 from flexatc.combiners import CombinerPair
 from flexatc.linalg import kron_apply
-from flexatc.problem import ProblemInstance
-from flexatc.solver import _DIVERGENCE_NORM, DivergenceError, GridBlock, SolverError, SolverState
+from flexatc.problem import (Dataset, ProblemError, ProblemInstance, _power_iteration_lmax,
+                             _shuffled_split)
+from flexatc.solver import _DIVERGENCE_NORM, DivergenceError, GridBlock, SolverError
+
+
+def dense(ds: Dataset) -> np.ndarray:
+    """The (m, d) feature matrix of a dataset, zeros where nothing is stored."""
+    x = np.zeros((len(ds), ds.d))
+    x[np.repeat(np.arange(len(ds)), np.diff(ds.indptr)), ds.indices] = ds.values
+    return x
+
+
+def partition(ds: Dataset, n: int, seed: int) -> list[Dataset]:
+    """Seeded uniform shuffle split into n slices with sizes differing by <= 1:
+    the agents' slices of logistic_instance."""
+    return [ds.subset(rows) for rows in _shuffled_split(len(ds), n, seed)]
+
+
+@dataclass(eq=False)
+class QuadraticLoss:
+    """f(x) = 1/2 sum_j h_j (x_j - b_j)^2 with per-coordinate curvature h."""
+
+    target: np.ndarray
+    curvature: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.curvature is None:
+            self.curvature = np.ones_like(self.target)
+
+    def value(self, x: np.ndarray) -> float:
+        diff = x - self.target
+        return 0.5 * float(np.sum(self.curvature * diff * diff))
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        if x.shape != self.target.shape:
+            raise ProblemError(f"gradient point has shape {x.shape}, expected {self.target.shape}")
+        return self.curvature * (x - self.target)
+
+    def constants(self) -> tuple[float, float]:
+        return float(np.max(self.curvature)), float(np.min(self.curvature))
+
+
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    # exp(-|t|) never overflows, and each branch is the textbook stable form
+    e = np.exp(-np.abs(t))
+    d = 1.0 + e
+    return np.where(t >= 0, 1.0 / d, e / d)
+
+
+@dataclass(eq=False)
+class LogisticLoss:
+    """Mean logistic loss over a data slice plus an optional ridge term.
+
+    f(x) = (1/m) sum_j ln(1 + exp(-y_j <X_j, x>)) + (ridge/2) ||x||^2
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    ridge: float = 0.0
+
+    @classmethod
+    def from_dataset(cls, ds: Dataset, ridge: float = 0.0) -> "LogisticLoss":
+        return cls(dense(ds), ds.labels, ridge)
+
+    @property
+    def m(self) -> int:
+        return self.features.shape[0]
+
+    def value(self, x: np.ndarray) -> float:
+        margins = self.labels * (self.features @ x)
+        loss = float(np.mean(np.logaddexp(0.0, -margins)))
+        return loss + 0.5 * self.ridge * float(x @ x)
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        margins = self.labels * (self.features @ x)
+        # d/dx ln(1+e^{-t}) with t = y<X,x> gives -yX * sigmoid(-t)
+        weights = self.labels * _sigmoid(-margins)
+        return -(self.features.T @ weights) / self.m + self.ridge * x
+
+    def constants(self) -> tuple[float, float]:
+        gram = (self.features.T @ self.features) / (4.0 * self.m)
+        return _power_iteration_lmax(gram) + self.ridge, self.ridge
+
+
+@dataclass(eq=False)
+class SolverState:
+    """Stacked iterates plus counters; x, y, u are (n, d) arrays."""
+
+    x: np.ndarray
+    y: np.ndarray
+    u: np.ndarray
+    k: int
+    comms: int
+    alpha: float
+    p: float
 
 
 def initial_state(instance: ProblemInstance, alpha: float, p: float,
@@ -134,6 +233,43 @@ def primal_recursion_step(
         - kron_apply(pair.b, x_k)
         + kron_apply(pair.a, correction)
     )
+
+
+def _sq(v: np.ndarray) -> float:
+    # The same add-reduction as analysis._sq_rows takes of each (step, run)
+    # block, so these references agree with GridCertificates bit for bit.
+    return float((v * v).sum())
+
+
+def phi_value(x: np.ndarray, u: np.ndarray, p: float, fp: FixedPoint) -> float:
+    return _sq(x - fp.x_star) + _sq(u - fp.u_star_b) / (p * p)
+
+
+def skip_threshold(zc: float, sigma_m: float) -> float:
+    """Smallest p that keeps the linear rate at its p = 1 value.
+
+    Values above 1 mean no skipping is free (communicate every iteration).
+    """
+    return math.sqrt((1.0 - zc) / sigma_m)
+
+
+def averaged_iterate_bound(
+    x_avg: np.ndarray,
+    u_avg: np.ndarray,
+    x0: np.ndarray,
+    iters: int,
+    instance: ProblemInstance,
+    pair: CombinerPair,
+    alpha: float,
+    p: float,
+    fp: FixedPoint,
+) -> tuple[float, float]:
+    """Realized-path averaged bound: returns (measured, Phi0 / (varrho K))."""
+    gdiff = instance.grad_stack(x_avg) - instance.grad_stack(fp.x_star)
+    measured = _sq(gdiff) + _sq(u_avg - fp.u_star_b)
+    phi0 = phi_value(x0, np.zeros_like(u_avg), p, fp)
+    bound = phi0 / (varrho(alpha, instance.L, pair.sigma_m_b) * iters)
+    return measured, bound
 
 
 @dataclass(eq=False)

@@ -17,24 +17,23 @@ import flexatc.cli as cli
 from conftest import correlated_logistic_dataset, synthetic_logistic_dataset
 from flexatc.problem import serialize_libsvm
 from flexatc.analysis import (
+    SLACK_TOL,
     GridCertificates,
-    averaged_iterate_bound,
     fixed_point,
-    skip_threshold,
     sweep_certificates,
     zeta_c,
     zeta_rate,
 )
-from flexatc.problem import LogisticLoss, ProxSpec, QuadraticLoss, quadratic_instance
+from flexatc.problem import ProxSpec, quadratic_instance
 from flexatc.solver import (
     CoinSequence,
     GridRun,
     centralized_proxgrad,
     run_grid,
 )
-from reference import IterateAverages, flexatc_step, initial_state, primal_recursion_step
+from reference import (IterateAverages, LogisticLoss, QuadraticLoss, averaged_iterate_bound,
+                       flexatc_step, initial_state, primal_recursion_step, skip_threshold)
 
-SLACK_TOL = 1e-9
 PRESETS = ("nids:c=0.5", "ed", "mg_ed:N=3", "atc_gt", "mg_sonata:N=2")
 NEEDS_PSD = ("mg_ed:N=3", "atc_gt", "mg_sonata:N=2")
 
@@ -130,7 +129,7 @@ def test_criterion_4_equivalence_oracles():
         state = initial_state(inst, alpha, 0.5)
         for theta in CoinSequence(0.5, seed=trial).draw(500):
             state = flexatc_step(state, inst, pair, int(theta))
-        worst_a = max(worst_a, float(np.max(np.abs(u_tr.final.x - state.x))))
+        worst_a = max(worst_a, float(np.max(np.abs(u_tr.x - state.x))))
 
     # (b) p = 1, no prox: the two-variable form equals the single-variable
     # recursion seeded with (x0, x1) from one synchronized step

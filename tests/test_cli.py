@@ -181,6 +181,25 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: problem.max_samples must be >= 0, got -1\n"
         assert not (tmp_path / "smoke.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    def test_target_rel_err_outside_positive_reals_exits_2(self, tmp_path, capsys, command,
+                                                           value):
+        conf = write_config(tmp_path, GRID.replace(
+            "seeds = 1, 2", f"seeds = 1, 2\ntarget_rel_err = {value}"))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: run.target_rel_err must be finite and > 0, got {float(value)}\n")
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("key", ["normalize", "map_01_labels"])
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    def test_removed_problem_keys_exit_2(self, tmp_path, capsys, command, key):
+        conf = write_config(tmp_path, GRID.replace("target_seed = 1",
+                                                   f"target_seed = 1\n{key} = true"))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: unknown keys in [problem]: ['{key}']\n"
+
     def test_missing_config_exits_2(self, capsys):
         assert cli.main(["run", "/nonexistent.ini"]) == cli.EXIT_CONFIG
 

@@ -8,7 +8,6 @@ from flexatc.combiners import (
     _build,
     parse_variant,
     preset,
-    sigma_m,
     validate,
 )
 from flexatc.linalg import SymMatrix, sym_eig
@@ -39,8 +38,8 @@ class TestPresets:
         lam_b = 0.5 * (1.0 - w_eigs_ring(4))
         expected = np.min(lam_b[lam_b > 1e-12])
         pair = preset("ed", ring4)
-        assert sigma_m(pair) == pytest.approx(expected, abs=1e-12)
-        assert sigma_m(pair) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert pair.sigma_m_b == pytest.approx(expected, abs=1e-12)
+        assert pair.sigma_m_b == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_atc_gt_contraction_factorization(self, ring4):
         lazy = fa.lazify(ring4)
@@ -56,11 +55,11 @@ class TestPresets:
     def test_atc_gt_sigma_on_lazified_complete3(self, complete3):
         # lazify maps lambda_2 = 0 to 1/2, so B = (I - W)^2 has sigma_m 1/4
         pair = preset("atc_gt", fa.lazify(complete3))
-        assert sigma_m(pair) == pytest.approx(0.25, abs=1e-12)
+        assert pair.sigma_m_b == pytest.approx(0.25, abs=1e-12)
 
     def test_mg_ed_sigma_monotone_in_rounds(self, ring4):
         lazy = fa.lazify(ring4)
-        sigmas = [sigma_m(preset(f"mg_ed:N={k}", lazy)) for k in (1, 2, 4)]
+        sigmas = [preset(f"mg_ed:N={k}", lazy).sigma_m_b for k in (1, 2, 4)]
         assert sigmas[0] <= sigmas[1] <= sigmas[2] <= 0.5 + 1e-12
 
     def test_comm_rounds_per_variant(self, ring10):
@@ -152,11 +151,6 @@ class TestValidate:
             a, b = pair.a.entries, pair.b.entries
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-10
 
-    def test_sigma_m_zero_rejected(self, ring4):
-        pair = self._raw_pair(np.eye(4), np.zeros((4, 4)), ring4.w)
-        with pytest.raises(CombinerError, match="sigma_m"):
-            sigma_m(pair)
-
 
 def _spectral_graphs():
     ring10 = fa.metropolis_weights(fa.gen_topology("ring", 10))
@@ -216,8 +210,6 @@ class TestSpectralPairs:
         assert abs(lam_b[0]) <= 1e-14
         if mm.n == 1:
             assert pair.sigma_m_b == 0.0
-            with pytest.raises(CombinerError, match="sigma_m"):
-                sigma_m(pair)
         else:
             assert lam_b[1] > 1e-6
             assert pair.sigma_m_b == pytest.approx(lam_b[1], abs=1e-12)

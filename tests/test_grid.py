@@ -10,6 +10,7 @@ import pytest
 import flexatc as fa
 from conftest import set_steps_per_block, synthetic_logistic_dataset
 from flexatc.analysis import (
+    SLACK_TOL,
     FixedPoint,
     GridCertificates,
     fixed_point,
@@ -27,7 +28,6 @@ from flexatc.solver import (
 from reference import (IterateAverages, branch_outcomes, flexatc_step, initial_state,
                        lemma2_check, mirror_step, theorem1_step_check, theorem2_check)
 
-SLACK_TOL = 1e-9
 TRAJECTORY_RTOL = 1e-12
 TRACE_COLUMNS = ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
                  "kkt_residual")
@@ -81,9 +81,9 @@ def _assert_same_run(got, want):
     (trace, sweep), (ref_trace, ref_sweep) = got, want
     for name in TRACE_COLUMNS:
         assert np.array_equal(getattr(trace, name), getattr(ref_trace, name), equal_nan=True), name
-    for name in ("x", "y", "u"):
-        assert np.array_equal(getattr(trace.final, name), getattr(ref_trace.final, name)), name
-    assert (trace.final.k, trace.final.comms) == (ref_trace.final.k, ref_trace.final.comms)
+    for name in ("x", "u"):
+        assert np.array_equal(getattr(trace, name), getattr(ref_trace, name)), name
+    assert (trace.k.size, trace.comms[-1]) == (ref_trace.k.size, ref_trace.comms[-1])
     if ref_sweep is not None:
         for name in SWEEP_COLUMNS:
             assert np.array_equal(getattr(sweep, name), getattr(ref_sweep, name),
@@ -151,8 +151,8 @@ def test_reported_successor_is_the_certified_branch(grid_setup, small_blocks):
     steps = {name: np.concatenate([getattr(block, name) for block in blocks])
              for name in ("x", "u", "x_comm", "u_comm", "x_skip")}
     coins = np.stack([trace.theta for trace in traces]).astype(bool)[:, :, None, None]
-    final = (np.stack([trace.final.x for trace in traces]),
-             np.stack([trace.final.u for trace in traces]))
+    final = (np.stack([trace.x for trace in traces]),
+             np.stack([trace.u for trace in traces]))
     for k in range(ITERS):
         theta = coins[:, k]
         x_next, u_next = (steps["x"][k + 1], steps["u"][k + 1]) if k + 1 < ITERS else final
@@ -203,8 +203,8 @@ def test_matches_per_run_reference_loop(grid_setup):
                 continue
             scale = np.max(np.abs(want[name]))
             assert np.max(np.abs(getattr(sweep, name) - want[name])) <= SLACK_TOL * (1.0 + scale)
-        assert np.max(np.abs(trace.final.x - state.x)) <= TRAJECTORY_RTOL * np.max(np.abs(state.x))
-        assert trace.final.comms == state.comms
+        assert np.max(np.abs(trace.x - state.x)) <= TRAJECTORY_RTOL * np.max(np.abs(state.x))
+        assert trace.comms[-1] == state.comms
         assert sweep.violations() == []
 
 

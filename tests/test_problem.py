@@ -10,20 +10,17 @@ from conftest import correlated_logistic_dataset, random_sparse_dataset, synthet
 from flexatc import problem
 from flexatc.problem import (
     Dataset,
-    LogisticLoss,
     ParseError,
     ProblemError,
     ProxSpec,
-    QuadraticLoss,
     logistic_instance,
-    normalize_features,
     parse_libsvm,
-    partition,
     quadratic_from_targets,
     quadratic_instance,
     read_libsvm,
     serialize_libsvm,
 )
+from reference import LogisticLoss, QuadraticLoss, _sigmoid, dense, partition
 
 
 class TestParseLibsvm:
@@ -57,8 +54,9 @@ class TestParseLibsvm:
     def test_label_handling(self):
         with pytest.raises(ParseError, match="not \\+1/-1"):
             parse_libsvm("0 1:1.0\n")
-        ds = parse_libsvm("0 1:1.0\n1 2:2.0\n", map_01_labels=True)
-        assert np.array_equal(ds.labels, [-1.0, 1.0])
+        # a 0/1 file fails at its first 0 label
+        with pytest.raises(ParseError, match="^line 2: label '0' is not \\+1/-1$"):
+            parse_libsvm("1 1:1.0\n0 2:2.0\n")
 
     def test_accepts_bytes(self):
         ds = parse_libsvm(b"+1 1:0.5\n")
@@ -81,12 +79,6 @@ class TestParseLibsvm:
         assert np.array_equal(back.labels, ds.labels)
         assert np.array_equal(back.values, ds.values)
         assert np.array_equal(back.indices, ds.indices)
-
-    def test_normalize_features(self):
-        ds = parse_libsvm("+1 1:4.0\n-1 1:-2.0 2:0.5\n")
-        scaled = normalize_features(ds)
-        assert np.max(np.abs(scaled.values)) <= 1.0
-        assert scaled.values[0] == 1.0
 
     def test_crlf_and_missing_trailing_newline(self):
         ds = parse_libsvm(b"+1 1:0.5 3:-0.25\r\n-1 2:1e-3\r\n\r\n+1 1:2")
@@ -253,25 +245,20 @@ def _dense_by_rows(ds):
 
 
 class TestDatasetArrays:
-    def test_dense_subset_normalize_match_row_loops(self):
+    def test_dense_and_subset_match_row_loops(self):
         ds = random_sparse_dataset(57, 9, seed=5, density=0.5)
         ds.values[3] = np.nan
-        assert np.array_equal(ds.dense(), _dense_by_rows(ds), equal_nan=True)
+        assert np.array_equal(dense(ds), _dense_by_rows(ds), equal_nan=True)
         rows = np.random.default_rng(2).permutation(57)[:20]
         sub = ds.subset(rows)
         for out_i, i in enumerate(rows):
             for a, b in zip(sub.sample(out_i), ds.sample(i)):
                 assert np.array_equal(a, b, equal_nan=True)
-        scale = np.ones(ds.d)
-        for j, v in zip(ds.indices, ds.values):
-            scale[j] = max(scale[j], abs(v))
-        assert np.array_equal(normalize_features(ds).values, ds.values / scale[ds.indices],
-                              equal_nan=True)
 
     def test_empty_subset(self):
         ds = random_sparse_dataset(5, 3, seed=1)
         empty = ds.subset(np.array([], dtype=int))
-        assert len(empty) == 0 and empty.dense().shape == (0, 3)
+        assert len(empty) == 0 and dense(empty).shape == (0, 3)
 
     def test_head_keeps_the_whole_dataset(self):
         ds = random_sparse_dataset(12, 4, seed=2)
@@ -534,7 +521,7 @@ class TestStackedOracles:
         t = np.concatenate([t, np.random.default_rng(3).standard_normal(1000) * 40])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = problem._sigmoid(t)
+            got = _sigmoid(t)
         assert np.array_equal(got.view(np.int64), _masked_sigmoid(t).view(np.int64))
 
     @pytest.mark.parametrize("scale", [1.0, 50.0, 750.0])

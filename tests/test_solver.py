@@ -135,7 +135,7 @@ class TestRunTrace:
         a = run(inst, pair, 1.0 / inst.L, p=0.5, seed=3, iters=120)
         b = run(inst, pair, 1.0 / inst.L, p=0.5, seed=3, iters=120)
         assert np.array_equal(a.theta, b.theta)
-        assert np.array_equal(a.final.x, b.final.x)
+        assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.objective, b.objective)
 
     def test_y_block_sum_and_mirror_coupling(self):
@@ -157,7 +157,7 @@ class TestRunTrace:
         state = initial_state(inst, 1.0 / inst.L, p=0.5)
         for theta in CoinSequence(0.5, seed=11).draw(500):
             state = flexatc_step(state, inst, pair, int(theta))
-        assert np.linalg.norm(u_form.final.x - state.x) <= 1e-10
+        assert np.linalg.norm(u_form.x - state.x) <= 1e-10
 
     def test_run_is_the_mirror_step_loop(self):
         inst = quadratic_instance(5, 4, seed=9, prox=ProxSpec("l1", 0.05))
@@ -166,9 +166,10 @@ class TestRunTrace:
         state = initial_state(inst, 1.0 / inst.L, p=0.5)
         for theta in CoinSequence(0.5, seed=11).draw(300):
             state = mirror_step(state, inst, pair, int(theta))
-        for name in ("x", "y", "u"):
-            assert np.array_equal(getattr(trace.final, name), getattr(state, name)), name
-        assert trace.final.comms == state.comms
+        for name in ("x", "u"):
+            assert np.array_equal(getattr(trace, name), getattr(state, name)), name
+        assert np.array_equal(-fa.kron_apply(pair.sqrt_b, trace.u), state.y)
+        assert trace.comms[-1] == state.comms
 
     def test_dual_state_sums_to_zero(self):
         # the criterion-5 instance at p = 1: y = -sqrt(B) u keeps sum_i y_i
@@ -176,9 +177,9 @@ class TestRunTrace:
         inst = quadratic_instance(20, 5, seed=42, curvature_min=1e-4, curvature_max=1.0,
                                   target_offset_scale=4.0)
         pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("ring", 20)))
-        final = run(inst, pair, 1.0 / inst.L, p=1.0, seed=1, iters=20_000,
-                    record_kkt=False).final
-        assert np.linalg.norm(final.y.sum(axis=0)) <= 1e-13 * (1.0 + np.linalg.norm(final.y))
+        trace = run(inst, pair, 1.0 / inst.L, p=1.0, seed=1, iters=20_000, record_kkt=False)
+        y = -fa.kron_apply(pair.sqrt_b, trace.u)
+        assert np.linalg.norm(y.sum(axis=0)) <= 1e-13 * (1.0 + np.linalg.norm(y))
 
     def test_averaged_iterates_cover_prefix(self):
         inst = quadratic_instance(3, 2, seed=10)
