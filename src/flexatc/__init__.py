@@ -40,6 +40,7 @@ from .problem import (
     quadratic_from_targets,
     quadratic_instance,
     read_libsvm,
+    read_logistic,
     serialize_libsvm,
 )
 from .solver import (

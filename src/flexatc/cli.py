@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,12 +61,10 @@ def build_problem(cfg: ExperimentConfig) -> tuple[problem.ProblemInstance, float
         )
     else:
         try:
-            ds = problem.read_libsvm(p.data)
+            instance = problem.read_logistic(p.data, cfg.graph.n, p.partition_seed, p.ridge,
+                                             prox, p.max_samples or None)
         except OSError as exc:
             raise DatasetError(f"cannot read dataset {p.data}: {exc}") from exc
-        if p.max_samples > 0:
-            ds = ds.head(p.max_samples)
-        instance = problem.logistic_instance(ds, cfg.graph.n, p.partition_seed, p.ridge, prox)
     return instance, cfg.resolve_alpha(instance.L)
 
 
@@ -213,6 +210,8 @@ def _run_grid(grid: Grid, threads: int) -> list[RunResult]:
         return _execute_grid(grid)
     bounds = [len(grid.runs) * i // count for i in range(count + 1)]
     batches = [replace(grid, runs=grid.runs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    # imported here, so that a serial run does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=count) as pool:
         return [res for batch in pool.map(_execute_grid, batches) for res in batch]
 

@@ -10,10 +10,11 @@ oracles against live in tests/reference.py.
 from __future__ import annotations
 
 import io
+import math
 import os
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO
 
 import numpy as np
@@ -26,7 +27,7 @@ _POWER_ITER_TOL = 1e-8
 _OTHER_SPACE = b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f"
 _TO_SPACE_OR_NEWLINE = bytes.maketrans(_OTHER_SPACE, b"\n\n\n\n\n\n  ")
 _COLON_TO_SPACE = bytes.maketrans(b":", b" ")
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 
 
 class ParseError(Exception):
@@ -56,20 +57,6 @@ class Dataset:
     def sample(self, i: int) -> tuple[np.ndarray, np.ndarray, float]:
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.values[lo:hi], float(self.labels[i])
-
-    def subset(self, rows: np.ndarray) -> "Dataset":
-        rows = np.asarray(rows, dtype=int)
-        lo = self.indptr[rows]
-        counts = self.indptr[rows + 1] - lo
-        indptr = np.zeros(rows.size + 1, dtype=int)
-        np.cumsum(counts, out=indptr[1:])
-        # entry j of output row r comes from entry lo[r] + (j - indptr[r])
-        src = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], counts)
-        return Dataset(self.d, self.labels[rows], indptr, self.indices[src], self.values[src])
-
-    def head(self, m: int) -> "Dataset":
-        """The first m samples; the dataset itself when it has no more."""
-        return self if m >= len(self) else self.subset(np.arange(m))
 
 
 def _tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,25 +188,48 @@ def _line_blocks(stream: BinaryIO) -> Iterator[bytes]:
         yield _normalise(tail)
 
 
+def _count(stream: BinaryIO) -> tuple[int, int]:
+    """(samples, feature tokens) of a seekable binary stream, which is left at
+    its start: the lines that hold a token, each of which the parser turns
+    into a sample, and the colons, one per feature token."""
+    rows = colons = 0
+    for block in _line_blocks(stream):
+        buf = np.frombuffer(block, dtype=np.uint8)
+        colons += np.count_nonzero(buf == 58)
+        # each line with its newline; a line holds a token if one byte of
+        # it is neither a space nor the newline
+        breaks = np.flatnonzero(buf == 10) + 1
+        lines = np.append(0, breaks[breaks < buf.size])
+        rows += np.count_nonzero(np.logical_or.reduceat((buf != 32) & (buf != 10), lines))
+    stream.seek(0)
+    return int(rows), int(colons)
+
+
+def _parsed_blocks(stream: BinaryIO) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(first sample, labels, features per sample, (index, value) rows) of
+    each block of whole lines of a binary stream."""
+    rows = lines = 0
+    for block in _line_blocks(stream):
+        labels, counts, pairs = _parse_block(block, lines)
+        yield rows, labels, counts, pairs
+        rows += labels.size
+        lines += block.count(b"\n")
+
+
 def _read_stream(stream: BinaryIO) -> Dataset:
     """The dataset of a seekable binary stream, read from its start in blocks
-    of whole lines. Every feature token holds one colon, so a first pass
-    counting colons sizes the index and value arrays, and each block's pairs
-    are written into them."""
-    size = sum(np.count_nonzero(np.frombuffer(chunk, dtype=np.uint8) == 58)
-               for chunk in iter(lambda: stream.read(_BLOCK_BYTES), b""))
-    stream.seek(0)
+    of whole lines. A counting pass sizes the index and value arrays, and
+    each block's pairs are written into them."""
+    _, size = _count(stream)
     indices, values = np.empty(size, dtype=int), np.empty(size)
     labels, counts = [np.empty(0)], [np.empty(0, dtype=int)]
-    end = lines = 0
-    for block in _line_blocks(stream):
-        block_labels, block_counts, pairs = _parse_block(block, lines)
+    end = 0
+    for _, block_labels, block_counts, pairs in _parsed_blocks(stream):
         start, end = end, end + pairs.shape[0]
         indices[start:end] = pairs[:, 0]
         values[start:end] = pairs[:, 1]
         labels.append(block_labels)
         counts.append(block_counts)
-        lines += block.count(b"\n")
     indices -= 1
     return Dataset(int(indices.max()) + 1 if size else 0, np.concatenate(labels),
                    np.append(0, np.cumsum(np.concatenate(counts))), indices, values)
@@ -349,12 +359,22 @@ class _LogisticStack:
     boolean mask real hides them from the value. Each (run, agent) pair gets
     its own matrix-vector product, so a run gets the same bits alone as in a
     batch; the products loop agent by agent. Every agent has the same ridge.
+
+    The margins and their one other temporary of equal size live in two step
+    buffers that are reused from call to call and grow only for a larger
+    batch, so no step allocates them; no returned array shares their memory,
+    and a pickled stack carries none. So one stack serves one thread.
     """
 
     signed: np.ndarray
     real: np.ndarray
     m: np.ndarray
     ridge: float
+    _buffers: list = field(default_factory=lambda: [np.empty(0), np.empty(0)],
+                           init=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_buffers": [np.empty(0), np.empty(0)]}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -365,41 +385,53 @@ class _LogisticStack:
         """Entries per agent of the objective's margins at one point, m_max."""
         return self.signed.shape[2]
 
+    def _buffer(self, slot: int, shape: tuple) -> np.ndarray:
+        """A C-ordered array of the given shape on step buffer slot 0 or 1."""
+        size = math.prod(shape)
+        if self._buffers[slot].size < size:
+            self._buffers[slot] = np.empty(size)
+        return self._buffers[slot][:size].reshape(shape)
+
     def _signed(self, ndim: int) -> np.ndarray:
         """signed as (n, 1, ..., 1, d, m_max), an operand of ndim axes."""
         n, d, width = self.signed.shape
         return self.signed.reshape((n,) + (1,) * (ndim - 3) + (d, width))
 
-    def _by_agent(self, left: np.ndarray, right: np.ndarray, runs: tuple) -> np.ndarray:
-        """left @ right, one product per (agent, run), as a C-ordered
-        (*runs, n, rows, cols) array. Both operands put the agent axis first,
+    def _by_agent(self, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """left @ right, one product per (agent, run), into a C-ordered
+        (*runs, n, rows, cols) out. Both operands put the agent axis first,
         as x.swapaxes(0, -2) does to (*runs, n, d). numpy orders the loop by
         the first operand whose strides rank the two axes, so a contiguous
         agent-first operand makes every run reuse an agent's block while it
         is in cache."""
-        out = np.empty(runs + (self.signed.shape[0], left.shape[-2], right.shape[-1]))
         np.matmul(left, right, out=out.swapaxes(0, -3))
         return out
 
     def _margins(self, x: np.ndarray) -> np.ndarray:
-        """x[..., i, :] @ signed[i] for each agent i, (..., n, m_max). An x
-        with one row for all agents is spread to n rows first, so that it is
-        the operand that orders the loop."""
+        """x[..., i, :] @ signed[i] for each agent i, (..., n, m_max), in step
+        buffer 0. An x with one row for all agents is spread to n rows first,
+        so that it is the operand that orders the loop."""
         runs = x.shape[:-2]
+        n, _, width = self.signed.shape
         x = np.broadcast_to(x, runs + self.signed.shape[:2])
         xt = np.ascontiguousarray(x.swapaxes(0, -2))[..., None, :]
-        return self._by_agent(xt, self._signed(xt.ndim), runs)[..., 0, :]
+        out = self._buffer(0, runs + (n, 1, width))
+        return self._by_agent(xt, self._signed(xt.ndim), out)[..., 0, :]
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         # d/dx ln(1 + e^-t) = -yX sigma(-t), and sigma(-t) = 1 / (1 + e^t) is
         # exactly 0 where e^t overflows to inf
-        weights = self._margins(x)
+        margins = self._margins(x)
         with np.errstate(over="ignore"):
-            np.exp(weights, out=weights)
-        weights += 1.0
-        np.reciprocal(weights, out=weights)
-        weights = np.ascontiguousarray(weights.swapaxes(0, -2))[..., None]
-        grads = self._by_agent(self._signed(weights.ndim), weights, x.shape[:-2])[..., 0]
+            np.exp(margins, out=margins)
+        margins += 1.0
+        np.reciprocal(margins, out=margins)
+        weights = self._buffer(1, margins.swapaxes(0, -2).shape)
+        np.copyto(weights, margins.swapaxes(0, -2))
+        weights = weights[..., None]
+        runs = x.shape[:-2]
+        out = np.empty(runs + self.signed.shape[:2] + (1,))
+        grads = self._by_agent(self._signed(weights.ndim), weights, out)[..., 0]
         np.negative(grads, out=grads)
         grads /= self.m[:, None]
         grads += self.ridge * x
@@ -407,9 +439,9 @@ class _LogisticStack:
 
     def value(self, point: np.ndarray) -> np.ndarray:
         # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out;
-        # computed in place in the margins' buffer and one more
+        # computed in place in the two step buffers
         losses = self._margins(point[..., None, :])
-        soft = np.abs(losses)
+        soft = np.abs(losses, out=self._buffer(1, losses.shape))
         np.negative(soft, out=soft)
         np.exp(soft, out=soft)
         np.log1p(soft, out=soft)
@@ -501,6 +533,52 @@ def quadratic_instance(
     return quadratic_from_targets(targets, np.tile(h, (n, 1)), prox)
 
 
+class _StackBuilder:
+    """The signed stack of logistic agents, filled a block of samples at a
+    time. The seeded split gives each of the first m samples its agent and
+    column before any is read; later samples widen the feature axis, as the
+    dataset's d counts them, but are not stored."""
+
+    def __init__(self, m: int, n: int, partition_seed: int, ridge: float, d: int = 0):
+        if not ridge >= 0.0:
+            raise ProblemError("ridge must be nonnegative")
+        chunks = _shuffled_split(m, n, partition_seed)
+        self.ridge = float(ridge)
+        self.m = np.array([rows.size for rows in chunks])
+        self.agent, self.column = np.empty(m, dtype=int), np.empty(m, dtype=int)
+        for i, rows in enumerate(chunks):
+            self.agent[rows] = i
+            self.column[rows] = np.arange(rows.size)
+        self.signed = np.zeros((n, d, self.m.max()))
+
+    def scatter(self, first: int, labels: np.ndarray, counts: np.ndarray,
+                indices: np.ndarray, values: np.ndarray) -> None:
+        """Samples first, first + 1, ... with their labels, feature counts and
+        0-based (indices, values) in sample order."""
+        n, d, width = self.signed.shape
+        if indices.size and indices.max() >= d:
+            grown = np.zeros((n, int(indices.max()) + 1, width))
+            grown[:, :d] = self.signed
+            self.signed = grown
+        keep = min(labels.size, max(self.agent.size - first, 0))
+        stop = counts[:keep].sum()
+        sample = np.repeat(np.arange(keep), counts[:keep])
+        self.signed[self.agent[first + sample], indices[:stop], self.column[first + sample]] = (
+            values[:stop] * labels[sample])
+
+    def instance(self, prox: ProxSpec | None) -> ProblemInstance:
+        """The instance, with L_i the ridge plus the power iteration's top
+        eigenvalue of the Gram X_i^T X_i / (4 m_i) of agent i's block."""
+        signed, m = self.signed, self.m
+        lmax = []
+        for i in range(m.size):
+            block = np.ascontiguousarray(signed[i, :, :m[i]].T)
+            lmax.append(_power_iteration_lmax(block.T @ block / (4.0 * m[i])))
+        real = np.arange(m.max()) < m[:, None]
+        return ProblemInstance(_LogisticStack(signed, real, m, self.ridge), prox or ProxSpec(),
+                               max(lmax) + self.ridge, self.ridge)
+
+
 def logistic_instance(
     ds: Dataset,
     n: int,
@@ -509,22 +587,43 @@ def logistic_instance(
     prox: ProxSpec | None = None,
 ) -> ProblemInstance:
     """Logistic agents with a common ridge on a seeded uniform partition,
-    which gives every agent at least one sample. The agents' slices are
-    scattered from the CSR arrays into the signed stack one at a time, so no
-    second copy of the dataset is built, and L_i is the ridge plus the power
-    iteration's top eigenvalue of the Gram X_i^T X_i / (4 m_i) of its block."""
-    if not ridge >= 0.0:
-        raise ProblemError("ridge must be nonnegative")
-    chunks = _shuffled_split(len(ds), n, partition_seed)
-    m = np.array([rows.size for rows in chunks])
-    signed = np.zeros((n, ds.d, m.max()))
-    lmax = []
-    for i, rows in enumerate(chunks):
-        s = ds.subset(rows)
-        sample = np.repeat(np.arange(m[i]), np.diff(s.indptr))
-        signed[i, s.indices, sample] = s.values * s.labels[sample]
-        block = np.ascontiguousarray(signed[i, :, :m[i]].T)
-        lmax.append(_power_iteration_lmax(block.T @ block / (4.0 * m[i])))
-    real = np.arange(m.max()) < m[:, None]
-    return ProblemInstance(_LogisticStack(signed, real, m, float(ridge)), prox or ProxSpec(),
-                           max(lmax) + ridge, float(ridge))
+    which gives every agent at least one sample. The dataset's rows are
+    scattered into the signed stack in blocks of about _BLOCK_BYTES of its
+    (index, value) pairs, so the stack is the only second copy of the
+    samples."""
+    stack = _StackBuilder(len(ds), n, partition_seed, ridge, ds.d)
+    step = max(_BLOCK_BYTES // 16, 1)
+    cuts = np.searchsorted(ds.indptr, np.arange(step, ds.indptr[-1], step))
+    bounds = np.unique(np.concatenate(([0], cuts, [len(ds)])))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        a, b = ds.indptr[lo], ds.indptr[hi]
+        stack.scatter(lo, ds.labels[lo:hi], np.diff(ds.indptr[lo:hi + 1]),
+                      ds.indices[a:b], ds.values[a:b])
+    return stack.instance(prox)
+
+
+def read_logistic(
+    path: str | os.PathLike,
+    n: int,
+    partition_seed: int,
+    ridge: float,
+    prox: ProxSpec | None = None,
+    max_samples: int | None = None,
+) -> ProblemInstance:
+    """logistic_instance of read_libsvm(path) cut to its first max_samples
+    samples (all by default), with no dataset built: a counting pass fixes
+    the split, and the parse loop scatters each block of the file straight
+    into the signed stack. A malformed file raises its ParseError before any
+    error of the split; OSError propagates."""
+    with open(path, "rb") as stream:
+        m, _ = _count(stream)
+        try:
+            stack = _StackBuilder(m if max_samples is None else min(m, max_samples),
+                                  n, partition_seed, ridge)
+        except ProblemError:
+            for _ in _parsed_blocks(stream):
+                pass
+            raise
+        for first, labels, counts, pairs in _parsed_blocks(stream):
+            stack.scatter(first, labels, counts, pairs[:, 0].astype(int) - 1, pairs[:, 1])
+    return stack.instance(prox)

@@ -13,7 +13,8 @@ linear rate.
 
 The stacked oracles of problem.ProblemInstance are held against per-agent
 losses: QuadraticLoss, and LogisticLoss over the dense rows of one agent's
-slice of the seeded partition.
+slice of the seeded partition. subset and head cut a Dataset by rows, for
+partition and for the first samples that problem.read_logistic keeps.
 """
 
 import math
@@ -36,10 +37,27 @@ def dense(ds: Dataset) -> np.ndarray:
     return x
 
 
+def subset(ds: Dataset, rows: np.ndarray) -> Dataset:
+    """The given rows of a dataset, in that order."""
+    rows = np.asarray(rows, dtype=int)
+    lo = ds.indptr[rows]
+    counts = ds.indptr[rows + 1] - lo
+    indptr = np.zeros(rows.size + 1, dtype=int)
+    np.cumsum(counts, out=indptr[1:])
+    # entry j of output row r comes from entry lo[r] + (j - indptr[r])
+    src = np.arange(indptr[-1]) + np.repeat(lo - indptr[:-1], counts)
+    return Dataset(ds.d, ds.labels[rows], indptr, ds.indices[src], ds.values[src])
+
+
+def head(ds: Dataset, m: int) -> Dataset:
+    """The first m samples; the dataset itself when it has no more."""
+    return ds if m >= len(ds) else subset(ds, np.arange(m))
+
+
 def partition(ds: Dataset, n: int, seed: int) -> list[Dataset]:
     """Seeded uniform shuffle split into n slices with sizes differing by <= 1:
     the agents' slices of logistic_instance."""
-    return [ds.subset(rows) for rows in _shuffled_split(len(ds), n, seed)]
+    return [subset(ds, rows) for rows in _shuffled_split(len(ds), n, seed)]
 
 
 @dataclass(eq=False)

@@ -1,4 +1,7 @@
+import concurrent.futures
 import math
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -134,6 +137,18 @@ class TestConfigParsing:
 
 
 class TestRunCommand:
+    def test_shipped_logistic_config_reads_its_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        cfg = load_config("configs/logistic_small.ini")
+        inst, _ = cli.build_problem(cfg)
+        want = fa.logistic_instance(fa.read_libsvm(cfg.problem.data), cfg.graph.n,
+                                    cfg.problem.partition_seed, cfg.problem.ridge)
+        assert inst.stack.signed.tobytes() == want.stack.signed.tobytes()
+        assert (inst.L, inst.mu) == (want.L, want.mu)
+        code = cli.main(["run", "configs/logistic_small.ini", "--out-dir", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        assert (tmp_path / "out" / "logistic_small.csv").exists()
+
     def test_single_node_smoke_converges_fast(self, tmp_path, capsys):
         conf = write_config(tmp_path, SMOKE)
         code = cli.main(["run", conf, "--out-dir", str(tmp_path)])
@@ -222,6 +237,31 @@ class TestRunCommand:
         for command in ("validate", "run", "check"):
             assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
             assert capsys.readouterr().err.startswith(f"error: cannot read dataset {data}: ")
+
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    def test_malformed_dataset_reports_its_line_before_the_split(self, tmp_path, capsys,
+                                                                 command):
+        # SMOKE's one agent could take the two samples; four agents cannot,
+        # and the malformed third line is still what the command reports
+        data = tmp_path / "data.svm"
+        data.write_text("+1 1:0.5\n-1 2:0.25\n+1 1:x\n")
+        conf = write_config(tmp_path, SMOKE.replace("kind = ring\nn = 1", "kind = ring\nn = 4")
+                            .replace("type = quadratic\nd = 2\ntarget_seed = 3",
+                                     f"type = logistic\ndata = {data}\nridge = 0.1"))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: line 3: malformed feature token '1:x'\n"
+        data.write_text("+1 1:0.5\n-1 2:0.25\n")
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: cannot split 2 samples across 4 agents\n"
+
+    def test_serial_import_loads_no_process_pool(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        probe = ("import sys, flexatc.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')"
+                 " or m == 'concurrent.futures.process'))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={"PYTHONPATH": str(src)}, check=True).stdout
+        assert out == "[]\n"
 
     def test_invalid_combiner_exits_4_with_reason(self, tmp_path, capsys):
         conf = write_config(tmp_path, SMOKE.replace("variants = ed", "variants = nids:c=0.9"))
@@ -357,7 +397,7 @@ class TestRunCommand:
                 batches.append([[(r.pair.variant, r.p, r.seed) for r in g.runs] for g in grids])
                 return map(fn, grids)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         conf = write_config(tmp_path, GRID)
         serial = tmp_path / "serial"
         assert cli.main(["check", conf, "--out-dir", str(serial), "--threads", "1"]) == cli.EXIT_OK

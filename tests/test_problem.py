@@ -1,3 +1,5 @@
+import io
+import pickle
 import tracemalloc
 import warnings
 
@@ -18,9 +20,10 @@ from flexatc.problem import (
     quadratic_from_targets,
     quadratic_instance,
     read_libsvm,
+    read_logistic,
     serialize_libsvm,
 )
-from reference import LogisticLoss, QuadraticLoss, _sigmoid, dense, partition
+from reference import LogisticLoss, QuadraticLoss, _sigmoid, dense, head, partition, subset
 
 
 class TestParseLibsvm:
@@ -236,6 +239,117 @@ class TestReadLibsvm:
         assert peak <= 1.5 * returned
 
 
+def _traced_peak(build):
+    """build() and the tracemalloc peak of the call above what was traced
+    before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return out, peak
+
+
+def _assert_same_instance(got, want):
+    for name in ("signed", "real", "m"):
+        a, b = getattr(got.stack, name), getattr(want.stack, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert (got.L, got.mu, got.stack.ridge) == (want.L, want.mu, want.stack.ridge)
+    assert (got.prox.kind, got.prox.weight) == (want.prox.kind, want.prox.weight)
+
+
+class TestReadLogistic:
+    """read_logistic builds from the file what logistic_instance builds from
+    read_libsvm's dataset cut to its first max_samples rows; tiny reads make
+    samples straddle many blocks."""
+
+    @pytest.mark.parametrize("case", ["cut-before-largest-index", "crlf-and-blank-lines",
+                                      "rows-without-features", "uneven-partition"])
+    def test_file_path_equals_dataset_path(self, tmp_path, monkeypatch, case):
+        lines = serialize_libsvm(random_sparse_dataset(47, 5, seed=3, density=0.5)).splitlines()
+        n, keep = 4, None
+        newline = "\n"
+        if case == "cut-before-largest-index":
+            lines[40] += " 9:0.25"  # d is 9, from a sample past the cut
+            keep = 30
+        elif case == "crlf-and-blank-lines":
+            lines = [line + "\r\n" * (i % 3) for i, line in enumerate(lines)]
+            newline = "\r\n"
+        elif case == "rows-without-features":
+            lines[::5] = [line.split()[0] for line in lines[::5]]
+        else:
+            n, keep = 6, 45  # agents of 7 and 8 samples: padding columns
+        data = (newline.join(lines) + newline).encode()
+        path = tmp_path / "data.libsvm"
+        path.write_bytes(data)
+        prox = ProxSpec("l1", 0.05)
+        want = logistic_instance(head(read_libsvm(path), keep or 47), n, 2, 0.1, prox)
+        if case == "cut-before-largest-index":
+            assert want.d == 9 and not want.stack.signed[:, 5:].any()
+        if case == "uneven-partition":
+            assert set(want.stack.m) == {7, 8}
+        for block_bytes in (7, 64, 301, 1 << 18):
+            monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
+            _assert_same_instance(read_logistic(path, n, 2, 0.1, prox, keep), want)
+            _assert_same_instance(logistic_instance(head(read_libsvm(path), keep or 47), n, 2,
+                                                    0.1, prox), want)
+
+    @pytest.mark.parametrize("data", [
+        b"+1 1:0.5\r\n-1 2:0.25 3:1\r\n\r\n+1 3:-1",
+        b"+1 1:0.5\r-1\r\r \t \r+1 3:-1\r",
+        b"\v+1 1:0.5\f-1 2:1\x1c\x1d\x1e\t\x1f\n-1\n",
+        b"  \n\t\n",
+        b"",
+    ])
+    def test_count_is_the_parsers_samples_and_features(self, monkeypatch, data):
+        ds = parse_libsvm(data)
+        for block_bytes in range(1, len(data) + 2):
+            monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
+            stream = io.BytesIO(data)
+            assert problem._count(stream) == (len(ds), ds.indices.size)
+            assert stream.tell() == 0
+
+    def test_parse_error_comes_before_the_split_error(self, tmp_path, monkeypatch):
+        # 3 samples cannot be split across 5 agents, and -1 is no ridge, but
+        # the malformed token deep in the file is what the reader reports
+        lines = ["+1 1:0.5", "", "-1 2:0.25", "+1 1:-1 2:1 3:oops"]
+        path = tmp_path / "data.libsvm"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(problem, "_BLOCK_BYTES", 8)
+        with pytest.raises(ParseError, match="^line 4: malformed feature token '3:oops'$"):
+            read_logistic(path, 5, 0, 0.1)
+        with pytest.raises(ParseError, match="^line 4: malformed feature token '3:oops'$"):
+            read_logistic(path, 2, 0, -1.0)
+        path.write_text("\n".join(lines[:3]) + "\n")
+        with pytest.raises(ProblemError, match="^cannot split 2 samples across 5 agents$"):
+            read_logistic(path, 5, 0, 0.1)
+        with pytest.raises(ProblemError, match="^ridge must be nonnegative$"):
+            read_logistic(path, 2, 0, -1.0)
+
+    def test_unreadable_path_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_logistic(tmp_path / "missing", 2, 0, 0.1)
+        with pytest.raises(IsADirectoryError):
+            read_logistic(tmp_path, 2, 0, 0.1)
+
+    def test_peak_memory_is_near_the_stack(self, tmp_path):
+        # the 49,950 x 22 replica size over 50 agents in the default blocks:
+        # the dataset path holds the CSR arrays as well, about 3.4 stacks
+        ds = correlated_logistic_dataset(49_950, 22, seed=0)
+        path = tmp_path / "data.libsvm"
+        rows = np.column_stack((ds.labels, ds.values.reshape(-1, 22)))
+        np.savetxt(path, rows, fmt="%+d " + " ".join(f"{j + 1}:%.17g" for j in range(22)))
+        del ds, rows
+        inst, peak = _traced_peak(lambda: read_logistic(path, 50, 0, 0.01, max_samples=49_950))
+        stack = inst.stack
+        assert peak <= 1.75 * sum(a.nbytes for a in (stack.signed, stack.real, stack.m))
+
+
 def _dense_by_rows(ds):
     x = np.zeros((len(ds), ds.d))
     for i in range(len(ds)):
@@ -250,24 +364,24 @@ class TestDatasetArrays:
         ds.values[3] = np.nan
         assert np.array_equal(dense(ds), _dense_by_rows(ds), equal_nan=True)
         rows = np.random.default_rng(2).permutation(57)[:20]
-        sub = ds.subset(rows)
+        sub = subset(ds, rows)
         for out_i, i in enumerate(rows):
             for a, b in zip(sub.sample(out_i), ds.sample(i)):
                 assert np.array_equal(a, b, equal_nan=True)
 
     def test_empty_subset(self):
         ds = random_sparse_dataset(5, 3, seed=1)
-        empty = ds.subset(np.array([], dtype=int))
+        empty = subset(ds, np.array([], dtype=int))
         assert len(empty) == 0 and dense(empty).shape == (0, 3)
 
     def test_head_keeps_the_whole_dataset(self):
         ds = random_sparse_dataset(12, 4, seed=2)
         for m in (len(ds), len(ds) + 5):
-            head = ds.head(m)
-            assert head.d == ds.d
+            first = head(ds, m)
+            assert first.d == ds.d
             for name in ("labels", "indptr", "indices", "values"):
-                assert np.array_equal(getattr(head, name), getattr(ds, name))
-        first = ds.head(7)
+                assert np.array_equal(getattr(first, name), getattr(ds, name))
+        first = head(ds, 7)
         assert np.array_equal(first.labels, ds.labels[:7])
         assert np.array_equal(first.indptr, ds.indptr[:8])
 
@@ -621,3 +735,45 @@ class TestStackedOracles:
             assert np.array_equal(means[s], inst.mean_grad(points[s]))
             single = inst.objective(points[s])
             assert isinstance(single, float) and values[s] == single
+
+
+class TestStepBuffers:
+    """The logistic stack reuses two step buffers of one batch's margins."""
+
+    @pytest.fixture(scope="class")
+    def inst(self):
+        ds = correlated_logistic_dataset(10_000, 22, seed=0)
+        return logistic_instance(ds, 50, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
+
+    @staticmethod
+    def _batches():
+        rng = np.random.default_rng(0)
+        return 0.1 * rng.standard_normal((2, 3, 50, 22)), 0.1 * rng.standard_normal((2, 3, 22))
+
+    def test_a_repeated_step_allocates_less_than_one_batch_buffer(self, inst):
+        xs, points = self._batches()
+        inst.grad_stack(xs[0])
+        inst.objective(points[0])
+        _, peak = _traced_peak(lambda: (inst.grad_stack(xs[1]), inst.objective(points[1])))
+        assert peak < 3 * 50 * inst.stack.width * 8
+
+    def test_returned_arrays_survive_the_next_call(self, inst):
+        xs, points = self._batches()
+        first = (inst.grad_stack(xs[0]), inst.mean_grad(points[0]), inst.objective(points[0]))
+        kept = [a.copy() for a in first]
+        second = (inst.grad_stack(xs[1]), inst.mean_grad(points[1]), inst.objective(points[1]))
+        for a, b in zip(first, kept):
+            assert np.array_equal(a, b)
+        for a in first + second:
+            assert not any(np.shares_memory(a, buf) for buf in inst.stack._buffers)
+
+    def test_pickled_stack_carries_no_buffers(self, inst):
+        xs, points = self._batches()
+        cold = len(pickle.dumps(logistic_instance(correlated_logistic_dataset(10_000, 22, seed=0),
+                                                  50, 0, 0.01, ProxSpec("l1", 0.01))))
+        inst.grad_stack(xs[0])
+        inst.objective(points[0])
+        assert len(pickle.dumps(inst)) == cold
+        copy = pickle.loads(pickle.dumps(inst))
+        assert np.array_equal(copy.grad_stack(xs[1]), inst.grad_stack(xs[1]))
+        assert np.array_equal(copy.objective(points[1]), inst.objective(points[1]))
