@@ -24,7 +24,6 @@ from .graph import (
 )
 from .linalg import (
     LinalgError,
-    SpectralDecomposition,
     SymMatrix,
     kron_apply,
     range_solve,
@@ -39,7 +38,6 @@ from .problem import (
     parse_libsvm,
     quadratic_from_targets,
     quadratic_instance,
-    read_libsvm,
     read_logistic,
     serialize_libsvm,
 )

@@ -199,7 +199,7 @@ def preset(variant: str, w: MixingMatrix) -> CombinerPair:
         rounds = params.pop("N", None)
         if params:
             raise CombinerError(f"unknown parameters {sorted(params)} for {name}")
-        if rounds is None or rounds != int(rounds) or rounds < 1:
+        if rounds is None or not 1 <= rounds < np.inf or rounds != int(rounds):
             raise CombinerError(f"{name} requires an integer N >= 1, got {rounds}")
         k = int(rounds)
         if name == "mg_ed":

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, SymMatrix, sym_eig
+from .linalg import SymMatrix, sym_eig
 
 RESAMPLE_CAP = 1000
 
@@ -123,7 +123,7 @@ class MixingMatrix:
     w: SymMatrix
     rho: float
     psd: bool
-    decomposition: SpectralDecomposition
+    decomposition: tuple[np.ndarray, np.ndarray]  # sym_eig(w)
 
     @property
     def n(self) -> int:

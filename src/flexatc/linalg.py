@@ -36,21 +36,14 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(eq=False)
-class SpectralDecomposition:
-    """Eigenvalues ascending with matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(m: SymMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+def sym_eig(m: SymMatrix):
+    """Full eigendecomposition of a symmetric matrix: numpy.linalg.eigh's
+    result, eigenvalues ascending with matching orthonormal eigenvector
+    columns, as its eigenvalues and eigenvectors fields."""
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(m.entries)
+        return np.linalg.eigh(m.entries)
     except np.linalg.LinAlgError as exc:
         raise LinalgError(f"eigendecomposition failed: {exc}") from exc
-    return SpectralDecomposition(eigenvalues, eigenvectors)
 
 
 def kron_apply(m: SymMatrix, x: np.ndarray) -> np.ndarray:

@@ -127,9 +127,10 @@ def _parse_fields(data: bytes, starts: np.ndarray, is_label: np.ndarray,
 
 
 def _parse_block(block: bytes, first_line: int):
-    """(labels, features per sample, (index, value) rows) of the whole lines
-    of a normalised block whose first line is line first_line + 1 of the
-    input; raises ParseError at the first malformed token."""
+    """(labels, features per sample, 0-based indices, values) of the whole
+    lines of a normalised block whose first line is line first_line + 1 of
+    the input; raises ParseError at the first malformed token or bad label,
+    index or value."""
     buf = np.frombuffer(block, dtype=np.uint8)
     starts, ends, is_label = _tokens(buf)
     malformed = _malformed(buf, starts, ends, is_label)
@@ -140,25 +141,35 @@ def _parse_block(block: bytes, first_line: int):
     is_label_number = np.repeat(head, np.where(head, 1, 2))
     labels = numbers[is_label_number]
     pairs = numbers[~is_label_number].reshape(-1, 2)  # (index, value) rows
+    index, value = pairs[:, 0], pairs[:, 1]
     bad = [limit]
     bad_label = (labels != 1.0) & (labels != -1.0)
     if bad_label.any():
         bad.append(np.flatnonzero(head)[np.argmax(bad_label)])
-    bad_index = pairs[:, 0] < 1.0
-    if bad_index.any():
-        bad.append(np.flatnonzero(~head)[np.argmax(bad_index)])
+    # an index of 2^53 or more may have been rounded to another integer
+    bad_pair = (index < 1.0) | (index >= 2.0**53) | ~np.isfinite(value)
+    if bad_pair.any():
+        bad.append(np.flatnonzero(~head)[np.argmax(bad_pair)])
     t = int(min(bad))
     if t < starts.size:
         tok = block[starts[t]:ends[t]].decode("utf-8", "replace")
+        k = np.count_nonzero(~head[:t])
         if t == limit:
             what = f"bad label {tok!r}" if is_label[t] else f"malformed feature token {tok!r}"
         elif is_label[t]:
             what = f"label {tok!r} is not +1/-1"
+        elif index[k] < 1.0:
+            what = f"index {int(index[k])} is not 1-based"
+        elif index[k] >= 2.0**53:
+            what = f"feature token {tok!r} has an index of 2^53 or more"
         else:
-            what = f"index {int(pairs[np.count_nonzero(~head[:t]), 0])} is not 1-based"
+            what = f"feature token {tok!r} has a non-finite value"
         raise ParseError(f"line {first_line + block.count(10, 0, starts[t]) + 1}: {what}")
     counts = np.diff(np.append(np.flatnonzero(is_label), starts.size)) - 1
-    return labels, counts, pairs
+    indices = index.astype(int)
+    indices -= 1
+    # a copy, so that the (index, value) rows are freed with the block
+    return labels, counts, indices, value.copy()
 
 
 def _normalise(data: bytes) -> bytes:
@@ -188,68 +199,57 @@ def _line_blocks(stream: BinaryIO) -> Iterator[bytes]:
         yield _normalise(tail)
 
 
-def _count(stream: BinaryIO) -> tuple[int, int]:
-    """(samples, feature tokens) of a seekable binary stream, which is left at
-    its start: the lines that hold a token, each of which the parser turns
-    into a sample, and the colons, one per feature token."""
-    rows = colons = 0
+def _count(stream: BinaryIO) -> int:
+    """The samples of a seekable binary stream, which is left at its start:
+    the lines that hold a token, each of which the parser turns into a
+    sample."""
+    rows = 0
     for block in _line_blocks(stream):
         buf = np.frombuffer(block, dtype=np.uint8)
-        colons += np.count_nonzero(buf == 58)
         # each line with its newline; a line holds a token if one byte of
         # it is neither a space nor the newline
         breaks = np.flatnonzero(buf == 10) + 1
         lines = np.append(0, breaks[breaks < buf.size])
         rows += np.count_nonzero(np.logical_or.reduceat((buf != 32) & (buf != 10), lines))
     stream.seek(0)
-    return int(rows), int(colons)
+    return int(rows)
 
 
-def _parsed_blocks(stream: BinaryIO) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(first sample, labels, features per sample, (index, value) rows) of
-    each block of whole lines of a binary stream."""
+def _parsed_blocks(stream: BinaryIO) -> Iterator[tuple]:
+    """(first sample, labels, features per sample, 0-based indices, values)
+    of each block of whole lines of a binary stream."""
     rows = lines = 0
     for block in _line_blocks(stream):
-        labels, counts, pairs = _parse_block(block, lines)
-        yield rows, labels, counts, pairs
+        labels, counts, indices, values = _parse_block(block, lines)
+        yield rows, labels, counts, indices, values
         rows += labels.size
         lines += block.count(b"\n")
-
-
-def _read_stream(stream: BinaryIO) -> Dataset:
-    """The dataset of a seekable binary stream, read from its start in blocks
-    of whole lines. A counting pass sizes the index and value arrays, and
-    each block's pairs are written into them."""
-    _, size = _count(stream)
-    indices, values = np.empty(size, dtype=int), np.empty(size)
-    labels, counts = [np.empty(0)], [np.empty(0, dtype=int)]
-    end = 0
-    for _, block_labels, block_counts, pairs in _parsed_blocks(stream):
-        start, end = end, end + pairs.shape[0]
-        indices[start:end] = pairs[:, 0]
-        values[start:end] = pairs[:, 1]
-        labels.append(block_labels)
-        counts.append(block_counts)
-    indices -= 1
-    return Dataset(int(indices.max()) + 1 if size else 0, np.concatenate(labels),
-                   np.append(0, np.cumsum(np.concatenate(counts))), indices, values)
-
-
-def read_libsvm(path: str | os.PathLike) -> Dataset:
-    """parse_libsvm of a file's bytes, streamed: the file is never held whole,
-    and the only full-size arrays are the dataset's own. OSError propagates."""
-    with open(path, "rb") as stream:
-        return _read_stream(stream)
 
 
 def parse_libsvm(text: str | bytes) -> Dataset:
     """Parse "label idx:val idx:val ..." lines; 1-based indices become 0-based.
 
-    Labels must be +1/-1. The dimension is the largest index seen. Lines and
-    tokens split as str.splitlines() and str.split() split ASCII text; the
-    first malformed token raises ParseError naming its line.
+    Labels must be +1/-1, indices below 2^53 and values finite. The
+    dimension is the largest index seen. Lines and tokens split as
+    str.splitlines() and str.split() split ASCII text; the first malformed
+    token or bad label, index or value raises ParseError naming its line.
+    The text runs through the block loop read_logistic runs on a file, and
+    its colons, one per feature token, size the index and value arrays.
     """
-    return _read_stream(io.BytesIO(text.encode() if isinstance(text, str) else text))
+    data = text.encode() if isinstance(text, str) else text
+    size = data.count(b":")
+    indices, values = np.empty(size, dtype=int), np.empty(size)
+    labels, counts = [np.empty(0)], [np.empty(0, dtype=int)]
+    end = 0
+    for _, block_labels, block_counts, block_indices, block_values in _parsed_blocks(
+            io.BytesIO(data)):
+        start, end = end, end + block_indices.size
+        indices[start:end] = block_indices
+        values[start:end] = block_values
+        labels.append(block_labels)
+        counts.append(block_counts)
+    return Dataset(int(indices.max()) + 1 if size else 0, np.concatenate(labels),
+                   np.append(0, np.cumsum(np.concatenate(counts))), indices, values)
 
 
 def serialize_libsvm(ds: Dataset) -> str:
@@ -533,50 +533,44 @@ def quadratic_instance(
     return quadratic_from_targets(targets, np.tile(h, (n, 1)), prox)
 
 
-class _StackBuilder:
-    """The signed stack of logistic agents, filled a block of samples at a
-    time. The seeded split gives each of the first m samples its agent and
-    column before any is read; later samples widen the feature axis, as the
-    dataset's d counts them, but are not stored."""
-
-    def __init__(self, m: int, n: int, partition_seed: int, ridge: float, d: int = 0):
-        if not ridge >= 0.0:
-            raise ProblemError("ridge must be nonnegative")
-        chunks = _shuffled_split(m, n, partition_seed)
-        self.ridge = float(ridge)
-        self.m = np.array([rows.size for rows in chunks])
-        self.agent, self.column = np.empty(m, dtype=int), np.empty(m, dtype=int)
-        for i, rows in enumerate(chunks):
-            self.agent[rows] = i
-            self.column[rows] = np.arange(rows.size)
-        self.signed = np.zeros((n, d, self.m.max()))
-
-    def scatter(self, first: int, labels: np.ndarray, counts: np.ndarray,
-                indices: np.ndarray, values: np.ndarray) -> None:
-        """Samples first, first + 1, ... with their labels, feature counts and
-        0-based (indices, values) in sample order."""
-        n, d, width = self.signed.shape
-        if indices.size and indices.max() >= d:
-            grown = np.zeros((n, int(indices.max()) + 1, width))
-            grown[:, :d] = self.signed
-            self.signed = grown
-        keep = min(labels.size, max(self.agent.size - first, 0))
+def _stack_instance(blocks, m: int, n: int, partition_seed: int, ridge: float,
+                    prox: ProxSpec | None, d: int = 0) -> ProblemInstance:
+    """Logistic agents on the seeded split of the first m samples that blocks
+    yields as (first sample, labels, features per sample, 0-based indices,
+    values). The split gives each sample its agent and column before any is
+    read, and each block is scattered into the signed stack; later samples
+    widen the feature axis from d, as a dataset's d counts them, but are not
+    stored. L_i is the ridge plus the power iteration's top eigenvalue of the
+    Gram X_i^T X_i / (4 m_i) of agent i's block."""
+    if not ridge >= 0.0:
+        raise ProblemError("ridge must be nonnegative")
+    ridge = float(ridge)
+    chunks = _shuffled_split(m, n, partition_seed)
+    sizes = np.array([rows.size for rows in chunks])
+    agent, column = np.empty(m, dtype=int), np.empty(m, dtype=int)
+    for i, rows in enumerate(chunks):
+        agent[rows] = i
+        column[rows] = np.arange(rows.size)
+    del chunks, rows  # slices of the split's permutation, which the scatter does not need
+    signed = np.zeros((n, d, sizes.max()))
+    for first, labels, counts, indices, values in blocks:
+        if indices.size and indices.max() >= signed.shape[1]:
+            grown = np.zeros((n, int(indices.max()) + 1, signed.shape[2]))
+            grown[:, :signed.shape[1]] = signed
+            signed = grown
+        keep = min(labels.size, max(m - first, 0))
         stop = counts[:keep].sum()
-        sample = np.repeat(np.arange(keep), counts[:keep])
-        self.signed[self.agent[first + sample], indices[:stop], self.column[first + sample]] = (
-            values[:stop] * labels[sample])
-
-    def instance(self, prox: ProxSpec | None) -> ProblemInstance:
-        """The instance, with L_i the ridge plus the power iteration's top
-        eigenvalue of the Gram X_i^T X_i / (4 m_i) of agent i's block."""
-        signed, m = self.signed, self.m
-        lmax = []
-        for i in range(m.size):
-            block = np.ascontiguousarray(signed[i, :, :m[i]].T)
-            lmax.append(_power_iteration_lmax(block.T @ block / (4.0 * m[i])))
-        real = np.arange(m.max()) < m[:, None]
-        return ProblemInstance(_LogisticStack(signed, real, m, self.ridge), prox or ProxSpec(),
-                               max(lmax) + self.ridge, self.ridge)
+        kept = slice(first, first + keep)
+        signed[np.repeat(agent[kept], counts[:keep]), indices[:stop],
+               np.repeat(column[kept], counts[:keep])] = (
+            values[:stop] * np.repeat(labels[:keep], counts[:keep]))
+    lmax = []
+    for i in range(n):
+        block = np.ascontiguousarray(signed[i, :, :sizes[i]].T)
+        lmax.append(_power_iteration_lmax(block.T @ block / (4.0 * sizes[i])))
+    real = np.arange(sizes.max()) < sizes[:, None]
+    return ProblemInstance(_LogisticStack(signed, real, sizes, ridge), prox or ProxSpec(),
+                           max(lmax) + ridge, ridge)
 
 
 def logistic_instance(
@@ -587,19 +581,20 @@ def logistic_instance(
     prox: ProxSpec | None = None,
 ) -> ProblemInstance:
     """Logistic agents with a common ridge on a seeded uniform partition,
-    which gives every agent at least one sample. The dataset's rows are
-    scattered into the signed stack in blocks of about _BLOCK_BYTES of its
-    (index, value) pairs, so the stack is the only second copy of the
-    samples."""
-    stack = _StackBuilder(len(ds), n, partition_seed, ridge, ds.d)
+    which gives every agent at least one sample; every feature value must be
+    finite. The dataset's rows are scattered into the signed stack in blocks
+    of about _BLOCK_BYTES of its (index, value) pairs, so the stack is the
+    only second copy of the samples."""
+    if not np.all(np.isfinite(ds.values)):
+        raise ProblemError("feature values must be finite")
     step = max(_BLOCK_BYTES // 16, 1)
     cuts = np.searchsorted(ds.indptr, np.arange(step, ds.indptr[-1], step))
     bounds = np.unique(np.concatenate(([0], cuts, [len(ds)])))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        a, b = ds.indptr[lo], ds.indptr[hi]
-        stack.scatter(lo, ds.labels[lo:hi], np.diff(ds.indptr[lo:hi + 1]),
-                      ds.indices[a:b], ds.values[a:b])
-    return stack.instance(prox)
+    blocks = ((lo, ds.labels[lo:hi], np.diff(ds.indptr[lo:hi + 1]),
+               ds.indices[ds.indptr[lo]:ds.indptr[hi]],
+               ds.values[ds.indptr[lo]:ds.indptr[hi]])
+              for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return _stack_instance(blocks, len(ds), n, partition_seed, ridge, prox, ds.d)
 
 
 def read_logistic(
@@ -610,20 +605,19 @@ def read_logistic(
     prox: ProxSpec | None = None,
     max_samples: int | None = None,
 ) -> ProblemInstance:
-    """logistic_instance of read_libsvm(path) cut to its first max_samples
-    samples (all by default), with no dataset built: a counting pass fixes
-    the split, and the parse loop scatters each block of the file straight
-    into the signed stack. A malformed file raises its ParseError before any
-    error of the split; OSError propagates."""
+    """logistic_instance of parse_libsvm of the file's bytes cut to its
+    first max_samples samples (all by default), with neither the file held
+    whole nor a dataset built: a counting pass fixes the split, and the
+    parse loop scatters each block of about _BLOCK_BYTES of the file
+    straight into the signed stack. A malformed file raises its ParseError
+    before any error of the split or the ridge; OSError propagates."""
     with open(path, "rb") as stream:
-        m, _ = _count(stream)
+        m = _count(stream)
+        if max_samples is not None:
+            m = min(m, max_samples)
         try:
-            stack = _StackBuilder(m if max_samples is None else min(m, max_samples),
-                                  n, partition_seed, ridge)
+            return _stack_instance(_parsed_blocks(stream), m, n, partition_seed, ridge, prox)
         except ProblemError:
             for _ in _parsed_blocks(stream):
                 pass
             raise
-        for first, labels, counts, pairs in _parsed_blocks(stream):
-            stack.scatter(first, labels, counts, pairs[:, 0].astype(int) - 1, pairs[:, 1])
-    return stack.instance(prox)

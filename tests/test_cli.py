@@ -141,8 +141,8 @@ class TestRunCommand:
         monkeypatch.chdir(Path(__file__).resolve().parent.parent)
         cfg = load_config("configs/logistic_small.ini")
         inst, _ = cli.build_problem(cfg)
-        want = fa.logistic_instance(fa.read_libsvm(cfg.problem.data), cfg.graph.n,
-                                    cfg.problem.partition_seed, cfg.problem.ridge)
+        want = fa.logistic_instance(fa.parse_libsvm(Path(cfg.problem.data).read_bytes()),
+                                    cfg.graph.n, cfg.problem.partition_seed, cfg.problem.ridge)
         assert inst.stack.signed.tobytes() == want.stack.signed.tobytes()
         assert (inst.L, inst.mu) == (want.L, want.mu)
         code = cli.main(["run", "configs/logistic_small.ini", "--out-dir", str(tmp_path)])
@@ -254,6 +254,23 @@ class TestRunCommand:
         assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "error: cannot split 2 samples across 4 agents\n"
 
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    @pytest.mark.parametrize("token, what", [
+        ("1:nan", "has a non-finite value"),
+        ("1:inf", "has a non-finite value"),
+        ("1:1e999", "has a non-finite value"),
+        ("9007199254740993:1", "has an index of 2^53 or more"),
+    ])
+    def test_unholdable_feature_exits_2_naming_its_line(self, tmp_path, capsys, command,
+                                                          token, what):
+        data = tmp_path / "data.svm"
+        data.write_text(f"+1 1:0.5\n-1 2:0.25\n+1 {token}\n")
+        conf = write_config(tmp_path, SMOKE.replace(
+            "type = quadratic\nd = 2\ntarget_seed = 3",
+            f"type = logistic\ndata = {data}\nridge = 0.1"))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: line 3: feature token '{token}' {what}\n"
+
     def test_serial_import_loads_no_process_pool(self):
         src = Path(cli.__file__).resolve().parents[1]
         probe = ("import sys, flexatc.cli; "
@@ -276,6 +293,17 @@ class TestRunCommand:
         code = cli.main(["run", conf, "--out-dir", str(tmp_path)])
         assert code == cli.EXIT_FALSIFIED
         assert "PSD" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    @pytest.mark.parametrize("name", ["mg_ed", "mg_sonata"])
+    @pytest.mark.parametrize("rounds", ["inf", "-inf", "nan"])
+    def test_non_finite_rounds_exit_4(self, tmp_path, capsys, command, name, rounds):
+        variant = f"{name}:N={rounds}"
+        conf = write_config(tmp_path, SMOKE.replace("variants = ed", f"variants = {variant}"))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_FALSIFIED
+        err = capsys.readouterr().err
+        assert f"{name} requires an integer N >= 1, got {rounds}\n" in err
+        assert err.startswith(f"{variant}: INVALID\n") == (command == "validate")
 
     def test_csv_bit_identical_and_svg_polylines(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)

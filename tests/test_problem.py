@@ -19,7 +19,6 @@ from flexatc.problem import (
     parse_libsvm,
     quadratic_from_targets,
     quadratic_instance,
-    read_libsvm,
     read_logistic,
     serialize_libsvm,
 )
@@ -139,14 +138,39 @@ class TestParseLibsvm:
         with pytest.raises(ParseError, match="line 42: malformed feature token '7:oops'"):
             parse_libsvm("\n".join(lines))
 
-    def test_nan_inf_and_exponent_values_round_trip(self):
-        text = "+1 1:nan 2:inf 3:-inf 4:1e-310 5:-2.5E+300 6:.5 7:5.\n"
+    def test_exponent_values_round_trip(self):
+        text = "+1 4:1e-310 5:-2.5E+300 6:.5 7:5.\n"
         ds = parse_libsvm(text)
-        assert np.isnan(ds.values[0])
-        assert np.array_equal(ds.values[1:], [np.inf, -np.inf, 1e-310, -2.5e300, 0.5, 5.0])
+        assert np.array_equal(ds.values, [1e-310, -2.5e300, 0.5, 5.0])
         back = parse_libsvm(serialize_libsvm(ds))
-        assert np.array_equal(back.values, ds.values, equal_nan=True)
+        assert np.array_equal(back.values, ds.values)
         assert np.array_equal(back.indices, ds.indices)
+
+    @pytest.mark.parametrize("token, what", [
+        ("1:nan", "has a non-finite value"),
+        ("1:-NaN", "has a non-finite value"),
+        ("1:inf", "has a non-finite value"),
+        ("1:-infinity", "has a non-finite value"),
+        ("1:1e999", "has a non-finite value"),
+        ("9007199254740992:1", "has an index of 2^53 or more"),
+        ("9007199254740993:1", "has an index of 2^53 or more"),
+        ("100000000000000000000:1", "has an index of 2^53 or more"),
+    ])
+    def test_unholdable_feature_names_its_line(self, monkeypatch, token, what):
+        # a float64 cannot tell 2^53 + 1 from 2^53, and a non-finite value
+        # has no margin; an earlier error on the line still wins
+        text = f"+1 1:0.5\n-1 2:0.25\n+1 1:1.0 {token} 4:2.0\n-1 3:1.0\n"
+        for block_bytes in (7, 16, 64, 1 << 18):
+            monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
+            with pytest.raises(ParseError) as exc:
+                parse_libsvm(text)
+            assert str(exc.value) == f"line 3: feature token {token!r} {what}"
+            with pytest.raises(ParseError, match="^line 3: index 0 is not 1-based$"):
+                parse_libsvm(text.replace("1:1.0", "0:1.0"))
+
+    def test_largest_exact_index_parses(self):
+        ds = parse_libsvm("+1 9007199254740991:1.5\n")
+        assert ds.d == 2**53 - 1 and ds.indices.tolist() == [2**53 - 2]
 
     def test_non_ascii_bytes_raise_parse_error(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -161,8 +185,8 @@ def _assert_same_dataset(got, want):
 
 
 class TestReadLibsvm:
-    """read_libsvm streams a file through the block loop parse_libsvm runs
-    on its bytes; tiny reads put every block boundary inside the text."""
+    """parse_libsvm streams its bytes through the block loop read_logistic
+    runs on a file; tiny reads put every block boundary inside the text."""
 
     @pytest.mark.parametrize("data", [
         pytest.param(b"+1 1:0.5\r\n-1 2:0.25 3:1\r\n+1 3:-1\r\n", id="crlf"),
@@ -171,64 +195,51 @@ class TestReadLibsvm:
         pytest.param(b"\n\n+1 1:0.5\n\n\n-1 2:1\n\n", id="blank-lines"),
         pytest.param(b"", id="empty"),
     ])
-    def test_file_matches_parse_of_its_bytes(self, tmp_path, monkeypatch, data):
+    def test_file_matches_parse_of_its_bytes(self, monkeypatch, data):
         want = parse_libsvm(data)  # one block: the whole input
-        path = tmp_path / "data.libsvm"
-        path.write_bytes(data)
         for block_bytes in range(1, len(data) + 2):
             monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
-            _assert_same_dataset(read_libsvm(path), want)
             _assert_same_dataset(parse_libsvm(data), want)
 
-    def test_crlf_pair_split_by_a_read(self, tmp_path, monkeypatch):
+    def test_crlf_pair_split_by_a_read(self, monkeypatch):
         # the first read ends in the \r of line 1's \r\n, so the \n opens
         # the next read; taken apart, they would end two lines
         data = b"+1 1:0.5\r\n-1 2:0.25\r\nx 1:1\r\n"
-        path = tmp_path / "data.libsvm"
-        path.write_bytes(data)
         monkeypatch.setattr(problem, "_BLOCK_BYTES", data.index(b"\n"))
         with pytest.raises(ParseError, match="^line 3: bad label 'x'$"):
-            read_libsvm(path)
-        path.write_bytes(data.replace(b"x 1:1\r\n", b""))
-        _assert_same_dataset(read_libsvm(path), parse_libsvm(b"+1 1:0.5\n-1 2:0.25\n"))
+            parse_libsvm(data)
+        _assert_same_dataset(parse_libsvm(data.replace(b"x 1:1\r\n", b"")),
+                             parse_libsvm(b"+1 1:0.5\n-1 2:0.25\n"))
 
-    def test_parse_error_line_in_a_later_block(self, tmp_path, monkeypatch):
+    def test_parse_error_line_in_a_later_block(self, monkeypatch):
         lines = [f"{'+1' if i % 2 else '-1'} {i % 5 + 1}:{i / 7!r}" for i in range(60)]
         lines[41] += " 7:oops"
         data = "\n".join(lines).encode()
         with pytest.raises(ParseError) as whole:
             parse_libsvm(data)
         assert str(whole.value) == "line 42: malformed feature token '7:oops'"
-        path = tmp_path / "data.libsvm"
-        path.write_bytes(data)
         monkeypatch.setattr(problem, "_BLOCK_BYTES", 16)
-        for parse in (lambda: read_libsvm(path), lambda: parse_libsvm(data)):
-            with pytest.raises(ParseError) as streamed:
-                parse()
-            assert str(streamed.value) == str(whole.value)
+        with pytest.raises(ParseError) as streamed:
+            parse_libsvm(data)
+        assert str(streamed.value) == str(whole.value)
 
-    def test_many_blocks_round_trip(self, tmp_path, monkeypatch):
+    def test_many_blocks_round_trip(self, monkeypatch):
         ds = correlated_logistic_dataset(2_000, 22, seed=1)
-        path = tmp_path / "data.libsvm"
-        path.write_text(serialize_libsvm(ds))
         monkeypatch.setattr(problem, "_BLOCK_BYTES", 4096)
-        _assert_same_dataset(read_libsvm(path), ds)
+        _assert_same_dataset(parse_libsvm(serialize_libsvm(ds).encode()), ds)
 
-    def test_peak_memory_is_the_returned_arrays(self, tmp_path, monkeypatch):
-        # a 4.7 MB file read in 64 KiB blocks and scattered over 50 agents:
-        # holding the file whole, a second copy of the samples or the
-        # partition's 50 slices each adds at least half of what is returned
-        ds = correlated_logistic_dataset(10_000, 22, seed=0)
-        path = tmp_path / "data.libsvm"
-        path.write_text(serialize_libsvm(ds))
-        del ds
+    def test_peak_memory_is_the_returned_arrays(self, monkeypatch):
+        # 4.7 MB of text parsed in 64 KiB blocks and scattered over 50
+        # agents: a second copy of the text or of the samples, or the
+        # partition's 50 slices, each adds at least half of what is returned
+        data = serialize_libsvm(correlated_logistic_dataset(10_000, 22, seed=0)).encode()
         monkeypatch.setattr(problem, "_BLOCK_BYTES", 1 << 16)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            ds = read_libsvm(path)
+            ds = parse_libsvm(data)
             stack = logistic_instance(ds, 50, partition_seed=0, ridge=0.01).stack
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
@@ -265,8 +276,8 @@ def _assert_same_instance(got, want):
 
 class TestReadLogistic:
     """read_logistic builds from the file what logistic_instance builds from
-    read_libsvm's dataset cut to its first max_samples rows; tiny reads make
-    samples straddle many blocks."""
+    parse_libsvm's dataset of its bytes cut to its first max_samples rows;
+    tiny reads make samples straddle many blocks."""
 
     @pytest.mark.parametrize("case", ["cut-before-largest-index", "crlf-and-blank-lines",
                                       "rows-without-features", "uneven-partition"])
@@ -288,7 +299,8 @@ class TestReadLogistic:
         path = tmp_path / "data.libsvm"
         path.write_bytes(data)
         prox = ProxSpec("l1", 0.05)
-        want = logistic_instance(head(read_libsvm(path), keep or 47), n, 2, 0.1, prox)
+        want = logistic_instance(head(parse_libsvm(path.read_bytes()), keep or 47), n, 2, 0.1,
+                                 prox)
         if case == "cut-before-largest-index":
             assert want.d == 9 and not want.stack.signed[:, 5:].any()
         if case == "uneven-partition":
@@ -296,8 +308,8 @@ class TestReadLogistic:
         for block_bytes in (7, 64, 301, 1 << 18):
             monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
             _assert_same_instance(read_logistic(path, n, 2, 0.1, prox, keep), want)
-            _assert_same_instance(logistic_instance(head(read_libsvm(path), keep or 47), n, 2,
-                                                    0.1, prox), want)
+            _assert_same_instance(logistic_instance(head(parse_libsvm(path.read_bytes()),
+                                                         keep or 47), n, 2, 0.1, prox), want)
 
     @pytest.mark.parametrize("data", [
         b"+1 1:0.5\r\n-1 2:0.25 3:1\r\n\r\n+1 3:-1",
@@ -311,7 +323,7 @@ class TestReadLogistic:
         for block_bytes in range(1, len(data) + 2):
             monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
             stream = io.BytesIO(data)
-            assert problem._count(stream) == (len(ds), ds.indices.size)
+            assert problem._count(stream) == len(ds)
             assert stream.tell() == 0
 
     def test_parse_error_comes_before_the_split_error(self, tmp_path, monkeypatch):
@@ -330,6 +342,18 @@ class TestReadLogistic:
             read_logistic(path, 5, 0, 0.1)
         with pytest.raises(ProblemError, match="^ridge must be nonnegative$"):
             read_logistic(path, 2, 0, -1.0)
+
+    @pytest.mark.parametrize("token", ["2:nan", "2:-inf", "9007199254740993:1"])
+    def test_unholdable_feature_raises_before_the_split_error(self, tmp_path, monkeypatch,
+                                                               token):
+        path = tmp_path / "data.libsvm"
+        path.write_text(f"+1 1:0.5\n-1 2:0.25\n+1 1:1 {token}\n")
+        for block_bytes in (8, 1 << 18):
+            monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
+            with pytest.raises(ParseError, match=f"^line 3: feature token '{token}' has "):
+                read_logistic(path, 2, 0, 0.1, max_samples=2)
+            with pytest.raises(ParseError, match=f"^line 3: feature token '{token}' has "):
+                read_logistic(path, 5, 0, 0.1)
 
     def test_unreadable_path_raises_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -588,6 +612,13 @@ class TestInstances:
         ds = synthetic_logistic_dataset(10, 3, seed=0)
         with pytest.raises(ProblemError, match="ridge must be nonnegative"):
             logistic_instance(ds, 2, partition_seed=0, ridge=-0.01)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_logistic_instance_rejects_non_finite_values(self, bad):
+        ds = synthetic_logistic_dataset(10, 3, seed=0)
+        ds.values[4] = bad
+        with pytest.raises(ProblemError, match="^feature values must be finite$"):
+            logistic_instance(ds, 2, partition_seed=0, ridge=0.01)
 
     def test_logistic_instance_needs_a_sample_per_agent(self):
         ds = random_sparse_dataset(3, 2, seed=5)
