@@ -10,11 +10,10 @@ oracles against live in tests/reference.py.
 from __future__ import annotations
 
 import io
-import math
 import os
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
@@ -28,6 +27,9 @@ _OTHER_SPACE = b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f"
 _TO_SPACE_OR_NEWLINE = bytes.maketrans(_OTHER_SPACE, b"\n\n\n\n\n\n  ")
 _COLON_TO_SPACE = bytes.maketrans(b":", b" ")
 _BLOCK_BYTES = 1 << 18
+# Agents per group of the logistic oracles' loop: four replica-scale blocks
+# are about 0.7 MB, which stay in a 2 MB L2 cache through the group's work.
+_GROUP = 4
 
 
 class ParseError(Exception):
@@ -358,23 +360,16 @@ class _LogisticStack:
     columns are zero, which zeroes their gradient contribution, and the
     boolean mask real hides them from the value. Each (run, agent) pair gets
     its own matrix-vector product, so a run gets the same bits alone as in a
-    batch; the products loop agent by agent. Every agent has the same ridge.
-
-    The margins and their one other temporary of equal size live in two step
-    buffers that are reused from call to call and grow only for a larger
-    batch, so no step allocates them; no returned array shares their memory,
-    and a pickled stack carries none. So one stack serves one thread.
+    batch. Both oracles work through the agents _GROUP at a time, so their
+    temporaries are one group's margins and each group's blocks are still in
+    cache when its gradient product reads them. Every agent has the same
+    ridge.
     """
 
     signed: np.ndarray
     real: np.ndarray
     m: np.ndarray
     ridge: float
-    _buffers: list = field(default_factory=lambda: [np.empty(0), np.empty(0)],
-                           init=False, repr=False)
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_buffers": [np.empty(0), np.empty(0)]}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -385,71 +380,44 @@ class _LogisticStack:
         """Entries per agent of the objective's margins at one point, m_max."""
         return self.signed.shape[2]
 
-    def _buffer(self, slot: int, shape: tuple) -> np.ndarray:
-        """A C-ordered array of the given shape on step buffer slot 0 or 1."""
-        size = math.prod(shape)
-        if self._buffers[slot].size < size:
-            self._buffers[slot] = np.empty(size)
-        return self._buffers[slot][:size].reshape(shape)
-
-    def _signed(self, ndim: int) -> np.ndarray:
-        """signed as (n, 1, ..., 1, d, m_max), an operand of ndim axes."""
-        n, d, width = self.signed.shape
-        return self.signed.reshape((n,) + (1,) * (ndim - 3) + (d, width))
-
-    def _by_agent(self, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """left @ right, one product per (agent, run), into a C-ordered
-        (*runs, n, rows, cols) out. Both operands put the agent axis first,
-        as x.swapaxes(0, -2) does to (*runs, n, d). numpy orders the loop by
-        the first operand whose strides rank the two axes, so a contiguous
-        agent-first operand makes every run reuse an agent's block while it
-        is in cache."""
-        np.matmul(left, right, out=out.swapaxes(0, -3))
-        return out
-
-    def _margins(self, x: np.ndarray) -> np.ndarray:
-        """x[..., i, :] @ signed[i] for each agent i, (..., n, m_max), in step
-        buffer 0. An x with one row for all agents is spread to n rows first,
-        so that it is the operand that orders the loop."""
-        runs = x.shape[:-2]
-        n, _, width = self.signed.shape
-        x = np.broadcast_to(x, runs + self.signed.shape[:2])
-        xt = np.ascontiguousarray(x.swapaxes(0, -2))[..., None, :]
-        out = self._buffer(0, runs + (n, 1, width))
-        return self._by_agent(xt, self._signed(xt.ndim), out)[..., 0, :]
+    def _groups(self, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """(agents, signed[agents], margins) for each group of _GROUP agents,
+        margins[..., j, :] = x[..., i, :] @ signed[i] for the group's j-th
+        agent i; an x with one row, (..., 1, d), serves every agent."""
+        for lo in range(0, self.signed.shape[0], _GROUP):
+            agents = slice(lo, lo + _GROUP)
+            blocks = self.signed[agents]
+            rows = x[..., agents, None, :] if x.shape[-2] > 1 else x[..., None, :]
+            yield agents, blocks, np.matmul(rows, blocks)[..., 0, :]
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         # d/dx ln(1 + e^-t) = -yX sigma(-t), and sigma(-t) = 1 / (1 + e^t) is
         # exactly 0 where e^t overflows to inf
-        margins = self._margins(x)
-        with np.errstate(over="ignore"):
-            np.exp(margins, out=margins)
-        margins += 1.0
-        np.reciprocal(margins, out=margins)
-        weights = self._buffer(1, margins.swapaxes(0, -2).shape)
-        np.copyto(weights, margins.swapaxes(0, -2))
-        weights = weights[..., None]
-        runs = x.shape[:-2]
-        out = np.empty(runs + self.signed.shape[:2] + (1,))
-        grads = self._by_agent(self._signed(weights.ndim), weights, out)[..., 0]
+        grads = np.empty(x.shape[:-2] + self.shape)
+        for agents, blocks, weights in self._groups(x):
+            with np.errstate(over="ignore"):
+                np.exp(weights, out=weights)
+            weights += 1.0
+            np.reciprocal(weights, out=weights)
+            np.matmul(blocks, weights[..., None], out=grads[..., agents, :, None])
         np.negative(grads, out=grads)
         grads /= self.m[:, None]
         grads += self.ridge * x
         return grads
 
     def value(self, point: np.ndarray) -> np.ndarray:
-        # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out;
-        # computed in place in the two step buffers
-        losses = self._margins(point[..., None, :])
-        soft = np.abs(losses, out=self._buffer(1, losses.shape))
-        np.negative(soft, out=soft)
-        np.exp(soft, out=soft)
-        np.log1p(soft, out=soft)
-        np.negative(losses, out=losses)
-        np.maximum(losses, 0.0, out=losses)
-        losses += soft
-        np.copyto(losses, 0.0, where=~self.real)
-        per_agent = losses.sum(axis=-1)
+        # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out
+        per_agent = np.empty(point.shape[:-1] + self.m.shape)
+        for agents, _, losses in self._groups(point[..., None, :]):
+            soft = np.abs(losses)
+            np.negative(soft, out=soft)
+            np.exp(soft, out=soft)
+            np.log1p(soft, out=soft)
+            np.negative(losses, out=losses)
+            np.maximum(losses, 0.0, out=losses)
+            losses += soft
+            np.copyto(losses, 0.0, where=~self.real[agents])
+            losses.sum(axis=-1, out=per_agent[..., agents])
         per_agent /= self.m
         per_agent += 0.5 * self.ridge * np.vecdot(point, point)[..., None]
         return per_agent.sum(axis=-1) / self.m.size
@@ -581,20 +549,33 @@ def logistic_instance(
     prox: ProxSpec | None = None,
 ) -> ProblemInstance:
     """Logistic agents with a common ridge on a seeded uniform partition,
-    which gives every agent at least one sample; every feature value must be
-    finite. The dataset's rows are scattered into the signed stack in blocks
-    of about _BLOCK_BYTES of its (index, value) pairs, so the stack is the
-    only second copy of the samples."""
-    if not np.all(np.isfinite(ds.values)):
+    which gives every agent at least one sample. The dataset must hold what
+    parse_libsvm makes: labels +1 or -1, an indptr that runs without
+    decreasing from 0 to the count of (index, value) pairs, indices in
+    [0, d) and finite values. Its rows are scattered into the signed stack
+    in blocks of about _BLOCK_BYTES of its pairs, so the stack is the only
+    second copy of the samples."""
+    labels, indptr = np.asarray(ds.labels), np.asarray(ds.indptr)
+    indices, values = np.asarray(ds.indices), np.asarray(ds.values)
+    if indices.shape != values.shape:
+        raise ProblemError("feature indices and values differ in length")
+    if (indptr.shape != (labels.size + 1,) or indptr[0] != 0 or indptr[-1] != indices.size
+            or np.any(np.diff(indptr) < 0)):
+        raise ProblemError(f"indptr must run without decreasing from 0 to {indices.size} "
+                           f"in {labels.size + 1} entries")
+    if not np.all((labels == 1.0) | (labels == -1.0)):
+        raise ProblemError("labels must be +1 or -1")
+    if indices.size and not (indices.min() >= 0 and indices.max() < ds.d):
+        raise ProblemError(f"feature indices must lie in [0, {ds.d})")
+    if not np.all(np.isfinite(values)):
         raise ProblemError("feature values must be finite")
     step = max(_BLOCK_BYTES // 16, 1)
-    cuts = np.searchsorted(ds.indptr, np.arange(step, ds.indptr[-1], step))
-    bounds = np.unique(np.concatenate(([0], cuts, [len(ds)])))
-    blocks = ((lo, ds.labels[lo:hi], np.diff(ds.indptr[lo:hi + 1]),
-               ds.indices[ds.indptr[lo]:ds.indptr[hi]],
-               ds.values[ds.indptr[lo]:ds.indptr[hi]])
+    cuts = np.searchsorted(indptr, np.arange(step, indptr[-1], step))
+    bounds = np.unique(np.concatenate(([0], cuts, [labels.size])))
+    blocks = ((lo, labels[lo:hi], np.diff(indptr[lo:hi + 1]),
+               indices[indptr[lo]:indptr[hi]], values[indptr[lo]:indptr[hi]])
               for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return _stack_instance(blocks, len(ds), n, partition_seed, ridge, prox, ds.d)
+    return _stack_instance(blocks, labels.size, n, partition_seed, ridge, prox, ds.d)
 
 
 def read_logistic(

@@ -396,14 +396,19 @@ class TestRunCommand:
                 (tmp_path / "grid.csv").read_text().strip().splitlines()[1:]]
         assert {r[3] for r in rows} == {"9"}
 
-    def test_threads_match_serial(self, tmp_path, capsys):
-        conf = write_config(tmp_path, GRID)
+    @pytest.mark.parametrize("config,csv", [(None, "grid.csv"),
+                                            ("configs/logistic_small.ini", "out/logistic_small.csv")],
+                             ids=["grid", "logistic_small"])
+    def test_threads_match_serial(self, tmp_path, capsys, monkeypatch, config, csv):
+        # each pool worker evaluates its own unpickled copy of the stacked oracle
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        conf = config or write_config(tmp_path, GRID)
         for command in ("run", "check"):
             out1, out2 = tmp_path / command / "serial", tmp_path / command / "pool"
             for out, threads in ((out1, "1"), (out2, "2")):
                 code = cli.main([command, conf, "--out-dir", str(out), "--threads", threads])
                 assert code == cli.EXIT_OK
-            assert (out1 / "grid.csv").read_bytes() == (out2 / "grid.csv").read_bytes()
+            assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
 
     def test_pool_gets_one_contiguous_batch_per_worker(self, tmp_path, capsys, monkeypatch):
         # the pool is replaced by one that runs its tasks here and records them

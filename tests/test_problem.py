@@ -620,6 +620,23 @@ class TestInstances:
         with pytest.raises(ProblemError, match="^feature values must be finite$"):
             logistic_instance(ds, 2, partition_seed=0, ridge=0.01)
 
+    @pytest.mark.parametrize("labels,indptr,indices,values,message", [
+        ([1.0, -1.0], [0, 1, 2], [-1, 0], [2.0, 1.0], r"feature indices must lie in \[0, 3\)"),
+        ([1.0, -1.0], [0, 1, 2], [5, 0], [2.0, 1.0], r"feature indices must lie in \[0, 3\)"),
+        ([1.0, 0.5], [0, 1, 2], [2, 0], [2.0, 1.0], r"labels must be \+1 or -1"),
+        ([1.0, -1.0], [0, 2, 1], [2, 0], [2.0, 1.0], "indptr must run without decreasing"),
+        ([1.0, -1.0], [1, 1, 2], [2, 0], [2.0, 1.0], "indptr must run without decreasing"),
+        ([1.0, -1.0], [0, 1, 1], [2, 0], [2.0, 1.0], "indptr must run without decreasing"),
+        ([1.0, -1.0], [0, 2], [2, 0], [2.0, 1.0], "indptr must run without decreasing"),
+        ([1.0, -1.0], [0, 1, 2], [2, 0], [2.0], "feature indices and values differ in length"),
+    ], ids=["negative-index", "index-past-d", "label-0.5", "decreasing-indptr",
+            "indptr-from-1", "indptr-short-of-pairs", "indptr-too-few-entries", "values-short"])
+    def test_logistic_instance_rejects_a_malformed_dataset(self, labels, indptr, indices,
+                                                            values, message):
+        ds = Dataset(3, np.array(labels), np.array(indptr), np.array(indices), np.array(values))
+        with pytest.raises(ProblemError, match=message):
+            logistic_instance(ds, 2, partition_seed=0, ridge=0.01)
+
     def test_logistic_instance_needs_a_sample_per_agent(self):
         ds = random_sparse_dataset(3, 2, seed=5)
         with pytest.raises(ProblemError, match="cannot split 3 samples across 4 agents"):
@@ -712,12 +729,37 @@ class TestStackedOracles:
         rng = np.random.default_rng(0)
         x = np.concatenate([rng.standard_normal((2, ds.d)), 30.0 * rng.standard_normal((2, ds.d))])
         for points in (x, -x, x[0], x.reshape(2, 2, ds.d)):
-            margins = stack._margins(points[..., None, :])
+            margins = np.empty(points.shape[:-1] + stack.signed.shape[::2])
+            for *run, i in np.ndindex(margins.shape[:-1]):
+                margins[(*run, i)] = np.matmul(points[tuple(run)], stack.signed[i])
             losses = np.where(stack.real,
                               np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins))), 0.0)
             ridge_term = 0.5 * stack.ridge * np.vecdot(points, points)[..., None]
             want = (losses.sum(axis=-1) / stack.m + ridge_term).sum(axis=-1) / stack.m.size
             assert np.array_equal(stack.value(points), want)
+
+    @pytest.mark.parametrize("size", ["fifty", "padded"])
+    def test_group_size_changes_no_bits(self, monkeypatch, size):
+        # the oracles' agent groups of 1, 3, the default and all n agents, on
+        # 50 agents and on 103 samples over 10 agents (padding columns)
+        if size == "fifty":
+            ds, n = correlated_logistic_dataset(10_000, 22, seed=0), 50
+        else:
+            ds, n = synthetic_logistic_dataset(103, 6, seed=13), 10
+        inst = logistic_instance(ds, n, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
+        rng = np.random.default_rng(4)
+        inputs = [(5.0 * rng.standard_normal(runs + (n, ds.d)),
+                   5.0 * rng.standard_normal(runs + (ds.d,))) for runs in ((), (3,), (2, 3))]
+        results = []
+        for group in (1, 3, problem._GROUP, n):
+            monkeypatch.setattr(problem, "_GROUP", group)
+            results.append([(inst.grad_stack(x), inst.mean_grad(point), inst.objective(point))
+                            for x, point in inputs])
+        for got in results[1:]:
+            for got_case, want_case in zip(got, results[0]):
+                for a, b in zip(got_case, want_case):
+                    assert np.array_equal(np.asarray(a).view(np.int64),
+                                          np.asarray(b).view(np.int64))
 
     def test_quadratic_stack_matches_per_agent_losses_bitwise(self):
         inst = quadratic_instance(5, 4, seed=2, curvature_min=0.1, curvature_max=3.0,
@@ -769,7 +811,8 @@ class TestStackedOracles:
 
 
 class TestStepBuffers:
-    """The logistic stack reuses two step buffers of one batch's margins."""
+    """The logistic oracles allocate one agent group's temporaries per call
+    and keep no state from call to call."""
 
     @pytest.fixture(scope="class")
     def inst(self):
@@ -792,11 +835,11 @@ class TestStepBuffers:
         xs, points = self._batches()
         first = (inst.grad_stack(xs[0]), inst.mean_grad(points[0]), inst.objective(points[0]))
         kept = [a.copy() for a in first]
-        second = (inst.grad_stack(xs[1]), inst.mean_grad(points[1]), inst.objective(points[1]))
+        inst.grad_stack(xs[1])
+        inst.mean_grad(points[1])
+        inst.objective(points[1])
         for a, b in zip(first, kept):
             assert np.array_equal(a, b)
-        for a in first + second:
-            assert not any(np.shares_memory(a, buf) for buf in inst.stack._buffers)
 
     def test_pickled_stack_carries_no_buffers(self, inst):
         xs, points = self._batches()
