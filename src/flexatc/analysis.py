@@ -77,7 +77,9 @@ def fixed_point(
         x_opt = centralized_proxgrad(instance, alpha)
     x_star = np.tile(x_opt, (instance.n, 1))
     w_star = x_star - alpha * instance.grad_stack(x_star)
-    u_star = range_solve(pair.b, kron_apply(pair.sqrt_b, w_star), tol=1e-8)
+    # r_root below checks B u = sqrt(B) w* at the scale of w*; range_solve's
+    # test, at the scale of sqrt(B) w*, is round-off when w* is consensus
+    u_star = range_solve(pair.b, kron_apply(pair.sqrt_b, w_star), tol=math.inf)
 
     z_star = w_star - kron_apply(pair.sqrt_b, u_star)
     r_root = float(np.linalg.norm(kron_apply(pair.sqrt_b, z_star)))
@@ -142,18 +144,17 @@ class CertificateSweep:
 
     def violations(self, tol: float = SLACK_TOL) -> list[tuple[str, int]]:
         """(inequality, iteration) pairs where the slack dips below -tol
-        relative to its reference scale."""
-        bad = []
-        idx = np.nonzero(self.lemma2_slack < -tol * (1.0 + self.lemma2_rhs))[0]
-        if idx.size:
-            bad.append(("lemma2", int(idx[0])))
-        idx = np.nonzero(self.thm1_slack < -tol * (1.0 + self.phi))[0]
-        if idx.size:
-            bad.append(("thm1", int(idx[0])))
+        relative to its reference scale, or is NaN."""
+        checks = [("lemma2", self.lemma2_slack, self.lemma2_rhs),
+                  ("thm1", self.thm1_slack, self.phi)]
         if self.zeta is not None:
-            idx = np.nonzero(self.thm2_slack < -tol * (1.0 + self.phi))[0]
+            checks.append(("thm2", self.thm2_slack, self.phi))
+        bad = []
+        for name, slack, scale in checks:
+            # a slack that is not a number (p * p underflowing, say) fails too
+            idx = np.flatnonzero(~(slack >= -tol * (1.0 + scale)))
             if idx.size:
-                bad.append(("thm2", int(idx[0])))
+                bad.append((name, int(idx[0])))
         return bad
 
 

@@ -6,9 +6,9 @@ Subcommands:
     check <config>     the run pipeline with certificates on: CSV + min slacks
     validate <config>  dry run: parse config, build graph/problem/combiners
 
-Exit codes: 0 success, 2 unreadable or invalid config/dataset, 3 divergence
-or a reference solve that does not converge, 4 combiner-assumption or
-certificate falsification.
+Exit codes: 0 success, 2 unreadable or invalid config/dataset, or an
+unwritable output, 3 divergence or a reference solve that does not converge,
+4 combiner-assumption or certificate falsification, or a LinalgError.
 """
 
 from __future__ import annotations
@@ -16,12 +16,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, combiners, graph, problem, solver
+from . import analysis, combiners, graph, linalg, problem, solver
 from .config import ConfigError, ExperimentConfig, check_seed, check_unique, load_config
 from .svgplot import Series, render_convergence_svg
 
@@ -140,7 +141,6 @@ def _summary_row(res: RunResult) -> list[str]:
 def _write_csv(path: Path, results: list[RunResult]) -> None:
     """The header, then each run's rows and its summary row, one run's
     cells at a time."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for res in results:
@@ -158,7 +158,6 @@ def _write_svg(path: Path, results: list[RunResult], first_seed: int) -> None:
             errs = res.trace.rel_err.tolist()
             iter_series.append(Series(label, (res.trace.k + 1).tolist(), errs))
             comm_series.append(Series(label, res.trace.comms.tolist(), errs))
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(render_convergence_svg(iter_series, comm_series))
 
 
@@ -172,11 +171,19 @@ def iterations_to_target(trace: solver.RunTrace, target: float) -> tuple[int, in
     return i + 1, int(trace.comms[i])
 
 
-def _resolve_out(path_str: str, out_dir: str | None) -> Path:
+@contextmanager
+def _output(path_str: str, out_dir: str | None):
+    """The output path, under out_dir unless it is absolute, with its
+    directory made; an OSError while the block writes it is a ConfigError
+    naming it."""
     path = Path(path_str)
     if out_dir and not path.is_absolute():
-        return Path(out_dir) / path
-    return path
+        path = Path(out_dir) / path
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _prepare(cfg: ExperimentConfig,
@@ -246,9 +253,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
             falsified.extend(f"{res.run_id}: {name} violated at iteration {idx}"
                              for name, idx in res.sweep.violations())
 
-    _write_csv(_resolve_out(cfg.outputs.csv, out_dir), results)
+    with _output(cfg.outputs.csv, out_dir) as path:
+        _write_csv(path, results)
     if not check:
-        _write_svg(_resolve_out(cfg.outputs.svg, out_dir), results, cfg.run.seeds[0])
+        with _output(cfg.outputs.svg, out_dir) as path:
+            _write_svg(path, results, cfg.run.seeds[0])
     for line in falsified:
         print(f"FALSIFIED {line}", file=sys.stderr)
     return EXIT_FALSIFIED if falsified else EXIT_OK
@@ -260,9 +269,8 @@ def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
     print(f"graph: {cfg.graph.kind} n={topo.n} edges={len(topo.edges)} "
           f"rho={mixing.rho:.6f} psd={mixing.psd}")
     if export_topology:
-        topo_path = _resolve_out(export_topology, out_dir)
-        topo_path.parent.mkdir(parents=True, exist_ok=True)
-        topo_path.write_text(graph.topology_to_edgelist(topo))
+        with _output(export_topology, out_dir) as topo_path:
+            topo_path.write_text(graph.topology_to_edgelist(topo))
         print(f"topology written to {topo_path}")
     instance, alpha = build_problem(cfg)
     kappa = instance.L / instance.mu if instance.mu > 0.0 else math.inf
@@ -323,7 +331,7 @@ def main(argv=None) -> int:
     except (solver.DivergenceError, solver.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (combiners.CombinerError, analysis.CertificateError) as exc:
+    except (combiners.CombinerError, analysis.CertificateError, linalg.LinalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
 

@@ -322,9 +322,9 @@ class ProxSpec:
         return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-# The stacked oracles take iterates of shape (..., n, d) and points of shape
-# (..., d): any leading axes (one per run of a batch) are carried through,
-# and every run's result is bitwise the one it gets without them.
+# The stacks take (..., n, d) iterates, row i agent i's: grad_stack gives each
+# agent's gradient and value (1/n) sum_i f_i(x_i). Any leading axes (one per run
+# of a batch) are carried through, and each run gets the bits it gets alone.
 
 @dataclass(eq=False)
 class _QuadraticStack:
@@ -337,16 +337,11 @@ class _QuadraticStack:
     def shape(self) -> tuple[int, int]:
         return self.targets.shape
 
-    @property
-    def width(self) -> int:
-        """Entries per agent of the objective's temporaries at one point."""
-        return self.targets.shape[1]
-
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         return self.curvatures * (x - self.targets)
 
-    def value(self, point: np.ndarray) -> np.ndarray:
-        diff = point[..., None, :] - self.targets
+    def value(self, x: np.ndarray) -> np.ndarray:
+        diff = x - self.targets
         return 0.5 * (self.curvatures * diff * diff).sum(axis=(-2, -1)) / self.targets.shape[0]
 
 
@@ -375,25 +370,19 @@ class _LogisticStack:
     def shape(self) -> tuple[int, int]:
         return self.signed.shape[:2]
 
-    @property
-    def width(self) -> int:
-        """Entries per agent of the objective's margins at one point, m_max."""
-        return self.signed.shape[2]
-
     def _groups(self, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
         """(agents, signed[agents], margins) for each group of _GROUP agents,
         margins[..., j, :] = x[..., i, :] @ signed[i] for the group's j-th
-        agent i; an x with one row, (..., 1, d), serves every agent."""
+        agent i."""
         for lo in range(0, self.signed.shape[0], _GROUP):
             agents = slice(lo, lo + _GROUP)
             blocks = self.signed[agents]
-            rows = x[..., agents, None, :] if x.shape[-2] > 1 else x[..., None, :]
-            yield agents, blocks, np.matmul(rows, blocks)[..., 0, :]
+            yield agents, blocks, np.matmul(x[..., agents, None, :], blocks)[..., 0, :]
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         # d/dx ln(1 + e^-t) = -yX sigma(-t), and sigma(-t) = 1 / (1 + e^t) is
         # exactly 0 where e^t overflows to inf
-        grads = np.empty(x.shape[:-2] + self.shape)
+        grads = np.empty(x.shape)
         for agents, blocks, weights in self._groups(x):
             with np.errstate(over="ignore"):
                 np.exp(weights, out=weights)
@@ -405,10 +394,10 @@ class _LogisticStack:
         grads += self.ridge * x
         return grads
 
-    def value(self, point: np.ndarray) -> np.ndarray:
+    def value(self, x: np.ndarray) -> np.ndarray:
         # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out
-        per_agent = np.empty(point.shape[:-1] + self.m.shape)
-        for agents, _, losses in self._groups(point[..., None, :]):
+        per_agent = np.empty(x.shape[:-1])
+        for agents, _, losses in self._groups(x):
             soft = np.abs(losses)
             np.negative(soft, out=soft)
             np.exp(soft, out=soft)
@@ -419,7 +408,7 @@ class _LogisticStack:
             np.copyto(losses, 0.0, where=~self.real[agents])
             losses.sum(axis=-1, out=per_agent[..., agents])
         per_agent /= self.m
-        per_agent += 0.5 * self.ridge * np.vecdot(point, point)[..., None]
+        per_agent += 0.5 * self.ridge * np.vecdot(x, x)
         return per_agent.sum(axis=-1) / self.m.size
 
 
@@ -429,9 +418,10 @@ class ProblemInstance:
     losses as one stacked oracle, the shared prox term r, and the common
     constants L = max_i L_i and mu = min_i mu_i; n and d are the stack's.
 
-    Row i of grad_stack is agent i's gradient. Each oracle also takes a
-    leading run axis, (S, n, d) iterates or (S, d) points, and evaluates
-    every run in the same numpy calls.
+    Row i of grad_stack is agent i's gradient; mean_grad and objective
+    spread a point to every agent as a read-only (..., n, d) view. Each
+    oracle also takes a leading run axis, (S, n, d) iterates or (S, d)
+    points, and evaluates every run in the same numpy calls.
     """
 
     stack: _QuadraticStack | _LogisticStack
@@ -448,14 +438,16 @@ class ProblemInstance:
         """Per-agent gradients of the stacked iterate, row i for agent i."""
         return self.stack.grad_stack(x)
 
+    def _spread(self, point: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(point[..., None, :], point.shape[:-1] + (self.n, self.d))
+
     def mean_grad(self, point: np.ndarray) -> np.ndarray:
-        return np.mean(self.stack.grad_stack(point[..., None, :]), axis=-2)
+        return np.mean(self.stack.grad_stack(self._spread(point)), axis=-2)
 
     def objective(self, point: np.ndarray):
-        """Consensus objective (1/n) sum_i f_i(point) + r(point): a float for
-        one point, an array for a stack of points."""
-        value = self.stack.value(point) + self.prox.value(point)
-        return float(value) if np.ndim(point) == 1 else value
+        """Consensus objective (1/n) sum_i f_i(point) + r(point): numpy's
+        float64 for one point, an array for a stack of points."""
+        return self.stack.value(self._spread(point)) + self.prox.value(point)
 
 
 def quadratic_from_targets(targets, curvatures=None, prox=None) -> ProblemInstance:

@@ -27,11 +27,10 @@ row j + 1 the iterate after its step j), and at the end of each block of T
 steps the divergence test and the recorded columns (relative error,
 consensus, objective and kkt) are computed for the whole block at once,
 with the same per-row reductions, so the same bits, as one step at a time.
-block_length sizes T so that the largest per-step temporary (the iterates,
-or the logistic objective's margins) stays within _BLOCK_BUDGET doubles
-over the block. A divergence is reported at the end of the block it
-happens in, as the first step whose iterate left the finite ball; the
-later steps of that block run with numpy's overflow warnings silenced.
+block_length sizes T so that a block of iterates, T * S * n * d doubles,
+stays within _BLOCK_BUDGET. A divergence is reported at the end of the
+block it happens in, as the first step whose iterate left the finite ball;
+the later steps of that block run with numpy's overflow warnings silenced.
 An observer receives each block, once it has been recorded, as a GridBlock
 of the states its steps leave from, their gradients and both of their coin
 branches.
@@ -49,7 +48,7 @@ from .combiners import CombinerPair
 from .problem import ProblemInstance
 
 _DIVERGENCE_NORM = 1e12
-# Doubles per block-wide temporary, about 128 KiB, so a block stays in L2.
+# Doubles per block of iterates, about 128 KiB, so a block stays in L2.
 _BLOCK_BUDGET = 2**14
 
 
@@ -142,10 +141,8 @@ class GridBlock(NamedTuple):
 
 def block_length(instance: ProblemInstance, count: int) -> int:
     """Steps per recording block for a batch of `count` runs: as many as keep
-    the largest per-step temporary, count * n * max(d, m_max) doubles (the
-    iterates, or the logistic objective's margins), within _BLOCK_BUDGET."""
-    per_step = count * instance.n * max(instance.d, instance.stack.width)
-    return max(1, _BLOCK_BUDGET // per_step)
+    their iterates, count * n * d doubles a step, within _BLOCK_BUDGET."""
+    return max(1, _BLOCK_BUDGET // (count * instance.n * instance.d))
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:

@@ -34,8 +34,7 @@ def correlated_logistic_dataset(m: int, d: int, seed: int) -> pb.Dataset:
 def set_steps_per_block(monkeypatch, inst: pb.ProblemInstance, count: int, steps: int) -> None:
     """Shrink solver's block budget so a batch of `count` runs on `inst`
     records `steps` steps per block."""
-    monkeypatch.setattr(solver, "_BLOCK_BUDGET",
-                        steps * count * inst.n * max(inst.d, inst.stack.width))
+    monkeypatch.setattr(solver, "_BLOCK_BUDGET", steps * count * inst.n * inst.d)
     assert solver.block_length(inst, count) == steps
 
 

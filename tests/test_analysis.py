@@ -95,6 +95,14 @@ class TestLemma2:
         assert np.all(sweep.lemma2_slack >= -SLACK_TOL * (1.0 + sweep.lemma2_rhs))
         assert sweep.violations() == []
 
+    def test_nan_slack_is_a_violation(self, certified_setup):
+        inst, pair, alpha, fp = certified_setup
+        sweep = sweep_certificates(inst, pair, alpha, p=0.3, seed=3, iters=50, fp=fp)
+        assert sweep.zeta is not None and sweep.violations() == []
+        sweep.lemma2_slack[7] = sweep.thm1_slack[9] = np.nan
+        sweep.phi[12] = np.nan  # a NaN scale fails thm1 and thm2 alike
+        assert sweep.violations() == [("lemma2", 7), ("thm1", 9), ("thm2", 12)]
+
 
 class TestTheorem2:
     def test_rate_formula_direct_case(self):

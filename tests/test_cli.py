@@ -11,9 +11,10 @@ import pytest
 import flexatc as fa
 import flexatc.cli as cli
 from flexatc import combiners
-from flexatc.analysis import GridCertificates, fixed_point
+from flexatc.analysis import SLACK_TOL, GridCertificates, fixed_point
 from flexatc.config import ConfigError, load_config, parse_config
 from flexatc.graph import topology_to_edgelist
+from flexatc.linalg import LinalgError
 from flexatc.solver import DivergenceError, SolverError
 
 SMOKE = """
@@ -305,6 +306,51 @@ class TestRunCommand:
         assert f"{name} requires an integer N >= 1, got {rounds}\n" in err
         assert err.startswith(f"{variant}: INVALID\n") == (command == "validate")
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_identical_agents_exit_0_with_every_certificate_holding(self, tmp_path, capsys,
+                                                                     command):
+        # every agent has the same targets, so w* is consensus and sqrt(B) w*
+        # is round-off: its null-space part is no inconsistency
+        conf = write_config(tmp_path, GRID.replace(
+            "target_seed = 1", "target_seed = 1\ntarget_scale = 0\ntarget_offset_scale = 1"))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(captured.out.splitlines()) == (8 if command == "check" else 10)
+        rows = [line.split(",") for line in (tmp_path / "grid.csv").read_text().splitlines()[1:]]
+        slacks = [float(cell) for row in rows if row[4] == "-1" for cell in row[-3:]]
+        assert len(slacks) == 24 and min(slacks) >= -SLACK_TOL
+
+    def test_linalg_error_exits_4_with_its_message(self, tmp_path, capsys, monkeypatch):
+        def inconsistent(*args, **kwargs):
+            raise LinalgError("rhs lies outside range(b): null-space residual 1.000e-03")
+
+        monkeypatch.setattr(cli.analysis, "fixed_point", inconsistent)
+        conf = write_config(tmp_path, SMOKE)
+        assert cli.main(["run", conf, "--out-dir", str(tmp_path)]) == cli.EXIT_FALSIFIED
+        assert capsys.readouterr().err == (
+            "error: rhs lies outside range(b): null-space residual 1.000e-03\n")
+
+    @pytest.mark.parametrize("output", ["csv", "svg", "topology", "parent"])
+    def test_unwritable_output_exits_2_naming_it(self, tmp_path, capsys, output):
+        # an existing directory where the output goes, or a file where its
+        # directory goes
+        command = "validate" if output == "topology" else "run"
+        target = {"csv": tmp_path / "smoke.csv", "svg": tmp_path / "smoke.svg",
+                  "topology": tmp_path / "topo.txt", "parent": tmp_path / "sub" / "smoke.csv"}
+        if output == "parent":
+            (tmp_path / "sub").write_text("")
+            conf = write_config(tmp_path, SMOKE.replace("csv = smoke.csv", "csv = sub/smoke.csv"))
+        else:
+            target[output].mkdir()
+            conf = write_config(tmp_path, SMOKE)
+        argv = [command, conf, "--out-dir", str(tmp_path)]
+        if command == "validate":
+            argv += ["--export-topology", "topo.txt"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        reason = "File exists" if output == "parent" else "Is a directory"
+        assert capsys.readouterr().err == f"error: cannot write {target[output]}: {reason}\n"
+
     def test_csv_bit_identical_and_svg_polylines(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -485,6 +531,20 @@ class TestCheckCommand:
         assert (tmp_path / "run" / "grid.csv").read_bytes() == (
             tmp_path / "check" / "grid.csv").read_bytes()
         assert not (tmp_path / "check" / "grid.svg").exists()
+
+    def test_nan_slacks_are_falsified(self, tmp_path, capsys):
+        # p * p underflows to 0, the certificates divide by it and every
+        # slack is NaN, which no inequality holds for
+        conf = write_config(tmp_path, GRID.replace("p_list = 1, 0.5", "p_list = 1e-170").replace(
+            "seeds = 1, 2", "seeds = 1").replace("variants = ed, nids:c=0.4", "variants = ed"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main(["check", conf, "--out-dir", str(tmp_path)]) == cli.EXIT_FALSIFIED
+        captured = capsys.readouterr()
+        assert "min_lemma2_slack=nan" in captured.out
+        assert captured.err.splitlines() == [
+            f"FALSIFIED ed|p=1e-170|seed=1: {name} violated at iteration 0"
+            for name in ("lemma2", "thm1", "thm2")]
 
     def test_min_slacks_reported(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)

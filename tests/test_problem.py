@@ -708,7 +708,11 @@ class TestStackedOracles:
                 got = inst.grad_stack(x)
                 got_means = [inst.mean_grad(point) for point in x[:3]]
                 got_objs = [inst.objective(point) for point in x[:3]]
+                got_value = inst.stack.value(x)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            # the stack's value at an iterate is the mean of f_i(x_i)
+            want_value = sum(loss.value(x[i]) for i, loss in enumerate(losses)) / inst.n
+            assert got_value == pytest.approx(want_value, rel=1e-12, abs=0.0)
             for point, got_mean, got_obj in zip(x[:3], got_means, got_objs):
                 want_mean = sum(loss.grad(point) for loss in losses) / inst.n
                 assert np.max(np.abs(got_mean - want_mean)) <= 1e-12 * np.max(np.abs(want_mean))
@@ -736,7 +740,8 @@ class TestStackedOracles:
                               np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins))), 0.0)
             ridge_term = 0.5 * stack.ridge * np.vecdot(points, points)[..., None]
             want = (losses.sum(axis=-1) / stack.m + ridge_term).sum(axis=-1) / stack.m.size
-            assert np.array_equal(stack.value(points), want)
+            spread = np.broadcast_to(points[..., None, :], points.shape[:-1] + stack.shape)
+            assert np.array_equal(stack.value(spread), want)
 
     @pytest.mark.parametrize("size", ["fifty", "padded"])
     def test_group_size_changes_no_bits(self, monkeypatch, size):
@@ -768,6 +773,8 @@ class TestStackedOracles:
         x = np.random.default_rng(1).standard_normal((5, 4))
         want = np.stack([loss.grad(x[i]) for i, loss in enumerate(losses)])
         assert np.array_equal(inst.grad_stack(x), want)
+        want_value = sum(loss.value(x[i]) for i, loss in enumerate(losses)) / 5
+        assert inst.stack.value(x) == pytest.approx(want_value, rel=1e-14, abs=0.0)
         point = x[0]
         assert np.array_equal(inst.mean_grad(point),
                               np.mean(np.stack([l.grad(point) for l in losses]), axis=0))
@@ -829,7 +836,7 @@ class TestStepBuffers:
         inst.grad_stack(xs[0])
         inst.objective(points[0])
         _, peak = _traced_peak(lambda: (inst.grad_stack(xs[1]), inst.objective(points[1])))
-        assert peak < 3 * 50 * inst.stack.width * 8
+        assert peak < 3 * 50 * inst.stack.signed.shape[2] * 8
 
     def test_returned_arrays_survive_the_next_call(self, inst):
         xs, points = self._batches()
