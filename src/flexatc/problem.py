@@ -30,6 +30,9 @@ _BLOCK_BYTES = 1 << 18
 # Agents per group of the logistic oracles' loop: four replica-scale blocks
 # are about 0.7 MB, which stay in a 2 MB L2 cache through the group's work.
 _GROUP = 4
+# Doubles of one group's margins at a time, 1 MiB: the margins of a group
+# of replica-scale agents at three points.
+_MARGIN_BUDGET = 2**17
 
 
 class ParseError(Exception):
@@ -355,10 +358,11 @@ class _LogisticStack:
     columns are zero, which zeroes their gradient contribution, and the
     boolean mask real hides them from the value. Each (run, agent) pair gets
     its own matrix-vector product, so a run gets the same bits alone as in a
-    batch. Both oracles work through the agents _GROUP at a time, so their
-    temporaries are one group's margins and each group's blocks are still in
-    cache when its gradient product reads them. Every agent has the same
-    ridge.
+    batch. Both oracles work through the points as many at a time as keep
+    one group's margins within _MARGIN_BUDGET doubles, and through the
+    agents _GROUP at a time, so their temporaries are bounded whatever the
+    number of points, and each group's blocks are still in cache when its
+    gradient product reads them. Every agent has the same ridge.
     """
 
     signed: np.ndarray
@@ -370,25 +374,32 @@ class _LogisticStack:
     def shape(self) -> tuple[int, int]:
         return self.signed.shape[:2]
 
-    def _groups(self, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-        """(agents, signed[agents], margins) for each group of _GROUP agents,
-        margins[..., j, :] = x[..., i, :] @ signed[i] for the group's j-th
-        agent i."""
-        for lo in range(0, self.signed.shape[0], _GROUP):
-            agents = slice(lo, lo + _GROUP)
-            blocks = self.signed[agents]
-            yield agents, blocks, np.matmul(x[..., agents, None, :], blocks)[..., 0, :]
+    def _groups(self, x: np.ndarray) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
+        """(points, agents, signed[agents], margins) for each chunk of the
+        (P, n, d) x's points and each group of _GROUP agents, margins[q, j, :]
+        = x[points][q, i, :] @ signed[i] for the group's j-th agent i."""
+        n, _, width = self.signed.shape
+        chunk = max(1, _MARGIN_BUDGET // (min(_GROUP, n) * width))
+        for first in range(0, len(x), chunk):
+            points = slice(first, first + chunk)
+            for lo in range(0, n, _GROUP):
+                agents = slice(lo, lo + _GROUP)
+                blocks = self.signed[agents]
+                margins = np.matmul(x[points, agents, None, :], blocks)[..., 0, :]
+                yield points, agents, blocks, margins
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         # d/dx ln(1 + e^-t) = -yX sigma(-t), and sigma(-t) = 1 / (1 + e^t) is
         # exactly 0 where e^t overflows to inf
-        grads = np.empty(x.shape)
-        for agents, blocks, weights in self._groups(x):
+        flat = x.reshape((-1,) + self.shape)
+        grads = np.empty(flat.shape)
+        for points, agents, blocks, weights in self._groups(flat):
             with np.errstate(over="ignore"):
                 np.exp(weights, out=weights)
             weights += 1.0
             np.reciprocal(weights, out=weights)
-            np.matmul(blocks, weights[..., None], out=grads[..., agents, :, None])
+            np.matmul(blocks, weights[..., None], out=grads[points, agents, :, None])
+        grads = grads.reshape(x.shape)
         np.negative(grads, out=grads)
         grads /= self.m[:, None]
         grads += self.ridge * x
@@ -396,8 +407,9 @@ class _LogisticStack:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out
-        per_agent = np.empty(x.shape[:-1])
-        for agents, _, losses in self._groups(x):
+        flat = x.reshape((-1,) + self.shape)
+        per_agent = np.empty(flat.shape[:-1])
+        for points, agents, _, losses in self._groups(flat):
             soft = np.abs(losses)
             np.negative(soft, out=soft)
             np.exp(soft, out=soft)
@@ -406,7 +418,8 @@ class _LogisticStack:
             np.maximum(losses, 0.0, out=losses)
             losses += soft
             np.copyto(losses, 0.0, where=~self.real[agents])
-            losses.sum(axis=-1, out=per_agent[..., agents])
+            losses.sum(axis=-1, out=per_agent[points, agents])
+        per_agent = per_agent.reshape(x.shape[:-1])
         per_agent /= self.m
         per_agent += 0.5 * self.ridge * np.vecdot(x, x)
         return per_agent.sum(axis=-1) / self.m.size

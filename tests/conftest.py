@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,22 @@ def set_steps_per_block(monkeypatch, inst: pb.ProblemInstance, count: int, steps
     records `steps` steps per block."""
     monkeypatch.setattr(solver, "_BLOCK_BUDGET", steps * count * inst.n * inst.d)
     assert solver.block_length(inst, count) == steps
+
+
+def traced_peak(build):
+    """build() and the tracemalloc peak of the call above what was traced
+    before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return out, peak
 
 
 def random_sparse_dataset(m: int, d: int, seed: int, density: float = 0.4) -> pb.Dataset:

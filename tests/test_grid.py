@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import flexatc as fa
-from conftest import set_steps_per_block, synthetic_logistic_dataset
+from conftest import set_steps_per_block, synthetic_logistic_dataset, traced_peak
 from flexatc.analysis import (
     SLACK_TOL,
     FixedPoint,
     GridCertificates,
     fixed_point,
 )
+from flexatc import problem
 from flexatc.problem import ProxSpec, quadratic_from_targets, quadratic_instance
 from flexatc.solver import (
     CoinSequence,
@@ -274,3 +275,17 @@ def test_rejects_bad_grids():
         run_grid(inst, [GridRun(pair, 0.5, 1)], 2.0 / inst.L, 10)
     with pytest.raises(SolverError, match="probability"):
         run_grid(inst, [GridRun(pair, 0.5, 1), GridRun(pair, 0.0, 1)], alpha, 10)
+
+
+def test_recording_a_long_block_keeps_the_logistic_temporaries_small():
+    # two agents of 10,000 samples in two dimensions: a block is 4,096 steps
+    # of tiny iterates, but its objective and kkt columns evaluate the
+    # oracles at 100 points whose margins together are 16 MB; the oracles
+    # take them a few points at a time
+    ds = synthetic_logistic_dataset(20_000, 2, seed=3)
+    inst = fa.logistic_instance(ds, 2, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
+    pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("complete", 2)))
+    assert block_length(inst, 1) >= 100
+    trace, peak = traced_peak(lambda: run_grid(inst, [GridRun(pair, 0.5, 0)], 1.0 / inst.L, 100)[0])
+    assert np.isfinite(trace.objective).all() and np.isfinite(trace.kkt_residual).all()
+    assert peak < 4 * problem._MARGIN_BUDGET * 8

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import correlated_logistic_dataset, random_sparse_dataset, synthetic_logistic_dataset
+from conftest import (correlated_logistic_dataset, random_sparse_dataset,
+                      synthetic_logistic_dataset, traced_peak)
 from flexatc import problem
 from flexatc.problem import (
     Dataset,
@@ -250,22 +251,6 @@ class TestReadLibsvm:
         assert peak <= 1.5 * returned
 
 
-def _traced_peak(build):
-    """build() and the tracemalloc peak of the call above what was traced
-    before it."""
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        out = build()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    return out, peak
-
-
 def _assert_same_instance(got, want):
     for name in ("signed", "real", "m"):
         a, b = getattr(got.stack, name), getattr(want.stack, name)
@@ -369,7 +354,7 @@ class TestReadLogistic:
         rows = np.column_stack((ds.labels, ds.values.reshape(-1, 22)))
         np.savetxt(path, rows, fmt="%+d " + " ".join(f"{j + 1}:%.17g" for j in range(22)))
         del ds, rows
-        inst, peak = _traced_peak(lambda: read_logistic(path, 50, 0, 0.01, max_samples=49_950))
+        inst, peak = traced_peak(lambda: read_logistic(path, 50, 0, 0.01, max_samples=49_950))
         stack = inst.stack
         assert peak <= 1.75 * sum(a.nbytes for a in (stack.signed, stack.real, stack.m))
 
@@ -766,6 +751,29 @@ class TestStackedOracles:
                     assert np.array_equal(np.asarray(a).view(np.int64),
                                           np.asarray(b).view(np.int64))
 
+    @pytest.mark.parametrize("size", ["fifty", "padded"])
+    def test_point_chunks_change_no_bits(self, monkeypatch, size):
+        # margin budgets that take one point, two points and every point of a
+        # group at a time, with 1 and 3 leading run axes
+        if size == "fifty":
+            ds, n = correlated_logistic_dataset(10_000, 22, seed=0), 50
+        else:
+            ds, n = synthetic_logistic_dataset(103, 6, seed=13), 10
+        inst = logistic_instance(ds, n, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
+        group_width = min(problem._GROUP, n) * inst.stack.signed.shape[2]
+        rng = np.random.default_rng(5)
+        inputs = [(5.0 * rng.standard_normal(runs + (n, ds.d)),
+                   5.0 * rng.standard_normal(runs + (ds.d,))) for runs in ((4,), (3, 2, 5))]
+        results = []
+        for points in (30, 1, 2):
+            monkeypatch.setattr(problem, "_MARGIN_BUDGET", points * group_width)
+            results.append([(inst.grad_stack(x), inst.mean_grad(point), inst.objective(point))
+                            for x, point in inputs])
+        for got in results[1:]:
+            for got_case, want_case in zip(got, results[0]):
+                for a, b in zip(got_case, want_case):
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
     def test_quadratic_stack_matches_per_agent_losses_bitwise(self):
         inst = quadratic_instance(5, 4, seed=2, curvature_min=0.1, curvature_max=3.0,
                                   prox=ProxSpec("l1", 0.2))
@@ -835,7 +843,7 @@ class TestStepBuffers:
         xs, points = self._batches()
         inst.grad_stack(xs[0])
         inst.objective(points[0])
-        _, peak = _traced_peak(lambda: (inst.grad_stack(xs[1]), inst.objective(points[1])))
+        _, peak = traced_peak(lambda: (inst.grad_stack(xs[1]), inst.objective(points[1])))
         assert peak < 3 * 50 * inst.stack.signed.shape[2] * 8
 
     def test_returned_arrays_survive_the_next_call(self, inst):
