@@ -1,6 +1,6 @@
 """Fixed-point computation, exact conditional-expectation certificates for
 the descent/contraction inequalities, and the communication-complexity
-calculator.
+calculator. The fixed point makes no eigendecomposition.
 
 Every "expectation" here is the exact two-point mixture over the coin
 theta in {0, 1} (weights p and 1-p), so certificate slacks carry no
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combiners import CombinerPair
-from .linalg import kron_apply, range_solve
+from .linalg import kron_apply
 from .problem import ProblemInstance
 from .solver import GridBlock, GridRun, centralized_proxgrad, run
 
@@ -67,8 +67,9 @@ def fixed_point(
     """Solve the consensus problem with centralized_proxgrad and lift it to
     (x*, w*, u*_b).
 
-    u*_b is the minimum-norm solution of B u = sqrt(B) w*, which puts it in
-    range(sqrt(B)). All stationarity residuals are verified before return.
+    u*_b, the minimum-norm solution of B u = sqrt(B) w*, is one linear solve,
+    (sqrt(B) + 11^T/n) u = w* - mean(w*), as null(B) = span(1) exactly.
+    All stationarity residuals are verified before return.
     Passing a precomputed x_opt skips the centralized solve (useful when
     several combiner pairs share one problem, or to solve to another
     tolerance).
@@ -77,9 +78,8 @@ def fixed_point(
         x_opt = centralized_proxgrad(instance, alpha)
     x_star = np.tile(x_opt, (instance.n, 1))
     w_star = x_star - alpha * instance.grad_stack(x_star)
-    # r_root below checks B u = sqrt(B) w* at the scale of w*; range_solve's
-    # test, at the scale of sqrt(B) w*, is round-off when w* is consensus
-    u_star = range_solve(pair.b, kron_apply(pair.sqrt_b, w_star), tol=math.inf)
+    u_star = np.linalg.solve(pair.sqrt_b.entries + 1.0 / instance.n,
+                             w_star - w_star.mean(axis=0))
 
     z_star = w_star - kron_apply(pair.sqrt_b, u_star)
     r_root = float(np.linalg.norm(kron_apply(pair.sqrt_b, z_star)))

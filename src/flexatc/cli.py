@@ -172,18 +172,23 @@ def iterations_to_target(trace: solver.RunTrace, target: float) -> tuple[int, in
 
 
 @contextmanager
-def _output(path_str: str, out_dir: str | None):
-    """The output path, under out_dir unless it is absolute, with its
-    directory made; an OSError while the block writes it is a ConfigError
-    naming it."""
-    path = Path(path_str)
-    if out_dir and not path.is_absolute():
-        path = Path(out_dir) / path
+def _output(path: Path):
+    """An OSError while the block writes path is a ConfigError naming it."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        yield path
+        yield
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _output_path(path_str: str, out_dir: str | None) -> Path:
+    """The output path, under out_dir unless it is absolute, with its
+    directory made; one that is a directory is a ConfigError too."""
+    path = Path(out_dir or "", path_str)
+    with _output(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise ConfigError(f"cannot write {path}: Is a directory")
+    return path
 
 
 def _prepare(cfg: ExperimentConfig,
@@ -227,7 +232,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
                    check: bool = False) -> int:
     """The run command, or with check=True the check command: the same grid
     with the certificates forced on, min slacks in place of the
-    iterations-to-target line, and no SVG."""
+    iterations-to-target line, and no SVG. Outputs resolve before any compute."""
+    csv_path = _output_path(cfg.outputs.csv, out_dir)
+    svg_path = None if check else _output_path(cfg.outputs.svg, out_dir)
     topo, mixing, grid = _prepare(cfg, checks=check or cfg.outputs.checks)
     instance, target = grid.instance, cfg.run.target_rel_err
     if not check:
@@ -253,11 +260,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
             falsified.extend(f"{res.run_id}: {name} violated at iteration {idx}"
                              for name, idx in res.sweep.violations())
 
-    with _output(cfg.outputs.csv, out_dir) as path:
-        _write_csv(path, results)
-    if not check:
-        with _output(cfg.outputs.svg, out_dir) as path:
-            _write_svg(path, results, cfg.run.seeds[0])
+    with _output(csv_path):
+        _write_csv(csv_path, results)
+    if svg_path:
+        with _output(svg_path):
+            _write_svg(svg_path, results, cfg.run.seeds[0])
     for line in falsified:
         print(f"FALSIFIED {line}", file=sys.stderr)
     return EXIT_FALSIFIED if falsified else EXIT_OK
@@ -269,7 +276,8 @@ def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
     print(f"graph: {cfg.graph.kind} n={topo.n} edges={len(topo.edges)} "
           f"rho={mixing.rho:.6f} psd={mixing.psd}")
     if export_topology:
-        with _output(export_topology, out_dir) as topo_path:
+        topo_path = _output_path(export_topology, out_dir)
+        with _output(topo_path):
             topo_path.write_text(graph.topology_to_edgelist(topo))
         print(f"topology written to {topo_path}")
     instance, alpha = build_problem(cfg)

@@ -224,8 +224,9 @@ def parse_config(text: str) -> ExperimentConfig:
     # run ids print p with 6 significant digits
     check_unique([f"{p:g}" for p in cfg.run.p_list], "run.p_list (to 6 significant digits)")
     check_unique(cfg.run.seeds, "run.seeds")
-    if any(not (0.0 < p <= 1.0) for p in cfg.run.p_list):
-        raise ConfigError(f"run.p_list values must lie in (0, 1]: {cfg.run.p_list}")
+    # the certificates divide by p^2, which is a normal float from 2^-511 on
+    if any(not (2.0**-511 <= p <= 1.0) for p in cfg.run.p_list):
+        raise ConfigError(f"run.p_list values must lie in [2^-511, 1]: {cfg.run.p_list}")
     if cfg.run.iterations < 1:
         raise ConfigError("run.iterations must be >= 1")
     if cfg.run.init not in ("zeros", "random"):

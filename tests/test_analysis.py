@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import flexatc as fa
 import flexatc.cli as cli
 from conftest import set_steps_per_block, synthetic_logistic_dataset
+from flexatc import analysis, linalg
 from flexatc.analysis import (
     SLACK_TOL,
     CertificateError,
@@ -17,6 +19,7 @@ from flexatc.analysis import (
     zeta_c,
     zeta_rate,
 )
+from flexatc.config import load_config
 from flexatc.problem import ProblemInstance, ProxSpec, quadratic_instance
 from flexatc.solver import (
     CoinSequence,
@@ -65,6 +68,43 @@ class TestFixedPoint:
         assert np.linalg.norm(fp.u_star_b.mean(axis=0)) <= 1e-9
         resid = fa.kron_apply(pair.sqrt_b, fp.w_star - fa.kron_apply(pair.sqrt_b, fp.u_star_b))
         assert np.linalg.norm(resid) <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def ring300_atc_gt():
+    """The atc_gt pair of configs/ring300.ini, whose smallest nonzero
+    eigenvalue of B is about 1e-8, with its instance and stepsize."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "ring300.ini")
+    _, mixing = cli.build_network(cfg)
+    inst, alpha = cli.build_problem(cfg)
+    return inst, fa.preset("atc_gt", mixing), alpha
+
+
+class TestFixedPointOnALargeRing:
+    def test_all_three_residual_checks_pass(self, ring300_atc_gt):
+        inst, pair, alpha = ring300_atc_gt
+        assert pair.sigma_m_b < 1e-7
+        fp = fixed_point(inst, pair, alpha)
+        assert fp.kkt_residual <= 1e-8 * (1.0 + np.linalg.norm(fp.w_star))
+        assert np.linalg.norm(fp.u_star_b.mean(axis=0)) <= 1e-12 * np.linalg.norm(fp.u_star_b)
+
+    def test_no_eigendecomposition_and_no_range_solve(self, ring300_atc_gt, monkeypatch):
+        inst, pair, alpha = ring300_atc_gt
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module, name in ((linalg, "sym_eig"), (linalg, "range_solve"),
+                             (analysis, "range_solve"), (np.linalg, "eigh"),
+                             (np.linalg, "eigvalsh")):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+        fixed_point(inst, pair, alpha)
+        assert calls == []
 
 
 @pytest.fixture(scope="module")

@@ -351,6 +351,25 @@ class TestRunCommand:
         reason = "File exists" if output == "parent" else "Is a directory"
         assert capsys.readouterr().err == f"error: cannot write {target[output]}: {reason}\n"
 
+    @pytest.mark.parametrize("command,output", [("run", "csv"), ("run", "svg"), ("run", "parent"),
+                                                ("check", "csv"), ("check", "parent")])
+    def test_unwritable_output_fails_before_any_compute(self, tmp_path, capsys, monkeypatch,
+                                                        command, output):
+        def unreached(*args, **kwargs):
+            raise AssertionError("the reference solve ran")
+
+        monkeypatch.setattr(cli.solver, "centralized_proxgrad", unreached)
+        if output == "parent":
+            (tmp_path / "sub").write_text("")
+            conf = write_config(tmp_path, GRID.replace("csv = grid.csv", "csv = sub/grid.csv"))
+        else:
+            (tmp_path / f"grid.{output}").mkdir()
+            conf = write_config(tmp_path, GRID)
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write ")
+
     def test_csv_bit_identical_and_svg_polylines(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -532,19 +551,48 @@ class TestCheckCommand:
             tmp_path / "check" / "grid.csv").read_bytes()
         assert not (tmp_path / "check" / "grid.svg").exists()
 
-    def test_nan_slacks_are_falsified(self, tmp_path, capsys):
-        # p * p underflows to 0, the certificates divide by it and every
-        # slack is NaN, which no inequality holds for
-        conf = write_config(tmp_path, GRID.replace("p_list = 1, 0.5", "p_list = 1e-170").replace(
+    def test_nan_slacks_are_falsified(self, tmp_path, capsys, monkeypatch):
+        # an observer whose slacks are NaN, which no inequality holds for
+        class NanCertificates(GridCertificates):
+            def __call__(self, block):
+                super().__call__(block)
+                cols = slice(block.k0, block.k0 + len(block.x))
+                for slack in (self.lemma2_slack, self.thm1_slack, self.thm2_slack):
+                    slack[:, cols] = np.nan
+
+        monkeypatch.setattr(cli.analysis, "GridCertificates", NanCertificates)
+        conf = write_config(tmp_path, GRID.replace("p_list = 1, 0.5", "p_list = 0.5").replace(
             "seeds = 1, 2", "seeds = 1").replace("variants = ed, nids:c=0.4", "variants = ed"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert cli.main(["check", conf, "--out-dir", str(tmp_path)]) == cli.EXIT_FALSIFIED
+        assert cli.main(["check", conf, "--out-dir", str(tmp_path)]) == cli.EXIT_FALSIFIED
         captured = capsys.readouterr()
         assert "min_lemma2_slack=nan" in captured.out
         assert captured.err.splitlines() == [
-            f"FALSIFIED ed|p=1e-170|seed=1: {name} violated at iteration 0"
+            f"FALSIFIED ed|p=0.5|seed=1: {name} violated at iteration 0"
             for name in ("lemma2", "thm1", "thm2")]
+
+    @pytest.mark.parametrize("p", ["1e-154", "1e-170"])
+    def test_p_with_a_subnormal_square_exits_2(self, tmp_path, capsys, p):
+        # the certificates divide by p^2; under warnings as errors a p^2
+        # that underflows would otherwise end in a traceback
+        conf = write_config(tmp_path, GRID.replace("p_list = 1, 0.5", f"p_list = 1, {p}"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["check", conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: run.p_list ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_ring300_certificates_hold(self, tmp_path, capsys, command):
+        # atc_gt's smallest nonzero eigenvalue of B is about 1e-8 here
+        conf = str(Path(__file__).resolve().parent.parent / "configs" / "ring300.ini")
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "ring300.csv").read_text().splitlines()[1:]]
+        mins = [float(cell) for row in rows if row[4] == "-1" for cell in row[-3:]]
+        assert len(mins) == 18 and min(mins) >= -SLACK_TOL
 
     def test_min_slacks_reported(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)
