@@ -24,7 +24,6 @@ from .graph import (
 )
 from .linalg import (
     LinalgError,
-    SymMatrix,
     kron_apply,
     range_solve,
     sym_eig,

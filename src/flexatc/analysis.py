@@ -78,7 +78,7 @@ def fixed_point(
         x_opt = centralized_proxgrad(instance, alpha)
     x_star = np.tile(x_opt, (instance.n, 1))
     w_star = x_star - alpha * instance.grad_stack(x_star)
-    u_star = np.linalg.solve(pair.sqrt_b.entries + 1.0 / instance.n,
+    u_star = np.linalg.solve(pair.sqrt_b + 1.0 / instance.n,
                              w_star - w_star.mean(axis=0))
 
     z_star = w_star - kron_apply(pair.sqrt_b, u_star)

@@ -6,9 +6,10 @@ Subcommands:
     check <config>     the run pipeline with certificates on: CSV + min slacks
     validate <config>  dry run: parse config, build graph/problem/combiners
 
-Exit codes: 0 success, 2 unreadable or invalid config/dataset, or an
-unwritable output, 3 divergence or a reference solve that does not converge,
-4 combiner-assumption or certificate falsification, or a LinalgError.
+Exit codes: 0 success, 1 a --threads worker process that died, 2 unreadable
+or invalid config/dataset, or an unwritable output, 3 divergence or a
+reference solve that does not converge, 4 combiner-assumption or
+certificate falsification, or a LinalgError.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .config import ConfigError, ExperimentConfig, check_seed, check_unique, loa
 from .svgplot import Series, render_convergence_svg
 
 EXIT_OK = 0
+EXIT_WORKER = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGENCE = 3
 EXIT_FALSIFIED = 4
@@ -342,6 +344,13 @@ def main(argv=None) -> int:
     except (combiners.CombinerError, analysis.CertificateError, linalg.LinalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
+    except Exception as exc:
+        # imported here, like the pool, so that a serial run does not load it
+        from concurrent.futures.process import BrokenProcessPool
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MixingMatrix
-from .linalg import DEFAULT_EIG_TOL, SymMatrix, sym_eig
+from .linalg import DEFAULT_EIG_TOL, sym_eig
 
 
 class CombinerError(Exception):
@@ -64,13 +64,13 @@ class ValidationReport:
 class CombinerPair:
     """Validated (A, B) pair with its communication cost and spectral data."""
 
-    a: SymMatrix
-    b: SymMatrix
-    w: SymMatrix
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
     variant: str
     comm_rounds: int
     sigma_m_b: float
-    sqrt_b: SymMatrix
+    sqrt_b: np.ndarray
 
 
 def parse_variant(text: str) -> tuple[str, dict[str, float]]:
@@ -92,12 +92,12 @@ def parse_variant(text: str) -> tuple[str, dict[str, float]]:
 
 def validate(pair: CombinerPair, tol: float = 1e-9) -> ValidationReport:
     """Audit every structural condition on the dense (A, B) from scratch,
-    independently of how the pair was built; never raises.
+    independently of how the pair was built; a non-finite matrix raises LinalgError.
 
     Margins are lambda_min for PSD conditions and -max_error for equality
     conditions, so a comfortable pass is a margin well above -tol.
     """
-    a, b, w = pair.a.entries, pair.b.entries, pair.w.entries
+    a, b, w = pair.a, pair.b, pair.w
     n = a.shape[0]
     ones = np.ones(n)
     checks = []
@@ -108,7 +108,7 @@ def validate(pair: CombinerPair, tol: float = 1e-9) -> ValidationReport:
     row_err = np.max(np.abs(a @ ones - ones))
     checks.append(CheckResult("a_row_sums_one", row_err <= 1e-10, -float(row_err)))
 
-    lam_b = sym_eig(SymMatrix(b)).eigenvalues
+    lam_b = sym_eig(b).eigenvalues
     checks.append(CheckResult("b_psd", lam_b[0] >= -tol, float(lam_b[0])))
 
     null_dim = int(np.sum(lam_b <= DEFAULT_EIG_TOL * max(lam_b[-1], 0.0)))
@@ -121,8 +121,7 @@ def validate(pair: CombinerPair, tol: float = 1e-9) -> ValidationReport:
         )
     )
 
-    gap = SymMatrix(np.eye(n) - a @ a - b)
-    lam_gap = sym_eig(gap).eigenvalues
+    lam_gap = sym_eig(np.eye(n) - a @ a - b).eigenvalues
     checks.append(CheckResult("contraction_psd", lam_gap[0] >= -tol, float(lam_gap[0])))
 
     comm_aw = np.max(np.abs(a @ w - w @ a))
@@ -158,8 +157,10 @@ def _build(w: MixingMatrix, variant: str, comm_rounds: int, f, g) -> CombinerPai
         raise CombinerError(f"combiner {variant!r} violates: {', '.join(failed)}")
     v = dec.eigenvectors
 
-    def spectral(values: np.ndarray) -> SymMatrix:
-        return SymMatrix(v @ (values[:, None] * v.T))
+    # v @ diag @ v.T is symmetric only up to round-off, so keep its symmetric part
+    def spectral(values: np.ndarray) -> np.ndarray:
+        s = v @ (values[:, None] * v.T)
+        return 0.5 * (s + s.T)
 
     return CombinerPair(
         a=spectral(fl),

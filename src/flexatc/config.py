@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -236,6 +237,8 @@ def parse_config(text: str) -> ExperimentConfig:
     target = cfg.run.target_rel_err
     if not (0.0 < target < math.inf):
         raise ConfigError(f"run.target_rel_err must be finite and > 0, got {target}")
+    if os.path.normpath(cfg.outputs.csv) == os.path.normpath(cfg.outputs.svg):
+        raise ConfigError(f"outputs.csv and outputs.svg name the same file {cfg.outputs.csv!r}")
     return cfg
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SymMatrix, sym_eig
+from .linalg import sym_eig
 
 RESAMPLE_CAP = 1000
 
@@ -120,22 +120,22 @@ class MixingMatrix:
     spectrum is nonnegative (within round-off).
     """
 
-    w: SymMatrix
+    w: np.ndarray
     rho: float
     psd: bool
     decomposition: tuple[np.ndarray, np.ndarray]  # sym_eig(w)
 
     @property
     def n(self) -> int:
-        return self.w.n
+        return self.w.shape[0]
 
 
-def _make_mixing(sym: SymMatrix) -> MixingMatrix:
-    n = sym.n
-    row_err = np.max(np.abs(sym.entries.sum(axis=1) - 1.0))
+def _make_mixing(w: np.ndarray) -> MixingMatrix:
+    n = w.shape[0]
+    row_err = np.max(np.abs(w.sum(axis=1) - 1.0))
     if row_err > 1e-12:
         raise GraphError(f"row sums deviate from 1 by {row_err:.3e}")
-    dec = sym_eig(sym)
+    dec = sym_eig(w)
     lam = dec.eigenvalues
     if lam[0] <= -1.0:
         raise GraphError(f"eigenvalue {lam[0]} outside (-1, 1]")
@@ -144,7 +144,7 @@ def _make_mixing(sym: SymMatrix) -> MixingMatrix:
     if n > 1 and lam[-2] > 1.0 - _SIMPLE_TOP_TOL:
         raise GraphError("top eigenvalue is not simple (disconnected graph?)")
     rho = 0.0 if n == 1 else float(max(abs(lam[-2]), abs(lam[0])))
-    return MixingMatrix(sym, rho, bool(lam[0] >= -1e-12), dec)
+    return MixingMatrix(w, rho, bool(lam[0] >= -1e-12), dec)
 
 
 def metropolis_weights(t: Topology) -> MixingMatrix:
@@ -154,13 +154,13 @@ def metropolis_weights(t: Topology) -> MixingMatrix:
     for i, j in t.edges:
         a[i, j] = a[j, i] = 1.0 / (1.0 + max(t.degrees[i], t.degrees[j]))
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
-    return _make_mixing(SymMatrix(a))
+    return _make_mixing(a)
 
 
 def lazify(w: MixingMatrix) -> MixingMatrix:
     """Half-lazy walk (I + W) / 2; maps the spectrum into [0, 1]."""
     n = w.n
-    return _make_mixing(SymMatrix(0.5 * (np.eye(n) + w.w.entries)))
+    return _make_mixing(0.5 * (np.eye(n) + w.w))
 
 
 def topology_to_edgelist(t: Topology) -> str:

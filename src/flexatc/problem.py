@@ -26,7 +26,7 @@ _POWER_ITER_TOL = 1e-8
 _OTHER_SPACE = b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f"
 _TO_SPACE_OR_NEWLINE = bytes.maketrans(_OTHER_SPACE, b"\n\n\n\n\n\n  ")
 _COLON_TO_SPACE = bytes.maketrans(b":", b" ")
-_BLOCK_BYTES = 1 << 18
+_BLOCK_BYTES = 1 << 16
 # Agents per group of the logistic oracles' loop: four replica-scale blocks
 # are about 0.7 MB, which stay in a 2 MB L2 cache through the group's work.
 _GROUP = 4

@@ -197,8 +197,8 @@ def run_grid(
     comms = np.cumsum(coins, axis=1) * np.array([r.pair.comm_rounds for r in runs])[:, None]
     take = coins.T.astype(bool)[:, :, None, None]
     p = np.array([r.p for r in runs])[:, None, None]
-    a, sqrt_b = (np.stack([getattr(r.pair, name).entries for r in runs])
-                 for name in ("a", "sqrt_b"))
+    a = np.stack([r.pair.a for r in runs])
+    sqrt_b = np.stack([r.pair.sqrt_b for r in runs])
     prox = instance.prox.apply
 
     start = np.zeros(shape) if x0 is None else np.array(x0, dtype=float)

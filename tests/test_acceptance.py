@@ -159,7 +159,7 @@ def test_criterion_4_equivalence_oracles():
         lazy = fa.lazify(mm)
         pair = fa.preset("atc_gt", lazy)
         alpha = 1.0 / inst.L
-        w = lazy.w.entries
+        w = lazy.w
         x = np.zeros((inst.n, inst.d))
         g_old = inst.grad_stack(x)
         tracker = g_old.copy()
@@ -190,7 +190,7 @@ def test_criterion_4_equivalence_oracles():
         for _ in range(201):
             state = flexatc_step(state, inst, pair, 1)
             xs.append(state.x.copy())
-        w_tilde = np.eye(inst.n) - c * (np.eye(inst.n) - mm.w.entries)
+        w_tilde = np.eye(inst.n) - c * (np.eye(inst.n) - mm.w)
         x_prev, x_k = xs[0], xs[1]
         g_prev = inst.grad_stack(x_prev)
         for k in range(1, 201):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -77,6 +78,12 @@ def write_config(tmp_path, text, name="conf.ini"):
     return str(path)
 
 
+def _die_in_worker(grid):
+    """A grid batch whose worker process dies at once; a pool task is
+    pickled by name, so it lives at module level."""
+    os._exit(9)
+
+
 class TestConfigParsing:
     def test_full_round(self):
         cfg = parse_config(GRID)
@@ -129,6 +136,12 @@ class TestConfigParsing:
     def test_logistic_requires_data(self):
         with pytest.raises(ConfigError, match="problem.data"):
             parse_config("[problem]\ntype = logistic\n")
+
+    @pytest.mark.parametrize("csv, svg", [("out.txt", "out.txt"), ("out/a", "./out/b/../a")])
+    def test_csv_and_svg_must_differ(self, csv, svg):
+        with pytest.raises(ConfigError, match="outputs.csv and outputs.svg name the same file"):
+            parse_config(f"[outputs]\ncsv = {csv}\nsvg = {svg}\n")
+        assert parse_config(f"[outputs]\ncsv = {csv}\nsvg = {svg}.svg\n").outputs.svg
 
     def test_every_shipped_config_parses(self):
         paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
@@ -519,6 +532,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.count("divergence detected at iteration") == 1
         assert "divergence detected at iteration 0: stepsize likely out of range" in err
+
+    def test_dead_pool_worker_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_execute_grid", _die_in_worker)
+        conf = write_config(tmp_path, GRID)
+        code = cli.main(["run", conf, "--out-dir", str(tmp_path), "--threads", "2"])
+        assert code == cli.EXIT_WORKER == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: a worker process died: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "grid.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "check", "validate"])
+    def test_same_csv_and_svg_path_exits_2(self, tmp_path, capsys, command):
+        # the SVG would overwrite the CSV
+        conf = write_config(tmp_path, SMOKE.replace("csv = smoke.csv\nsvg = smoke.svg",
+                                                    "csv = out.txt\nsvg = ./out.txt"))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: outputs.csv and outputs.svg name the same file 'out.txt'\n")
+        assert not (tmp_path / "out.txt").exists()
 
     def test_reference_solve_not_converging_exits_3(self, tmp_path, capsys, monkeypatch):
         def stuck(*args, **kwargs):

@@ -10,7 +10,7 @@ from flexatc.combiners import (
     preset,
     validate,
 )
-from flexatc.linalg import SymMatrix, sym_eig
+from flexatc.linalg import LinalgError, sym_eig
 
 
 def w_eigs_ring(n: int) -> np.ndarray:
@@ -20,17 +20,17 @@ def w_eigs_ring(n: int) -> np.ndarray:
 
 class TestPresets:
     def test_ed_matches_hand_built_matrices(self, ring4):
-        w = ring4.w.entries
+        w = ring4.w
         pair = preset("ed", ring4)
-        assert np.allclose(pair.a.entries, 0.5 * (np.eye(4) + w), atol=1e-15)
-        assert np.allclose(pair.b.entries, 0.5 * (np.eye(4) - w), atol=1e-15)
+        assert np.allclose(pair.a, 0.5 * (np.eye(4) + w), atol=1e-15)
+        assert np.allclose(pair.b, 0.5 * (np.eye(4) - w), atol=1e-15)
         assert pair.comm_rounds == 1
 
     def test_nids_half_equals_ed(self, ring4):
         nids = preset("nids:c=0.5", ring4)
         ed = preset("ed", ring4)
-        assert np.array_equal(nids.a.entries, ed.a.entries)
-        assert np.array_equal(nids.b.entries, ed.b.entries)
+        assert np.array_equal(nids.a, ed.a)
+        assert np.array_equal(nids.b, ed.b)
 
     def test_ed_sigma_m_ring4(self, ring4):
         # nonzero eigenvalues of B = (I - W)/2 are (1 - lambda)/2 over the
@@ -49,8 +49,8 @@ class TestPresets:
         factored = lam * (1.0 - lam) * (2.0 + lam + lam**2)
         assert np.allclose(direct, factored, atol=1e-12)
         assert np.min(direct) >= -1e-12
-        gap = np.eye(4) - pair.a.entries @ pair.a.entries - pair.b.entries
-        assert sym_eig(SymMatrix(gap)).eigenvalues[0] >= -1e-9
+        gap = np.eye(4) - pair.a @ pair.a - pair.b
+        assert sym_eig(gap).eigenvalues[0] >= -1e-9
 
     def test_atc_gt_sigma_on_lazified_complete3(self, complete3):
         # lazify maps lambda_2 = 0 to 1/2, so B = (I - W)^2 has sigma_m 1/4
@@ -72,11 +72,11 @@ class TestPresets:
 
     def test_mg_sonata_matrices(self, ring4):
         lazy = fa.lazify(ring4)
-        w = lazy.w.entries
+        w = lazy.w
         pair = preset("mg_sonata:N=2", lazy)
         w2 = w @ w
-        assert np.allclose(pair.a.entries, w2 @ w2, atol=1e-14)
-        assert np.allclose(pair.b.entries, (np.eye(4) - w2) @ (np.eye(4) - w2), atol=1e-14)
+        assert np.allclose(pair.a, w2 @ w2, atol=1e-14)
+        assert np.allclose(pair.b, (np.eye(4) - w2) @ (np.eye(4) - w2), atol=1e-14)
 
     def test_psd_prerequisite_enforced(self, ring4):
         # ring(4) Metropolis has a -1/3 eigenvalue, so multi-gossip presets
@@ -105,9 +105,9 @@ class TestValidate:
         lam, vec = np.linalg.eigh(b)
         keep = lam > 1e-9 * max(lam[-1], 0.0)
         return CombinerPair(
-            a=SymMatrix(a), b=SymMatrix(b), w=w, variant="custom", comm_rounds=rounds,
+            a=a, b=b, w=w, variant="custom", comm_rounds=rounds,
             sigma_m_b=float(lam[keep][0]) if keep.any() else 0.0,
-            sqrt_b=SymMatrix(vec @ (np.sqrt(np.where(keep, lam, 0.0))[:, None] * vec.T)),
+            sqrt_b=vec @ (np.sqrt(np.where(keep, lam, 0.0))[:, None] * vec.T),
         )
 
     def test_all_presets_pass_on_test_graphs(self, ring10):
@@ -128,7 +128,7 @@ class TestValidate:
         # c = 0.9 pushes c * lambda(I - W) past 1, turning I - A^2 - B
         # indefinite: c lambda (1 - c lambda) < 0
         c = 0.9
-        lap = np.eye(4) - ring4.w.entries
+        lap = np.eye(4) - ring4.w
         report = validate(self._raw_pair(np.eye(4) - c * lap, c * lap, ring4.w))
         failing = {r.name for r in report.failures()}
         assert failing == {"contraction_psd"}
@@ -140,6 +140,18 @@ class TestValidate:
         report = validate(self._raw_pair(np.eye(4), np.zeros((4, 4)), ring4.w))
         assert "b_null_space_span_ones" in {r.name for r in report.failures()}
 
+    def test_asymmetric_pair_fails_symmetry(self, ring4):
+        b = 0.5 * (np.eye(4) - ring4.w)
+        b[0, 1] += 1e-6
+        report = validate(self._raw_pair(0.5 * (np.eye(4) + ring4.w), b, ring4.w))
+        assert "symmetry" in {r.name for r in report.failures()}
+
+    def test_non_finite_pair_raises(self, ring4):
+        pair = self._raw_pair(np.eye(4), np.zeros((4, 4)), ring4.w)
+        pair.b = np.full((4, 4), np.nan)
+        with pytest.raises(LinalgError, match="finite"):
+            validate(pair)
+
     def test_noncommuting_pair_reported(self, ring4):
         b = np.diag([0.0, 1.0, 1.0, 1.0])  # PSD, null = e_0, not a polynomial in W
         report = validate(self._raw_pair(np.eye(4), b, ring4.w))
@@ -148,7 +160,7 @@ class TestValidate:
     def test_commutation_of_presets(self, ring10):
         for variant in ("nids:c=0.25", "ed"):
             pair = preset(variant, ring10)
-            a, b = pair.a.entries, pair.b.entries
+            a, b = pair.a, pair.b
             assert np.max(np.abs(a @ b - b @ a)) <= 1e-10
 
 
@@ -200,13 +212,13 @@ class TestSpectralPairs:
     def test_matches_dense_polynomials(self, graph_name, variant):
         mm = SPECTRAL_GRAPHS[graph_name]
         pair = preset(variant, mm)
-        a, b = dense_pair(variant, mm.w.entries)
-        assert np.max(np.abs(pair.a.entries - a)) <= 1e-13
-        assert np.max(np.abs(pair.b.entries - b)) <= 1e-13
-        root = pair.sqrt_b.entries
-        assert np.max(np.abs(root @ root - pair.b.entries)) <= 1e-13
-        assert np.max(np.abs(pair.b.entries @ np.ones(mm.n))) <= 1e-14
-        lam_b = np.linalg.eigvalsh(pair.b.entries)
+        a, b = dense_pair(variant, mm.w)
+        assert np.max(np.abs(pair.a - a)) <= 1e-13
+        assert np.max(np.abs(pair.b - b)) <= 1e-13
+        root = pair.sqrt_b
+        assert np.max(np.abs(root @ root - pair.b)) <= 1e-13
+        assert np.max(np.abs(pair.b @ np.ones(mm.n))) <= 1e-14
+        lam_b = np.linalg.eigvalsh(pair.b)
         assert abs(lam_b[0]) <= 1e-14
         if mm.n == 1:
             assert pair.sigma_m_b == 0.0

@@ -10,7 +10,6 @@ from flexatc.graph import (
     metropolis_weights,
     topology_to_edgelist,
 )
-from flexatc.linalg import SymMatrix
 
 
 class TestTopology:
@@ -52,13 +51,13 @@ class TestTopology:
 
 class TestMetropolis:
     def test_complete3_rank_one(self, complete3):
-        assert np.allclose(complete3.w.entries, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
+        assert np.allclose(complete3.w, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
         lam = complete3.decomposition.eigenvalues
         assert np.allclose(lam, [0.0, 0.0, 1.0], atol=1e-12)
         assert complete3.rho == pytest.approx(0.0, abs=1e-12)
 
     def test_ring4_weights_and_gap(self, ring4):
-        w = ring4.w.entries
+        w = ring4.w
         assert w[0, 1] == pytest.approx(1.0 / 3.0)
         assert w[0, 0] == pytest.approx(1.0 / 3.0)
         assert w[0, 2] == 0.0
@@ -66,8 +65,8 @@ class TestMetropolis:
 
     def test_single_node(self):
         mm = metropolis_weights(gen_topology("ring", 1))
-        assert mm.w.entries.shape == (1, 1)
-        assert mm.w.entries[0, 0] == 1.0
+        assert mm.w.shape == (1, 1)
+        assert mm.w[0, 0] == 1.0
         assert mm.rho == 0.0
 
     def test_invariants_over_random_graphs(self):
@@ -76,7 +75,7 @@ class TestMetropolis:
             n = int(rng.integers(2, 26))
             t = gen_topology("erdos_renyi", n, seed=trial, q=0.4)
             mm = metropolis_weights(t)
-            w = mm.w.entries
+            w = mm.w
             assert np.array_equal(w, w.T)
             assert np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12
             edge_set = set(t.edges)
@@ -94,7 +93,7 @@ class TestMetropolis:
     def test_determinism_bit_identical(self):
         a = metropolis_weights(gen_topology("erdos_renyi", 20, seed=5, q=0.3))
         b = metropolis_weights(gen_topology("erdos_renyi", 20, seed=5, q=0.3))
-        assert np.array_equal(a.w.entries, b.w.entries)
+        assert np.array_equal(a.w, b.w)
 
 
 class TestLazify:
@@ -107,7 +106,7 @@ class TestLazify:
 
     def test_identity_fixed_point(self):
         mm = metropolis_weights(gen_topology("ring", 1))
-        assert np.array_equal(lazify(mm).w.entries, mm.w.entries)
+        assert np.array_equal(lazify(mm).w, mm.w)
 
     def test_ring4_gap_becomes_two_thirds(self, ring4):
         assert lazify(ring4).rho == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -130,7 +129,7 @@ def test_mixing_audit_rejects_multiple_top_eigenvalues():
          [0.0, 0.0, 0.5, 0.5]]
     )
     with pytest.raises(GraphError, match="not simple"):
-        _make_mixing(SymMatrix(block))
+        _make_mixing(block)
 
 
 class TestEdgeList:
