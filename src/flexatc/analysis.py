@@ -142,8 +142,8 @@ class CertificateSweep:
             out["thm2"] = float(np.min(self.thm2_slack))
         return out
 
-    def violations(self, tol: float = SLACK_TOL) -> list[tuple[str, int]]:
-        """(inequality, iteration) pairs where the slack dips below -tol
+    def violations(self) -> list[tuple[str, int]]:
+        """(inequality, iteration) pairs where the slack dips below -SLACK_TOL
         relative to its reference scale, or is NaN."""
         checks = [("lemma2", self.lemma2_slack, self.lemma2_rhs),
                   ("thm1", self.thm1_slack, self.phi)]
@@ -152,7 +152,7 @@ class CertificateSweep:
         bad = []
         for name, slack, scale in checks:
             # a slack that is not a number (p * p underflowing, say) fails too
-            idx = np.flatnonzero(~(slack >= -tol * (1.0 + scale)))
+            idx = np.flatnonzero(~(slack >= -SLACK_TOL * (1.0 + scale)))
             if idx.size:
                 bad.append((name, int(idx[0])))
         return bad

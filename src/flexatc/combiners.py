@@ -27,6 +27,8 @@ import numpy as np
 from .graph import MixingMatrix
 from .linalg import DEFAULT_EIG_TOL, sym_eig
 
+PSD_TOL = 1e-9
+
 
 class CombinerError(Exception):
     """A combiner pair violates one of its structural requirements."""
@@ -90,12 +92,12 @@ def parse_variant(text: str) -> tuple[str, dict[str, float]]:
     return name, params
 
 
-def validate(pair: CombinerPair, tol: float = 1e-9) -> ValidationReport:
+def validate(pair: CombinerPair) -> ValidationReport:
     """Audit every structural condition on the dense (A, B) from scratch,
     independently of how the pair was built; a non-finite matrix raises LinalgError.
 
     Margins are lambda_min for PSD conditions and -max_error for equality
-    conditions, so a comfortable pass is a margin well above -tol.
+    conditions, so a comfortable pass is a margin well above -PSD_TOL.
     """
     a, b, w = pair.a, pair.b, pair.w
     n = a.shape[0]
@@ -109,7 +111,7 @@ def validate(pair: CombinerPair, tol: float = 1e-9) -> ValidationReport:
     checks.append(CheckResult("a_row_sums_one", row_err <= 1e-10, -float(row_err)))
 
     lam_b = sym_eig(b).eigenvalues
-    checks.append(CheckResult("b_psd", lam_b[0] >= -tol, float(lam_b[0])))
+    checks.append(CheckResult("b_psd", lam_b[0] >= -PSD_TOL, float(lam_b[0])))
 
     null_dim = int(np.sum(lam_b <= DEFAULT_EIG_TOL * max(lam_b[-1], 0.0)))
     checks.append(
@@ -122,7 +124,7 @@ def validate(pair: CombinerPair, tol: float = 1e-9) -> ValidationReport:
     )
 
     lam_gap = sym_eig(np.eye(n) - a @ a - b).eigenvalues
-    checks.append(CheckResult("contraction_psd", lam_gap[0] >= -tol, float(lam_gap[0])))
+    checks.append(CheckResult("contraction_psd", lam_gap[0] >= -PSD_TOL, float(lam_gap[0])))
 
     comm_aw = np.max(np.abs(a @ w - w @ a))
     comm_bw = np.max(np.abs(b @ w - w @ b))
@@ -150,7 +152,7 @@ def _build(w: MixingMatrix, variant: str, comm_rounds: int, f, g) -> CombinerPai
         "a_row_sums_one": fl[-1] == 1.0,
         "b_psd": np.all(gl >= 0.0),
         "b_null_space_span_ones": gl[-1] == 0.0 and np.all(gl[:-1] > 0.0),
-        "contraction_psd": np.all(1.0 - fl * fl - gl >= -1e-9),
+        "contraction_psd": np.all(1.0 - fl * fl - gl >= -PSD_TOL),
     }
     failed = [name for name, ok in checks.items() if not ok]
     if failed:

@@ -30,9 +30,6 @@ _BLOCK_BYTES = 1 << 16
 # Agents per group of the logistic oracles' loop: four replica-scale blocks
 # are about 0.7 MB, which stay in a 2 MB L2 cache through the group's work.
 _GROUP = 4
-# Doubles of one group's margins at a time, 1 MiB: the margins of a group
-# of replica-scale agents at three points.
-_MARGIN_BUDGET = 2**17
 
 
 class ParseError(Exception):
@@ -340,6 +337,10 @@ class _QuadraticStack:
     def shape(self) -> tuple[int, int]:
         return self.targets.shape
 
+    @property
+    def width(self) -> int:
+        return self.targets.shape[1]
+
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         return self.curvatures * (x - self.targets)
 
@@ -358,10 +359,8 @@ class _LogisticStack:
     columns are zero, which zeroes their gradient contribution, and the
     boolean mask real hides them from the value. Each (run, agent) pair gets
     its own matrix-vector product, so a run gets the same bits alone as in a
-    batch. Both oracles work through the points as many at a time as keep
-    one group's margins within _MARGIN_BUDGET doubles, and through the
-    agents _GROUP at a time, so their temporaries are bounded whatever the
-    number of points, and each group's blocks are still in cache when its
+    batch. Both oracles take the agents _GROUP at a time: their temporaries
+    are one group's margins, and a group's blocks are still in cache when its
     gradient product reads them. Every agent has the same ridge.
     """
 
@@ -374,32 +373,28 @@ class _LogisticStack:
     def shape(self) -> tuple[int, int]:
         return self.signed.shape[:2]
 
-    def _groups(self, x: np.ndarray) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
-        """(points, agents, signed[agents], margins) for each chunk of the
-        (P, n, d) x's points and each group of _GROUP agents, margins[q, j, :]
-        = x[points][q, i, :] @ signed[i] for the group's j-th agent i."""
-        n, _, width = self.signed.shape
-        chunk = max(1, _MARGIN_BUDGET // (min(_GROUP, n) * width))
-        for first in range(0, len(x), chunk):
-            points = slice(first, first + chunk)
-            for lo in range(0, n, _GROUP):
-                agents = slice(lo, lo + _GROUP)
-                blocks = self.signed[agents]
-                margins = np.matmul(x[points, agents, None, :], blocks)[..., 0, :]
-                yield points, agents, blocks, margins
+    @property
+    def width(self) -> int:
+        return max(self.signed.shape[1:])  # a gradient's d or a margin row's m_max
+
+    def _groups(self, x: np.ndarray) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+        """(agents, signed[agents], margins) for each group of _GROUP agents,
+        margins[..., j, :] = x[..., i, :] @ signed[i] for its j-th agent i."""
+        for lo in range(0, self.signed.shape[0], _GROUP):
+            agents = slice(lo, lo + _GROUP)
+            blocks = self.signed[agents]
+            yield agents, blocks, np.matmul(x[..., agents, None, :], blocks)[..., 0, :]
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         # d/dx ln(1 + e^-t) = -yX sigma(-t), and sigma(-t) = 1 / (1 + e^t) is
         # exactly 0 where e^t overflows to inf
-        flat = x.reshape((-1,) + self.shape)
-        grads = np.empty(flat.shape)
-        for points, agents, blocks, weights in self._groups(flat):
+        grads = np.empty(x.shape)
+        for agents, blocks, weights in self._groups(x):
             with np.errstate(over="ignore"):
                 np.exp(weights, out=weights)
             weights += 1.0
             np.reciprocal(weights, out=weights)
-            np.matmul(blocks, weights[..., None], out=grads[points, agents, :, None])
-        grads = grads.reshape(x.shape)
+            np.matmul(blocks, weights[..., None], out=grads[..., agents, :, None])
         np.negative(grads, out=grads)
         grads /= self.m[:, None]
         grads += self.ridge * x
@@ -407,9 +402,8 @@ class _LogisticStack:
 
     def value(self, x: np.ndarray) -> np.ndarray:
         # ln(1 + e^-t) = max(-t, 0) + ln(1 + e^-|t|), the padding masked out
-        flat = x.reshape((-1,) + self.shape)
-        per_agent = np.empty(flat.shape[:-1])
-        for points, agents, _, losses in self._groups(flat):
+        per_agent = np.empty(x.shape[:-1])
+        for agents, _, losses in self._groups(x):
             soft = np.abs(losses)
             np.negative(soft, out=soft)
             np.exp(soft, out=soft)
@@ -418,8 +412,7 @@ class _LogisticStack:
             np.maximum(losses, 0.0, out=losses)
             losses += soft
             np.copyto(losses, 0.0, where=~self.real[agents])
-            losses.sum(axis=-1, out=per_agent[points, agents])
-        per_agent = per_agent.reshape(x.shape[:-1])
+            losses.sum(axis=-1, out=per_agent[..., agents])
         per_agent /= self.m
         per_agent += 0.5 * self.ridge * np.vecdot(x, x)
         return per_agent.sum(axis=-1) / self.m.size
@@ -429,7 +422,8 @@ class _LogisticStack:
 class ProblemInstance:
     """The consensus problem min_x (1/n) sum_i f_i(x) + r(x): the n agent
     losses as one stacked oracle, the shared prox term r, and the common
-    constants L = max_i L_i and mu = min_i mu_i; n and d are the stack's.
+    constants L = max_i L_i and mu = min_i mu_i. n, d and width, the length
+    of the widest array an oracle makes per point and agent, are the stack's.
 
     Row i of grad_stack is agent i's gradient; mean_grad and objective
     spread a point to every agent as a read-only (..., n, d) view. Each
@@ -446,6 +440,9 @@ class ProblemInstance:
         if not self.L > 0.0:
             raise ProblemError("smoothness constant must be positive")
         self.n, self.d = self.stack.shape
+        if self.d < 1:
+            raise ProblemError("need at least one feature")
+        self.width = self.stack.width
 
     def grad_stack(self, x: np.ndarray) -> np.ndarray:
         """Per-agent gradients of the stacked iterate, row i for agent i."""

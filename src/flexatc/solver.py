@@ -27,13 +27,13 @@ row j + 1 the iterate after its step j), and at the end of each block of T
 steps the divergence test and the recorded columns (relative error,
 consensus, objective and kkt) are computed for the whole block at once,
 with the same per-row reductions, so the same bits, as one step at a time.
-block_length sizes T so that a block of iterates, T * S * n * d doubles,
-stays within _BLOCK_BUDGET. A divergence is reported at the end of the
-block it happens in, as the first step whose iterate left the finite ball;
-the later steps of that block run with numpy's overflow warnings silenced.
-An observer receives each block, once it has been recorded, as a GridBlock
-of the states its steps leave from, their gradients and both of their coin
-branches.
+block_length sizes T so that the widest array an oracle makes for the
+block, its iterates or its margins, T * S * n * width doubles, stays within
+_BLOCK_BUDGET. A divergence is reported at the end of the block it happens
+in, as the first step whose iterate left the finite ball; the later steps
+of that block run with numpy's overflow warnings silenced. An observer
+receives each block, once recorded, as a GridBlock of the states its steps
+leave from, their gradients and both of their coin branches.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .combiners import CombinerPair
 from .problem import ProblemInstance
 
 _DIVERGENCE_NORM = 1e12
-# Doubles per block of iterates, about 128 KiB, so a block stays in L2.
+# Doubles of a block's widest array, about 128 KiB, so a block stays in L2.
 _BLOCK_BUDGET = 2**14
 
 
@@ -140,9 +140,9 @@ class GridBlock(NamedTuple):
 
 
 def block_length(instance: ProblemInstance, count: int) -> int:
-    """Steps per recording block for a batch of `count` runs: as many as keep
-    their iterates, count * n * d doubles a step, within _BLOCK_BUDGET."""
-    return max(1, _BLOCK_BUDGET // (count * instance.n * instance.d))
+    """Steps per recording block of a batch of `count` runs: as many as keep
+    count * n * width doubles a step within _BLOCK_BUDGET, and at least 1."""
+    return max(1, _BLOCK_BUDGET // (count * instance.n * instance.width))
 
 
 def _sq_norms(v: np.ndarray) -> np.ndarray:

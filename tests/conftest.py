@@ -36,7 +36,7 @@ def correlated_logistic_dataset(m: int, d: int, seed: int) -> pb.Dataset:
 def set_steps_per_block(monkeypatch, inst: pb.ProblemInstance, count: int, steps: int) -> None:
     """Shrink solver's block budget so a batch of `count` runs on `inst`
     records `steps` steps per block."""
-    monkeypatch.setattr(solver, "_BLOCK_BUDGET", steps * count * inst.n * inst.d)
+    monkeypatch.setattr(solver, "_BLOCK_BUDGET", steps * count * inst.n * inst.width)
     assert solver.block_length(inst, count) == steps
 
 

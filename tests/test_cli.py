@@ -285,6 +285,16 @@ class TestRunCommand:
         assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: line 3: feature token '{token}' {what}\n"
 
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    def test_dataset_without_features_exits_2(self, tmp_path, capsys, command):
+        data = tmp_path / "labels.svm"
+        data.write_text("+1\n-1\n+1\n-1\n")
+        conf = write_config(tmp_path, SMOKE.replace("kind = ring\nn = 1", "kind = ring\nn = 2")
+                            .replace("type = quadratic\nd = 2\ntarget_seed = 3",
+                                     f"type = logistic\ndata = {data}\nridge = 0.01"))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: need at least one feature\n"
+
     def test_serial_import_loads_no_process_pool(self):
         src = Path(cli.__file__).resolve().parents[1]
         probe = ("import sys, flexatc.cli; "

@@ -15,7 +15,7 @@ from flexatc.analysis import (
     GridCertificates,
     fixed_point,
 )
-from flexatc import problem
+from flexatc import solver
 from flexatc.problem import ProxSpec, quadratic_from_targets, quadratic_instance
 from flexatc.solver import (
     CoinSequence,
@@ -277,15 +277,40 @@ def test_rejects_bad_grids():
         run_grid(inst, [GridRun(pair, 0.5, 1), GridRun(pair, 0.0, 1)], alpha, 10)
 
 
-def test_recording_a_long_block_keeps_the_logistic_temporaries_small():
-    # two agents of 10,000 samples in two dimensions: a block is 4,096 steps
-    # of tiny iterates, but its objective and kkt columns evaluate the
-    # oracles at 100 points whose margins together are 16 MB; the oracles
-    # take them a few points at a time
+def _two_long_agents():
+    """Two agents of 10,000 samples in two dimensions: tiny iterates, whose
+    margin rows are 10,000 long."""
     ds = synthetic_logistic_dataset(20_000, 2, seed=3)
     inst = fa.logistic_instance(ds, 2, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
-    pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("complete", 2)))
-    assert block_length(inst, 1) >= 100
+    return inst, fa.preset("ed", fa.metropolis_weights(fa.gen_topology("complete", 2)))
+
+
+def test_recording_a_long_block_keeps_the_logistic_temporaries_small():
+    # a block holds as many steps as keep the margins of its recorded
+    # objective and kkt columns within the budget: here one step, whose
+    # margins at one point are 160 KB, not the 16 MB of 100 points at once
+    inst, pair = _two_long_agents()
+    assert block_length(inst, 1) == 1
     trace, peak = traced_peak(lambda: run_grid(inst, [GridRun(pair, 0.5, 0)], 1.0 / inst.L, 100)[0])
     assert np.isfinite(trace.objective).all() and np.isfinite(trace.kkt_residual).all()
-    assert peak < 4 * problem._MARGIN_BUDGET * 8
+    assert peak < 4 * 2**17 * 8
+
+
+def test_block_length_follows_the_widest_oracle_array():
+    # width is d for quadratic agents and the longer of d and the largest
+    # agent's sample count for logistic ones; counting only the iterates
+    # would give the two long agents 4,096 steps per block
+    inst = _two_long_agents()[0]
+    assert (inst.width, block_length(inst, 1)) == (10_000, 1)
+    budget = solver._BLOCK_BUDGET
+    for n, d, count in ((6, 3, 1), (6, 3, 4), (5, 20, 15), (300, 1, 2)):
+        inst = quadratic_instance(n, d, seed=0)
+        assert inst.width == d
+        assert block_length(inst, count) == max(1, budget // (count * n * d))
+    # 103 samples over 10 agents, m_max = 11, and 20 samples in 30
+    # dimensions over 10 agents, m_max = 2
+    for m, d, width in ((103, 6, 11), (20, 30, 30)):
+        inst = fa.logistic_instance(synthetic_logistic_dataset(m, d, seed=1), 10, 0, 0.01)
+        assert inst.width == width
+        assert [block_length(inst, count) for count in (1, 3)] == [
+            budget // (count * 10 * width) for count in (1, 3)]

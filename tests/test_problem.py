@@ -634,6 +634,14 @@ class TestInstances:
         with pytest.raises(ProblemError, match="smoothness constant must be positive"):
             logistic_instance(ds, 2, partition_seed=0, ridge=0.0)
 
+    def test_logistic_instance_needs_a_feature(self):
+        # a file of labels alone parses to d = 0; with a ridge every L_i is
+        # positive, so only the dimension is wrong
+        ds = parse_libsvm("+1\n-1\n+1\n-1\n")
+        assert ds.d == 0
+        with pytest.raises(ProblemError, match="^need at least one feature$"):
+            logistic_instance(ds, 2, partition_seed=0, ridge=0.01)
+
     def test_objective_and_mean_grad(self):
         inst = quadratic_instance(3, 2, seed=1)
         losses = _quadratic_references(inst)
@@ -731,7 +739,8 @@ class TestStackedOracles:
     @pytest.mark.parametrize("size", ["fifty", "padded"])
     def test_group_size_changes_no_bits(self, monkeypatch, size):
         # the oracles' agent groups of 1, 3, the default and all n agents, on
-        # 50 agents and on 103 samples over 10 agents (padding columns)
+        # 50 agents and on 103 samples over 10 agents (padding columns), with
+        # up to three leading run axes
         if size == "fifty":
             ds, n = correlated_logistic_dataset(10_000, 22, seed=0), 50
         else:
@@ -739,7 +748,8 @@ class TestStackedOracles:
         inst = logistic_instance(ds, n, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
         rng = np.random.default_rng(4)
         inputs = [(5.0 * rng.standard_normal(runs + (n, ds.d)),
-                   5.0 * rng.standard_normal(runs + (ds.d,))) for runs in ((), (3,), (2, 3))]
+                   5.0 * rng.standard_normal(runs + (ds.d,)))
+                  for runs in ((), (3,), (2, 3), (4,), (3, 2, 5))]
         results = []
         for group in (1, 3, problem._GROUP, n):
             monkeypatch.setattr(problem, "_GROUP", group)
@@ -750,29 +760,6 @@ class TestStackedOracles:
                 for a, b in zip(got_case, want_case):
                     assert np.array_equal(np.asarray(a).view(np.int64),
                                           np.asarray(b).view(np.int64))
-
-    @pytest.mark.parametrize("size", ["fifty", "padded"])
-    def test_point_chunks_change_no_bits(self, monkeypatch, size):
-        # margin budgets that take one point, two points and every point of a
-        # group at a time, with 1 and 3 leading run axes
-        if size == "fifty":
-            ds, n = correlated_logistic_dataset(10_000, 22, seed=0), 50
-        else:
-            ds, n = synthetic_logistic_dataset(103, 6, seed=13), 10
-        inst = logistic_instance(ds, n, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
-        group_width = min(problem._GROUP, n) * inst.stack.signed.shape[2]
-        rng = np.random.default_rng(5)
-        inputs = [(5.0 * rng.standard_normal(runs + (n, ds.d)),
-                   5.0 * rng.standard_normal(runs + (ds.d,))) for runs in ((4,), (3, 2, 5))]
-        results = []
-        for points in (30, 1, 2):
-            monkeypatch.setattr(problem, "_MARGIN_BUDGET", points * group_width)
-            results.append([(inst.grad_stack(x), inst.mean_grad(point), inst.objective(point))
-                            for x, point in inputs])
-        for got in results[1:]:
-            for got_case, want_case in zip(got, results[0]):
-                for a, b in zip(got_case, want_case):
-                    assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_quadratic_stack_matches_per_agent_losses_bitwise(self):
         inst = quadratic_instance(5, 4, seed=2, curvature_min=0.1, curvature_max=3.0,
