@@ -41,11 +41,11 @@ from .problem import (
     serialize_libsvm,
 )
 from .solver import (
-    CoinSequence,
     DivergenceError,
     GridRun,
     RunTrace,
     centralized_proxgrad,
+    coin_flips,
     run,
     run_grid,
 )

@@ -40,13 +40,9 @@ CSV_COLUMNS = (
 )
 
 
-class DatasetError(Exception):
-    pass
-
-
 def build_network(cfg: ExperimentConfig) -> tuple[graph.Topology, graph.MixingMatrix]:
     g = cfg.graph
-    topo = graph.gen_topology(g.kind, g.n, g.seed, g.q if g.kind == "erdos_renyi" else None)
+    topo = graph.gen_topology(g.kind, g.n, g.seed, g.q)
     mixing = graph.metropolis_weights(topo)
     return topo, graph.lazify(mixing) if cfg.mixing.lazify else mixing
 
@@ -67,7 +63,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[problem.ProblemInstance, float
             instance = problem.read_logistic(p.data, cfg.graph.n, p.partition_seed, p.ridge,
                                              prox, p.max_samples or None)
         except OSError as exc:
-            raise DatasetError(f"cannot read dataset {p.data}: {exc}") from exc
+            raise ConfigError(f"cannot read dataset {p.data}: {exc}") from exc
     return instance, cfg.resolve_alpha(instance.L)
 
 
@@ -334,8 +330,7 @@ def main(argv=None) -> int:
             check_seed(args.seed_override, "--seed-override")
             cfg.run.seeds = (args.seed_override,)
         return run_experiment(cfg, args.out_dir, args.threads, check=args.command == "check")
-    except (ConfigError, DatasetError, problem.ParseError, problem.ProblemError,
-            graph.GraphError) as exc:
+    except (ConfigError, problem.ParseError, problem.ProblemError, graph.GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (solver.DivergenceError, solver.SolverError) as exc:

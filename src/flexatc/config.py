@@ -124,12 +124,10 @@ class ExperimentConfig:
 
 
 def _parse_bool(raw: str, key: str) -> bool:
-    val = raw.strip().lower()
-    if val in ("true", "yes", "on", "1"):
-        return True
-    if val in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ConfigError(f"{key}: expected a boolean, got {raw!r}") from None
 
 
 def _parse_int(raw: str, key: str) -> int:

@@ -152,6 +152,16 @@ def _parse_block(block: bytes, first_line: int):
     bad_pair = (index < 1.0) | (index >= 2.0**53) | ~np.isfinite(value)
     if bad_pair.any():
         bad.append(np.flatnonzero(~head)[np.argmax(bad_pair)])
+    # LIBSVM lists a line's indices in rising order; only the lines that do
+    # not are sorted, to find a token whose index comes earlier on its line
+    line = np.cumsum(head)[~head]
+    falls = np.flatnonzero((index[1:] <= index[:-1]) & (line[1:] == line[:-1]))
+    if falls.size:
+        pick = np.flatnonzero(np.isin(line, line[falls]))
+        pick = pick[np.lexsort((index[pick], line[pick]))]
+        repeat = (index[pick[1:]] == index[pick[:-1]]) & (line[pick[1:]] == line[pick[:-1]])
+        if repeat.any():
+            bad.append(np.flatnonzero(~head)[pick[1:][repeat].min()])
     t = int(min(bad))
     if t < starts.size:
         tok = block[starts[t]:ends[t]].decode("utf-8", "replace")
@@ -164,8 +174,10 @@ def _parse_block(block: bytes, first_line: int):
             what = f"index {int(index[k])} is not 1-based"
         elif index[k] >= 2.0**53:
             what = f"feature token {tok!r} has an index of 2^53 or more"
-        else:
+        elif not np.isfinite(value[k]):
             what = f"feature token {tok!r} has a non-finite value"
+        else:
+            what = f"feature token {tok!r} repeats index {int(index[k])} of its line"
         raise ParseError(f"line {first_line + block.count(10, 0, starts[t]) + 1}: {what}")
     counts = np.diff(np.append(np.flatnonzero(is_label), starts.size)) - 1
     indices = index.astype(int)
@@ -275,7 +287,7 @@ def _shuffled_split(m: int, n: int, seed: int) -> list[np.ndarray]:
     return np.array_split(np.random.default_rng(seed).permutation(m), n)
 
 
-def _power_iteration_lmax(gram: np.ndarray, tol: float = _POWER_ITER_TOL) -> float:
+def _power_iteration_lmax(gram: np.ndarray) -> float:
     """Largest eigenvalue of a PSD matrix by plain power iteration."""
     d = gram.shape[0]
     v = np.random.default_rng(0).standard_normal(d)
@@ -287,7 +299,7 @@ def _power_iteration_lmax(gram: np.ndarray, tol: float = _POWER_ITER_TOL) -> flo
         if norm == 0.0:
             return 0.0
         v = w / norm
-        if abs(norm - lam) <= tol * max(norm, 1e-300):
+        if abs(norm - lam) <= _POWER_ITER_TOL * max(norm, 1e-300):
             return norm
         lam = norm
     raise ProblemError("power iteration did not converge")
@@ -319,7 +331,7 @@ class ProxSpec:
         if self.kind == "none":
             return np.array(v, dtype=float)
         thresh = alpha * self.weight
-        return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+        return v - np.clip(v, -thresh, thresh)
 
 
 # The stacks take (..., n, d) iterates, row i agent i's: grad_stack gives each

@@ -68,23 +68,12 @@ class SolverError(Exception):
     pass
 
 
-@dataclass(eq=False)
-class CoinSequence:
-    """Deterministic Bernoulli(p) coin flips theta_0, theta_1, ...
-
-    Draws come from a single seeded stream in index order, so every consumer
-    that shares (p, seed) replays identical randomness.
-    """
-
-    p: float
-    seed: int
-
-    def __post_init__(self):
-        if not (0.0 < self.p <= 1.0):
-            raise SolverError(f"probability must lie in (0, 1], got {self.p}")
-
-    def draw(self, count: int) -> np.ndarray:
-        return (np.random.default_rng(self.seed).random(count) < self.p).astype(int)
+def coin_flips(p: float, seed: int, count: int) -> np.ndarray:
+    """Bernoulli(p) coin flips theta_0 .. theta_{count-1} from one seeded
+    stream in index order, so a longer draw begins with a shorter one."""
+    if not (0.0 < p <= 1.0):
+        raise SolverError(f"probability must lie in (0, 1], got {p}")
+    return (np.random.default_rng(seed).random(count) < p).astype(int)
 
 
 @dataclass(eq=False)
@@ -110,8 +99,8 @@ class RunTrace:
 
 @dataclass(frozen=True, eq=False)
 class GridRun:
-    """One run of a batch: its combiner pair, its coins Bernoulli(p) from
-    CoinSequence(p, seed)."""
+    """One run of a batch: its combiner pair and its coins, which run_grid
+    draws as coin_flips(p, seed, iters)."""
 
     pair: CombinerPair
     p: float
@@ -193,7 +182,7 @@ def run_grid(
     if not (0.0 < alpha < 2.0 / instance.L):
         raise SolverError(f"stepsize {alpha} outside (0, 2/L) with L={instance.L}")
     count = len(runs)
-    coins = np.stack([CoinSequence(r.p, r.seed).draw(iters) for r in runs])
+    coins = np.stack([coin_flips(r.p, r.seed, iters) for r in runs])
     comms = np.cumsum(coins, axis=1) * np.array([r.pair.comm_rounds for r in runs])[:, None]
     take = coins.T.astype(bool)[:, :, None, None]
     p = np.array([r.p for r in runs])[:, None, None]
@@ -254,8 +243,10 @@ def run_grid(
                 xs[0] = xs[j + 1]
 
     x = xs[0].copy()
-    rel_err = err_sq if reference is None else (
-        np.sqrt(err_sq) / np.maximum(np.sqrt(_sq_norms(reference[None])[0]), 1e-300))
+    # against a zero optimum, a finite error reads as an infinite relative one
+    with np.errstate(over="ignore"):
+        rel_err = err_sq if reference is None else (
+            np.sqrt(err_sq) / np.maximum(np.sqrt(_sq_norms(reference[None])[0]), 1e-300))
     consensus, kkt = np.sqrt(consensus_sq), np.sqrt(kkt_sq)
     return [
         RunTrace(
@@ -285,7 +276,7 @@ def run(
     record_kkt: bool = True,
     observer=None,
 ) -> RunTrace:
-    """One run of `iters` iterations driven by CoinSequence(p, seed): the
+    """One run of `iters` iterations driven by coin_flips(p, seed, iters): the
     one-run case of run_grid, with the same trace it gets in any batch.
 
     reference is the replicated (n, d) optimum used for relative errors.

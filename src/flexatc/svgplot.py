@@ -57,7 +57,8 @@ def _panel(series: list[Series], title: str, x_label: str, colors: dict[str, str
     plot_w = _PANEL_W - _MARGIN_L - _MARGIN_R
     plot_h = _PANEL_H - _MARGIN_T - _MARGIN_B
     xs_all = [x for s in series for x in s.xs]
-    ys_all = [max(y, _FLOOR) for s in series for y in s.ys]
+    # only finite points are plotted; a panel without one spans 1e0..1e1
+    ys_all = [max(y, _FLOOR) for s in series for y in s.ys if math.isfinite(y)] or [1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -106,7 +107,8 @@ def _panel(series: list[Series], title: str, x_label: str, colors: dict[str, str
         f'font-size="11" font-family="sans-serif">{x_label}</text>'
     )
     for s in series:
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.xs, s.ys))
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.xs, s.ys)
+                       if math.isfinite(y))
         out.append(
             f'<polyline fill="none" stroke="{colors[s.label]}" stroke-width="1.5" points="{pts}"/>'
         )

@@ -26,9 +26,9 @@ from flexatc.analysis import (
 )
 from flexatc.problem import ProxSpec, quadratic_instance
 from flexatc.solver import (
-    CoinSequence,
     GridRun,
     centralized_proxgrad,
+    coin_flips,
     run_grid,
 )
 from reference import (IterateAverages, LogisticLoss, QuadraticLoss, averaged_iterate_bound,
@@ -127,7 +127,7 @@ def test_criterion_4_equivalence_oracles():
         alpha = 1.0 / inst.L
         u_tr = fa.run(inst, pair, alpha, 0.5, seed=trial, iters=500, record_kkt=False)
         state = initial_state(inst, alpha, 0.5)
-        for theta in CoinSequence(0.5, seed=trial).draw(500):
+        for theta in coin_flips(0.5, trial, 500):
             state = flexatc_step(state, inst, pair, int(theta))
         worst_a = max(worst_a, float(np.max(np.abs(u_tr.x - state.x))))
 

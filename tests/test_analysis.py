@@ -22,9 +22,9 @@ from flexatc.analysis import (
 from flexatc.config import load_config
 from flexatc.problem import ProblemInstance, ProxSpec, quadratic_instance
 from flexatc.solver import (
-    CoinSequence,
     GridRun,
     centralized_proxgrad,
+    coin_flips,
 )
 from reference import (IterateAverages, SolverState, averaged_iterate_bound, branch_outcomes,
                        flexatc_step, initial_state, lemma2_check, mirror_step, skip_threshold,
@@ -281,7 +281,7 @@ def replayed_sweep(inst, pair, alpha, p, seed, iters, fp):
     """The certificates recomputed on a second integration of the run with
     the u-form single-step reference, one public check at a time; the
     reference the observer must match bitwise."""
-    coins = CoinSequence(p, seed).draw(iters)
+    coins = coin_flips(p, seed, iters)
     state = initial_state(inst, alpha, p)
     grad_star = inst.grad_stack(fp.x_star)
     cols = {name: np.full(iters, np.nan) for name in
@@ -353,7 +353,7 @@ class TestObservedSweep:
     def test_comm_branch_is_the_solver_mirror_update(self, observed_setup):
         inst, pair, alpha, fp = observed_setup
         state = initial_state(inst, alpha, 0.5)
-        coins = CoinSequence(0.5, seed=2).draw(40)
+        coins = coin_flips(0.5, 2, 40)
         for k in range(40):
             out = branch_outcomes(state, inst, pair, fp)
             communicated = flexatc_step(state, inst, pair, 1)

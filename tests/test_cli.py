@@ -72,6 +72,32 @@ checks = true
 """
 
 
+# The l1 weight exceeds every target, so x* = 0 exactly, and the random start
+# is far enough from it that ||x|| / 1e-300 overflows.
+ZERO_OPTIMUM = """
+[graph]
+kind = ring
+n = 4
+
+[problem]
+type = quadratic
+d = 2
+prox = l1
+prox_weight = 100
+
+[run]
+p_list = 1
+alpha = 0.01
+iterations = 5
+init = random
+init_scale = 1e9
+
+[outputs]
+csv = z.csv
+svg = z.svg
+"""
+
+
 def write_config(tmp_path, text, name="conf.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -109,10 +135,18 @@ class TestConfigParsing:
     def test_bad_types(self):
         with pytest.raises(ConfigError, match="integer"):
             parse_config("[graph]\nn = many\n")
-        with pytest.raises(ConfigError, match="boolean"):
+        with pytest.raises(ConfigError, match="^mixing.lazify: expected a boolean, got 'maybe'$"):
             parse_config("[mixing]\nlazify = maybe\n")
         with pytest.raises(ConfigError, match="p_list"):
             parse_config("[run]\np_list = 0, 1\n")
+
+    @pytest.mark.parametrize("raw, value", [
+        ("true", True), ("yes", True), ("on", True), ("1", True),
+        ("False", False), (" NO ", False), ("off", False), ("0", False),
+    ])
+    def test_boolean_spellings(self, raw, value):
+        assert parse_config(f"[mixing]\nlazify = {raw}\n").mixing.lazify is value
+        assert parse_config(f"[outputs]\nchecks = {raw}\n").outputs.checks is value
 
     def test_alpha_resolution(self):
         cfg = parse_config("[run]\nalpha = 0.25\n")
@@ -284,6 +318,17 @@ class TestRunCommand:
             f"type = logistic\ndata = {data}\nridge = 0.1"))
         assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: line 3: feature token '{token}' {what}\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    def test_repeated_feature_index_exits_2_naming_its_line(self, tmp_path, capsys, command):
+        data = tmp_path / "data.svm"
+        data.write_text("+1 1:0.5\n-1 2:0.25\n+1 1:2 1:3\n")
+        conf = write_config(tmp_path, SMOKE.replace(
+            "type = quadratic\nd = 2\ntarget_seed = 3",
+            f"type = logistic\ndata = {data}\nridge = 0.1"))
+        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: line 3: feature token '1:3' repeats index 1 of its line\n")
 
     @pytest.mark.parametrize("command", ["validate", "run", "check"])
     def test_dataset_without_features_exits_2(self, tmp_path, capsys, command):
@@ -574,6 +619,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: reference solver hit 500000 iterations with residual "
                                     "1.0e-09 > 1e-12"]
+
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_zero_optimum_exits_0_with_infinite_errors(self, tmp_path, capsys, command):
+        # every relative error is inf; the CSV says so, and the SVG plots
+        # no point but still draws both panels
+        conf = write_config(tmp_path, ZERO_OPTIMUM)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        lines = (tmp_path / "z.csv").read_text().splitlines()
+        rel_err = cli.CSV_COLUMNS.index("rel_err")
+        assert [line.split(",")[rel_err] for line in lines[1:]] == ["inf"] * 6
+        if command == "run":
+            svg = (tmp_path / "z.svg").read_text()
+            assert svg.count('points=""') == 2 and svg.count("<rect") == 3
 
     def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):

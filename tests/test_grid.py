@@ -18,12 +18,12 @@ from flexatc.analysis import (
 from flexatc import solver
 from flexatc.problem import ProxSpec, quadratic_from_targets, quadratic_instance
 from flexatc.solver import (
-    CoinSequence,
     DivergenceError,
     GridBlock,
     GridRun,
     SolverError,
     block_length,
+    coin_flips,
     run_grid,
 )
 from reference import (IterateAverages, branch_outcomes, flexatc_step, initial_state,
@@ -164,7 +164,7 @@ def test_reported_successor_is_the_certified_branch(grid_setup, small_blocks):
 def _reference_run(inst, pair, alpha, p, seed, iters, fp, x0):
     """One run as a loop of flexatc_step, each state certified by
     branch_outcomes and the single-state checks."""
-    coins = CoinSequence(p, seed).draw(iters)
+    coins = coin_flips(p, seed, iters)
     state = initial_state(inst, alpha, p, x0)
     grad_star = inst.grad_stack(fp.x_star)
     ref_norm = np.linalg.norm(fp.x_star)
@@ -223,7 +223,7 @@ def test_divergence_inside_a_block_names_the_reference_step(monkeypatch, steps, 
     runs = [GridRun(pair, 1.0, 0), GridRun(pair, 0.5, 0)]
     first = []
     for r in runs:
-        coins = CoinSequence(r.p, r.seed).draw(iters)
+        coins = coin_flips(r.p, r.seed, iters)
         state = initial_state(lying, alpha, r.p, x0)
         with pytest.raises(DivergenceError) as err:
             for k in range(iters):

@@ -169,6 +169,26 @@ class TestParseLibsvm:
             with pytest.raises(ParseError, match="^line 3: index 0 is not 1-based$"):
                 parse_libsvm(text.replace("1:1.0", "0:1.0"))
 
+    @pytest.mark.parametrize("line, token, index", [
+        ("+1 1:2 1:3", "1:3", 1),
+        ("-1 4:1 2:0.5 3:1 4:2 2:1", "4:2", 4),
+    ])
+    def test_repeated_index_names_its_line(self, monkeypatch, line, token, index):
+        # numpy's scatter keeps the last of two writes to one feature, so a
+        # repeat would silently drop the first value
+        text = f"+1 1:0.5\n-1 2:0.25\n{line}\n-1 3:1.0 3:2.0\n"
+        for block_bytes in (7, 16, 64, 1 << 18):
+            monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
+            with pytest.raises(ParseError) as exc:
+                parse_libsvm(text)
+            assert str(exc.value) == (f"line 3: feature token {token!r} repeats index {index} "
+                                      "of its line")
+
+    def test_unique_indices_out_of_order_parse(self):
+        ds = parse_libsvm("+1 3:1 1:2\n-1 2:1 1:1 3:1\n+1 1:5\n")
+        assert ds.indices.tolist() == [2, 0, 1, 0, 2, 0]
+        assert ds.values.tolist() == [1.0, 2.0, 1.0, 1.0, 1.0, 5.0]
+
     def test_largest_exact_index_parses(self):
         ds = parse_libsvm("+1 9007199254740991:1.5\n")
         assert ds.d == 2**53 - 1 and ds.indices.tolist() == [2**53 - 2]
@@ -310,6 +330,15 @@ class TestReadLogistic:
             stream = io.BytesIO(data)
             assert problem._count(stream) == len(ds)
             assert stream.tell() == 0
+
+    def test_repeated_index_is_a_parse_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.libsvm"
+        path.write_text("+1 1:0.5\n-1 2:0.25 1:1\n+1 2:1 1:2 2:3\n-1 3:1\n")
+        for block_bytes in (7, 64, 1 << 18):
+            monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
+            with pytest.raises(ParseError,
+                               match="^line 3: feature token '2:3' repeats index 2 of its line$"):
+                read_logistic(path, 2, 0, 0.1)
 
     def test_parse_error_comes_before_the_split_error(self, tmp_path, monkeypatch):
         # 3 samples cannot be split across 5 agents, and -1 is no ridge, but

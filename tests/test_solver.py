@@ -9,10 +9,10 @@ import flexatc as fa
 from conftest import synthetic_logistic_dataset
 from flexatc.problem import ProxSpec, quadratic_instance
 from flexatc.solver import (
-    CoinSequence,
     DivergenceError,
     SolverError,
     centralized_proxgrad,
+    coin_flips,
     run,
 )
 from reference import (IterateAverages, flexatc_step, initial_state, mirror_step,
@@ -26,32 +26,30 @@ def ring_pair(n: int, variant: str = "ed", lazy: bool = False):
     return fa.preset(variant, mm)
 
 
-class TestCoinSequence:
+class TestCoinFlips:
     def test_deterministic(self):
-        a = CoinSequence(0.3, seed=5).draw(200)
-        b = CoinSequence(0.3, seed=5).draw(200)
+        a = coin_flips(0.3, 5, 200)
+        b = coin_flips(0.3, 5, 200)
         assert np.array_equal(a, b)
 
     def test_p_one_always_communicates(self):
-        assert np.all(CoinSequence(1.0, seed=0).draw(100) == 1)
+        assert np.all(coin_flips(1.0, 0, 100) == 1)
 
     def test_values_are_bits(self):
-        draws = CoinSequence(0.6, seed=2).draw(500)
+        draws = coin_flips(0.6, 2, 500)
         assert set(np.unique(draws)) <= {0, 1}
 
-    def test_random_access_matches_bulk(self):
-        seq = CoinSequence(0.4, seed=9)
-        assert seq.draw(1501)[1500] in (0, 1)
-        assert np.array_equal(seq.draw(300), CoinSequence(0.4, seed=9).draw(300))
+    def test_longer_draw_begins_with_shorter(self):
+        assert np.array_equal(coin_flips(0.4, 9, 1501)[:300], coin_flips(0.4, 9, 300))
 
     def test_binomial_concentration(self):
         p, k = 0.5, 10_000
-        frac = CoinSequence(p, seed=123).draw(k).mean()
+        frac = coin_flips(p, 123, k).mean()
         assert abs(frac - p) <= 3.0 * np.sqrt(p * (1 - p) / k)
 
     def test_rejects_bad_p(self):
         with pytest.raises(SolverError):
-            CoinSequence(0.0, seed=1)
+            coin_flips(0.0, 1, 10)
 
 
 class TestFlexatcStep:
@@ -142,7 +140,7 @@ class TestRunTrace:
         inst = quadratic_instance(6, 3, seed=8, prox=ProxSpec("l1", 0.02))
         pair = ring_pair(6)
         state = initial_state(inst, 1.0 / inst.L, p=0.5)
-        coins = CoinSequence(0.5, seed=4).draw(300)
+        coins = coin_flips(0.5, 4, 300)
         for k in range(300):
             state = flexatc_step(state, inst, pair, int(coins[k]))
             y_scale = 1.0 + np.linalg.norm(state.y)
@@ -155,7 +153,7 @@ class TestRunTrace:
         pair = ring_pair(5)
         u_form = run(inst, pair, 1.0 / inst.L, p=0.5, seed=11, iters=500)
         state = initial_state(inst, 1.0 / inst.L, p=0.5)
-        for theta in CoinSequence(0.5, seed=11).draw(500):
+        for theta in coin_flips(0.5, 11, 500):
             state = flexatc_step(state, inst, pair, int(theta))
         assert np.linalg.norm(u_form.x - state.x) <= 1e-10
 
@@ -164,7 +162,7 @@ class TestRunTrace:
         pair = ring_pair(5)
         trace = run(inst, pair, 1.0 / inst.L, p=0.5, seed=11, iters=300)
         state = initial_state(inst, 1.0 / inst.L, p=0.5)
-        for theta in CoinSequence(0.5, seed=11).draw(300):
+        for theta in coin_flips(0.5, 11, 300):
             state = mirror_step(state, inst, pair, int(theta))
         for name in ("x", "u"):
             assert np.array_equal(getattr(trace, name), getattr(state, name)), name
