@@ -100,8 +100,8 @@ def _malformed(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
 def _parse_fields(data: bytes, starts: np.ndarray, is_label: np.ndarray,
                   limit: int) -> tuple[np.ndarray, int]:
     """The numbers of tokens [0, limit), read in one pass, and limit lowered
-    to the first token whose numbers do not parse; bisection finds that token
-    by reading about len(data) more bytes."""
+    to the first token whose numbers do not parse, which a scan of the
+    tokens one at a time finds."""
     stream = data.translate(_COLON_TO_SPACE)
     bounds = np.append(starts, len(stream))
 
@@ -119,13 +119,23 @@ def _parse_fields(data: bytes, starts: np.ndarray, is_label: np.ndarray,
 
     out = numbers(0, limit)
     if out is None:
-        lo = 0
-        while limit - lo > 1:
-            mid = (lo + limit) // 2
-            lo, limit = (lo, mid) if numbers(lo, mid) is None else (mid, limit)
-        limit = lo
+        limit = next(t for t in range(limit) if numbers(t, t + 1) is None)
         out = numbers(0, limit)
     return out, limit
+
+
+def _first_repeat(index: np.ndarray, sample: np.ndarray) -> int | None:
+    """The first (index, value) pair whose index an earlier pair of its
+    sample holds, pair k being of sample sample[k] and a sample's pairs
+    adjacent; None if no sample repeats an index. LIBSVM lists a sample's
+    indices in rising order; only the samples that do not are sorted."""
+    falls = np.flatnonzero((index[1:] <= index[:-1]) & (sample[1:] == sample[:-1]))
+    if not falls.size:
+        return None
+    pick = np.flatnonzero(np.isin(sample, sample[falls]))
+    pick = pick[np.lexsort((index[pick], sample[pick]))]
+    repeat = (index[pick[1:]] == index[pick[:-1]]) & (sample[pick[1:]] == sample[pick[:-1]])
+    return int(pick[1:][repeat].min()) if repeat.any() else None
 
 
 def _parse_block(block: bytes, first_line: int):
@@ -152,16 +162,8 @@ def _parse_block(block: bytes, first_line: int):
     bad_pair = (index < 1.0) | (index >= 2.0**53) | ~np.isfinite(value)
     if bad_pair.any():
         bad.append(np.flatnonzero(~head)[np.argmax(bad_pair)])
-    # LIBSVM lists a line's indices in rising order; only the lines that do
-    # not are sorted, to find a token whose index comes earlier on its line
-    line = np.cumsum(head)[~head]
-    falls = np.flatnonzero((index[1:] <= index[:-1]) & (line[1:] == line[:-1]))
-    if falls.size:
-        pick = np.flatnonzero(np.isin(line, line[falls]))
-        pick = pick[np.lexsort((index[pick], line[pick]))]
-        repeat = (index[pick[1:]] == index[pick[:-1]]) & (line[pick[1:]] == line[pick[:-1]])
-        if repeat.any():
-            bad.append(np.flatnonzero(~head)[pick[1:][repeat].min()])
+    if (repeat := _first_repeat(index, np.cumsum(head)[~head])) is not None:
+        bad.append(np.flatnonzero(~head)[repeat])
     t = int(min(bad))
     if t < starts.size:
         tok = block[starts[t]:ends[t]].decode("utf-8", "replace")
@@ -215,18 +217,11 @@ def _line_blocks(stream: BinaryIO) -> Iterator[bytes]:
 
 def _count(stream: BinaryIO) -> int:
     """The samples of a seekable binary stream, which is left at its start:
-    the lines that hold a token, each of which the parser turns into a
-    sample."""
-    rows = 0
-    for block in _line_blocks(stream):
-        buf = np.frombuffer(block, dtype=np.uint8)
-        # each line with its newline; a line holds a token if one byte of
-        # it is neither a space nor the newline
-        breaks = np.flatnonzero(buf == 10) + 1
-        lines = np.append(0, breaks[breaks < buf.size])
-        rows += np.count_nonzero(np.logical_or.reduceat((buf != 32) & (buf != 10), lines))
+    the tokens that open a line, each of which the parser reads as a label."""
+    rows = sum(int(np.count_nonzero(_tokens(np.frombuffer(block, dtype=np.uint8))[2]))
+               for block in _line_blocks(stream))
     stream.seek(0)
-    return int(rows)
+    return rows
 
 
 def _parsed_blocks(stream: BinaryIO) -> Iterator[tuple]:
@@ -401,14 +396,12 @@ class _LogisticStack:
         # d/dx ln(1 + e^-t) = -yX sigma(-t), and sigma(-t) = 1 / (1 + e^t) is
         # exactly 0 where e^t overflows to inf
         grads = np.empty(x.shape)
-        for agents, blocks, weights in self._groups(x):
-            with np.errstate(over="ignore"):
-                np.exp(weights, out=weights)
-            weights += 1.0
-            np.reciprocal(weights, out=weights)
-            np.matmul(blocks, weights[..., None], out=grads[..., agents, :, None])
-        np.negative(grads, out=grads)
-        grads /= self.m[:, None]
+        with np.errstate(over="ignore"):
+            for agents, blocks, margins in self._groups(x):
+                np.matmul(blocks, (1.0 / (1.0 + np.exp(margins)))[..., None],
+                          out=grads[..., agents, :, None])
+        # in place: a new result array raised replica_run's peak RSS by 0.1 MB
+        grads /= -self.m[:, None]
         grads += self.ridge * x
         return grads
 
@@ -566,9 +559,9 @@ def logistic_instance(
     which gives every agent at least one sample. The dataset must hold what
     parse_libsvm makes: labels +1 or -1, an indptr that runs without
     decreasing from 0 to the count of (index, value) pairs, indices in
-    [0, d) and finite values. Its rows are scattered into the signed stack
-    in blocks of about _BLOCK_BYTES of its pairs, so the stack is the only
-    second copy of the samples."""
+    [0, d) with none repeated within a sample, and finite values. Its rows
+    are scattered into the signed stack in blocks of about _BLOCK_BYTES of
+    its pairs, so the stack is the only second copy of the samples."""
     labels, indptr = np.asarray(ds.labels), np.asarray(ds.indptr)
     indices, values = np.asarray(ds.indices), np.asarray(ds.values)
     if indices.shape != values.shape:
@@ -586,6 +579,11 @@ def logistic_instance(
     step = max(_BLOCK_BYTES // 16, 1)
     cuts = np.searchsorted(indptr, np.arange(step, indptr[-1], step))
     bounds = np.unique(np.concatenate(([0], cuts, [labels.size])))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sample = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
+        index = indices[indptr[lo]:indptr[hi]]
+        if (k := _first_repeat(index, sample)) is not None:
+            raise ProblemError(f"sample {sample[k]} repeats feature index {index[k]}")
     blocks = ((lo, labels[lo:hi], np.diff(indptr[lo:hi + 1]),
                indices[indptr[lo]:indptr[hi]], values[indptr[lo]:indptr[hi]])
               for lo, hi in zip(bounds[:-1], bounds[1:]))

@@ -184,6 +184,25 @@ class TestParseLibsvm:
             assert str(exc.value) == (f"line 3: feature token {token!r} repeats index {index} "
                                       "of its line")
 
+    @pytest.mark.parametrize("case", ["last-value-of-a-long-line", "label-after-3000-lines"])
+    def test_bad_number_far_into_its_block(self, monkeypatch, case):
+        # the numbers of a block are read in one pass; the token that fails
+        # it may sit past every good number of a full block
+        good = [f"{'+1' if i % 2 else '-1'} {i % 9 + 1}:{i / 7!r}" for i in range(3000)]
+        if case == "last-value-of-a-long-line":
+            long = " ".join(f"{j}:{-1 / j!r}" for j in range(1, 3000)) + " 3000:1.5.2"
+            assert len(long) > problem._BLOCK_BYTES
+            lines = [good[0], "+1 " + long, good[1]]
+            want = "line 2: malformed feature token '3000:1.5.2'"
+        else:
+            lines, want = good + ["1.5.2 1:1", good[0]], "line 3001: bad label '1.5.2'"
+        text = "\n".join(lines) + "\n"
+        for block_bytes in (16, problem._BLOCK_BYTES):
+            monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
+            with pytest.raises(ParseError) as exc:
+                parse_libsvm(text)
+            assert str(exc.value) == want
+
     def test_unique_indices_out_of_order_parse(self):
         ds = parse_libsvm("+1 3:1 1:2\n-1 2:1 1:1 3:1\n+1 1:5\n")
         assert ds.indices.tolist() == [2, 0, 1, 0, 2, 0]
@@ -643,8 +662,15 @@ class TestInstances:
         ([1.0, -1.0], [0, 1, 1], [2, 0], [2.0, 1.0], "indptr must run without decreasing"),
         ([1.0, -1.0], [0, 2], [2, 0], [2.0, 1.0], "indptr must run without decreasing"),
         ([1.0, -1.0], [0, 1, 2], [2, 0], [2.0], "feature indices and values differ in length"),
+        # the parser's rule for a line: a scatter would keep the last value
+        ([1.0, -1.0], [0, 2, 2], [0, 0], [2.0, 3.0], "^sample 0 repeats feature index 0$"),
+        ([1.0, -1.0], [0, 1, 4], [2, 2, 0, 2], [1.0, 2.0, 3.0, 4.0],
+         "^sample 1 repeats feature index 2$"),
+        ([1.0, -1.0], [0, 3, 5], [2, 0, 1, 1, 1], [1.0, 2.0, 3.0, 4.0, 5.0],
+         "^sample 1 repeats feature index 1$"),
     ], ids=["negative-index", "index-past-d", "label-0.5", "decreasing-indptr",
-            "indptr-from-1", "indptr-short-of-pairs", "indptr-too-few-entries", "values-short"])
+            "indptr-from-1", "indptr-short-of-pairs", "indptr-too-few-entries", "values-short",
+            "repeated-index", "repeated-index-out-of-order", "repeated-index-in-next-sample"])
     def test_logistic_instance_rejects_a_malformed_dataset(self, labels, indptr, indices,
                                                             values, message):
         ds = Dataset(3, np.array(labels), np.array(indptr), np.array(indices), np.array(values))
