@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combiners import CombinerPair
-from .linalg import kron_apply
+from .linalg import LinalgError, kron_apply
 from .problem import ProblemInstance
-from .solver import GridBlock, GridRun, centralized_proxgrad, run
+from .solver import GridBlock, GridRun, SolverError, centralized_proxgrad, run
 
 SLACK_TOL = 1e-9
 
@@ -69,7 +69,8 @@ def fixed_point(
 
     u*_b, the minimum-norm solution of B u = sqrt(B) w*, is one linear solve,
     (sqrt(B) + 11^T/n) u = w* - mean(w*), as null(B) = span(1) exactly.
-    All stationarity residuals are verified before return.
+    All stationarity residuals are verified before return; a singular
+    solve raises LinalgError.
     Passing a precomputed x_opt skips the centralized solve (useful when
     several combiner pairs share one problem, or to solve to another
     tolerance).
@@ -78,8 +79,11 @@ def fixed_point(
         x_opt = centralized_proxgrad(instance, alpha)
     x_star = np.tile(x_opt, (instance.n, 1))
     w_star = x_star - alpha * instance.grad_stack(x_star)
-    u_star = np.linalg.solve(pair.sqrt_b + 1.0 / instance.n,
-                             w_star - w_star.mean(axis=0))
+    try:
+        u_star = np.linalg.solve(pair.sqrt_b + 1.0 / instance.n,
+                                 w_star - w_star.mean(axis=0))
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"fixed point solve failed: {exc}") from exc
 
     z_star = w_star - kron_apply(pair.sqrt_b, u_star)
     r_root = float(np.linalg.norm(kron_apply(pair.sqrt_b, z_star)))
@@ -151,7 +155,7 @@ class CertificateSweep:
             checks.append(("thm2", self.thm2_slack, self.phi))
         bad = []
         for name, slack, scale in checks:
-            # a slack that is not a number (p * p underflowing, say) fails too
+            # a slack that is not a number fails too
             idx = np.flatnonzero(~(slack >= -SLACK_TOL * (1.0 + scale)))
             if idx.size:
                 bad.append((name, int(idx[0])))
@@ -174,8 +178,10 @@ class GridCertificates:
     Each call certifies one GridBlock: Phi, Psi and the three slacks for
     every run and step of the block, read from its state, gradient, adapt
     step w = x - alpha grad and both coin branches, into the block's
-    columns. Each run's columns are bitwise what the single-state references
-    of tests/reference.py give on its states, whatever the block length.
+    columns. A Phi, Psi or lemma-2 right-hand side that is not finite
+    leaves no slack to read, so it raises SolverError naming its step.
+    Each run's columns are bitwise what the single-state references of
+    tests/reference.py give on its states, whatever the block length.
     grad_stack(x*) and the rates are evaluated once, here. Column k of each
     array certifies step k.
     """
@@ -210,6 +216,11 @@ class GridCertificates:
         psi = _sq_rows(grad - self.grad_star) + u_gap
         w = x - self.alpha * grad
         rhs = _sq_rows(w - self.w_star) + (1.0 - pp * self.sigma) * u_gap / pp
+        finite = np.isfinite(phi) & np.isfinite(psi) & np.isfinite(rhs)
+        bad = np.flatnonzero(~finite.all(axis=1))
+        if bad.size:
+            raise SolverError(
+                f"certificate terms overflow float64 at iteration {block.k0 + int(bad[0])}")
         cols = slice(block.k0, block.k0 + len(x))
         self.phi[:, cols], self.psi[:, cols] = phi.T, psi.T
         self.lemma2_slack[:, cols], self.lemma2_rhs[:, cols] = (rhs - expected_phi).T, rhs.T

@@ -7,9 +7,10 @@ Subcommands:
     validate <config>  dry run: parse config, build graph/problem/combiners
 
 Exit codes: 0 success, 1 a --threads worker process that died, 2 unreadable
-or invalid config/dataset, or an unwritable output, 3 divergence or a
-reference solve that does not converge, 4 combiner-assumption or
-certificate falsification, or a LinalgError.
+or invalid config/dataset, or an unwritable output, 3 divergence, a
+reference solve that does not converge or certificate terms that overflow
+float64, 4 combiner-assumption or certificate falsification, or a
+LinalgError.
 """
 
 from __future__ import annotations

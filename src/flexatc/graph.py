@@ -7,7 +7,6 @@ any connected graph.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,59 +26,38 @@ class GraphError(Exception):
 
 @dataclass(eq=False)
 class Topology:
-    """Undirected simple graph given as sorted (i, j) pairs with i < j."""
+    """Undirected simple graph given as sorted (i, j) pairs with i < j, read
+    from one boolean adjacency matrix; so are its degrees and connectivity."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
     degrees: np.ndarray = field(init=False)
+    adjacency: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("need at least one node")
-        seen = set()
-        deg = np.zeros(self.n, dtype=int)
-        canonical = []
+        self.adjacency = adj = np.zeros((self.n, self.n), dtype=bool)
         for i, j in self.edges:
             if i == j:
                 raise GraphError(f"self-loop at node {i}")
             if not (0 <= i < self.n and 0 <= j < self.n):
                 raise GraphError(f"edge ({i},{j}) out of range")
-            e = (min(i, j), max(i, j))
-            if e in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
-            canonical.append(e)
-            deg[i] += 1
-            deg[j] += 1
-        self.edges = tuple(sorted(canonical))
-        self.degrees = deg
-        if not self._connected():
+            if adj[i, j]:
+                raise GraphError(f"duplicate edge {(min(i, j), max(i, j))}")
+            adj[i, j] = adj[j, i] = True
+        self.edges = _pairs(*np.nonzero(np.triu(adj)))
+        self.degrees = adj.sum(axis=1)
+        seen = frontier = np.arange(self.n) == 0
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen = seen | frontier
+        if not seen.all():
             raise GraphError("graph is not connected")
 
-    def _connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            i = queue.popleft()
-            for j in adj[i]:
-                if j not in seen:
-                    seen.add(j)
-                    queue.append(j)
-        return len(seen) == self.n
 
-
-def _ring_edges(n: int) -> list[tuple[int, int]]:
-    if n == 1:
-        return []
-    if n == 2:
-        return [(0, 1)]
-    return [(i, (i + 1) % n) for i in range(n)]
+def _pairs(i: np.ndarray, j: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(zip(i.tolist(), j.tolist()))
 
 
 def gen_topology(kind: str, n: int, seed: int = 0, q: float | None = None) -> Topology:
@@ -91,25 +69,25 @@ def gen_topology(kind: str, n: int, seed: int = 0, q: float | None = None) -> To
     if n < 1:
         raise GraphError("need at least one node")
     if kind == "ring":
-        return Topology(n, tuple(_ring_edges(n)))
+        # n = 1 has no edge and n = 2 one, not the same edge twice
+        i = np.arange(n if n > 2 else n - 1)
+        return Topology(n, _pairs(i, (i + 1) % n))
     if kind == "complete":
-        return Topology(n, tuple((i, j) for i in range(n) for j in range(i + 1, n)))
-    if kind == "erdos_renyi":
-        if q is None or not (0.0 < q <= 1.0):
-            raise GraphError(f"erdos_renyi requires edge probability q in (0, 1], got {q}")
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for attempt in range(RESAMPLE_CAP):
-            rng = np.random.default_rng(seed + attempt)
-            draws = rng.random(len(pairs))
-            edges = tuple(e for e, r in zip(pairs, draws) if r < q)
-            try:
-                return Topology(n, edges)
-            except GraphError:
-                continue
-        raise GraphError(
-            f"no connected graph after {RESAMPLE_CAP} resamples; q={q} too small for n={n}"
-        )
-    raise GraphError(f"unknown topology kind {kind!r}")
+        return Topology(n, _pairs(*np.triu_indices(n, 1)))
+    if kind != "erdos_renyi":
+        raise GraphError(f"unknown topology kind {kind!r}")
+    if q is None or not (0.0 < q <= 1.0):
+        raise GraphError(f"erdos_renyi requires edge probability q in (0, 1], got {q}")
+    i, j = np.triu_indices(n, 1)
+    for attempt in range(RESAMPLE_CAP):
+        keep = np.random.default_rng(seed + attempt).random(i.size) < q
+        try:
+            return Topology(n, _pairs(i[keep], j[keep]))
+        except GraphError:
+            continue
+    raise GraphError(
+        f"no connected graph after {RESAMPLE_CAP} resamples; q={q} too small for n={n}"
+    )
 
 
 @dataclass(eq=False)
@@ -149,18 +127,15 @@ def _make_mixing(w: np.ndarray) -> MixingMatrix:
 
 def metropolis_weights(t: Topology) -> MixingMatrix:
     """Metropolis-Hastings weights: W_ij = 1 / (1 + max(deg_i, deg_j))."""
-    n = t.n
-    a = np.zeros((n, n))
-    for i, j in t.edges:
-        a[i, j] = a[j, i] = 1.0 / (1.0 + max(t.degrees[i], t.degrees[j]))
+    deg = t.degrees
+    a = np.where(t.adjacency, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(a, 1.0 - a.sum(axis=1))
     return _make_mixing(a)
 
 
 def lazify(w: MixingMatrix) -> MixingMatrix:
     """Half-lazy walk (I + W) / 2; maps the spectrum into [0, 1]."""
-    n = w.n
-    return _make_mixing(0.5 * (np.eye(n) + w.w))
+    return _make_mixing(0.5 * (np.eye(w.n) + w.w))
 
 
 def topology_to_edgelist(t: Topology) -> str:

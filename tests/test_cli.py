@@ -98,6 +98,26 @@ svg = z.svg
 """
 
 
+# A 5-ring quadratic that validate passes; the numerical-failure tests each
+# add one setting to it.
+FIVE_RING = """
+[graph]
+kind = ring
+n = 5
+
+[problem]
+type = quadratic
+d = 2
+
+[run]
+iterations = 50
+
+[outputs]
+csv = five.csv
+svg = five.svg
+"""
+
+
 def write_config(tmp_path, text, name="conf.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -399,6 +419,18 @@ class TestRunCommand:
         assert capsys.readouterr().err == (
             "error: rhs lies outside range(b): null-space residual 1.000e-03\n")
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    def test_singular_fixed_point_solve_exits_4(self, tmp_path, capsys, command):
+        # sqrt(B) underflows to zero next to 11^T/n, so the fixed point's
+        # linear solve is singular
+        conf = write_config(tmp_path, FIVE_RING + "\n[combiner]\nvariants = nids:c=1e-300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["validate", conf]) == cli.EXIT_OK
+            capsys.readouterr()
+            assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_FALSIFIED
+        assert capsys.readouterr().err == "error: fixed point solve failed: Singular matrix\n"
+
     @pytest.mark.parametrize("output", ["csv", "svg", "topology", "parent"])
     def test_unwritable_output_exits_2_naming_it(self, tmp_path, capsys, output):
         # an existing directory where the output goes, or a file where its
@@ -686,6 +718,25 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: run.p_list ")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("setting", [
+        pytest.param("init = random\ninit_scale = 1e200\np_list = 1, 0.5", id="huge-start"),
+        pytest.param("p_list = 1.5e-154, 1", id="tiny-p"),
+    ])
+    def test_overflowing_certificate_terms_exit_3(self, tmp_path, capsys, setting, threads):
+        # Phi overflows float64 at step 0: ||x0 - x*||^2 near 1e400, or
+        # ||u - u*||^2 / p^2 with p^2 near 2e-308; no slack can be read
+        conf = write_config(tmp_path, FIVE_RING.replace("[run]\n", f"[run]\n{setting}\n"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["validate", conf]) == cli.EXIT_OK
+            capsys.readouterr()
+            code = cli.main(["check", conf, "--out-dir", str(tmp_path), "--threads", str(threads)])
+        assert code == cli.EXIT_DIVERGENCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: certificate terms overflow float64 at iteration 0\n"
 
     @pytest.mark.parametrize("command", ["run", "check"])
     def test_ring300_certificates_hold(self, tmp_path, capsys, command):
