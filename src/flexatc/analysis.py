@@ -64,8 +64,8 @@ def fixed_point(
     alpha: float,
     x_opt: np.ndarray | None = None,
 ) -> FixedPoint:
-    """Solve the consensus problem with centralized_proxgrad and lift it to
-    (x*, w*, u*_b).
+    """Solve the consensus problem with centralized_proxgrad at 1/L, since x*
+    does not depend on alpha, and lift it to (x*, w*, u*_b) at alpha.
 
     u*_b, the minimum-norm solution of B u = sqrt(B) w*, is one linear solve,
     (sqrt(B) + 11^T/n) u = w* - mean(w*), as null(B) = span(1) exactly.
@@ -76,7 +76,7 @@ def fixed_point(
     tolerance).
     """
     if x_opt is None:
-        x_opt = centralized_proxgrad(instance, alpha)
+        x_opt = centralized_proxgrad(instance, 1.0 / instance.L)
     x_star = np.tile(x_opt, (instance.n, 1))
     w_star = x_star - alpha * instance.grad_stack(x_star)
     try:

@@ -193,13 +193,13 @@ def _output_path(path_str: str, out_dir: str | None) -> Path:
 def _prepare(cfg: ExperimentConfig,
              checks: bool) -> tuple[graph.Topology, graph.MixingMatrix, Grid]:
     """The shared build: network, problem and stepsize, combiner pairs, then
-    the reference solve, one fixed point per pair and the grid of runs."""
+    the reference solve at 1/L, one fixed point per pair and the grid of runs."""
     topo, mixing = build_network(cfg)
     instance, alpha = build_problem(cfg)
-    pairs = [combiners.preset(v, mixing) for v in cfg.variants]
+    pairs = [combiners.preset(v, mixing) for v in cfg.combiner.variants]
     # a variant is named as preset normalises it: "nids" is "nids:c=0.5"
     check_unique([pair.variant for pair in pairs], "combiner.variants")
-    x_opt = solver.centralized_proxgrad(instance, alpha)
+    x_opt = solver.centralized_proxgrad(instance, 1.0 / instance.L)
     fps = {pair.variant: analysis.fixed_point(instance, pair, alpha, x_opt=x_opt)
            for pair in pairs}
     x0 = None
@@ -285,7 +285,7 @@ def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
           f"L={instance.L:.6g} mu={instance.mu:.6g} kappa={kappa:.6g} alpha={alpha:.6g}")
     status = EXIT_OK
     names = []
-    for variant in cfg.variants:
+    for variant in cfg.combiner.variants:
         try:
             pair = combiners.preset(variant, mixing)
         except combiners.CombinerError as exc:

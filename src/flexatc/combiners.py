@@ -14,8 +14,9 @@ structural assumptions (row sums, B >= 0, null(B) = span(1),
 I - A^2 - B >= 0) are checked on those scalars. validate() is the
 independent dense audit of a built pair.
 
-The multi-gossip and gradient-tracking presets require a PSD mixing matrix
-(lazify first).
+A config string is "name" or "name:key=value". preset checks the name, then
+the parameter, then the PSD mixing matrix that the multi-gossip and
+gradient-tracking presets require (lazify first), then the value.
 """
 
 from __future__ import annotations
@@ -76,20 +77,19 @@ class CombinerPair:
 
 
 def parse_variant(text: str) -> tuple[str, dict[str, float]]:
-    """Split a config string like "nids:c=0.5" into name and parameters."""
+    """Split a config string "name" or "name:key=value", like "nids:c=0.5",
+    into the name and its parameter."""
     name, _, rest = text.strip().partition(":")
-    name = name.strip()
     params: dict[str, float] = {}
     if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            if not val:
-                raise CombinerError(f"malformed combiner parameter {item!r} in {text!r}")
-            try:
-                params[key.strip()] = float(val)
-            except ValueError as exc:
-                raise CombinerError(f"non-numeric combiner parameter in {text!r}") from exc
-    return name, params
+        key, _, val = rest.partition("=")
+        if not val:
+            raise CombinerError(f"malformed combiner parameter {rest!r} in {text!r}")
+        try:
+            params[key.strip()] = float(val)
+        except ValueError as exc:
+            raise CombinerError(f"non-numeric combiner parameter in {text!r}") from exc
+    return name.strip(), params
 
 
 def validate(pair: CombinerPair) -> ValidationReport:
@@ -175,21 +175,25 @@ def _build(w: MixingMatrix, variant: str, comm_rounds: int, f, g) -> CombinerPai
     )
 
 
-def _require_psd(w: MixingMatrix, variant: str) -> None:
-    if not w.psd:
-        raise CombinerError(
-            f"combiner {variant!r} requires a PSD mixing matrix; apply lazify first"
-        )
+# The one parameter each preset takes, if any
+_PARAMETER = {"nids": "c", "mg_ed": "N", "mg_sonata": "N", "ed": None, "atc_gt": None}
+_PSD_ONLY = ("mg_ed", "atc_gt", "mg_sonata")
 
 
 def preset(variant: str, w: MixingMatrix) -> CombinerPair:
     """Build a named combiner pair from a config string (see module doc)."""
     name, params = parse_variant(variant)
+    if name not in _PARAMETER:
+        raise CombinerError(f"unknown combiner variant {name!r}")
+    if set(params) - {_PARAMETER[name]}:
+        raise CombinerError(f"unknown parameters {sorted(params)} for {name}")
+    if name in _PSD_ONLY and not w.psd:
+        raise CombinerError(
+            f"combiner {name!r} requires a PSD mixing matrix; apply lazify first"
+        )
 
     if name in ("nids", "ed"):
-        c = params.pop("c", 0.5) if name == "nids" else 0.5
-        if params:
-            raise CombinerError(f"unknown parameters {sorted(params)} for {name}")
+        c = params.get("c", 0.5)
         if not (0.0 < c <= 0.5):
             raise CombinerError(f"nids requires c in (0, 1/2], got {c}")
         # ed is nids at c = 1/2, built from the same expressions so the two
@@ -197,24 +201,15 @@ def preset(variant: str, w: MixingMatrix) -> CombinerPair:
         label = f"nids:c={c:g}" if name == "nids" else "ed"
         return _build(w, label, 1, lambda lam: 1.0 - c * (1.0 - lam), lambda lam: c * (1.0 - lam))
 
-    if name in ("mg_ed", "mg_sonata"):
-        _require_psd(w, name)
-        rounds = params.pop("N", None)
-        if params:
-            raise CombinerError(f"unknown parameters {sorted(params)} for {name}")
-        if rounds is None or not 1 <= rounds < np.inf or rounds != int(rounds):
-            raise CombinerError(f"{name} requires an integer N >= 1, got {rounds}")
-        k = int(rounds)
-        if name == "mg_ed":
-            return _build(w, f"mg_ed:N={k}", k,
-                          lambda lam: 0.5 * (1.0 + lam**k), lambda lam: 0.5 * (1.0 - lam**k))
-        return _build(w, f"mg_sonata:N={k}", 2 * k,
-                      lambda lam: lam ** (2 * k), lambda lam: (1.0 - lam**k) ** 2)
-
     if name == "atc_gt":
-        if params:
-            raise CombinerError(f"unknown parameters {sorted(params)} for atc_gt")
-        _require_psd(w, name)
         return _build(w, "atc_gt", 2, lambda lam: lam * lam, lambda lam: (1.0 - lam) ** 2)
 
-    raise CombinerError(f"unknown combiner variant {name!r}")
+    rounds = params.get("N")
+    if rounds is None or not 1 <= rounds < np.inf or rounds != int(rounds):
+        raise CombinerError(f"{name} requires an integer N >= 1, got {rounds}")
+    k = int(rounds)
+    if name == "mg_ed":
+        return _build(w, f"mg_ed:N={k}", k,
+                      lambda lam: 0.5 * (1.0 + lam**k), lambda lam: 0.5 * (1.0 - lam**k))
+    return _build(w, f"mg_sonata:N={k}", 2 * k,
+                  lambda lam: lam ** (2 * k), lambda lam: (1.0 - lam**k) ** 2)

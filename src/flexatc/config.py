@@ -60,6 +60,11 @@ class MixingConfig:
 
 
 @dataclass(eq=False)
+class CombinerConfig:
+    variants: tuple[str, ...] = ("ed",)
+
+
+@dataclass(eq=False)
 class ProblemConfig:
     type: str = "quadratic"
     # quadratic knobs
@@ -103,7 +108,7 @@ class OutputConfig:
 class ExperimentConfig:
     graph: GraphConfig = field(default_factory=GraphConfig)
     mixing: MixingConfig = field(default_factory=MixingConfig)
-    variants: tuple[str, ...] = ("ed",)
+    combiner: CombinerConfig = field(default_factory=CombinerConfig)
     problem: ProblemConfig = field(default_factory=ProblemConfig)
     run: RunConfig = field(default_factory=RunConfig)
     outputs: OutputConfig = field(default_factory=OutputConfig)
@@ -160,9 +165,10 @@ _CONVERTERS = {
     "bool": _parse_bool,
     "tuple[float, ...]": lambda raw, key: _parse_list(raw, key, _parse_float),
     "tuple[int, ...]": lambda raw, key: _parse_list(raw, key, _parse_int),
+    "tuple[str, ...]": lambda raw, key: _parse_list(raw, key, lambda s, _k: s),
 }
 _SECTIONS = {"graph": GraphConfig, "mixing": MixingConfig, "problem": ProblemConfig,
-             "run": RunConfig, "outputs": OutputConfig}
+             "run": RunConfig, "outputs": OutputConfig, "combiner": CombinerConfig}
 
 
 def check_seed(seed: int, key: str) -> None:
@@ -184,7 +190,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
     keys = {name: {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()}
-    keys["combiner"] = {"variants"}
     for section in parser.sections():
         if section not in keys:
             raise ConfigError(f"unknown section [{section}]")
@@ -200,9 +205,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 f.name: _CONVERTERS[f.type](values[f.name], f"{section}.{f.name}")
                 for f in fields(cls) if f.name in values
             }))
-    if parser.has_section("combiner"):
-        raw = parser["combiner"].get("variants", "")
-        cfg.variants = _parse_list(raw, "combiner.variants", lambda s, _k: s)
     if cfg.graph.kind not in ("ring", "complete", "erdos_renyi"):
         raise ConfigError(f"graph.kind must be ring|complete|erdos_renyi, got {cfg.graph.kind!r}")
     if cfg.problem.type not in ("quadratic", "logistic"):

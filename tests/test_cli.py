@@ -118,6 +118,26 @@ svg = five.svg
 """
 
 
+# Quadratics that validate passes at any stepsize in (0, 2/L); the stepsize
+# tests append run.alpha. The 4-ring has L = 1 and mu = 0.1, the 3-ring
+# L = 1 and mu = 0.5.
+FOUR_RING = """
+[graph]
+kind = ring
+n = 4
+
+[problem]
+type = quadratic
+d = 3
+target_seed = 1
+curvature_min = 0.1
+
+[run]
+iterations = 50
+"""
+THREE_RING = "[graph]\nkind = ring\nn = 3\n[problem]\ncurvature_min = 0.5\n[run]\niterations = 50\n"
+
+
 def write_config(tmp_path, text, name="conf.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -134,7 +154,7 @@ class TestConfigParsing:
     def test_full_round(self):
         cfg = parse_config(GRID)
         assert cfg.graph.n == 6
-        assert cfg.variants == ("ed", "nids:c=0.4")
+        assert cfg.combiner.variants == ("ed", "nids:c=0.4")
         assert cfg.run.p_list == (1.0, 0.5)
         assert cfg.problem.prox_weight == 0.01
         assert cfg.outputs.checks is True
@@ -175,6 +195,10 @@ class TestConfigParsing:
         assert cfg.resolve_alpha(4.0) == 0.25
         with pytest.raises(ConfigError):
             parse_config("[run]\nalpha = fast\n").resolve_alpha(1.0)
+
+    def test_empty_combiner_variants_rejected(self):
+        with pytest.raises(ConfigError, match="^combiner.variants: list must not be empty$"):
+            parse_config("[combiner]\nvariants =\n")
 
     def test_dimension_must_be_positive(self):
         with pytest.raises(ConfigError, match="problem.d must be >= 1, got 0"):
@@ -537,6 +561,30 @@ class TestRunCommand:
                                       "[problem]\nd = 2\n[run]\nalpha = 5\n")
         assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
         assert "error: alpha=5 outside (0, 2/L)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, rel_err", [
+        # a reference solve stepping at run.alpha stopped at once on x* = 0,
+        # or did not converge within its 500,000 steps
+        (FOUR_RING + "alpha = 1e-320\n", "1.000e+00"),
+        (FOUR_RING + "alpha = 1e-9\n", "1.000e+00"),
+        # just below 2/L, where proximal gradient at run.alpha does not contract
+        (THREE_RING + "alpha = 1.9999999\n", "5.584e-01"),
+    ], ids=["1e-320", "1e-9", "1.9999999"])
+    def test_reference_steps_at_one_over_l_whatever_alpha(self, tmp_path, capsys, config,
+                                                          rel_err):
+        conf = write_config(tmp_path, config)
+        for command in ("validate", "run", "check"):
+            assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            if command == "run":
+                assert f"final rel_err={rel_err} comms=50 iters_to_1e-06=-1 " in captured.out
+
+    def test_combiner_section_without_variants_runs_ed(self, tmp_path, capsys):
+        # a key left out keeps its default, in [combiner] as in every section
+        conf = write_config(tmp_path, FIVE_RING + "\n[combiner]\n")
+        assert cli.main(["run", conf, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        assert "\ned|p=1|seed=1: final rel_err=" in capsys.readouterr().out
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     @pytest.mark.parametrize("command", ["run", "check", "validate"])

@@ -78,26 +78,30 @@ class TestPresets:
         assert np.allclose(pair.a, w2 @ w2, atol=1e-14)
         assert np.allclose(pair.b, (np.eye(4) - w2) @ (np.eye(4) - w2), atol=1e-14)
 
-    def test_psd_prerequisite_enforced(self, ring4):
-        # ring(4) Metropolis has a -1/3 eigenvalue, so multi-gossip presets
-        # must demand lazification
-        for variant in ("mg_ed:N=2", "atc_gt", "mg_sonata:N=1"):
-            with pytest.raises(CombinerError, match="PSD"):
-                preset(variant, ring4)
-
-    def test_nids_rejects_bad_c(self, ring4):
-        with pytest.raises(CombinerError, match="c in"):
-            preset("nids:c=0.9", ring4)
-        with pytest.raises(CombinerError, match="c in"):
-            preset("nids:c=0", ring4)
-
-    def test_unknown_variant_and_params(self, ring4):
-        with pytest.raises(CombinerError, match="unknown combiner"):
-            preset("extra", ring4)
-        with pytest.raises(CombinerError, match="unknown parameters"):
-            preset("ed:N=2", ring4)
-        with pytest.raises(CombinerError, match="integer N"):
-            preset("mg_ed:N=0.5", fa.lazify(ring4))
+    # ring(4) Metropolis has a -1/3 eigenvalue, so it is the non-PSD W, and
+    # its lazified form the PSD one. preset checks the name, then the
+    # parameter, then the PSD need, then the value: each row has one fault,
+    # but the last, whose foreign parameter is named before the PSD need.
+    @pytest.mark.parametrize("variant, lazified, message", [
+        ("extra", True, "unknown combiner variant 'extra'"),
+        ("ed:N=2", True, "unknown parameters ['N'] for ed"),
+        ("nids:N=2", True, "unknown parameters ['N'] for nids"),
+        ("atc_gt:c=0.3", True, "unknown parameters ['c'] for atc_gt"),
+        ("mg_ed:c=0.3", True, "unknown parameters ['c'] for mg_ed"),
+        ("mg_sonata:c=0.3", True, "unknown parameters ['c'] for mg_sonata"),
+        ("mg_ed:N=2", False, "combiner 'mg_ed' requires a PSD mixing matrix; apply lazify first"),
+        ("atc_gt", False, "combiner 'atc_gt' requires a PSD mixing matrix; apply lazify first"),
+        ("mg_sonata:N=1", False,
+         "combiner 'mg_sonata' requires a PSD mixing matrix; apply lazify first"),
+        ("nids:c=0.9", True, "nids requires c in (0, 1/2], got 0.9"),
+        ("nids:c=0", False, "nids requires c in (0, 1/2], got 0.0"),
+        ("mg_ed:N=0.5", True, "mg_ed requires an integer N >= 1, got 0.5"),
+        ("mg_ed:x=1", False, "unknown parameters ['x'] for mg_ed"),
+    ])
+    def test_rejects_naming_the_first_fault(self, ring4, variant, lazified, message):
+        with pytest.raises(CombinerError) as exc:
+            preset(variant, fa.lazify(ring4) if lazified else ring4)
+        assert str(exc.value) == message
 
 
 class TestValidate:
@@ -240,7 +244,14 @@ class TestParseVariant:
         assert parse_variant("mg_sonata:N=2") == ("mg_sonata", {"N": 2.0})
 
     def test_malformed(self):
-        with pytest.raises(CombinerError):
+        with pytest.raises(CombinerError, match="^malformed combiner parameter 'c' in 'nids:c'$"):
             parse_variant("nids:c")
-        with pytest.raises(CombinerError):
+        with pytest.raises(CombinerError, match="^non-numeric combiner parameter in 'nids:c=abc'$"):
             parse_variant("nids:c=abc")
+
+    def test_takes_at_most_one_parameter(self):
+        # the config splits variants on commas, so no variant holds a second
+        # parameter; here it is part of the first one's value
+        with pytest.raises(CombinerError,
+                           match="^non-numeric combiner parameter in 'nids:c=0.5,c=0.3'$"):
+            parse_variant("nids:c=0.5,c=0.3")
