@@ -508,6 +508,14 @@ def quadratic_instance(
     return quadratic_from_targets(targets, np.tile(h, (n, 1)), prox)
 
 
+def _zeros_stack(*shape: int) -> np.ndarray:
+    """np.zeros(shape); a shape that cannot be allocated is a ProblemError."""
+    try:
+        return np.zeros(shape)
+    except (MemoryError, ValueError) as exc:
+        raise ProblemError(f"cannot allocate the feature stack of shape {shape}") from exc
+
+
 def _stack_instance(blocks, m: int, n: int, partition_seed: int, ridge: float,
                     prox: ProxSpec | None, d: int = 0) -> ProblemInstance:
     """Logistic agents on the seeded split of the first m samples that blocks
@@ -527,10 +535,10 @@ def _stack_instance(blocks, m: int, n: int, partition_seed: int, ridge: float,
         agent[rows] = i
         column[rows] = np.arange(rows.size)
     del chunks, rows  # slices of the split's permutation, which the scatter does not need
-    signed = np.zeros((n, d, sizes.max()))
+    signed = _zeros_stack(n, d, int(sizes.max()))
     for first, labels, counts, indices, values in blocks:
         if indices.size and indices.max() >= signed.shape[1]:
-            grown = np.zeros((n, int(indices.max()) + 1, signed.shape[2]))
+            grown = _zeros_stack(n, int(indices.max()) + 1, signed.shape[2])
             grown[:, :signed.shape[1]] = signed
             signed = grown
         keep = min(labels.size, max(m - first, 0))
