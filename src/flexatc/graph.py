@@ -37,13 +37,15 @@ class Topology:
     def __post_init__(self):
         if self.n < 1:
             raise GraphError("need at least one node")
-        i, j = np.asarray(self.edges, dtype=int).reshape(-1, 2).T
         self.adjacency = adj = np.zeros((self.n, self.n), dtype=bool)
-        bad = (i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= self.n)
-        if not bad.any():
+        for i, j in self.edges:
+            if i == j:
+                raise GraphError(f"self-loop at node {i}")
+            if not (0 <= i < self.n and 0 <= j < self.n):
+                raise GraphError(f"edge ({i},{j}) out of range")
+            if adj[i, j]:
+                raise GraphError(f"duplicate edge {(min(i, j), max(i, j))}")
             adj[i, j] = adj[j, i] = True
-        if bad.any() or adj.sum() != 2 * i.size:
-            raise GraphError(_first_fault(i, j, self.n))
         self.edges = _pairs(*np.nonzero(np.triu(adj)))
         self.degrees = adj.sum(axis=1)
         seen = frontier = np.arange(self.n) == 0
@@ -52,21 +54,6 @@ class Topology:
             seen = seen | frontier
         if not seen.all():
             raise GraphError("graph is not connected")
-
-
-def _first_fault(i: np.ndarray, j: np.ndarray, n: int) -> str:
-    """The fault of the first bad edge (i[k], j[k]) in input order: a
-    self-loop, then an end out of range, then a repeat of an edge before it."""
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    outside = (lo < 0) | (hi >= n)
-    _, first, key = np.unique(np.where(outside, -1, lo * n + hi),
-                              return_index=True, return_inverse=True)
-    k = int(((i == j) | outside | (first[key] < np.arange(key.size))).argmax())
-    if i[k] == j[k]:
-        return f"self-loop at node {i[k]}"
-    if outside[k]:
-        return f"edge ({i[k]},{j[k]}) out of range"
-    return f"duplicate edge {(int(lo[k]), int(hi[k]))}"
 
 
 def _pairs(i: np.ndarray, j: np.ndarray) -> tuple[tuple[int, int], ...]:

@@ -508,14 +508,6 @@ def quadratic_instance(
     return quadratic_from_targets(targets, np.tile(h, (n, 1)), prox)
 
 
-def _zeros_stack(*shape: int) -> np.ndarray:
-    """np.zeros(shape); a shape that cannot be allocated is a ProblemError."""
-    try:
-        return np.zeros(shape)
-    except (MemoryError, ValueError) as exc:
-        raise ProblemError(f"cannot allocate the feature stack of shape {shape}") from exc
-
-
 def _stack_instance(blocks, m: int, n: int, partition_seed: int, ridge: float,
                     prox: ProxSpec | None, d: int = 0) -> ProblemInstance:
     """Logistic agents on the seeded split of the first m samples that blocks
@@ -535,22 +527,29 @@ def _stack_instance(blocks, m: int, n: int, partition_seed: int, ridge: float,
         agent[rows] = i
         column[rows] = np.arange(rows.size)
     del chunks, rows  # slices of the split's permutation, which the scatter does not need
-    signed = _zeros_stack(n, d, int(sizes.max()))
-    for first, labels, counts, indices, values in blocks:
-        if indices.size and indices.max() >= signed.shape[1]:
-            grown = _zeros_stack(n, int(indices.max()) + 1, signed.shape[2])
-            grown[:, :signed.shape[1]] = signed
-            signed = grown
-        keep = min(labels.size, max(m - first, 0))
-        stop = counts[:keep].sum()
-        kept = slice(first, first + keep)
-        signed[np.repeat(agent[kept], counts[:keep]), indices[:stop],
-               np.repeat(column[kept], counts[:keep])] = (
-            values[:stop] * np.repeat(labels[:keep], counts[:keep]))
-    lmax = []
-    for i in range(n):
-        block = np.ascontiguousarray(signed[i, :, :sizes[i]].T)
-        lmax.append(_power_iteration_lmax(block.T @ block / (4.0 * sizes[i])))
+    width = d
+    try:
+        signed = np.zeros((n, width, sizes.max()))
+        for first, labels, counts, indices, values in blocks:
+            if indices.size and indices.max() >= width:
+                width = int(indices.max()) + 1
+                grown = np.zeros((n, width, signed.shape[2]))
+                grown[:, :signed.shape[1]] = signed
+                signed = grown
+            keep = min(labels.size, max(m - first, 0))
+            stop = counts[:keep].sum()
+            kept = slice(first, first + keep)
+            signed[np.repeat(agent[kept], counts[:keep]), indices[:stop],
+                   np.repeat(column[kept], counts[:keep])] = (
+                values[:stop] * np.repeat(labels[:keep], counts[:keep]))
+        lmax = []
+        for i in range(n):
+            block = np.ascontiguousarray(signed[i, :, :sizes[i]].T)
+            lmax.append(_power_iteration_lmax(block.T @ block / (4.0 * sizes[i])))
+    except (MemoryError, ValueError) as exc:  # numpy's refusal of a shape
+        shape = (n, width, int(sizes.max()))
+        raise ProblemError(f"cannot allocate the feature stack of shape {shape} "
+                           "and its Gram matrices") from exc
     real = np.arange(sizes.max()) < sizes[:, None]
     return ProblemInstance(_LogisticStack(signed, real, sizes, ridge), prox or ProxSpec(),
                            max(lmax) + ridge, ridge)

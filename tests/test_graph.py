@@ -88,22 +88,6 @@ class TestTopology:
             Topology(n, edges)
         assert str(exc.value) == message
 
-    def test_names_bad_edges_in_input_order(self):
-        # each fault is named in turn once the one before it is dropped; a
-        # self-loop outside the range is a self-loop, and (9, 3) is out of
-        # range, not a repeat of (3, 9)
-        edges = [(0, 1), (1, 2), (3, 9), (9, 3), (5, 5), (2, 1), (1, 0), (2, 3)]
-        for edge, message in [((3, 9), "edge (3,9) out of range"),
-                              ((9, 3), "edge (9,3) out of range"),
-                              ((5, 5), "self-loop at node 5"),
-                              ((2, 1), "duplicate edge (1, 2)"),
-                              ((1, 0), "duplicate edge (0, 1)")]:
-            with pytest.raises(GraphError) as exc:
-                Topology(4, tuple(edges))
-            assert str(exc.value) == message
-            edges.remove(edge)
-        assert Topology(4, tuple(edges)).edges == ((0, 1), (1, 2), (2, 3))
-
 
 class TestMetropolis:
     def test_complete3_rank_one(self, complete3):

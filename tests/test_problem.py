@@ -394,6 +394,18 @@ class TestReadLogistic:
         with pytest.raises(IsADirectoryError):
             read_logistic(tmp_path, 2, 0, 0.1)
 
+    def test_unallocatable_gram_is_a_problem_error(self, tmp_path, monkeypatch):
+        # the stack holds, and the Gram step's refusal, which a real file
+        # shows only with an index near 10^6, is reported as the stack's
+        def refuse(gram):
+            raise MemoryError
+        monkeypatch.setattr(problem, "_power_iteration_lmax", refuse)
+        path = tmp_path / "data.libsvm"
+        path.write_text("+1 1:0.5\n-1 2:0.25\n+1 3:1\n")
+        with pytest.raises(ProblemError, match=r"^cannot allocate the feature stack of shape "
+                                               r"\(3, 3, 1\) and its Gram matrices$"):
+            read_logistic(path, 3, 0, 0.1)
+
     def test_peak_memory_is_near_the_stack(self, tmp_path):
         # the 49,950 x 22 replica size over 50 agents in the default blocks:
         # the dataset path holds the CSR arrays as well, about 3.4 stacks
