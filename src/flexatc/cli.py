@@ -7,9 +7,10 @@ Subcommands:
     validate <config>  dry run: parse config, build graph/problem/combiners
 
 Exit codes: 0 success, 1 a --threads worker process that died, 2 unreadable
-or invalid config/dataset, or an unwritable output, 3 divergence, a
-reference solve that does not converge or certificate terms that overflow
-float64, 4 combiner-assumption or certificate falsification, or a
+or invalid config/dataset (an invalid combiner variant too), an array numpy
+cannot allocate, or an unwritable output, 3 divergence, a reference solve
+that does not converge or certificate terms that overflow float64, 4 a
+falsified certificate, a pair that fails validate's dense audit, or a
 LinalgError.
 """
 
@@ -41,31 +42,35 @@ CSV_COLUMNS = (
 )
 
 
-def build_network(cfg: ExperimentConfig) -> tuple[graph.Topology, graph.MixingMatrix]:
-    g = cfg.graph
+def build(cfg: ExperimentConfig) -> tuple[graph.Topology, graph.MixingMatrix,
+                                          problem.ProblemInstance, float,
+                                          list[combiners.CombinerPair]]:
+    """What every command builds, in one order: the network, the problem and
+    the stepsize run.alpha resolves to on it, then the combiner pairs."""
+    g, p = cfg.graph, cfg.problem
     topo = graph.gen_topology(g.kind, g.n, g.seed, g.q)
     mixing = graph.metropolis_weights(topo)
-    return topo, graph.lazify(mixing) if cfg.mixing.lazify else mixing
-
-
-def build_problem(cfg: ExperimentConfig) -> tuple[problem.ProblemInstance, float]:
-    """The problem instance and the stepsize run.alpha resolves to on it."""
-    p = cfg.problem
+    if cfg.mixing.lazify:
+        mixing = graph.lazify(mixing)
     prox = problem.ProxSpec(p.prox, p.prox_weight)
     if p.type == "quadratic":
         instance = problem.quadratic_instance(
-            cfg.graph.n, p.d, p.target_seed,
+            g.n, p.d, p.target_seed,
             curvature_min=p.curvature_min, curvature_max=p.curvature_max,
             prox=prox, target_scale=p.target_scale,
             target_offset_scale=p.target_offset_scale,
         )
     else:
         try:
-            instance = problem.read_logistic(p.data, cfg.graph.n, p.partition_seed, p.ridge,
+            instance = problem.read_logistic(p.data, g.n, p.partition_seed, p.ridge,
                                              prox, p.max_samples or None)
         except OSError as exc:
             raise ConfigError(f"cannot read dataset {p.data}: {exc}") from exc
-    return instance, cfg.resolve_alpha(instance.L)
+    alpha = cfg.resolve_alpha(instance.L)
+    pairs = [combiners.preset(v, mixing) for v in cfg.combiner.variants]
+    # a variant is named as preset normalises it: "nids" is "nids:c=0.5"
+    check_unique([pair.variant for pair in pairs], "combiner.variants")
+    return topo, mixing, instance, alpha, pairs
 
 
 @dataclass(eq=False)
@@ -192,13 +197,9 @@ def _output_path(path_str: str, out_dir: str | None) -> Path:
 
 def _prepare(cfg: ExperimentConfig,
              checks: bool) -> tuple[graph.Topology, graph.MixingMatrix, Grid]:
-    """The shared build: network, problem and stepsize, combiner pairs, then
-    the reference solve at 1/L, one fixed point per pair and the grid of runs."""
-    topo, mixing = build_network(cfg)
-    instance, alpha = build_problem(cfg)
-    pairs = [combiners.preset(v, mixing) for v in cfg.combiner.variants]
-    # a variant is named as preset normalises it: "nids" is "nids:c=0.5"
-    check_unique([pair.variant for pair in pairs], "combiner.variants")
+    """The build, then the reference solve at 1/L, one fixed point per pair
+    and the grid of runs."""
+    topo, mixing, instance, alpha, pairs = build(cfg)
     x_opt = solver.centralized_proxgrad(instance, 1.0 / instance.L)
     fps = {pair.variant: analysis.fixed_point(instance, pair, alpha, x_opt=x_opt)
            for pair in pairs}
@@ -271,28 +272,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
 
 def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
                     export_topology: str | None = None) -> int:
-    topo, mixing = build_network(cfg)
+    """The validate command: the build of run and check, then its report and
+    each pair's dense audit. The topology path resolves before the build, and
+    the file is written only after it."""
+    topo_path = _output_path(export_topology, out_dir) if export_topology else None
+    topo, mixing, instance, alpha, pairs = build(cfg)
     print(f"graph: {cfg.graph.kind} n={topo.n} edges={len(topo.edges)} "
           f"rho={mixing.rho:.6f} psd={mixing.psd}")
-    if export_topology:
-        topo_path = _output_path(export_topology, out_dir)
+    if topo_path:
         with _output(topo_path):
             topo_path.write_text(graph.topology_to_edgelist(topo))
         print(f"topology written to {topo_path}")
-    instance, alpha = build_problem(cfg)
     kappa = instance.L / instance.mu if instance.mu > 0.0 else math.inf
     print(f"problem: {cfg.problem.type} n={instance.n} d={instance.d} "
           f"L={instance.L:.6g} mu={instance.mu:.6g} kappa={kappa:.6g} alpha={alpha:.6g}")
     status = EXIT_OK
-    names = []
-    for variant in cfg.combiner.variants:
-        try:
-            pair = combiners.preset(variant, mixing)
-        except combiners.CombinerError as exc:
-            print(f"{variant}: INVALID\n{exc}", file=sys.stderr)
-            status = EXIT_FALSIFIED
-            continue
-        names.append(pair.variant)
+    for variant, pair in zip(cfg.combiner.variants, pairs):
         report = combiners.validate(pair)
         if report.ok:
             print(f"{variant}: ok, comm_rounds={pair.comm_rounds} sigma_m={pair.sigma_m_b:.6g}")
@@ -302,7 +297,6 @@ def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
             status = EXIT_FALSIFIED
         for line in str(report).splitlines():
             print(f"  {line}")
-    check_unique(names, "combiner.variants")
     return status
 
 
@@ -331,13 +325,15 @@ def main(argv=None) -> int:
             check_seed(args.seed_override, "--seed-override")
             cfg.run.seeds = (args.seed_override,)
         return run_experiment(cfg, args.out_dir, args.threads, check=args.command == "check")
-    except (ConfigError, problem.ParseError, problem.ProblemError, graph.GraphError) as exc:
+    except (ConfigError, problem.ParseError, problem.ProblemError, graph.GraphError,
+            combiners.CombinerError, MemoryError) as exc:
+        # a MemoryError is numpy refusing an array the config asks for
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (solver.DivergenceError, solver.SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (combiners.CombinerError, analysis.CertificateError, linalg.LinalgError) as exc:
+    except (analysis.CertificateError, linalg.LinalgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
     except Exception as exc:

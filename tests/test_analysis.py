@@ -75,9 +75,8 @@ def ring300_atc_gt():
     """The atc_gt pair of configs/ring300.ini, whose smallest nonzero
     eigenvalue of B is about 1e-8, with its instance and stepsize."""
     cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "ring300.ini")
-    _, mixing = cli.build_network(cfg)
-    inst, alpha = cli.build_problem(cfg)
-    return inst, fa.preset("atc_gt", mixing), alpha
+    _, _, inst, alpha, pairs = cli.build(cfg)
+    return inst, pairs[cfg.combiner.variants.index("atc_gt")], alpha
 
 
 class TestFixedPointOnALargeRing:

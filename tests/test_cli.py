@@ -138,6 +138,12 @@ iterations = 50
 THREE_RING = "[graph]\nkind = ring\nn = 3\n[problem]\ncurvature_min = 0.5\n[run]\niterations = 50\n"
 
 
+ROOT = Path(__file__).resolve().parent.parent
+# every shipped config but paper_replica.ini, whose ijcnn1 file is never shipped
+RUNNABLE = sorted(path.name for path in (ROOT / "configs").glob("*.ini")
+                  if path.name != "paper_replica.ini")
+
+
 def write_config(tmp_path, text, name="conf.ini"):
     path = tmp_path / name
     path.write_text(text)
@@ -222,24 +228,57 @@ class TestConfigParsing:
         assert parse_config(f"[outputs]\ncsv = {csv}\nsvg = {svg}.svg\n").outputs.svg
 
     def test_every_shipped_config_parses(self):
-        paths = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.ini"))
+        paths = sorted((ROOT / "configs").glob("*.ini"))
         assert paths
         for path in paths:
             load_config(path)
 
 
+@pytest.mark.parametrize("name", RUNNABLE)
+def test_shipped_config(tmp_path, capsys, monkeypatch, name):
+    """validate, run and check exit 0 with every warning an error (at
+    --threads 2, the suite's filterwarnings) and print nothing to stderr.
+    Each CSV is byte-identical at --threads 1 and 2, a certified run writes
+    check's CSV, and check's summary rows hold every run's three min slacks,
+    none below -SLACK_TOL (ring300's atc_gt has sigma_m(B) near 1e-8)."""
+    monkeypatch.chdir(ROOT)  # logistic_small.ini names its dataset from here
+    conf = f"configs/{name}"
+    cfg = load_config(conf)
+    csv = {}
+    for command, threads in [("validate", None), ("run", "1"), ("run", "2"), ("check", "1"),
+                             ("check", "2")]:
+        argv = [command, conf]
+        if threads:
+            out = tmp_path / command / threads
+            argv += ["--out-dir", str(out), "--threads", threads]
+        with warnings.catch_warnings():
+            # forking the pool from a threaded process warns on Python 3.12+
+            if threads != "2":
+                warnings.simplefilter("error")
+            assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        if threads:
+            csv[command, threads] = (out / cfg.outputs.csv).read_bytes()
+    for command in ("run", "check"):
+        assert csv[command, "1"] == csv[command, "2"]
+    if cfg.outputs.checks:
+        assert csv["run", "1"] == csv["check", "1"]
+    rows = [line.split(",") for line in csv["check", "1"].decode().splitlines()[1:]]
+    mins = [float(cell) for row in rows if row[4] == "-1" for cell in row[-3:]]
+    runs = len(cfg.combiner.variants) * len(cfg.run.p_list) * len(cfg.run.seeds)
+    assert len(mins) == 3 * runs and min(mins) >= -SLACK_TOL
+
+
 class TestRunCommand:
-    def test_shipped_logistic_config_reads_its_file(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    def test_shipped_logistic_config_reads_its_file(self, monkeypatch):
+        # test_shipped_config runs the config; this checks the instance it reads
+        monkeypatch.chdir(ROOT)
         cfg = load_config("configs/logistic_small.ini")
-        inst, _ = cli.build_problem(cfg)
+        inst = cli.build(cfg)[2]
         want = fa.logistic_instance(fa.parse_libsvm(Path(cfg.problem.data).read_bytes()),
                                     cfg.graph.n, cfg.problem.partition_seed, cfg.problem.ridge)
         assert inst.stack.signed.tobytes() == want.stack.signed.tobytes()
         assert (inst.L, inst.mu) == (want.L, want.mu)
-        code = cli.main(["run", "configs/logistic_small.ini", "--out-dir", str(tmp_path)])
-        assert code == cli.EXIT_OK
-        assert (tmp_path / "out" / "logistic_small.csv").exists()
 
     def test_single_node_smoke_converges_fast(self, tmp_path, capsys):
         conf = write_config(tmp_path, SMOKE)
@@ -360,19 +399,15 @@ class TestRunCommand:
                 (tmp_path / "grid.csv").read_text().strip().splitlines()[1:]]
         assert {r[3] for r in rows} == {"9"}
 
-    @pytest.mark.parametrize("config,csv", [(None, "grid.csv"),
-                                            ("configs/logistic_small.ini", "out/logistic_small.csv")],
-                             ids=["grid", "logistic_small"])
-    def test_threads_match_serial(self, tmp_path, capsys, monkeypatch, config, csv):
+    def test_threads_match_serial(self, tmp_path, capsys):
         # each pool worker evaluates its own unpickled copy of the stacked oracle
-        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
-        conf = config or write_config(tmp_path, GRID)
+        conf = write_config(tmp_path, GRID)
         for command in ("run", "check"):
             out1, out2 = tmp_path / command / "serial", tmp_path / command / "pool"
             for out, threads in ((out1, "1"), (out2, "2")):
                 code = cli.main([command, conf, "--out-dir", str(out), "--threads", threads])
                 assert code == cli.EXIT_OK
-            assert (out1 / csv).read_bytes() == (out2 / csv).read_bytes()
+            assert (out1 / "grid.csv").read_bytes() == (out2 / "grid.csv").read_bytes()
 
     def test_pool_gets_one_contiguous_batch_per_worker(self, tmp_path, capsys, monkeypatch):
         # the pool is replaced by one that runs its tasks here and records them
@@ -483,17 +518,6 @@ class TestCheckCommand:
         assert captured.err.splitlines() == [
             f"FALSIFIED ed|p=0.5|seed=1: {name} violated at iteration 0"
             for name in ("lemma2", "thm1", "thm2")]
-
-    @pytest.mark.parametrize("command", ["run", "check"])
-    def test_ring300_certificates_hold(self, tmp_path, capsys, command):
-        # atc_gt's smallest nonzero eigenvalue of B is about 1e-8 here
-        conf = str(Path(__file__).resolve().parent.parent / "configs" / "ring300.ini")
-        assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
-        assert capsys.readouterr().err == ""
-        rows = [line.split(",") for line in
-                (tmp_path / "out" / "ring300.csv").read_text().splitlines()[1:]]
-        mins = [float(cell) for row in rows if row[4] == "-1" for cell in row[-3:]]
-        assert len(mins) == 18 and min(mins) >= -SLACK_TOL
 
     def test_min_slacks_reported(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)

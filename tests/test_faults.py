@@ -6,14 +6,16 @@ asserts for each run:
 
 - the exit code and the exact stderr, with no Traceback anywhere;
 - that no file is written;
-- for run and check, that stdout holds no run line: it is empty, except
-  that run prints its graph and problem lines before a fault of the grid.
+- that a command that fails prints nothing to stdout, except that run
+  prints its graph and problem lines before a fault of the grid.
 
-validate prints its report up to the fault. A fault that only running can
+All three commands make one build, so validate, like run and check,
+prints nothing before a fault of the build. A fault that only running can
 show has validate exit 0 in its row. A fault raised inside the grid runs
-at --threads 1 and 2. Every warning is an error, except at --threads 2,
-where the suite's filterwarnings still make RuntimeWarnings errors. A
-fault that needs a monkeypatch is tested in test_cli.py.
+at --threads 1 and 2, where a row's `pooled` gives a command's own
+(code, stderr) at --threads 2. Every warning is an error, except at
+--threads 2, where the suite's filterwarnings still make RuntimeWarnings
+errors. A fault that needs a monkeypatch is tested in test_cli.py.
 """
 
 import warnings
@@ -38,6 +40,7 @@ class Fault:
     dirs: tuple = ()  # directories made where a file would go
     argv: tuple = ()
     grid: bool = False  # raised inside the grid
+    pooled: dict = field(default_factory=dict)  # command -> (code, stderr) at --threads 2
 
 
 def fault(id, config, message, code=cli.EXIT_CONFIG, commands=COMMANDS, validate=None,
@@ -70,11 +73,12 @@ def unholdable(token, what):
                    f"line 3: feature token '{token}' {what}")
 
 
-def invalid_variant(variant, message, config=SMOKE):
-    """A variant that preset rejects: validate names it, and exits 4 too."""
-    invalid = (cli.EXIT_FALSIFIED, f"{variant}: INVALID\n{message}\n")
-    return fault(variant, config.replace("variants = ed", f"variants = {variant}"), message,
-                 cli.EXIT_FALSIFIED, validate=invalid)
+def variant(name, config=SMOKE):
+    return config.replace("variants = ed", f"variants = {name}")
+
+
+def refused(size, shape, dtype="float64"):
+    return f"Unable to allocate {size} for an array with shape ({shape}) and data type {dtype}"
 
 
 def seed(key, old, new):
@@ -93,6 +97,10 @@ RUNTIME = (cli.EXIT_OK, "")
 MISSING = "[Errno 2] No such file or directory"
 P6 = "run.p_list (to 6 significant digits)"
 OVERFLOW = "certificate terms overflow float64 at iteration 0"
+STEPS = "iterations = 10000000000000\nseeds = 1, 2"
+TOPOLOGY = ("--export-topology", "topo.txt")
+MG_ED_RING4 = variant("mg_ed:N=2", SMOKE.replace("n = 1", "n = 4"))
+MG_ED_PSD = "combiner 'mg_ed' requires a PSD mixing matrix; apply lazify first"
 PAPER = (Path(__file__).resolve().parent.parent / "configs" / "paper_replica.ini").read_text()
 
 FAULTS = [
@@ -153,7 +161,7 @@ FAULTS = [
     unwritable("parent", SMOKE.replace("csv = smoke.csv", "csv = sub/smoke.csv"),
                "sub/smoke.csv", "File exists", files={"sub": ""}),
     unwritable("topology", SMOKE, "topo.txt", commands=("validate",), dirs=("topo.txt",),
-               argv=("--export-topology", "topo.txt")),
+               argv=TOPOLOGY),
     # datasets that cannot be read or held
     fault("dataset-missing", logistic(), f"cannot read dataset data.svm: {MISSING}: 'data.svm'"),
     fault("dataset-directory", logistic(), "cannot read dataset data.svm: "
@@ -178,16 +186,29 @@ FAULTS = [
     dataset("maximal-index", "+1 9007199254740991:1\n-1 1:1\n+1 2:1\n",
             "cannot allocate the feature stack of shape (3, 9007199254740991, 1) "
             "and its Gram matrices", n=3),
+    # arrays numpy refuses at once, each hundreds of GiB or more: the
+    # targets, the adjacency, and inside the grid each run's coins under
+    # run and its batch's slacks under check, one run per worker at --threads 2
+    fault("d", SMOKE.replace("d = 2", "d = 100000000000"), refused("745. GiB", "100000000000,")),
+    fault("complete", SMOKE.replace("kind = ring\nn = 1", "kind = complete\nn = 1000000"),
+          refused("931. GiB", "1000000, 1000000", "bool")),
+    Fault("iterations", SMOKE.replace("iterations = 6\nseeds = 1", STEPS),
+          {"validate": RUNTIME,
+           "run": (2, f"error: {refused('72.8 TiB', '10000000000000,')}\n"),
+           "check": (2, f"error: {refused('146. TiB', '2, 10000000000000')}\n")},
+          grid=True, pooled={"check": (2, f"error: {refused('72.8 TiB', '1, 10000000000000')}\n")}),
     # combiners that fail their assumptions
-    invalid_variant("nids:c=0.9", "nids requires c in (0, 1/2], got 0.9"),
-    invalid_variant("mg_ed:N=2",
-                    "combiner 'mg_ed' requires a PSD mixing matrix; apply lazify first",
-                    SMOKE.replace("n = 1", "n = 4")),
-    invalid_variant("mg_sonata:N=2",
-                    "combiner 'mg_sonata' requires a PSD mixing matrix; apply lazify first",
-                    grid("ed, nids:c=0.4", "ed")),
-    *(invalid_variant(f"{name}:N={rounds}", f"{name} requires an integer N >= 1, got {rounds}")
+    fault("nids:c=0.9", variant("nids:c=0.9"), "nids requires c in (0, 1/2], got 0.9"),
+    fault("mg_ed:N=2", MG_ED_RING4, MG_ED_PSD),
+    fault("mg_sonata:N=2", grid("ed, nids:c=0.4", "mg_sonata:N=2"),
+          "combiner 'mg_sonata' requires a PSD mixing matrix; apply lazify first"),
+    *(fault(f"{name}:N={rounds}", variant(f"{name}:N={rounds}"),
+            f"{name} requires an integer N >= 1, got {rounds}")
       for name in ("mg_ed", "mg_sonata") for rounds in ("inf", "-inf", "nan")),
+    # validate writes its topology only once the problem and the pairs build
+    fault("topology-dataset-missing", logistic(), f"cannot read dataset data.svm: {MISSING}: "
+          "'data.svm'", commands=("validate",), argv=TOPOLOGY),
+    fault("topology-mg_ed:N=2", MG_ED_RING4, MG_ED_PSD, commands=("validate",), argv=TOPOLOGY),
     # faults that only running shows: validate passes each. sqrt(B)
     # underflows to zero next to 11^T/n, so the fixed point's solve is singular
     fault("singular", FIVE_RING + "\n[combiner]\nvariants = nids:c=1e-300\n",
@@ -243,9 +264,9 @@ def test_fault(tmp_path, capsys, monkeypatch, row, command, threads):
         except SystemExit as exc:  # argparse's own usage errors
             code = exc.code
     out, err = capsys.readouterr()
-    assert (code, err) == row.expect[command]
+    assert (code, err) == (row.pooled if threads == 2 else {}).get(command, row.expect[command])
     assert "Traceback" not in out + err
     assert _files(tmp_path) == before
-    if command != "validate":
+    if code != cli.EXIT_OK:
         heads = [line.split(":")[0] for line in out.splitlines()]
         assert heads == (["graph", "problem"] if row.grid and command == "run" else [])
