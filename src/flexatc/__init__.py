@@ -37,7 +37,6 @@ from .problem import (
     parse_libsvm,
     quadratic_from_targets,
     quadratic_instance,
-    read_logistic,
     serialize_libsvm,
 )
 from .solver import (

@@ -62,8 +62,8 @@ def build(cfg: ExperimentConfig) -> tuple[graph.Topology, graph.MixingMatrix,
         )
     else:
         try:
-            instance = problem.read_logistic(p.data, g.n, p.partition_seed, p.ridge,
-                                             prox, p.max_samples or None)
+            instance = problem.logistic_instance(p.data, g.n, p.partition_seed, p.ridge,
+                                                 prox, p.max_samples or None)
         except OSError as exc:
             raise ConfigError(f"cannot read dataset {p.data}: {exc}") from exc
     alpha = cfg.resolve_alpha(instance.L)

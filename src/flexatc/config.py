@@ -41,6 +41,13 @@ import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
+# The float64 elements of the largest array whose bytes an intp counts.
+# numpy refuses a larger one with a ValueError or an IndexError, and a
+# smaller one it cannot allocate with the MemoryError the CLI reports.
+_MAX_ELEMENTS = np.iinfo(np.intp).max // 8
+
 
 class ConfigError(Exception):
     pass
@@ -230,6 +237,14 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"run.p_list values must lie in [2^-511, 1]: {cfg.run.p_list}")
     if cfg.run.iterations < 1:
         raise ConfigError("run.iterations must be >= 1")
+    # the (n, n) weights, the (n, d) targets and the (runs, iterations) slacks
+    n = max(cfg.graph.n, 0)
+    runs = len(cfg.combiner.variants) * len(cfg.run.p_list) * len(cfg.run.seeds)
+    for key, elements in (("graph.n", n * n), ("problem.d", n * cfg.problem.d),
+                          ("run.iterations", runs * cfg.run.iterations)):
+        if elements > _MAX_ELEMENTS:
+            raise ConfigError(f"{key} asks for an array of {elements} float64s, "
+                              f"past numpy's limit of {_MAX_ELEMENTS}")
     if cfg.run.init not in ("zeros", "random"):
         raise ConfigError(f"run.init must be zeros|random, got {cfg.run.init!r}")
     if not math.isfinite(cfg.run.init_scale):

@@ -1,10 +1,13 @@
 """Loss oracles, proximal terms, smoothness constants, and LIBSVM-format
-dataset handling with uniform partitioning across agents.
+data with uniform partitioning across agents.
 
 A ProblemInstance is its stacked per-network oracle: the constructors build
 the agents' arrays directly and check their inputs, so no oracle call loops
-over agents in Python. The per-agent losses the tests compare the stacked
-oracles against live in tests/reference.py.
+over agents in Python. Logistic agents come from a LIBSVM file alone, read
+by logistic_instance through the parser, which is the one validator of the
+data; parse_libsvm, Dataset and serialize_libsvm read and write that format
+in memory. The per-agent losses the tests compare the stacked oracles
+against live in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -242,8 +245,8 @@ def parse_libsvm(text: str | bytes) -> Dataset:
     dimension is the largest index seen. Lines and tokens split as
     str.splitlines() and str.split() split ASCII text; the first malformed
     token or bad label, index or value raises ParseError naming its line.
-    The text runs through the block loop read_logistic runs on a file, and
-    its colons, one per feature token, size the index and value arrays.
+    The text runs through the block loop logistic_instance runs on a file,
+    and its colons, one per feature token, size the index and value arrays.
     """
     data = text.encode() if isinstance(text, str) else text
     size = data.count(b":")
@@ -509,14 +512,14 @@ def quadratic_instance(
 
 
 def _stack_instance(blocks, m: int, n: int, partition_seed: int, ridge: float,
-                    prox: ProxSpec | None, d: int = 0) -> ProblemInstance:
+                    prox: ProxSpec | None) -> ProblemInstance:
     """Logistic agents on the seeded split of the first m samples that blocks
     yields as (first sample, labels, features per sample, 0-based indices,
     values). The split gives each sample its agent and column before any is
     read, and each block is scattered into the signed stack; later samples
-    widen the feature axis from d, as a dataset's d counts them, but are not
-    stored. L_i is the ridge plus the power iteration's top eigenvalue of the
-    Gram X_i^T X_i / (4 m_i) of agent i's block."""
+    widen the feature axis, as the file's d counts them, but are not stored.
+    L_i is the ridge plus the power iteration's top eigenvalue of the Gram
+    X_i^T X_i / (4 m_i) of agent i's block."""
     if not ridge >= 0.0:
         raise ProblemError("ridge must be nonnegative")
     ridge = float(ridge)
@@ -527,7 +530,7 @@ def _stack_instance(blocks, m: int, n: int, partition_seed: int, ridge: float,
         agent[rows] = i
         column[rows] = np.arange(rows.size)
     del chunks, rows  # slices of the split's permutation, which the scatter does not need
-    width = d
+    width = 0
     try:
         signed = np.zeros((n, width, sizes.max()))
         for first, labels, counts, indices, values in blocks:
@@ -556,48 +559,6 @@ def _stack_instance(blocks, m: int, n: int, partition_seed: int, ridge: float,
 
 
 def logistic_instance(
-    ds: Dataset,
-    n: int,
-    partition_seed: int,
-    ridge: float,
-    prox: ProxSpec | None = None,
-) -> ProblemInstance:
-    """Logistic agents with a common ridge on a seeded uniform partition,
-    which gives every agent at least one sample. The dataset must hold what
-    parse_libsvm makes: labels +1 or -1, an indptr that runs without
-    decreasing from 0 to the count of (index, value) pairs, indices in
-    [0, d) with none repeated within a sample, and finite values. Its rows
-    are scattered into the signed stack in blocks of about _BLOCK_BYTES of
-    its pairs, so the stack is the only second copy of the samples."""
-    labels, indptr = np.asarray(ds.labels), np.asarray(ds.indptr)
-    indices, values = np.asarray(ds.indices), np.asarray(ds.values)
-    if indices.shape != values.shape:
-        raise ProblemError("feature indices and values differ in length")
-    if (indptr.shape != (labels.size + 1,) or indptr[0] != 0 or indptr[-1] != indices.size
-            or np.any(np.diff(indptr) < 0)):
-        raise ProblemError(f"indptr must run without decreasing from 0 to {indices.size} "
-                           f"in {labels.size + 1} entries")
-    if not np.all((labels == 1.0) | (labels == -1.0)):
-        raise ProblemError("labels must be +1 or -1")
-    if indices.size and not (indices.min() >= 0 and indices.max() < ds.d):
-        raise ProblemError(f"feature indices must lie in [0, {ds.d})")
-    if not np.all(np.isfinite(values)):
-        raise ProblemError("feature values must be finite")
-    step = max(_BLOCK_BYTES // 16, 1)
-    cuts = np.searchsorted(indptr, np.arange(step, indptr[-1], step))
-    bounds = np.unique(np.concatenate(([0], cuts, [labels.size])))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        sample = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
-        index = indices[indptr[lo]:indptr[hi]]
-        if (k := _first_repeat(index, sample)) is not None:
-            raise ProblemError(f"sample {sample[k]} repeats feature index {index[k]}")
-    blocks = ((lo, labels[lo:hi], np.diff(indptr[lo:hi + 1]),
-               indices[indptr[lo]:indptr[hi]], values[indptr[lo]:indptr[hi]])
-              for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return _stack_instance(blocks, labels.size, n, partition_seed, ridge, prox, ds.d)
-
-
-def read_logistic(
     path: str | os.PathLike,
     n: int,
     partition_seed: int,
@@ -605,12 +566,14 @@ def read_logistic(
     prox: ProxSpec | None = None,
     max_samples: int | None = None,
 ) -> ProblemInstance:
-    """logistic_instance of parse_libsvm of the file's bytes cut to its
-    first max_samples samples (all by default), with neither the file held
-    whole nor a dataset built: a counting pass fixes the split, and the
-    parse loop scatters each block of about _BLOCK_BYTES of the file
-    straight into the signed stack. A malformed file raises its ParseError
-    before any error of the split or the ridge; OSError propagates."""
+    """Logistic agents with a common ridge on a seeded uniform partition of
+    the LIBSVM file's first max_samples samples (all by default), which gives
+    every agent at least one sample. d is the file's largest index, and
+    parse_libsvm's rules hold for every line. Neither the file is held whole
+    nor a dataset built: a counting pass fixes the split, and the parse loop
+    scatters each block of about _BLOCK_BYTES of the file straight into the
+    signed stack. A malformed file raises its ParseError before any error of
+    the split or the ridge; OSError propagates."""
     with open(path, "rb") as stream:
         m = _count(stream)
         if max_samples is not None:

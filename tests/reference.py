@@ -13,8 +13,11 @@ linear rate.
 
 The stacked oracles of problem.ProblemInstance are held against per-agent
 losses: QuadraticLoss, and LogisticLoss over the dense rows of one agent's
-slice of the seeded partition. subset and head cut a Dataset by rows, for
-partition and for the first samples that problem.read_logistic keeps.
+slice of the seeded partition. problem.logistic_instance reads a LIBSVM
+file, so a test writes its dataset to a file (conftest.write_libsvm) and
+holds the instance against these losses on the same dataset. subset and
+head cut a Dataset by rows, for partition and for the first samples that
+logistic_instance keeps.
 """
 
 import math

@@ -14,7 +14,7 @@ import pytest
 
 import flexatc as fa
 import flexatc.cli as cli
-from conftest import correlated_logistic_dataset, synthetic_logistic_dataset
+from conftest import correlated_logistic_dataset, synthetic_logistic_dataset, write_libsvm
 from flexatc.problem import serialize_libsvm
 from flexatc.analysis import (
     SLACK_TOL,
@@ -364,9 +364,9 @@ svg = replica.svg
     assert total_comms[1.0] > total_comms[0.5] > total_comms[0.2]
 
 
-def test_criterion_7_convex_regime():
-    ds = synthetic_logistic_dataset(400, 5, seed=60)
-    inst = fa.logistic_instance(ds, 10, partition_seed=3, ridge=0.0,
+def test_criterion_7_convex_regime(tmp_path):
+    path = write_libsvm(synthetic_logistic_dataset(400, 5, seed=60), tmp_path / "data.libsvm")
+    inst = fa.logistic_instance(path, 10, partition_seed=3, ridge=0.0,
                                 prox=ProxSpec("l1", 0.01))
     assert inst.mu == 0.0
     mm = fa.metropolis_weights(fa.gen_topology("ring", 10))
@@ -394,7 +394,7 @@ def test_criterion_7_convex_regime():
            f"averaged bound held on all paths")
 
 
-def test_criterion_8_oracle_hygiene(certified):
+def test_criterion_8_oracle_hygiene(tmp_path, certified):
     rng = np.random.default_rng(88)
     # gradients against central differences, 50 points per loss variant
     quad = QuadraticLoss(rng.standard_normal(6), np.geomspace(0.2, 2.0, 6))
@@ -421,8 +421,8 @@ def test_criterion_8_oracle_hygiene(certified):
 
     inst, pair, alpha, fp = certified
     residual = fp.kkt_residual
-    ds = synthetic_logistic_dataset(150, 4, seed=9)
-    inst2 = fa.logistic_instance(ds, 6, partition_seed=0, ridge=0.02,
+    path = write_libsvm(synthetic_logistic_dataset(150, 4, seed=9), tmp_path / "data.libsvm")
+    inst2 = fa.logistic_instance(path, 6, partition_seed=0, ridge=0.02,
                                  prox=ProxSpec("l1", 0.02))
     mm = fa.metropolis_weights(fa.gen_topology("ring", 6))
     fp2 = fixed_point(inst2, fa.preset("ed", mm), 1.0 / inst2.L)

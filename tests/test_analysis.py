@@ -6,7 +6,7 @@ import pytest
 
 import flexatc as fa
 import flexatc.cli as cli
-from conftest import set_steps_per_block, synthetic_logistic_dataset
+from conftest import set_steps_per_block, synthetic_logistic_dataset, write_libsvm
 from flexatc import analysis, linalg
 from flexatc.analysis import (
     SLACK_TOL,
@@ -57,9 +57,9 @@ class TestFixedPoint:
         expected_w = fp.x_star - 1.0 * inst.grad_stack(fp.x_star)
         assert np.allclose(fp.w_star, expected_w, atol=1e-15)
 
-    def test_logistic_l1_invariants(self):
-        ds = synthetic_logistic_dataset(200, 5, seed=20)
-        inst = fa.logistic_instance(ds, n=10, partition_seed=1, ridge=0.01,
+    def test_logistic_l1_invariants(self, tmp_path):
+        path = write_libsvm(synthetic_logistic_dataset(200, 5, seed=20), tmp_path / "data.libsvm")
+        inst = fa.logistic_instance(path, n=10, partition_seed=1, ridge=0.01,
                                     prox=ProxSpec("l1", 0.01))
         pair = ring_pair(10)
         fp = fixed_point(inst, pair, alpha=1.0 / inst.L)
@@ -189,9 +189,9 @@ class TestTheorem1:
         sweep = sweep_certificates(inst, pair, alpha, p=0.5, seed=6, iters=500, fp=fp)
         assert np.all(sweep.thm1_slack >= -SLACK_TOL * (1.0 + sweep.phi))
 
-    def test_averaged_bound_on_convex_paths(self):
-        ds = synthetic_logistic_dataset(120, 4, seed=30)
-        inst = fa.logistic_instance(ds, n=4, partition_seed=2, ridge=0.0,
+    def test_averaged_bound_on_convex_paths(self, tmp_path):
+        path = write_libsvm(synthetic_logistic_dataset(120, 4, seed=30), tmp_path / "data.libsvm")
+        inst = fa.logistic_instance(path, n=4, partition_seed=2, ridge=0.0,
                                     prox=ProxSpec("l1", 0.01))
         assert inst.mu == 0.0
         pair = ring_pair(4)
@@ -299,7 +299,7 @@ def replayed_sweep(inst, pair, alpha, p, seed, iters, fp):
 
 
 @pytest.fixture(scope="module", params=["quadratic", "logistic_mu0"])
-def observed_setup(request):
+def observed_setup(request, tmp_path_factory):
     if request.param == "quadratic":
         inst = quadratic_instance(8, 4, seed=23, curvature_min=0.02, curvature_max=1.0,
                                   prox=ProxSpec("l1", 0.01))
@@ -307,8 +307,9 @@ def observed_setup(request):
         fp = fixed_point(inst, pair, 1.0 / inst.L)
     else:
         # the merely convex instance of acceptance criterion 7
-        ds = synthetic_logistic_dataset(400, 5, seed=60)
-        inst = fa.logistic_instance(ds, 10, partition_seed=3, ridge=0.0,
+        path = write_libsvm(synthetic_logistic_dataset(400, 5, seed=60),
+                            tmp_path_factory.mktemp("data") / "data.libsvm")
+        inst = fa.logistic_instance(path, 10, partition_seed=3, ridge=0.0,
                                     prox=ProxSpec("l1", 0.01))
         assert inst.mu == 0.0
         pair = ring_pair(10)

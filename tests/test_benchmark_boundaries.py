@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import flexatc.cli as cli
+from flexatc import problem
 
-SHIM = Path(__file__).resolve().parent.parent / "perfbench" / "shim.py"
+ROOT = Path(__file__).resolve().parent.parent
+SHIM = ROOT / "perfbench" / "shim.py"
 
 TINY = """
 [graph]
@@ -49,17 +51,35 @@ def test_every_boundary_resolves_to_a_callable():
         assert callable(owner), f"{module_name}.{qualname}"
 
 
-@pytest.mark.parametrize("command", ["run", "check"])
-def test_command_enters_the_grid_boundary_once(tmp_path, capsys, monkeypatch, command):
+def _count_calls(monkeypatch, owner, name) -> list:
+    """A list that gains one entry per call of owner.name."""
     calls = []
-    original = cli._run_grid
+    original = getattr(owner, name)
 
     def spy(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_run_grid", spy)
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_command_enters_the_grid_boundary_once(tmp_path, capsys, monkeypatch, command):
+    calls = _count_calls(monkeypatch, cli, "_run_grid")
     conf = tmp_path / "tiny.ini"
     conf.write_text(TINY)
     assert cli.main([command, str(conf), "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_command_builds_the_logistic_problem_under_its_traced_name(tmp_path, capsys,
+                                                                   monkeypatch, command):
+    # problem.instance_s times problem.logistic_instance: the CLI's build
+    # must enter it, or a traced replica_run reads 0
+    calls = _count_calls(monkeypatch, problem, "logistic_instance")
+    monkeypatch.chdir(ROOT)
+    argv = [command, "configs/logistic_small.ini", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
     assert len(calls) == 1

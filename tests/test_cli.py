@@ -11,12 +11,14 @@ import pytest
 
 import flexatc as fa
 import flexatc.cli as cli
+from conftest import write_libsvm
 from flexatc import combiners
 from flexatc.analysis import SLACK_TOL, GridCertificates, fixed_point
 from flexatc.config import ConfigError, load_config, parse_config
 from flexatc.graph import topology_to_edgelist
 from flexatc.linalg import LinalgError
 from flexatc.solver import DivergenceError, SolverError
+from reference import LogisticLoss, partition
 
 SMOKE = """
 [graph]
@@ -275,10 +277,15 @@ class TestRunCommand:
         monkeypatch.chdir(ROOT)
         cfg = load_config("configs/logistic_small.ini")
         inst = cli.build(cfg)[2]
-        want = fa.logistic_instance(fa.parse_libsvm(Path(cfg.problem.data).read_bytes()),
-                                    cfg.graph.n, cfg.problem.partition_seed, cfg.problem.ridge)
-        assert inst.stack.signed.tobytes() == want.stack.signed.tobytes()
-        assert (inst.L, inst.mu) == (want.L, want.mu)
+        losses = [LogisticLoss.from_dataset(part, cfg.problem.ridge) for part in partition(
+            fa.parse_libsvm(Path(cfg.problem.data).read_bytes()), cfg.graph.n,
+            cfg.problem.partition_seed)]
+        for i, loss in enumerate(losses):
+            signed = inst.stack.signed[i]
+            assert np.array_equal(signed[:, :loss.m], (loss.labels[:, None] * loss.features).T)
+            assert not signed[:, loss.m:].any()
+        pairs = [loss.constants() for loss in losses]
+        assert (inst.L, inst.mu) == (max(p[0] for p in pairs), min(p[1] for p in pairs))
 
     def test_single_node_smoke_converges_fast(self, tmp_path, capsys):
         conf = write_config(tmp_path, SMOKE)
@@ -602,7 +609,7 @@ def _rows_cell_by_cell(res: cli.RunResult) -> list[list[str]]:
 
 class TestCsvCells:
     @pytest.mark.parametrize("ridge", [0.0, 0.05])
-    def test_columnwise_rows_match_cell_by_cell(self, ridge):
+    def test_columnwise_rows_match_cell_by_cell(self, tmp_path, ridge):
         # ridge 0 gives mu = 0, so thm2_slack is all NaN and has no minimum;
         # without a reference rel_err is NaN, and record_kkt=False leaves the
         # kkt column NaN
@@ -610,7 +617,8 @@ class TestCsvCells:
         x = rng.standard_normal((40, 3))
         ds = fa.Dataset(3, np.where(x[:, 0] > 0.2, 1.0, -1.0), np.arange(0, 121, 3),
                         np.tile(np.arange(3), 40), x.reshape(-1).copy())
-        inst = fa.logistic_instance(ds, 4, 0, ridge, fa.ProxSpec("l1", 0.01))
+        inst = fa.logistic_instance(write_libsvm(ds, tmp_path / "data.libsvm"), 4, 0, ridge,
+                                    fa.ProxSpec("l1", 0.01))
         pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("ring", 4)))
         alpha = 1.0 / inst.L
         fp = fixed_point(inst, pair, alpha)

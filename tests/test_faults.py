@@ -81,6 +81,11 @@ def refused(size, shape, dtype="float64"):
     return f"Unable to allocate {size} for an array with shape ({shape}) and data type {dtype}"
 
 
+def oversized(id, config, key, elements):
+    return fault(id, config, f"{key} asks for an array of {elements} float64s, past numpy's "
+                             f"limit of {(2**63 - 1) // 8}")
+
+
 def seed(key, old, new):
     return fault(key, grid(old, new), f"{key} must be >= 0, got -1")
 
@@ -197,6 +202,15 @@ FAULTS = [
            "run": (2, f"error: {refused('72.8 TiB', '10000000000000,')}\n"),
            "check": (2, f"error: {refused('146. TiB', '2, 10000000000000')}\n")},
           grid=True, pooled={"check": (2, f"error: {refused('72.8 TiB', '1, 10000000000000')}\n")}),
+    # sizes whose float64 arrays no intp can count the bytes of, which numpy
+    # refuses with a ValueError or an IndexError: the config names the key
+    oversized("d-1e20", SMOKE.replace("d = 2", f"d = {10**20}"), "problem.d", 10**20),
+    oversized("d-2^63-1", SMOKE.replace("d = 2", f"d = {2**63 - 1}"), "problem.d", 2**63 - 1),
+    *(oversized(f"{kind}-1e20",
+                SMOKE.replace("kind = ring\nn = 1", f"kind = {kind}\nn = {10**20}"),
+                "graph.n", 10**40) for kind in ("ring", "complete", "erdos_renyi")),
+    oversized("iterations-1e20", SMOKE.replace("iterations = 6", f"iterations = {10**20}"),
+              "run.iterations", 10**20),
     # combiners that fail their assumptions
     fault("nids:c=0.9", variant("nids:c=0.9"), "nids requires c in (0, 1/2], got 0.9"),
     fault("mg_ed:N=2", MG_ED_RING4, MG_ED_PSD),

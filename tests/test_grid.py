@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import flexatc as fa
-from conftest import set_steps_per_block, synthetic_logistic_dataset, traced_peak
+from conftest import set_steps_per_block, synthetic_logistic_dataset, traced_peak, write_libsvm
 from flexatc.analysis import (
     SLACK_TOL,
     FixedPoint,
@@ -37,7 +37,7 @@ ITERS = 120
 
 
 @pytest.fixture(scope="module", params=["quadratic", "logistic"])
-def grid_setup(request):
+def grid_setup(request, tmp_path_factory):
     """Six runs over two combiners, three probabilities and two seeds, with
     the fixed point of each combiner."""
     n = 6
@@ -46,8 +46,9 @@ def grid_setup(request):
         inst = quadratic_instance(n, 3, seed=5, curvature_min=0.05, curvature_max=1.0,
                                   prox=ProxSpec("l1", 0.02))
     else:
-        ds = synthetic_logistic_dataset(150, 4, seed=12)
-        inst = fa.logistic_instance(ds, n, partition_seed=1, ridge=0.02,
+        path = write_libsvm(synthetic_logistic_dataset(150, 4, seed=12),
+                            tmp_path_factory.mktemp("data") / "data.libsvm")
+        inst = fa.logistic_instance(path, n, partition_seed=1, ridge=0.02,
                                     prox=ProxSpec("l1", 0.01))
     pairs = [fa.preset("ed", mm), fa.preset("atc_gt", fa.lazify(mm))]
     alpha = 1.0 / inst.L
@@ -277,30 +278,30 @@ def test_rejects_bad_grids():
         run_grid(inst, [GridRun(pair, 0.5, 1), GridRun(pair, 0.0, 1)], alpha, 10)
 
 
-def _two_long_agents():
+def _two_long_agents(tmp_path):
     """Two agents of 10,000 samples in two dimensions: tiny iterates, whose
     margin rows are 10,000 long."""
-    ds = synthetic_logistic_dataset(20_000, 2, seed=3)
-    inst = fa.logistic_instance(ds, 2, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
+    path = write_libsvm(synthetic_logistic_dataset(20_000, 2, seed=3), tmp_path / "data.libsvm")
+    inst = fa.logistic_instance(path, 2, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
     return inst, fa.preset("ed", fa.metropolis_weights(fa.gen_topology("complete", 2)))
 
 
-def test_recording_a_long_block_keeps_the_logistic_temporaries_small():
+def test_recording_a_long_block_keeps_the_logistic_temporaries_small(tmp_path):
     # a block holds as many steps as keep the margins of its recorded
     # objective and kkt columns within the budget: here one step, whose
     # margins at one point are 160 KB, not the 16 MB of 100 points at once
-    inst, pair = _two_long_agents()
+    inst, pair = _two_long_agents(tmp_path)
     assert block_length(inst, 1) == 1
     trace, peak = traced_peak(lambda: run_grid(inst, [GridRun(pair, 0.5, 0)], 1.0 / inst.L, 100)[0])
     assert np.isfinite(trace.objective).all() and np.isfinite(trace.kkt_residual).all()
     assert peak < 4 * 2**17 * 8
 
 
-def test_block_length_follows_the_widest_oracle_array():
+def test_block_length_follows_the_widest_oracle_array(tmp_path):
     # width is d for quadratic agents and the longer of d and the largest
     # agent's sample count for logistic ones; counting only the iterates
     # would give the two long agents 4,096 steps per block
-    inst = _two_long_agents()[0]
+    inst = _two_long_agents(tmp_path)[0]
     assert (inst.width, block_length(inst, 1)) == (10_000, 1)
     budget = solver._BLOCK_BUDGET
     for n, d, count in ((6, 3, 1), (6, 3, 4), (5, 20, 15), (300, 1, 2)):
@@ -310,7 +311,8 @@ def test_block_length_follows_the_widest_oracle_array():
     # 103 samples over 10 agents, m_max = 11, and 20 samples in 30
     # dimensions over 10 agents, m_max = 2
     for m, d, width in ((103, 6, 11), (20, 30, 30)):
-        inst = fa.logistic_instance(synthetic_logistic_dataset(m, d, seed=1), 10, 0, 0.01)
+        path = write_libsvm(synthetic_logistic_dataset(m, d, seed=1), tmp_path / f"{m}.libsvm")
+        inst = fa.logistic_instance(path, 10, 0, 0.01)
         assert inst.width == width
         assert [block_length(inst, count) for count in (1, 3)] == [
             budget // (count * 10 * width) for count in (1, 3)]

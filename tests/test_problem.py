@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (correlated_logistic_dataset, random_sparse_dataset,
-                      synthetic_logistic_dataset, traced_peak)
+                      synthetic_logistic_dataset, traced_peak, write_libsvm)
 from flexatc import problem
 from flexatc.problem import (
-    Dataset,
     ParseError,
     ProblemError,
     ProxSpec,
@@ -20,10 +19,24 @@ from flexatc.problem import (
     parse_libsvm,
     quadratic_from_targets,
     quadratic_instance,
-    read_logistic,
     serialize_libsvm,
 )
 from reference import LogisticLoss, QuadraticLoss, _sigmoid, dense, head, partition, subset
+
+
+@pytest.fixture(scope="module")
+def correlated_file(tmp_path_factory):
+    """The LIBSVM file of correlated_logistic_dataset(m, 22, seed=0), written
+    once per m."""
+    files = {}
+
+    def path(m):
+        if m not in files:
+            files[m] = write_libsvm(correlated_logistic_dataset(m, 22, seed=0),
+                                    tmp_path_factory.mktemp("data") / f"{m}.libsvm")
+        return files[m]
+
+    return path
 
 
 class TestParseLibsvm:
@@ -225,8 +238,9 @@ def _assert_same_dataset(got, want):
 
 
 class TestReadLibsvm:
-    """parse_libsvm streams its bytes through the block loop read_logistic
-    runs on a file; tiny reads put every block boundary inside the text."""
+    """parse_libsvm streams its bytes through the block loop
+    logistic_instance runs on a file; tiny reads put every block boundary
+    inside the text."""
 
     @pytest.mark.parametrize("data", [
         pytest.param(b"+1 1:0.5\r\n-1 2:0.25 3:1\r\n+1 3:-1\r\n", id="crlf"),
@@ -268,11 +282,13 @@ class TestReadLibsvm:
         monkeypatch.setattr(problem, "_BLOCK_BYTES", 4096)
         _assert_same_dataset(parse_libsvm(serialize_libsvm(ds).encode()), ds)
 
-    def test_peak_memory_is_the_returned_arrays(self, monkeypatch):
-        # 4.7 MB of text parsed in 64 KiB blocks and scattered over 50
-        # agents: a second copy of the text or of the samples, or the
-        # partition's 50 slices, each adds at least half of what is returned
-        data = serialize_libsvm(correlated_logistic_dataset(10_000, 22, seed=0)).encode()
+    def test_peak_memory_is_the_returned_arrays(self, correlated_file, monkeypatch):
+        # 4.7 MB of text parsed in 64 KiB blocks, and its file read the same
+        # way and scattered over 50 agents: a second copy of the text or of
+        # the samples, or the partition's 50 slices, each adds at least half
+        # of what is returned
+        path = correlated_file(10_000)
+        data = path.read_bytes()
         monkeypatch.setattr(problem, "_BLOCK_BYTES", 1 << 16)
         tracing = tracemalloc.is_tracing()
         tracemalloc.start()
@@ -280,7 +296,7 @@ class TestReadLibsvm:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             ds = parse_libsvm(data)
-            stack = logistic_instance(ds, 50, partition_seed=0, ridge=0.01).stack
+            stack = logistic_instance(path, 50, partition_seed=0, ridge=0.01).stack
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             if not tracing:
@@ -299,9 +315,10 @@ def _assert_same_instance(got, want):
 
 
 class TestReadLogistic:
-    """read_logistic builds from the file what logistic_instance builds from
-    parse_libsvm's dataset of its bytes cut to its first max_samples rows;
-    tiny reads make samples straddle many blocks."""
+    """logistic_instance builds the same instance from a file at every block
+    size, and it holds the per-agent references on parse_libsvm's dataset of
+    the file's bytes cut to its first max_samples rows; tiny reads make
+    samples straddle many blocks."""
 
     @pytest.mark.parametrize("case", ["cut-before-largest-index", "crlf-and-blank-lines",
                                       "rows-without-features", "uneven-partition"])
@@ -323,17 +340,22 @@ class TestReadLogistic:
         path = tmp_path / "data.libsvm"
         path.write_bytes(data)
         prox = ProxSpec("l1", 0.05)
-        want = logistic_instance(head(parse_libsvm(path.read_bytes()), keep or 47), n, 2, 0.1,
-                                 prox)
+        want = logistic_instance(path, n, 2, 0.1, prox, keep)
         if case == "cut-before-largest-index":
             assert want.d == 9 and not want.stack.signed[:, 5:].any()
         if case == "uneven-partition":
             assert set(want.stack.m) == {7, 8}
+        losses = _logistic_references(head(parse_libsvm(path.read_bytes()), keep or 47), n, 2,
+                                      0.1)
+        for i, loss in enumerate(losses):
+            signed = want.stack.signed[i]
+            assert np.array_equal(signed[:, :loss.m], (loss.labels[:, None] * loss.features).T)
+            assert not signed[:, loss.m:].any()
+        pairs = [loss.constants() for loss in losses]
+        assert (want.L, want.mu) == (max(p[0] for p in pairs), min(p[1] for p in pairs))
         for block_bytes in (7, 64, 301, 1 << 18):
             monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
-            _assert_same_instance(read_logistic(path, n, 2, 0.1, prox, keep), want)
-            _assert_same_instance(logistic_instance(head(parse_libsvm(path.read_bytes()),
-                                                         keep or 47), n, 2, 0.1, prox), want)
+            _assert_same_instance(logistic_instance(path, n, 2, 0.1, prox, keep), want)
 
     @pytest.mark.parametrize("data", [
         b"+1 1:0.5\r\n-1 2:0.25 3:1\r\n\r\n+1 3:-1",
@@ -357,7 +379,7 @@ class TestReadLogistic:
             monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
             with pytest.raises(ParseError,
                                match="^line 3: feature token '2:3' repeats index 2 of its line$"):
-                read_logistic(path, 2, 0, 0.1)
+                logistic_instance(path, 2, 0, 0.1)
 
     def test_parse_error_comes_before_the_split_error(self, tmp_path, monkeypatch):
         # 3 samples cannot be split across 5 agents, and -1 is no ridge, but
@@ -367,14 +389,14 @@ class TestReadLogistic:
         path.write_text("\n".join(lines) + "\n")
         monkeypatch.setattr(problem, "_BLOCK_BYTES", 8)
         with pytest.raises(ParseError, match="^line 4: malformed feature token '3:oops'$"):
-            read_logistic(path, 5, 0, 0.1)
+            logistic_instance(path, 5, 0, 0.1)
         with pytest.raises(ParseError, match="^line 4: malformed feature token '3:oops'$"):
-            read_logistic(path, 2, 0, -1.0)
+            logistic_instance(path, 2, 0, -1.0)
         path.write_text("\n".join(lines[:3]) + "\n")
         with pytest.raises(ProblemError, match="^cannot split 2 samples across 5 agents$"):
-            read_logistic(path, 5, 0, 0.1)
+            logistic_instance(path, 5, 0, 0.1)
         with pytest.raises(ProblemError, match="^ridge must be nonnegative$"):
-            read_logistic(path, 2, 0, -1.0)
+            logistic_instance(path, 2, 0, -1.0)
 
     @pytest.mark.parametrize("token", ["2:nan", "2:-inf", "9007199254740993:1"])
     def test_unholdable_feature_raises_before_the_split_error(self, tmp_path, monkeypatch,
@@ -384,15 +406,15 @@ class TestReadLogistic:
         for block_bytes in (8, 1 << 18):
             monkeypatch.setattr(problem, "_BLOCK_BYTES", block_bytes)
             with pytest.raises(ParseError, match=f"^line 3: feature token '{token}' has "):
-                read_logistic(path, 2, 0, 0.1, max_samples=2)
+                logistic_instance(path, 2, 0, 0.1, max_samples=2)
             with pytest.raises(ParseError, match=f"^line 3: feature token '{token}' has "):
-                read_logistic(path, 5, 0, 0.1)
+                logistic_instance(path, 5, 0, 0.1)
 
     def test_unreadable_path_raises_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            read_logistic(tmp_path / "missing", 2, 0, 0.1)
+            logistic_instance(tmp_path / "missing", 2, 0, 0.1)
         with pytest.raises(IsADirectoryError):
-            read_logistic(tmp_path, 2, 0, 0.1)
+            logistic_instance(tmp_path, 2, 0, 0.1)
 
     def test_unallocatable_gram_is_a_problem_error(self, tmp_path, monkeypatch):
         # the stack holds, and the Gram step's refusal, which a real file
@@ -404,17 +426,14 @@ class TestReadLogistic:
         path.write_text("+1 1:0.5\n-1 2:0.25\n+1 3:1\n")
         with pytest.raises(ProblemError, match=r"^cannot allocate the feature stack of shape "
                                                r"\(3, 3, 1\) and its Gram matrices$"):
-            read_logistic(path, 3, 0, 0.1)
+            logistic_instance(path, 3, 0, 0.1)
 
-    def test_peak_memory_is_near_the_stack(self, tmp_path):
+    def test_peak_memory_is_near_the_stack(self, correlated_file):
         # the 49,950 x 22 replica size over 50 agents in the default blocks:
-        # the dataset path holds the CSR arrays as well, about 3.4 stacks
-        ds = correlated_logistic_dataset(49_950, 22, seed=0)
-        path = tmp_path / "data.libsvm"
-        rows = np.column_stack((ds.labels, ds.values.reshape(-1, 22)))
-        np.savetxt(path, rows, fmt="%+d " + " ".join(f"{j + 1}:%.17g" for j in range(22)))
-        del ds, rows
-        inst, peak = traced_peak(lambda: read_logistic(path, 50, 0, 0.01, max_samples=49_950))
+        # a parsed dataset's CSR arrays alone would be about two stacks
+        path = correlated_file(49_950)
+        inst, peak = traced_peak(lambda: logistic_instance(path, 50, 0, 0.01,
+                                                           max_samples=49_950))
         stack = inst.stack
         assert peak <= 1.75 * sum(a.nbytes for a in (stack.signed, stack.real, stack.m))
 
@@ -653,61 +672,58 @@ class TestInstances:
             with pytest.raises(ProblemError, match="curvature_max < inf"):
                 quadratic_instance(3, 2, seed=0, curvature_max=abs(bad))
 
-    def test_logistic_instance_rejects_negative_ridge(self):
-        ds = synthetic_logistic_dataset(10, 3, seed=0)
+    def test_logistic_instance_rejects_negative_ridge(self, tmp_path):
+        path = write_libsvm(synthetic_logistic_dataset(10, 3, seed=0), tmp_path / "data.libsvm")
         with pytest.raises(ProblemError, match="ridge must be nonnegative"):
-            logistic_instance(ds, 2, partition_seed=0, ridge=-0.01)
+            logistic_instance(path, 2, partition_seed=0, ridge=-0.01)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_logistic_instance_rejects_non_finite_values(self, bad):
+    def test_logistic_instance_rejects_non_finite_values(self, tmp_path, bad):
         ds = synthetic_logistic_dataset(10, 3, seed=0)
         ds.values[4] = bad
-        with pytest.raises(ProblemError, match="^feature values must be finite$"):
-            logistic_instance(ds, 2, partition_seed=0, ridge=0.01)
+        path = write_libsvm(ds, tmp_path / "data.libsvm")
+        with pytest.raises(ParseError, match=f"^line 2: feature token '2:{bad}' has a "
+                                             "non-finite value$"):
+            logistic_instance(path, 2, partition_seed=0, ridge=0.01)
 
-    @pytest.mark.parametrize("labels,indptr,indices,values,message", [
-        ([1.0, -1.0], [0, 1, 2], [-1, 0], [2.0, 1.0], r"feature indices must lie in \[0, 3\)"),
-        ([1.0, -1.0], [0, 1, 2], [5, 0], [2.0, 1.0], r"feature indices must lie in \[0, 3\)"),
-        ([1.0, 0.5], [0, 1, 2], [2, 0], [2.0, 1.0], r"labels must be \+1 or -1"),
-        ([1.0, -1.0], [0, 2, 1], [2, 0], [2.0, 1.0], "indptr must run without decreasing"),
-        ([1.0, -1.0], [1, 1, 2], [2, 0], [2.0, 1.0], "indptr must run without decreasing"),
-        ([1.0, -1.0], [0, 1, 1], [2, 0], [2.0, 1.0], "indptr must run without decreasing"),
-        ([1.0, -1.0], [0, 2], [2, 0], [2.0, 1.0], "indptr must run without decreasing"),
-        ([1.0, -1.0], [0, 1, 2], [2, 0], [2.0], "feature indices and values differ in length"),
-        # the parser's rule for a line: a scatter would keep the last value
-        ([1.0, -1.0], [0, 2, 2], [0, 0], [2.0, 3.0], "^sample 0 repeats feature index 0$"),
-        ([1.0, -1.0], [0, 1, 4], [2, 2, 0, 2], [1.0, 2.0, 3.0, 4.0],
-         "^sample 1 repeats feature index 2$"),
-        ([1.0, -1.0], [0, 3, 5], [2, 0, 1, 1, 1], [1.0, 2.0, 3.0, 4.0, 5.0],
-         "^sample 1 repeats feature index 1$"),
-    ], ids=["negative-index", "index-past-d", "label-0.5", "decreasing-indptr",
-            "indptr-from-1", "indptr-short-of-pairs", "indptr-too-few-entries", "values-short",
-            "repeated-index", "repeated-index-out-of-order", "repeated-index-in-next-sample"])
-    def test_logistic_instance_rejects_a_malformed_dataset(self, labels, indptr, indices,
-                                                            values, message):
-        ds = Dataset(3, np.array(labels), np.array(indptr), np.array(indices), np.array(values))
-        with pytest.raises(ProblemError, match=message):
-            logistic_instance(ds, 2, partition_seed=0, ridge=0.01)
+    # the faults a file can carry: the parser names each by its line
+    @pytest.mark.parametrize("text,message", [
+        ("+1 -1:2.0\n-1 1:1.0\n", "^line 1: index -1 is not 1-based$"),
+        ("+1 3:2.0\n0.5 1:1.0\n", r"^line 2: label '0.5' is not \+1/-1$"),
+        # a scatter would keep the last value
+        ("+1 1:2.0 1:3.0\n-1\n", "^line 1: feature token '1:3.0' repeats index 1 of its line$"),
+        ("+1 3:1.0\n-1 3:2.0 1:3.0 3:4.0\n",
+         "^line 2: feature token '3:4.0' repeats index 3 of its line$"),
+        ("+1 3:1.0 1:2.0 2:3.0\n-1 2:4.0 2:5.0\n",
+         "^line 2: feature token '2:5.0' repeats index 2 of its line$"),
+    ], ids=["negative-index", "label-0.5", "repeated-index", "repeated-index-out-of-order",
+            "repeated-index-in-next-sample"])
+    def test_logistic_instance_rejects_a_malformed_dataset(self, tmp_path, text, message):
+        path = tmp_path / "data.libsvm"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            logistic_instance(path, 2, partition_seed=0, ridge=0.01)
 
-    def test_logistic_instance_needs_a_sample_per_agent(self):
-        ds = random_sparse_dataset(3, 2, seed=5)
+    def test_logistic_instance_needs_a_sample_per_agent(self, tmp_path):
+        path = write_libsvm(random_sparse_dataset(3, 2, seed=5), tmp_path / "data.libsvm")
         with pytest.raises(ProblemError, match="cannot split 3 samples across 4 agents"):
-            logistic_instance(ds, 4, partition_seed=0, ridge=0.0)
+            logistic_instance(path, 4, partition_seed=0, ridge=0.0)
 
-    def test_logistic_instance_needs_positive_smoothness(self):
-        # samples without features and no ridge: every L_i is 0
-        ds = Dataset(2, np.array([1.0, -1.0]), np.zeros(3, dtype=int),
-                     np.zeros(0, dtype=int), np.zeros(0))
+    def test_logistic_instance_needs_positive_smoothness(self, tmp_path):
+        # features stored as zeros and no ridge: d is 2, but every L_i is 0
+        path = tmp_path / "data.libsvm"
+        path.write_text("+1 2:0\n-1 1:0\n")
         with pytest.raises(ProblemError, match="smoothness constant must be positive"):
-            logistic_instance(ds, 2, partition_seed=0, ridge=0.0)
+            logistic_instance(path, 2, partition_seed=0, ridge=0.0)
 
-    def test_logistic_instance_needs_a_feature(self):
+    def test_logistic_instance_needs_a_feature(self, tmp_path):
         # a file of labels alone parses to d = 0; with a ridge every L_i is
         # positive, so only the dimension is wrong
-        ds = parse_libsvm("+1\n-1\n+1\n-1\n")
-        assert ds.d == 0
+        path = tmp_path / "data.libsvm"
+        path.write_text("+1\n-1\n+1\n-1\n")
+        assert parse_libsvm(path.read_bytes()).d == 0
         with pytest.raises(ProblemError, match="^need at least one feature$"):
-            logistic_instance(ds, 2, partition_seed=0, ridge=0.01)
+            logistic_instance(path, 2, partition_seed=0, ridge=0.01)
 
     def test_objective_and_mean_grad(self):
         inst = quadratic_instance(3, 2, seed=1)
@@ -747,12 +763,12 @@ class TestStackedOracles:
         assert np.array_equal(got.view(np.int64), _masked_sigmoid(t).view(np.int64))
 
     @pytest.mark.parametrize("scale", [1.0, 50.0, 750.0])
-    def test_logistic_stack_matches_per_agent_losses(self, scale):
+    def test_logistic_stack_matches_per_agent_losses(self, tmp_path, scale):
         # 103 samples over 10 agents: partitions of 10 and 11 rows, so the
         # stack carries padding columns
         ds = synthetic_logistic_dataset(103, 6, seed=13)
-        inst = logistic_instance(ds, 10, partition_seed=4, ridge=0.05,
-                                 prox=ProxSpec("l1", 0.1))
+        inst = logistic_instance(write_libsvm(ds, tmp_path / "data.libsvm"), 10,
+                                 partition_seed=4, ridge=0.05, prox=ProxSpec("l1", 0.1))
         losses = _logistic_references(ds, 10, partition_seed=4, ridge=0.05)
         assert {loss.m for loss in losses} == {10, 11}
         rng = np.random.default_rng(8)
@@ -781,18 +797,22 @@ class TestStackedOracles:
                 assert got_obj == pytest.approx(want_obj, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("size", ["replica", "padded"])
-    def test_logistic_value_is_bitwise_the_plain_expression(self, size):
+    def test_logistic_value_is_bitwise_the_plain_expression(self, tmp_path, correlated_file,
+                                                             size):
         # the in-place value chain against the expression it replaced, on the
         # 49,950 x 22 replica stand-in over 50 agents, and on 103 samples over
         # 10 agents, whose stack has padding columns
         if size == "replica":
-            ds, n = correlated_logistic_dataset(49_950, 22, seed=0), 50
+            path, n = correlated_file(49_950), 50
         else:
-            ds, n = synthetic_logistic_dataset(103, 6, seed=13), 10
-        stack = logistic_instance(ds, n, partition_seed=0, ridge=0.01).stack
+            path = write_libsvm(synthetic_logistic_dataset(103, 6, seed=13), tmp_path / "103.svm")
+            n = 10
+        inst = logistic_instance(path, n, partition_seed=0, ridge=0.01)
+        stack = inst.stack
         rng = np.random.default_rng(0)
-        x = np.concatenate([rng.standard_normal((2, ds.d)), 30.0 * rng.standard_normal((2, ds.d))])
-        for points in (x, -x, x[0], x.reshape(2, 2, ds.d)):
+        x = np.concatenate([rng.standard_normal((2, inst.d)),
+                            30.0 * rng.standard_normal((2, inst.d))])
+        for points in (x, -x, x[0], x.reshape(2, 2, inst.d)):
             margins = np.empty(points.shape[:-1] + stack.signed.shape[::2])
             for *run, i in np.ndindex(margins.shape[:-1]):
                 margins[(*run, i)] = np.matmul(points[tuple(run)], stack.signed[i])
@@ -804,18 +824,19 @@ class TestStackedOracles:
             assert np.array_equal(stack.value(spread), want)
 
     @pytest.mark.parametrize("size", ["fifty", "padded"])
-    def test_group_size_changes_no_bits(self, monkeypatch, size):
+    def test_group_size_changes_no_bits(self, tmp_path, correlated_file, monkeypatch, size):
         # the oracles' agent groups of 1, 3, the default and all n agents, on
         # 50 agents and on 103 samples over 10 agents (padding columns), with
         # up to three leading run axes
         if size == "fifty":
-            ds, n = correlated_logistic_dataset(10_000, 22, seed=0), 50
+            path, n = correlated_file(10_000), 50
         else:
-            ds, n = synthetic_logistic_dataset(103, 6, seed=13), 10
-        inst = logistic_instance(ds, n, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
+            path = write_libsvm(synthetic_logistic_dataset(103, 6, seed=13), tmp_path / "103.svm")
+            n = 10
+        inst = logistic_instance(path, n, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
         rng = np.random.default_rng(4)
-        inputs = [(5.0 * rng.standard_normal(runs + (n, ds.d)),
-                   5.0 * rng.standard_normal(runs + (ds.d,)))
+        inputs = [(5.0 * rng.standard_normal(runs + (n, inst.d)),
+                   5.0 * rng.standard_normal(runs + (inst.d,)))
                   for runs in ((), (3,), (2, 3), (4,), (3, 2, 5))]
         results = []
         for group in (1, 3, problem._GROUP, n):
@@ -841,12 +862,13 @@ class TestStackedOracles:
         assert np.array_equal(inst.mean_grad(point),
                               np.mean(np.stack([l.grad(point) for l in losses]), axis=0))
 
-    def test_sparse_uneven_partition_matches_per_agent_references(self):
+    def test_sparse_uneven_partition_matches_per_agent_references(self, tmp_path):
         # about 30% of the entries are stored and some samples store none;
         # 47 samples over 6 agents give slices of 7 and 8
         ds = random_sparse_dataset(47, 6, seed=17, density=0.3)
         assert (np.diff(ds.indptr) == 0).any()
-        inst = logistic_instance(ds, 6, partition_seed=5, ridge=0.03)
+        inst = logistic_instance(write_libsvm(ds, tmp_path / "data.libsvm"), 6,
+                                 partition_seed=5, ridge=0.03)
         losses = _logistic_references(ds, 6, partition_seed=5, ridge=0.03)
         assert {loss.m for loss in losses} == {7, 8}
         signed = inst.stack.signed
@@ -859,14 +881,15 @@ class TestStackedOracles:
 
     @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
     @pytest.mark.parametrize("prox", [ProxSpec(), ProxSpec("l1", 0.1)])
-    def test_leading_run_axis_is_bitwise_per_run(self, kind, prox):
+    def test_leading_run_axis_is_bitwise_per_run(self, tmp_path, kind, prox):
         # a batch of S iterates or points gives each run what it gets alone
         if kind == "quadratic":
             inst = quadratic_instance(5, 4, seed=3, curvature_min=0.1, curvature_max=2.0,
                                       prox=prox)
         else:
             ds = synthetic_logistic_dataset(103, 4, seed=14)
-            inst = logistic_instance(ds, 5, partition_seed=2, ridge=0.05, prox=prox)
+            inst = logistic_instance(write_libsvm(ds, tmp_path / "data.libsvm"), 5,
+                                     partition_seed=2, ridge=0.05, prox=prox)
         rng = np.random.default_rng(6)
         xs = rng.standard_normal((3, 5, 4))
         points = rng.standard_normal((3, 4))
@@ -884,9 +907,9 @@ class TestStepBuffers:
     and keep no state from call to call."""
 
     @pytest.fixture(scope="class")
-    def inst(self):
-        ds = correlated_logistic_dataset(10_000, 22, seed=0)
-        return logistic_instance(ds, 50, partition_seed=0, ridge=0.01, prox=ProxSpec("l1", 0.01))
+    def inst(self, correlated_file):
+        return logistic_instance(correlated_file(10_000), 50, partition_seed=0, ridge=0.01,
+                                 prox=ProxSpec("l1", 0.01))
 
     @staticmethod
     def _batches():
@@ -910,10 +933,10 @@ class TestStepBuffers:
         for a, b in zip(first, kept):
             assert np.array_equal(a, b)
 
-    def test_pickled_stack_carries_no_buffers(self, inst):
+    def test_pickled_stack_carries_no_buffers(self, correlated_file, inst):
         xs, points = self._batches()
-        cold = len(pickle.dumps(logistic_instance(correlated_logistic_dataset(10_000, 22, seed=0),
-                                                  50, 0, 0.01, ProxSpec("l1", 0.01))))
+        cold = len(pickle.dumps(logistic_instance(correlated_file(10_000), 50, 0, 0.01,
+                                                  ProxSpec("l1", 0.01))))
         inst.grad_stack(xs[0])
         inst.objective(points[0])
         assert len(pickle.dumps(inst)) == cold

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flexatc as fa
-from conftest import synthetic_logistic_dataset
+from conftest import synthetic_logistic_dataset, write_libsvm
 from flexatc.problem import ProxSpec, quadratic_instance
 from flexatc.solver import (
     DivergenceError,
@@ -237,9 +237,9 @@ class TestCentralizedProxgrad:
         x = centralized_proxgrad(inst, alpha=1.0, tol=1e-14)
         assert x[0] == 0.0
 
-    def test_logistic_l1_fixed_point_residual(self):
-        ds = synthetic_logistic_dataset(120, 5, seed=14)
-        inst = fa.logistic_instance(ds, n=4, partition_seed=0, ridge=0.01,
+    def test_logistic_l1_fixed_point_residual(self, tmp_path):
+        path = write_libsvm(synthetic_logistic_dataset(120, 5, seed=14), tmp_path / "data.libsvm")
+        inst = fa.logistic_instance(path, n=4, partition_seed=0, ridge=0.01,
                                     prox=ProxSpec("l1", 0.01))
         alpha = 1.0 / inst.L
         x = centralized_proxgrad(inst, alpha, tol=1e-12)
