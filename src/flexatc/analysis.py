@@ -37,7 +37,7 @@ import numpy as np
 from .combiners import CombinerPair
 from .linalg import LinalgError, kron_apply
 from .problem import ProblemInstance
-from .solver import GridBlock, GridRun, SolverError, centralized_proxgrad, run
+from .solver import GridBlock, GridRun, SolverError, run
 
 SLACK_TOL = 1e-9
 
@@ -49,9 +49,8 @@ class CertificateError(Exception):
 @dataclass(eq=False)
 class FixedPoint:
     """Reference optimum (x*, w*, u*_b) with the residuals of its
-    stationarity system; x_opt is the consensus solution of length d."""
+    stationarity system."""
 
-    x_opt: np.ndarray
     x_star: np.ndarray
     w_star: np.ndarray
     u_star_b: np.ndarray
@@ -62,21 +61,16 @@ def fixed_point(
     instance: ProblemInstance,
     pair: CombinerPair,
     alpha: float,
-    x_opt: np.ndarray | None = None,
+    x_opt: np.ndarray,
 ) -> FixedPoint:
-    """Solve the consensus problem with centralized_proxgrad at 1/L, since x*
-    does not depend on alpha, and lift it to (x*, w*, u*_b) at alpha.
+    """Lift the consensus solution x_opt, of length d, to (x*, w*, u*_b) at
+    alpha; solver.centralized_proxgrad solves for x_opt.
 
     u*_b, the minimum-norm solution of B u = sqrt(B) w*, is one linear solve,
     (sqrt(B) + 11^T/n) u = w* - mean(w*), as null(B) = span(1) exactly.
     All stationarity residuals are verified before return; a singular
     solve raises LinalgError.
-    Passing a precomputed x_opt skips the centralized solve (useful when
-    several combiner pairs share one problem, or to solve to another
-    tolerance).
     """
-    if x_opt is None:
-        x_opt = centralized_proxgrad(instance, 1.0 / instance.L)
     x_star = np.tile(x_opt, (instance.n, 1))
     w_star = x_star - alpha * instance.grad_stack(x_star)
     try:
@@ -102,7 +96,6 @@ def fixed_point(
         raise CertificateError(f"u* has a null-space component of size {r_orth:.3e}")
 
     return FixedPoint(
-        x_opt=x_opt,
         x_star=x_star,
         w_star=w_star,
         u_star_b=u_star,

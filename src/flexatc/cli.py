@@ -197,12 +197,11 @@ def _output_path(path_str: str, out_dir: str | None) -> Path:
 
 def _prepare(cfg: ExperimentConfig,
              checks: bool) -> tuple[graph.Topology, graph.MixingMatrix, Grid]:
-    """The build, then the reference solve at 1/L, one fixed point per pair
-    and the grid of runs."""
+    """The build, then the one reference solve, its lift to each pair's
+    fixed point and the grid of runs."""
     topo, mixing, instance, alpha, pairs = build(cfg)
-    x_opt = solver.centralized_proxgrad(instance, 1.0 / instance.L)
-    fps = {pair.variant: analysis.fixed_point(instance, pair, alpha, x_opt=x_opt)
-           for pair in pairs}
+    x_opt = solver.centralized_proxgrad(instance)
+    fps = {pair.variant: analysis.fixed_point(instance, pair, alpha, x_opt) for pair in pairs}
     x0 = None
     if cfg.run.init != "zeros":
         rng = np.random.default_rng(cfg.run.init_seed)

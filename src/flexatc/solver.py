@@ -287,18 +287,17 @@ def run(
 
 def centralized_proxgrad(
     instance: ProblemInstance,
-    alpha: float,
     max_iters: int = 500_000,
     tol: float = 1e-12,
 ) -> np.ndarray:
     """Reference solver: proximal gradient on the consensus problem.
 
-    Iterates x+ = prox(x - alpha * mean_grad(x)) until the fixed-point
-    residual ||x - x+|| drops to tol; a residual that is not finite ends
-    the solve at once.
+    Iterates x+ = prox(x - alpha * mean_grad(x)) at alpha = 1/L, since the
+    consensus solution x* does not depend on the stepsize, until the
+    fixed-point residual ||x - x+|| drops to tol; a residual that is not
+    finite ends the solve at once.
     """
-    if not (0.0 < alpha < 2.0 / instance.L):
-        raise SolverError(f"stepsize {alpha} outside (0, 2/L) with L={instance.L}")
+    alpha = 1.0 / instance.L
     x = np.zeros(instance.d)
     residual = np.inf
     with np.errstate(over="ignore", invalid="ignore"):

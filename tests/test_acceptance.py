@@ -52,7 +52,7 @@ def certified():
     mm = fa.metropolis_weights(fa.gen_topology("ring", 10))
     pair = fa.preset("ed", mm)
     alpha = 1.0 / inst.L
-    fp = fixed_point(inst, pair, alpha)
+    fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst))
     return inst, pair, alpha, fp
 
 
@@ -214,7 +214,7 @@ def test_criterion_5_communication_acceleration():
     assert kappa == pytest.approx(1e4)
     p_star = min(1.0, 1.0 / np.sqrt(kappa * pair.sigma_m_b))
     alpha = 1.0 / inst.L
-    fp = fixed_point(inst, pair, alpha, x_opt=centralized_proxgrad(inst, alpha, tol=1e-13))
+    fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst, tol=1e-13))
 
     # both paths advance as one batch; each trace is what it is alone
     iters = 250_000
@@ -372,7 +372,7 @@ def test_criterion_7_convex_regime(tmp_path):
     mm = fa.metropolis_weights(fa.gen_topology("ring", 10))
     pair = fa.preset("ed", mm)
     alpha = 1.0 / inst.L
-    fp = fixed_point(inst, pair, alpha)
+    fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst))
     iters = 2000
     worst_rel = np.inf
     bound_ok = True
@@ -425,7 +425,8 @@ def test_criterion_8_oracle_hygiene(tmp_path, certified):
     inst2 = fa.logistic_instance(path, 6, partition_seed=0, ridge=0.02,
                                  prox=ProxSpec("l1", 0.02))
     mm = fa.metropolis_weights(fa.gen_topology("ring", 6))
-    fp2 = fixed_point(inst2, fa.preset("ed", mm), 1.0 / inst2.L)
+    fp2 = fixed_point(inst2, fa.preset("ed", mm), 1.0 / inst2.L,
+                      centralized_proxgrad(inst2))
     residual = max(residual, fp2.kkt_residual)
 
     report(8, "oracle hygiene",

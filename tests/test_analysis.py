@@ -45,14 +45,15 @@ class TestFixedPoint:
         targets = [np.array([1.0, -2.0, 0.5]), np.array([3.0, 4.0, -0.5])]
         inst = fa.quadratic_from_targets(np.stack(targets))
         pair = ring_pair(2)
-        fp = fixed_point(inst, pair, alpha=1.0)
-        assert np.allclose(fp.x_opt, np.mean(targets, axis=0), atol=1e-11)
+        x_opt = centralized_proxgrad(inst)
+        fp = fixed_point(inst, pair, 1.0, x_opt)
+        assert np.allclose(x_opt, np.mean(targets, axis=0), atol=1e-11)
         assert fp.kkt_residual <= 1e-8
 
     def test_single_node_degenerate(self):
         inst = fa.quadratic_from_targets([[2.0]], prox=ProxSpec("l1", 0.1))
         pair = ring_pair(1)
-        fp = fixed_point(inst, pair, alpha=1.0)
+        fp = fixed_point(inst, pair, 1.0, centralized_proxgrad(inst))
         assert np.array_equal(fp.u_star_b, np.zeros((1, 1)))
         expected_w = fp.x_star - 1.0 * inst.grad_stack(fp.x_star)
         assert np.allclose(fp.w_star, expected_w, atol=1e-15)
@@ -62,7 +63,7 @@ class TestFixedPoint:
         inst = fa.logistic_instance(path, n=10, partition_seed=1, ridge=0.01,
                                     prox=ProxSpec("l1", 0.01))
         pair = ring_pair(10)
-        fp = fixed_point(inst, pair, alpha=1.0 / inst.L)
+        fp = fixed_point(inst, pair, 1.0 / inst.L, centralized_proxgrad(inst))
         assert fp.kkt_residual <= 1e-8
         # u* restricted to range(sqrt B): block mean vanishes
         assert np.linalg.norm(fp.u_star_b.mean(axis=0)) <= 1e-9
@@ -83,7 +84,7 @@ class TestFixedPointOnALargeRing:
     def test_all_three_residual_checks_pass(self, ring300_atc_gt):
         inst, pair, alpha = ring300_atc_gt
         assert pair.sigma_m_b < 1e-7
-        fp = fixed_point(inst, pair, alpha)
+        fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst))
         assert fp.kkt_residual <= 1e-8 * (1.0 + np.linalg.norm(fp.w_star))
         assert np.linalg.norm(fp.u_star_b.mean(axis=0)) <= 1e-12 * np.linalg.norm(fp.u_star_b)
 
@@ -102,7 +103,7 @@ class TestFixedPointOnALargeRing:
                              (np.linalg, "eigvalsh")):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
-        fixed_point(inst, pair, alpha)
+        fixed_point(inst, pair, alpha, centralized_proxgrad(inst))
         assert calls == []
 
 
@@ -112,7 +113,7 @@ def certified_setup():
                               prox=ProxSpec("l1", 0.01))
     pair = ring_pair(8)
     alpha = 1.0 / inst.L
-    fp = fixed_point(inst, pair, alpha)
+    fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst))
     return inst, pair, alpha, fp
 
 
@@ -171,7 +172,7 @@ class TestTheorem2:
         inst = quadratic_instance(3, 2, seed=1)
         inst.mu = 0.0  # simulate a merely convex instance
         pair = ring_pair(3)
-        fp = fixed_point(inst, pair, alpha=1.0)
+        fp = fixed_point(inst, pair, 1.0, centralized_proxgrad(inst))
         state = initial_state(inst, 1.0, 0.5)
         with pytest.raises(CertificateError, match="strongly convex"):
             theorem2_check(state, inst, pair, fp)
@@ -196,7 +197,7 @@ class TestTheorem1:
         assert inst.mu == 0.0
         pair = ring_pair(4)
         alpha = 1.0 / inst.L
-        fp = fixed_point(inst, pair, alpha, x_opt=centralized_proxgrad(inst, alpha, tol=1e-13))
+        fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst, tol=1e-13))
         for seed in (1, 2):
             averages = IterateAverages()
             fa.run(inst, pair, alpha, p=0.5, seed=seed, iters=400,
@@ -254,7 +255,7 @@ class TestSweepAcrossVariants:
         mm = fa.metropolis_weights(fa.gen_topology("ring", 6))
         pair = fa.preset(variant, fa.lazify(mm) if lazy else mm)
         alpha = 1.0 / inst.L
-        fp = fixed_point(inst, pair, alpha)
+        fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst))
         sweep = sweep_certificates(inst, pair, alpha, p, seed=8, iters=250, fp=fp)
         assert sweep.violations() == []
 
@@ -270,7 +271,7 @@ class TestSweepAcrossVariants:
             )
             pair = ring_pair(n)
             alpha = float(rng.uniform(0.4, 1.5)) / inst.L
-            fp = fixed_point(inst, pair, alpha)
+            fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst))
             for p in (1.0, 0.5, 0.2):
                 sweep = sweep_certificates(inst, pair, alpha, p, seed=trial, iters=500, fp=fp)
                 assert sweep.violations() == [], f"trial {trial}, p={p}"
@@ -304,7 +305,7 @@ def observed_setup(request, tmp_path_factory):
         inst = quadratic_instance(8, 4, seed=23, curvature_min=0.02, curvature_max=1.0,
                                   prox=ProxSpec("l1", 0.01))
         pair = ring_pair(8)
-        fp = fixed_point(inst, pair, 1.0 / inst.L)
+        fp = fixed_point(inst, pair, 1.0 / inst.L, centralized_proxgrad(inst))
     else:
         # the merely convex instance of acceptance criterion 7
         path = write_libsvm(synthetic_logistic_dataset(400, 5, seed=60),
@@ -313,7 +314,7 @@ def observed_setup(request, tmp_path_factory):
                                     prox=ProxSpec("l1", 0.01))
         assert inst.mu == 0.0
         pair = ring_pair(10)
-        fp = fixed_point(inst, pair, 1.0 / inst.L)
+        fp = fixed_point(inst, pair, 1.0 / inst.L, centralized_proxgrad(inst))
     return inst, pair, 1.0 / inst.L, fp
 
 

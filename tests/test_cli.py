@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from flexatc.analysis import SLACK_TOL, GridCertificates, fixed_point
 from flexatc.config import ConfigError, load_config, parse_config
 from flexatc.graph import topology_to_edgelist
 from flexatc.linalg import LinalgError
-from flexatc.solver import DivergenceError, SolverError
+from flexatc.solver import DivergenceError, SolverError, centralized_proxgrad
 from reference import LogisticLoss, partition
 
 SMOKE = """
@@ -269,6 +270,21 @@ def test_shipped_config(tmp_path, capsys, monkeypatch, name):
     mins = [float(cell) for row in rows if row[4] == "-1" for cell in row[-3:]]
     runs = len(cfg.combiner.variants) * len(cfg.run.p_list) * len(cfg.run.seeds)
     assert len(mins) == 3 * runs and min(mins) >= -SLACK_TOL
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_one_reference_solve_lifted_per_variant(tmp_path, capsys, monkeypatch, command):
+    # a solve per pair would cost each variant a full reference solve
+    solve = mock.Mock(wraps=cli.solver.centralized_proxgrad)
+    lift = mock.Mock(wraps=cli.analysis.fixed_point)
+    monkeypatch.setattr(cli.solver, "centralized_proxgrad", solve)
+    monkeypatch.setattr(cli.analysis, "fixed_point", lift)
+    monkeypatch.chdir(ROOT)
+    argv = [command, "configs/logistic_small.ini", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert solve.call_count == 1
+    assert lift.call_count == len(load_config(argv[1]).combiner.variants) == 2
+    assert len({id(call.args[3]) for call in lift.call_args_list}) == 1
 
 
 class TestRunCommand:
@@ -621,7 +637,7 @@ class TestCsvCells:
                                     fa.ProxSpec("l1", 0.01))
         pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("ring", 4)))
         alpha = 1.0 / inst.L
-        fp = fixed_point(inst, pair, alpha)
+        fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst))
         for reference, checks in ((None, False), (fp.x_star, True)):
             observer = (GridCertificates(inst, [fa.GridRun(pair, 0.5, 3)], [fp], alpha, 25)
                         if checks else None)

@@ -23,6 +23,7 @@ from flexatc.solver import (
     GridRun,
     SolverError,
     block_length,
+    centralized_proxgrad,
     coin_flips,
     run_grid,
 )
@@ -52,7 +53,8 @@ def grid_setup(request, tmp_path_factory):
                                     prox=ProxSpec("l1", 0.01))
     pairs = [fa.preset("ed", mm), fa.preset("atc_gt", fa.lazify(mm))]
     alpha = 1.0 / inst.L
-    fps = {pair.variant: fixed_point(inst, pair, alpha) for pair in pairs}
+    x_opt = centralized_proxgrad(inst)
+    fps = {pair.variant: fixed_point(inst, pair, alpha, x_opt) for pair in pairs}
     runs = [GridRun(pairs[0], 1.0, 3), GridRun(pairs[1], 0.5, 3), GridRun(pairs[0], 0.2, 4),
             GridRun(pairs[1], 1.0, 4), GridRun(pairs[0], 0.5, 5), GridRun(pairs[1], 0.2, 5)]
     x0 = 0.5 * np.random.default_rng(9).standard_normal((n, inst.d))
@@ -240,7 +242,7 @@ def test_divergence_inside_a_block_names_the_reference_step(monkeypatch, steps, 
         # any point serves as x* here: the certificates only have to run
         zeros = np.zeros((4, 2))
         certificates = GridCertificates(
-            lying, runs, [FixedPoint(zeros[0], zeros, zeros, zeros, 0.0)] * len(runs), alpha, iters)
+            lying, runs, [FixedPoint(zeros, zeros, zeros, 0.0)] * len(runs), alpha, iters)
 
         def observer(block):
             certified.extend(range(block.k0, block.k0 + len(block.x)))

@@ -227,14 +227,14 @@ class TestCentralizedProxgrad:
     def test_quadratic_mean(self):
         targets = [np.array([1.0, 2.0]), np.array([3.0, -4.0]), np.array([-1.0, 5.0])]
         inst = fa.quadratic_from_targets(np.stack(targets))
-        x = centralized_proxgrad(inst, alpha=1.0, tol=1e-14)
+        x = centralized_proxgrad(inst, tol=1e-14)
         assert np.allclose(x, np.mean(targets, axis=0), atol=1e-12)
 
     def test_l1_dominating_gradient_gives_zero(self):
         # f = x^2/2, r = 2|x|: the subgradient interval [-2, 2] at zero
         # absorbs the gradient, so the solution is exactly 0
         inst = fa.quadratic_from_targets([[1.0]], prox=ProxSpec("l1", 2.0))
-        x = centralized_proxgrad(inst, alpha=1.0, tol=1e-14)
+        x = centralized_proxgrad(inst, tol=1e-14)
         assert x[0] == 0.0
 
     def test_logistic_l1_fixed_point_residual(self, tmp_path):
@@ -242,22 +242,26 @@ class TestCentralizedProxgrad:
         inst = fa.logistic_instance(path, n=4, partition_seed=0, ridge=0.01,
                                     prox=ProxSpec("l1", 0.01))
         alpha = 1.0 / inst.L
-        x = centralized_proxgrad(inst, alpha, tol=1e-12)
+        x = centralized_proxgrad(inst, tol=1e-12)
         step = inst.prox.apply(x - alpha * inst.mean_grad(x), alpha)
         assert np.linalg.norm(x - step) <= 1e-12
 
     def test_non_finite_residual_stops_at_once(self):
-        # understate L so the nominally valid stepsize explodes the iterates;
-        # the solve ends when the residual overflows, not after max_iters
+        # understate L so the step 1/L = 10 explodes the unit-curvature
+        # iterates; the solve ends when the residual overflows, not after
+        # max_iters
         lying = replace(fa.quadratic_from_targets(np.ones((1, 2))), L=0.1, mu=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SolverError, match=r"reference solver residual is inf") as err:
-                centralized_proxgrad(lying, alpha=15.0)
+                centralized_proxgrad(lying)
         iteration = int(str(err.value).rsplit(" ", 1)[1])
         assert 0 < iteration < 1000
 
     def test_iteration_cap_reports_residual(self):
-        inst = quadratic_instance(2, 2, seed=15, target_scale=10.0)
-        with pytest.raises(SolverError, match="residual"):
-            centralized_proxgrad(inst, alpha=1e-4, max_iters=10, tol=1e-12)
+        # curvature 1e-6 against L = 1: ten steps at 1/L leave a residual
+        inst = quadratic_instance(2, 2, seed=15, curvature_min=1e-6, target_scale=10.0)
+        with pytest.raises(SolverError) as err:
+            centralized_proxgrad(inst, max_iters=10, tol=1e-12)
+        assert str(err.value) == ("reference solver hit 10 iterations with residual "
+                                  "4.598e-06 > 1.0e-12")
