@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .combiners import CombinerPair
-from .linalg import LinalgError, kron_apply
+from .linalg import LinalgError, kron_apply, norm
 from .problem import ProblemInstance
 from .solver import GridBlock, GridRun, SolverError, run
 
@@ -80,19 +80,17 @@ def fixed_point(
         raise LinalgError(f"fixed point solve failed: {exc}") from exc
 
     z_star = w_star - kron_apply(pair.sqrt_b, u_star)
-    r_root = float(np.linalg.norm(kron_apply(pair.sqrt_b, z_star)))
-    r_prox = float(
-        np.linalg.norm(x_star - instance.prox.apply(kron_apply(pair.a, z_star), alpha))
-    )
+    r_root = norm(kron_apply(pair.sqrt_b, z_star))
+    r_prox = norm(x_star - instance.prox.apply(kron_apply(pair.a, z_star), alpha))
     mean_block = u_star.mean(axis=0)
-    r_orth = math.sqrt(instance.n) * float(np.linalg.norm(mean_block))
+    r_orth = math.sqrt(instance.n) * norm(mean_block)
 
-    w_scale = 1.0 + float(np.linalg.norm(w_star))
+    w_scale = 1.0 + norm(w_star)
     if r_root > 1e-8 * w_scale:
         raise CertificateError(f"fixed point violates the dual stationarity residual: {r_root:.3e}")
     if r_prox > 1e-8 * w_scale:
         raise CertificateError(f"fixed point violates the prox stationarity residual: {r_prox:.3e}")
-    if r_orth > 1e-9 * (1.0 + float(np.linalg.norm(u_star))):
+    if r_orth > 1e-9 * (1.0 + norm(u_star)):
         raise CertificateError(f"u* has a null-space component of size {r_orth:.3e}")
 
     return FixedPoint(
@@ -243,12 +241,11 @@ def sweep_certificates(
     seed: int,
     iters: int,
     fp: FixedPoint,
-    x0: np.ndarray | None = None,
 ) -> CertificateSweep:
-    """Certify every transition of solver.run with the same arguments
-    (same coins, same iterates); the trace itself is discarded."""
+    """Certify every transition of solver.run with the same arguments from
+    the zero start (same coins, same iterates); the trace is discarded."""
     observer = GridCertificates(instance, [GridRun(pair, p, seed)], [fp], alpha, iters)
-    run(instance, pair, alpha, p, seed, iters, x0=x0, record_kkt=False, observer=observer)
+    run(instance, pair, alpha, p, seed, iters, record_kkt=False, observer=observer)
     return observer.sweeps[0]
 
 

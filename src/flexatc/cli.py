@@ -7,11 +7,11 @@ Subcommands:
     validate <config>  dry run: parse config, build graph/problem/combiners
 
 Exit codes: 0 success, 1 a --threads worker process that died, 2 unreadable
-or invalid config/dataset (an invalid combiner variant too), an array numpy
-cannot allocate, or an unwritable output, 3 divergence, a reference solve
-that does not converge or certificate terms that overflow float64, 4 a
-falsified certificate, a pair that fails validate's dense audit, or a
-LinalgError.
+or invalid config/dataset (an invalid combiner variant, or an L that overflows
+float64, too), an array numpy cannot allocate, or an unwritable output, 3
+divergence, a reference solve that does not converge or certificate terms
+that overflow float64, 4 a falsified certificate, a pair that fails
+validate's dense audit, or a LinalgError.
 """
 
 from __future__ import annotations
@@ -73,14 +73,8 @@ def build(cfg: ExperimentConfig) -> tuple[graph.Topology, graph.MixingMatrix,
     return topo, mixing, instance, alpha, pairs
 
 
-@dataclass(eq=False)
-class RunResult:
-    run_id: str
-    variant: str
-    p: float
-    seed: int
-    trace: solver.RunTrace
-    sweep: analysis.CertificateSweep | None
+def _run_id(run: solver.GridRun) -> str:
+    return f"{run.pair.variant}|p={run.p:g}|seed={run.seed}"
 
 
 def _cells(values) -> list[str]:
@@ -103,8 +97,8 @@ class Grid:
     runs: list[solver.GridRun]
 
 
-def _execute_grid(grid: Grid) -> list[RunResult]:
-    """Advance every run of the grid as one solver.run_grid batch."""
+def _execute_grid(grid: Grid) -> list[tuple]:
+    """Each run's (GridRun, RunTrace, CertificateSweep or None), as one run_grid batch."""
     fps = [grid.fps[r.pair.variant] for r in grid.runs]
     observer = (analysis.GridCertificates(grid.instance, grid.runs, fps, grid.alpha, grid.iters)
                 if grid.checks else None)
@@ -113,36 +107,34 @@ def _execute_grid(grid: Grid) -> list[RunResult]:
         reference=np.stack([fp.x_star for fp in fps]), x0=grid.x0,
         record_kkt=grid.record_kkt, observer=observer,
     )
-    sweeps = observer.sweeps if observer else [None] * len(traces)
-    return [RunResult(f"{r.pair.variant}|p={r.p:g}|seed={r.seed}", r.pair.variant, r.p, r.seed,
-                      trace, sweep)
-            for r, trace, sweep in zip(grid.runs, traces, sweeps)]
+    return list(zip(grid.runs, traces, observer.sweeps if observer else [None] * len(traces)))
 
 
-def _result_rows(res: RunResult) -> list[list[str]]:
-    t, sweep, n = res.trace, res.sweep, res.trace.k.size
+def _result_rows(res: tuple) -> list[list[str]]:
+    r, t, sweep = res
+    n = t.theta.size
     blank = np.full(n, np.nan)
     slacks = (sweep.lemma2_slack, sweep.thm1_slack, sweep.thm2_slack) if sweep else (blank,) * 3
     columns = [
-        [res.run_id] * n, [res.variant] * n, [repr(res.p)] * n, [str(res.seed)] * n,
-        *(list(map(str, c.astype(int).tolist())) for c in (t.k, t.theta, t.comms)),
+        [_run_id(r)] * n, [r.pair.variant] * n, [repr(r.p)] * n, [str(r.seed)] * n,
+        *(list(map(str, c.astype(int).tolist())) for c in (np.arange(n), t.theta, t.comms)),
         *(_cells(c) for c in (t.rel_err, t.consensus_err, t.objective, t.kkt_residual, *slacks)),
     ]
     return [list(row) for row in zip(*columns)]
 
 
-def _summary_row(res: RunResult) -> list[str]:
+def _summary_row(res: tuple) -> list[str]:
     """Machine-readable per-run summary; marked by k = -1."""
-    t = res.trace
-    mins = res.sweep.min_slacks() if res.sweep else {}
+    r, t, sweep = res
+    mins = sweep.min_slacks() if sweep else {}
     return [
-        res.run_id, res.variant, repr(res.p), str(res.seed), "-1", "", str(int(t.comms[-1])),
+        _run_id(r), r.pair.variant, repr(r.p), str(r.seed), "-1", "", str(int(t.comms[-1])),
         *_cells([t.rel_err[-1], t.consensus_err[-1], t.objective[-1], t.kkt_residual[-1]]),
         *_cells([mins.get(name, np.nan) for name in ("lemma2", "thm1", "thm2")]),
     ]
 
 
-def _write_csv(path: Path, results: list[RunResult]) -> None:
+def _write_csv(path: Path, results: list[tuple]) -> None:
     """The header, then each run's rows and its summary row, one run's
     cells at a time."""
     with path.open("w") as fh:
@@ -153,15 +145,15 @@ def _write_csv(path: Path, results: list[RunResult]) -> None:
             fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
-def _write_svg(path: Path, results: list[RunResult], first_seed: int) -> None:
+def _write_svg(path: Path, results: list[tuple], first_seed: int) -> None:
     """One polyline per (variant, p) pair; the first seed represents the pair."""
     iter_series, comm_series = [], []
-    for res in results:
-        if res.seed == first_seed:
-            label = f"{res.variant} p={res.p:g}"
-            errs = res.trace.rel_err.tolist()
-            iter_series.append(Series(label, (res.trace.k + 1).tolist(), errs))
-            comm_series.append(Series(label, res.trace.comms.tolist(), errs))
+    for r, trace, _ in results:
+        if r.seed == first_seed:
+            label = f"{r.pair.variant} p={r.p:g}"
+            errs = trace.rel_err.tolist()
+            iter_series.append(Series(label, list(range(1, len(errs) + 1)), errs))
+            comm_series.append(Series(label, trace.comms.tolist(), errs))
     path.write_text(render_convergence_svg(iter_series, comm_series))
 
 
@@ -212,7 +204,7 @@ def _prepare(cfg: ExperimentConfig,
     return topo, mixing, grid
 
 
-def _run_grid(grid: Grid, threads: int) -> list[RunResult]:
+def _run_grid(grid: Grid, threads: int) -> list[tuple]:
     """Results in task order. With threads > 1 the runs are split into that
     many contiguous batches, one pool task each, so the problem instance is
     pickled once per worker; a run's result does not depend on its batch."""
@@ -245,19 +237,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
     results = _run_grid(grid, threads)
 
     falsified: list[str] = []
-    for res in results:
+    for r, trace, sweep in results:
         if check:
-            mins = res.sweep.min_slacks()
-            print(f"{res.run_id}: "
+            mins = sweep.min_slacks()
+            print(f"{_run_id(r)}: "
                   + " ".join(f"min_{name}_slack={val:.3e}" for name, val in mins.items()))
         else:
-            iters, comms = iterations_to_target(res.trace, target)
-            print(f"{res.run_id}: final rel_err={res.trace.rel_err[-1]:.3e} "
-                  f"comms={int(res.trace.comms[-1])} "
+            iters, comms = iterations_to_target(trace, target)
+            print(f"{_run_id(r)}: final rel_err={trace.rel_err[-1]:.3e} "
+                  f"comms={int(trace.comms[-1])} "
                   f"iters_to_{target:g}={iters} (comms {comms})")
-        if res.sweep is not None:
-            falsified.extend(f"{res.run_id}: {name} violated at iteration {idx}"
-                             for name, idx in res.sweep.violations())
+        if sweep is not None:
+            falsified.extend(f"{_run_id(r)}: {name} violated at iteration {idx}"
+                             for name, idx in sweep.violations())
 
     with _output(csv_path):
         _write_csv(csv_path, results)

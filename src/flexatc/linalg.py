@@ -1,6 +1,6 @@
 """Dense symmetric-matrix kernel on plain arrays: eigendecomposition (LAPACK
-through numpy.linalg.eigh), pseudo-inverse solves, and block-wise (Kronecker)
-application of small n x n matrices to stacked vectors.
+through numpy.linalg.eigh), pseudo-inverse solves, block-wise (Kronecker)
+application of small n x n matrices to stacked vectors, and a norm.
 """
 
 from __future__ import annotations
@@ -34,6 +34,13 @@ def sym_eig(a: np.ndarray):
         return np.linalg.eigh(0.5 * (a + a.T))
     except np.linalg.LinAlgError as exc:
         raise LinalgError(f"eigendecomposition failed: {exc}") from exc
+
+
+def norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) bit for bit, or hypot's if its sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.norm(v))
+        return float(np.hypot.reduce(v, axis=None)) if out == np.inf else out
 
 
 def kron_apply(m: np.ndarray, x: np.ndarray) -> np.ndarray:

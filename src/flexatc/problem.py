@@ -21,6 +21,8 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import linalg
+
 _POWER_ITER_CAP = 100_000
 _POWER_ITER_TOL = 1e-8
 
@@ -293,7 +295,7 @@ def _power_iteration_lmax(gram: np.ndarray) -> float:
     lam = 0.0
     for _ in range(_POWER_ITER_CAP):
         w = gram @ v
-        norm = float(np.linalg.norm(w))
+        norm = linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
@@ -445,8 +447,8 @@ class ProblemInstance:
     mu: float
 
     def __post_init__(self):
-        if not self.L > 0.0:
-            raise ProblemError("smoothness constant must be positive")
+        if not 0.0 < self.L < np.inf:
+            raise ProblemError(f"smoothness constant must be positive and finite, got {self.L}")
         self.n, self.d = self.stack.shape
         if self.d < 1:
             raise ProblemError("need at least one feature")
@@ -506,8 +508,9 @@ def quadratic_instance(
         raise ProblemError("need 0 < curvature_min <= curvature_max < inf")
     rng = np.random.default_rng(seed)
     h = np.geomspace(curvature_min, curvature_max, d) if d > 1 else np.array([curvature_max])
-    offset = target_offset_scale * rng.standard_normal(d)
-    targets = offset + target_scale * rng.standard_normal((n, d))
+    with np.errstate(over="ignore", invalid="ignore"):  # targets past float64 are refused
+        offset = target_offset_scale * rng.standard_normal(d)
+        targets = offset + target_scale * rng.standard_normal((n, d))
     return quadratic_from_targets(targets, np.tile(h, (n, 1)), prox)
 
 
@@ -546,9 +549,11 @@ def _stack_instance(blocks, m: int, n: int, partition_seed: int, ridge: float,
                    np.repeat(column[kept], counts[:keep])] = (
                 values[:stop] * np.repeat(labels[:keep], counts[:keep]))
         lmax = []
-        for i in range(n):
-            block = np.ascontiguousarray(signed[i, :, :sizes[i]].T)
-            lmax.append(_power_iteration_lmax(block.T @ block / (4.0 * sizes[i])))
+        with np.errstate(over="ignore", invalid="ignore"):  # a Gram that overflows: L = inf
+            for i in range(n):
+                block = np.ascontiguousarray(signed[i, :, :sizes[i]].T)
+                gram = block.T @ block / (4.0 * sizes[i])
+                lmax.append(_power_iteration_lmax(gram) if np.isfinite(gram).all() else np.inf)
     except (MemoryError, ValueError) as exc:  # numpy's refusal of a shape
         shape = (n, width, int(sizes.max()))
         raise ProblemError(f"cannot allocate the feature stack of shape {shape} "

@@ -78,7 +78,7 @@ def coin_flips(p: float, seed: int, count: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class RunTrace:
-    """Per-iteration records; row k describes the state after step k.
+    """Per-iteration records; row k, at index k, describes the state after step k.
 
     rel_err is ||x - x*|| / ||x*|| (NaN without a reference); consensus_err
     is the Frobenius distance to the block-mean; objective and kkt_residual
@@ -86,7 +86,6 @@ class RunTrace:
     state after the last step.
     """
 
-    k: np.ndarray
     theta: np.ndarray
     comms: np.ndarray
     rel_err: np.ndarray
@@ -250,7 +249,6 @@ def run_grid(
     consensus, kkt = np.sqrt(consensus_sq), np.sqrt(kkt_sq)
     return [
         RunTrace(
-            k=np.arange(iters),
             theta=coins[s],
             comms=comms[s],
             rel_err=rel_err[:, s].copy(),

@@ -345,8 +345,7 @@ class TestObservedSweep:
         observed = fa.run(*args, reference=fp.x_star,
                           observer=GridCertificates(inst, [GridRun(pair, p, 4)], [fp], alpha,
                                                     self.ITERS))
-        for name in ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
-                     "kkt_residual"):
+        for name in ("theta", "comms", "rel_err", "consensus_err", "objective", "kkt_residual"):
             assert np.array_equal(getattr(plain, name), getattr(observed, name)), name
         for name in ("x", "u"):
             assert np.array_equal(getattr(plain, name), getattr(observed, name))
@@ -379,6 +378,6 @@ class TestObservedSweep:
         calls.clear()
         grid = cli.Grid(inst, alpha, iters, None, True, True, {"ed": fp},
                         [GridRun(pair, 0.5, 1)])
-        [result] = cli._execute_grid(grid)
+        [(_, _, sweep)] = cli._execute_grid(grid)
         assert len(calls) == iters + 1
-        assert result.sweep.violations() == []
+        assert sweep.violations() == []

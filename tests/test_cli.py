@@ -503,6 +503,31 @@ class TestRunCommand:
             svg = (tmp_path / "z.svg").read_text()
             assert svg.count('points=""') == 2 and svg.count("<rect") == 3
 
+    # finite data whose sums of squares overflow float64, which every command
+    # runs with no warning: features of 1e80 on two agents, whose Gram's top
+    # eigenvalue is 2.5e159, and one agent's targets and l1 weight of 1e300,
+    # whose fixed point has norms near 1e300
+    @pytest.mark.parametrize("command", ["validate", "run", "check"])
+    @pytest.mark.parametrize("case", ["features", "targets"])
+    def test_large_finite_data_runs_without_a_warning(self, tmp_path, capsys, command, case):
+        if case == "features":
+            data = tmp_path / "data.svm"
+            data.write_text("+1 1:1e80 2:1\n-1 1:1 2:1e80\n")
+            text = SMOKE.replace("kind = ring\nn = 1", "kind = complete\nn = 2").replace(
+                "type = quadratic\nd = 2\ntarget_seed = 3",
+                f"type = logistic\ndata = {data}\nridge = 0")
+        else:
+            text = SMOKE.replace("d = 2", "d = 3\ntarget_scale = 1e300\nprox = l1\n"
+                                          "prox_weight = 1e300")
+        conf = write_config(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, conf, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        if case == "features" and command != "check":
+            assert " L=2.5e+159 " in out
+
     def test_divergence_exits_3(self, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise DivergenceError(17)
@@ -599,13 +624,14 @@ def _format_cell(v) -> str:
     return str(v)
 
 
-def _rows_cell_by_cell(res: cli.RunResult) -> list[list[str]]:
-    t, sweep = res.trace, res.sweep
+def _rows_cell_by_cell(res: tuple, run_id: str) -> list[list[str]]:
+    """The rows of a (GridRun, RunTrace, CertificateSweep | None) result."""
+    r, t, sweep = res
     rows = []
-    for i in range(t.k.size):
+    for i in range(t.theta.size):
         rows.append([
-            res.run_id, res.variant, _format_cell(res.p), str(res.seed),
-            str(int(t.k[i])), str(int(t.theta[i])), str(int(t.comms[i])),
+            run_id, r.pair.variant, _format_cell(r.p), str(r.seed),
+            str(i), str(int(t.theta[i])), str(int(t.comms[i])),
             _format_cell(float(t.rel_err[i])), _format_cell(float(t.consensus_err[i])),
             _format_cell(float(t.objective[i])), _format_cell(float(t.kkt_residual[i])),
             _format_cell(float(sweep.lemma2_slack[i])) if sweep else "",
@@ -614,7 +640,7 @@ def _rows_cell_by_cell(res: cli.RunResult) -> list[list[str]]:
         ])
     mins = sweep.min_slacks() if sweep else {}
     rows.append([
-        res.run_id, res.variant, _format_cell(res.p), str(res.seed), "-1", "",
+        run_id, r.pair.variant, _format_cell(r.p), str(r.seed), "-1", "",
         str(int(t.comms[-1])), _format_cell(float(t.rel_err[-1])),
         _format_cell(float(t.consensus_err[-1])), _format_cell(float(t.objective[-1])),
         _format_cell(float(t.kkt_residual[-1])), _format_cell(mins.get("lemma2")),
@@ -638,16 +664,15 @@ class TestCsvCells:
         pair = fa.preset("ed", fa.metropolis_weights(fa.gen_topology("ring", 4)))
         alpha = 1.0 / inst.L
         fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst))
+        run = fa.GridRun(pair, 0.5, 3)
         for reference, checks in ((None, False), (fp.x_star, True)):
-            observer = (GridCertificates(inst, [fa.GridRun(pair, 0.5, 3)], [fp], alpha, 25)
-                        if checks else None)
+            observer = GridCertificates(inst, [run], [fp], alpha, 25) if checks else None
             trace = fa.run(inst, pair, alpha, 0.5, 3, 25, reference=reference,
                            record_kkt=False, observer=observer)
-            res = cli.RunResult("ed|p=0.5|seed=3", "ed", 0.5, 3, trace,
-                                observer.sweeps[0] if checks else None)
+            res = (run, trace, observer.sweeps[0] if checks else None)
             rows = cli._result_rows(res) + [cli._summary_row(res)]
             assert any(cell == "" for row in rows for cell in row[7:])
-            assert rows == _rows_cell_by_cell(res)
+            assert rows == _rows_cell_by_cell(res, "ed|p=0.5|seed=3")
 
 
 class TestValidateCommand:

@@ -113,6 +113,10 @@ FAULTS = [
     *(fault(f"target_scale-{value}",
             grid("curvature_max = 1.0", f"curvature_max = 1.0\ntarget_scale = {value}"),
             "target entries must be finite") for value in ("nan", "inf")),
+    # a finite scale whose targets are not: 1e308 times a normal draw above 1.8
+    fault("target_scale-1e308", SMOKE.replace("target_seed = 3", "target_seed = 2\n"
+                                              "target_scale = 1e308"),
+          "target entries must be finite"),
     fault("curvature_max-inf", grid("curvature_max = 1.0", "curvature_max = inf"),
           "need 0 < curvature_min <= curvature_max < inf"),
     fault("init_scale-nan", grid("seeds = 1, 2", "seeds = 1, 2\ninit = random\ninit_scale = nan"),
@@ -187,6 +191,12 @@ FAULTS = [
     dataset("repeated-index", "+1 1:0.5\n-1 2:0.25\n+1 1:2 1:3\n",
             "line 3: feature token '1:3' repeats index 1 of its line"),
     dataset("no-features", "+1\n-1\n+1\n-1\n", "need at least one feature", n=2),
+    # features whose squares overflow float64, so that no Gram matrix, and no
+    # L, is finite; the same file scaled to 1e80 runs (test_cli.py)
+    fault("gram-overflow",
+          logistic(2).replace("ring", "complete").replace("ridge = 0.1", "ridge = 0"),
+          "smoothness constant must be positive and finite, got inf",
+          files={"data.svm": "-1 1:1e200 2:1\n1 1:2 2:1e200\n"}),
     # a valid index whose dense (n, d, m_max) stack no address space holds
     dataset("maximal-index", "+1 9007199254740991:1\n-1 1:1\n+1 2:1\n",
             "cannot allocate the feature stack of shape (3, 9007199254740991, 1) "

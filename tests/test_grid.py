@@ -31,8 +31,7 @@ from reference import (IterateAverages, branch_outcomes, flexatc_step, initial_s
                        lemma2_check, mirror_step, theorem1_step_check, theorem2_check)
 
 TRAJECTORY_RTOL = 1e-12
-TRACE_COLUMNS = ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
-                 "kkt_residual")
+TRACE_COLUMNS = ("theta", "comms", "rel_err", "consensus_err", "objective", "kkt_residual")
 SWEEP_COLUMNS = ("lemma2_slack", "lemma2_rhs", "thm1_slack", "thm2_slack", "phi", "psi")
 ITERS = 120
 
@@ -87,7 +86,7 @@ def _assert_same_run(got, want):
         assert np.array_equal(getattr(trace, name), getattr(ref_trace, name), equal_nan=True), name
     for name in ("x", "u"):
         assert np.array_equal(getattr(trace, name), getattr(ref_trace, name)), name
-    assert (trace.k.size, trace.comms[-1]) == (ref_trace.k.size, ref_trace.comms[-1])
+    assert (trace.theta.size, trace.comms[-1]) == (ref_trace.theta.size, ref_trace.comms[-1])
     if ref_sweep is not None:
         for name in SWEEP_COLUMNS:
             assert np.array_equal(getattr(sweep, name), getattr(ref_sweep, name),
@@ -123,8 +122,7 @@ def test_one_iteration_is_the_first_row(grid_setup, small_blocks, certify):
     one = _batch(grid_setup, runs, certify, iters=1)
     full = _batch(grid_setup, runs, certify)
     for (trace, sweep), (ref_trace, ref_sweep) in zip(zip(*one), zip(*full)):
-        for name in ("k", "theta", "comms", "rel_err", "consensus_err", "objective",
-                     "kkt_residual"):
+        for name in ("theta", "comms", "rel_err", "consensus_err", "objective", "kkt_residual"):
             assert np.array_equal(getattr(trace, name), getattr(ref_trace, name)[:1],
                                   equal_nan=True), name
         if certify:

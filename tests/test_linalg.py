@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from flexatc.linalg import (
     LinalgError,
     kron_apply,
+    norm,
     range_solve,
     sym_eig,
 )
@@ -71,6 +72,22 @@ class TestSymEig:
             # independent check against LAPACK
             assert np.allclose(dec.eigenvalues, np.linalg.eigvalsh(m),
                                atol=1e-10 * scale)
+
+
+class TestNorm:
+    def test_numpy_bits_below_overflow(self):
+        rng = np.random.default_rng(7)
+        for v in (rng.standard_normal(5), 1e150 * rng.standard_normal((3, 4)), np.zeros(2)):
+            assert norm(v) == float(np.linalg.norm(v))
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e307])
+    def test_finite_where_the_squares_overflow(self, scale):
+        # the norm of (3s, 4s) is 5s, which float64 holds at each scale
+        assert norm(np.array([[3.0 * scale], [4.0 * scale]])) == pytest.approx(5.0 * scale)
+
+    def test_non_finite_entries(self):
+        assert norm(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(norm(np.array([1.0, np.nan])))
 
 
 class TestKronApply:
