@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analysis, combiners, graph, linalg, problem, solver
 from .config import ConfigError, ExperimentConfig, check_seed, check_unique, load_config
-from .svgplot import Series, render_convergence_svg
+from .svgplot import render_convergence_svg
 
 EXIT_OK = 0
 EXIT_WORKER = 1
@@ -145,16 +145,12 @@ def _write_csv(path: Path, results: list[tuple]) -> None:
             fh.write("".join(",".join(row) + "\n" for row in rows))
 
 
-def _write_svg(path: Path, results: list[tuple], first_seed: int) -> None:
-    """One polyline per (variant, p) pair; the first seed represents the pair."""
-    iter_series, comm_series = [], []
-    for r, trace, _ in results:
-        if r.seed == first_seed:
-            label = f"{r.pair.variant} p={r.p:g}"
-            errs = trace.rel_err.tolist()
-            iter_series.append(Series(label, list(range(1, len(errs) + 1)), errs))
-            comm_series.append(Series(label, trace.comms.tolist(), errs))
-    path.write_text(render_convergence_svg(iter_series, comm_series))
+def _write_svg(path: Path, results: list[tuple]) -> None:
+    """One curve per (variant, p) pair, its run at the grid's first seed."""
+    first_seed = results[0][0].seed
+    path.write_text(render_convergence_svg([
+        (f"{r.pair.variant} p={r.p:g}", trace.comms.tolist(), trace.rel_err.tolist())
+        for r, trace, _ in results if r.seed == first_seed]))
 
 
 def iterations_to_target(trace: solver.RunTrace, target: float) -> tuple[int, int]:
@@ -255,7 +251,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
         _write_csv(csv_path, results)
     if svg_path:
         with _output(svg_path):
-            _write_svg(svg_path, results, cfg.run.seeds[0])
+            _write_svg(svg_path, results)
     for line in falsified:
         print(f"FALSIFIED {line}", file=sys.stderr)
     return EXIT_FALSIFIED if falsified else EXIT_OK
@@ -278,13 +274,14 @@ def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
     print(f"problem: {cfg.problem.type} n={instance.n} d={instance.d} "
           f"L={instance.L:.6g} mu={instance.mu:.6g} kappa={kappa:.6g} alpha={alpha:.6g}")
     status = EXIT_OK
-    for variant, pair in zip(cfg.combiner.variants, pairs):
+    for pair in pairs:
         report = combiners.validate(pair)
         if report.ok:
-            print(f"{variant}: ok, comm_rounds={pair.comm_rounds} sigma_m={pair.sigma_m_b:.6g}")
+            print(f"{pair.variant}: ok, comm_rounds={pair.comm_rounds} "
+                  f"sigma_m={pair.sigma_m_b:.6g}")
         else:
             failed = ", ".join(c.name for c in report.failures())
-            print(f"{variant}: FAILED audit: {failed}", file=sys.stderr)
+            print(f"{pair.variant}: FAILED audit: {failed}", file=sys.stderr)
             status = EXIT_FALSIFIED
         for line in str(report).splitlines():
             print(f"  {line}")

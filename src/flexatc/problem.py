@@ -578,14 +578,16 @@ def logistic_instance(
     nor a dataset built: a counting pass fixes the split, and the parse loop
     scatters each block of about _BLOCK_BYTES of the file straight into the
     signed stack. A malformed file raises its ParseError before any error of
-    the split or the ridge; OSError propagates."""
+    the split, the ridge or the stack's allocation, after which the same
+    parse loop reads the rest of the file; OSError propagates."""
     with open(path, "rb") as stream:
         m = _count(stream)
         if max_samples is not None:
             m = min(m, max_samples)
+        blocks = _parsed_blocks(stream)
         try:
-            return _stack_instance(_parsed_blocks(stream), m, n, partition_seed, ridge, prox)
+            return _stack_instance(blocks, m, n, partition_seed, ridge, prox)
         except ProblemError:
-            for _ in _parsed_blocks(stream):
+            for _ in blocks:
                 pass
             raise

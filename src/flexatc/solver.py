@@ -53,15 +53,15 @@ _BLOCK_BUDGET = 2**14
 
 
 class DivergenceError(Exception):
-    def __init__(self, iteration: int, detail: str = ""):
+    def __init__(self, iteration: int):
         self.iteration = iteration
-        self.detail = detail
-        super().__init__(f"divergence detected at iteration {iteration}" + (f": {detail}" if detail else ""))
+        super().__init__(f"divergence detected at iteration {iteration}: an iterate is not "
+                         f"finite or has norm above {_DIVERGENCE_NORM:g}")
 
     def __reduce__(self):
         # Rebuild from the constructor's arguments, not from the formatted
         # message, so the error keeps its text across the process pool.
-        return type(self), (self.iteration, self.detail)
+        return type(self), (self.iteration,)
 
 
 class SolverError(Exception):
@@ -208,7 +208,7 @@ def run_grid(
         """Check and measure steps k0 .. k0 + len(new) - 1 from their new iterates."""
         bad = np.flatnonzero(~(np.sqrt(_sq_norms(new)) <= _DIVERGENCE_NORM).all(axis=1))
         if bad.size:
-            raise DivergenceError(k0 + int(bad[0]), "stepsize likely out of range")
+            raise DivergenceError(k0 + int(bad[0]))
         rows = slice(k0, k0 + len(new))
         if reference is not None:
             err_sq[rows] = _sq_norms(new - reference)

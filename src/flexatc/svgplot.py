@@ -1,12 +1,11 @@
 """Hand-rolled SVG line charts: two panels of relative error on a log axis,
 against iterations and against cumulative communication rounds. No plotting
-dependency; output is a deterministic function of the input series.
+dependency; output is a deterministic function of the input curves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -20,13 +19,6 @@ _MARGIN_R = 16
 _MARGIN_T = 36
 _MARGIN_B = 44
 _FLOOR = 1e-300
-
-
-@dataclass(eq=False)
-class Series:
-    label: str
-    xs: list[float]
-    ys: list[float]
 
 
 def _nice_linear_ticks(lo: float, hi: float, want: int = 5) -> list[float]:
@@ -53,12 +45,13 @@ def _fmt(v: float) -> str:
     return f"{v:g}"
 
 
-def _panel(series: list[Series], title: str, x_label: str, colors: dict[str, str], x_off: int) -> list[str]:
+def _panel(lines: list[tuple[list, list]], title: str, x_label: str, x_off: int) -> list[str]:
+    """A panel of one polyline per (xs, ys) line, line i in _PALETTE's colour i."""
     plot_w = _PANEL_W - _MARGIN_L - _MARGIN_R
     plot_h = _PANEL_H - _MARGIN_T - _MARGIN_B
-    xs_all = [x for s in series for x in s.xs]
+    xs_all = [x for xs, _ in lines for x in xs]
     # only finite points are plotted; a panel without one spans 1e0..1e1
-    ys_all = [max(y, _FLOOR) for s in series for y in s.ys if math.isfinite(y)] or [1.0]
+    ys_all = [max(y, _FLOOR) for _, ys in lines for y in ys if math.isfinite(y)] or [1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -75,7 +68,7 @@ def _panel(series: list[Series], title: str, x_label: str, colors: dict[str, str
         return _MARGIN_T + (ly_hi - ly) / (ly_hi - ly_lo) * plot_h
 
     out = []
-    left, right = x_off + _MARGIN_L, x_off + _MARGIN_L + plot_w
+    left = x_off + _MARGIN_L
     top, bottom = _MARGIN_T, _MARGIN_T + plot_h
     out.append(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '
@@ -106,22 +99,21 @@ def _panel(series: list[Series], title: str, x_label: str, colors: dict[str, str
         f'<text x="{x_off + _PANEL_W / 2:.1f}" y="{_PANEL_H - 8}" text-anchor="middle" '
         f'font-size="11" font-family="sans-serif">{x_label}</text>'
     )
-    for s in series:
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(s.xs, s.ys)
-                       if math.isfinite(y))
-        out.append(
-            f'<polyline fill="none" stroke="{colors[s.label]}" stroke-width="1.5" points="{pts}"/>'
-        )
+    for i, (xs, ys) in enumerate(lines):
+        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys) if math.isfinite(y))
+        out.append(f'<polyline fill="none" stroke="{_PALETTE[i % len(_PALETTE)]}" '
+                   f'stroke-width="1.5" points="{pts}"/>')
     return out
 
 
-def render_convergence_svg(iteration_series: list[Series], comm_series: list[Series]) -> str:
-    """Two-panel chart; exactly one polyline per series per panel."""
-    if not iteration_series or not comm_series:
-        raise ValueError("need at least one series per panel")
-    labels = [s.label for s in iteration_series]
-    colors = {lab: _PALETTE[i % len(_PALETTE)] for i, lab in enumerate(labels)}
-    legend_h = 18 * len(labels) + 8
+def render_convergence_svg(curves: list[tuple[str, list, list]]) -> str:
+    """Two-panel chart of (label, cumulative comms, relative errors) curves:
+    each curve's errors against iterations 1..len(errors) on the left and
+    against its comms on the right, one polyline per curve per panel, curve
+    i in _PALETTE's colour i in both panels and the legend."""
+    if not curves:
+        raise ValueError("need at least one curve")
+    legend_h = 18 * len(curves) + 8
     width = 2 * _PANEL_W
     height = _PANEL_H + legend_h
 
@@ -130,13 +122,15 @@ def render_convergence_svg(iteration_series: list[Series], comm_series: list[Ser
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    parts.extend(_panel(iteration_series, "relative error vs iteration", "iteration", colors, 0))
-    parts.extend(_panel(comm_series, "relative error vs communication rounds",
-                        "cumulative communication rounds", colors, _PANEL_W))
-    for i, lab in enumerate(labels):
+    parts.extend(_panel([(range(1, len(errs) + 1), errs) for _, _, errs in curves],
+                        "relative error vs iteration", "iteration", 0))
+    parts.extend(_panel([(comms, errs) for _, comms, errs in curves],
+                        "relative error vs communication rounds",
+                        "cumulative communication rounds", _PANEL_W))
+    for i, (lab, _, _) in enumerate(curves):
         y = _PANEL_H + 14 + 18 * i
         parts.append(f'<line x1="{_MARGIN_L}" y1="{y - 4}" x2="{_MARGIN_L + 26}" y2="{y - 4}" '
-                     f'stroke="{colors[lab]}" stroke-width="2"/>')
+                     f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="2"/>')
         parts.append(f'<text x="{_MARGIN_L + 34}" y="{y}" font-size="11" '
                      f'font-family="sans-serif">{lab}</text>')
     parts.append("</svg>")

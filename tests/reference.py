@@ -188,7 +188,7 @@ class IterateAverages:
 
 def _check_finite(x: np.ndarray, k: int) -> None:
     if not np.all(np.isfinite(x)) or np.linalg.norm(x) > _DIVERGENCE_NORM:
-        raise DivergenceError(k, "stepsize likely out of range")
+        raise DivergenceError(k)
 
 
 def flexatc_step(state: SolverState, instance: ProblemInstance,

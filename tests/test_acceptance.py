@@ -19,6 +19,7 @@ from flexatc.problem import serialize_libsvm
 from flexatc.analysis import (
     SLACK_TOL,
     GridCertificates,
+    complexity,
     fixed_point,
     sweep_certificates,
     zeta_c,
@@ -212,7 +213,7 @@ def test_criterion_5_communication_acceleration():
     pair = fa.preset("ed", mm)
     kappa = inst.L / inst.mu
     assert kappa == pytest.approx(1e4)
-    p_star = min(1.0, 1.0 / np.sqrt(kappa * pair.sigma_m_b))
+    p_star = complexity(kappa, pair.sigma_m_b, pair.comm_rounds, 1.0, 1e-8).p_star
     alpha = 1.0 / inst.L
     fp = fixed_point(inst, pair, alpha, centralized_proxgrad(inst, tol=1e-13))
 
@@ -221,13 +222,10 @@ def test_criterion_5_communication_acceleration():
     traces = run_grid(inst, [GridRun(pair, 1.0, 1), GridRun(pair, p_star, 1)], alpha, iters,
                       reference=fp.x_star, record_kkt=False)
 
-    def to_target(p, tr):
-        hit = np.nonzero(tr.rel_err <= 1e-8)[0]
-        assert hit.size, f"p={p} never reached 1e-8 in {iters} iterations"
-        return int(hit[0]) + 1, int(tr.comms[hit[0]])
-
-    iters_full, comms_full = to_target(1.0, traces[0])
-    iters_star, comms_star = to_target(p_star, traces[1])
+    # the CLI's iterations-to-target numbers; (-1, -1) if a run never got there
+    (iters_full, comms_full), (iters_star, comms_star) = (
+        cli.iterations_to_target(trace, 1e-8) for trace in traces)
+    assert iters_full > 0 and iters_star > 0, f"1e-8 not reached in {iters} iterations"
     iter_ratio = iters_star / iters_full
     comm_factor = comms_full / comms_star
     report(5, "communication acceleration",

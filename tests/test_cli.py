@@ -704,6 +704,16 @@ class TestValidateCommand:
         assert cli.main(["validate", conf]) == cli.EXIT_OK
         assert " mu=0 kappa=inf alpha=" in capsys.readouterr().out
 
+    def test_pairs_are_named_as_their_run_ids(self, tmp_path, capsys):
+        # each pair's line carries the normalised name that its run ids use
+        conf = write_config(tmp_path, GRID.replace("variants = ed, nids:c=0.4",
+                                                   "variants = nids, mg_ed:N=3.0")
+                            + "\n[mixing]\nlazify = true\n")
+        assert cli.main(["validate", conf]) == cli.EXIT_OK
+        heads = [line.split(",")[0] for line in capsys.readouterr().out.splitlines()
+                 if ": ok," in line]
+        assert heads == ["nids:c=0.5: ok", "mg_ed:N=3: ok"]
+
     def test_export_resolves_under_out_dir(self, tmp_path, monkeypatch):
         conf = write_config(tmp_path, GRID)
         monkeypatch.chdir(tmp_path)

@@ -73,6 +73,17 @@ def unholdable(token, what):
                    f"line 3: feature token '{token}' {what}")
 
 
+def late_index(id, message, malformed=False):
+    """4 agents on 20,000 samples whose line 15,001 holds an index of 10^12,
+    which no feature stack can hold, with 100 KB of the file after it, more
+    than one 64 KiB read; malformed breaks line 18,001 too."""
+    lines = [f"{'+1' if i % 2 else '-1'} 1:0.5 2:0.25 3:{i % 7}" for i in range(20_000)]
+    lines[15_000] += " 1000000000000:1.0"
+    if malformed:
+        lines[18_000] = "-1 2:oops"
+    return dataset(id, "\n".join(lines) + "\n", message, n=4)
+
+
 def variant(name, config=SMOKE):
     return config.replace("variants = ed", f"variants = {name}")
 
@@ -201,6 +212,13 @@ FAULTS = [
     dataset("maximal-index", "+1 9007199254740991:1\n-1 1:1\n+1 2:1\n",
             "cannot allocate the feature stack of shape (3, 9007199254740991, 1) "
             "and its Gram matrices", n=3),
+    # the stack's refusal stops the scatter inside the file, and the parse
+    # loop that reads the rest of it keeps its place: its line count and the
+    # partial line it carries from one 64 KiB read to the next
+    late_index("late-index", "cannot allocate the feature stack of shape "
+               "(4, 1000000000000, 5000) and its Gram matrices"),
+    late_index("late-index-malformed", "line 18001: malformed feature token '2:oops'",
+               malformed=True),
     # arrays numpy refuses at once, each hundreds of GiB or more: the
     # targets, the adjacency, and inside the grid each run's coins under
     # run and its batch's slacks under check, one run per worker at --threads 2
@@ -247,7 +265,7 @@ FAULTS = [
     # every run's iterates pass the divergence norm, each in its own worker
     # at --threads 2, and the error is reported once
     fault("divergence", grid("seeds = 1, 2", "seeds = 1, 2\ninit = random\ninit_scale = 1e13"),
-          "divergence detected at iteration 0: stepsize likely out of range",
+          "divergence detected at iteration 0: an iterate is not finite or has norm above 1e+12",
           cli.EXIT_DIVERGENCE, validate=RUNTIME, grid=True),
 ]
 
