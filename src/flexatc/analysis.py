@@ -118,7 +118,9 @@ def varrho(alpha: float, big_l: float, sigma_m: float) -> float:
 @dataclass(eq=False)
 class CertificateSweep:
     """Per-iteration slacks along one trajectory; entry k certifies the
-    transition from iterate k to k + 1."""
+    transition from iterate k to k + 1. Each inequality's slack is read
+    against its reference scale: lemma2 against lemma2_rhs, thm1 and thm2
+    against phi; thm2 is certified only when zeta is set."""
 
     lemma2_slack: np.ndarray
     lemma2_rhs: np.ndarray
@@ -128,24 +130,22 @@ class CertificateSweep:
     psi: np.ndarray
     zeta: float | None
 
-    def min_slacks(self) -> dict[str, float]:
-        out = {
-            "lemma2": float(np.min(self.lemma2_slack)),
-            "thm1": float(np.min(self.thm1_slack)),
-        }
+    @property
+    def _inequalities(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
+        """(name, slacks, scales) of each inequality this sweep certifies."""
+        out = [("lemma2", self.lemma2_slack, self.lemma2_rhs), ("thm1", self.thm1_slack, self.phi)]
         if self.zeta is not None:
-            out["thm2"] = float(np.min(self.thm2_slack))
+            out.append(("thm2", self.thm2_slack, self.phi))
         return out
+
+    def min_slacks(self) -> dict[str, float]:
+        return {name: float(np.min(slack)) for name, slack, _ in self._inequalities}
 
     def violations(self) -> list[tuple[str, int]]:
         """(inequality, iteration) pairs where the slack dips below -SLACK_TOL
         relative to its reference scale, or is NaN."""
-        checks = [("lemma2", self.lemma2_slack, self.lemma2_rhs),
-                  ("thm1", self.thm1_slack, self.phi)]
-        if self.zeta is not None:
-            checks.append(("thm2", self.thm2_slack, self.phi))
         bad = []
-        for name, slack, scale in checks:
+        for name, slack, scale in self._inequalities:
             # a slack that is not a number fails too
             idx = np.flatnonzero(~(slack >= -SLACK_TOL * (1.0 + scale)))
             if idx.size:

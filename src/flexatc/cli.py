@@ -8,9 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 a --threads worker process that died, 2 unreadable
 or invalid config/dataset (an invalid combiner variant, or an L that overflows
-float64, too), an array numpy cannot allocate, or an unwritable output, 3
-divergence, a reference solve that does not converge or certificate terms
-that overflow float64, 4 a falsified certificate, a pair that fails
+float64, too), an array numpy cannot allocate, or an unwritable output or
+stdout, 3 divergence, a reference solve that does not converge or certificate
+terms that overflow float64, 4 a falsified certificate, a pair that fails
 validate's dense audit, or a LinalgError.
 """
 
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -219,7 +220,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
                    check: bool = False) -> int:
     """The run command, or with check=True the check command: the same grid
     with the certificates forced on, min slacks in place of the
-    iterations-to-target line, and no SVG. Outputs resolve before any compute."""
+    iterations-to-target line, and no SVG. Outputs resolve before any
+    compute, and the files are written before the run lines are printed."""
     csv_path = _output_path(cfg.outputs.csv, out_dir)
     svg_path = None if check else _output_path(cfg.outputs.svg, out_dir)
     topo, mixing, grid = _prepare(cfg, checks=check or cfg.outputs.checks)
@@ -231,29 +233,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None, threads: i
     elif instance.mu <= 0.0:
         print("notice: mu = 0, the linear-rate certificate is skipped")
     results = _run_grid(grid, threads)
-
-    falsified: list[str] = []
-    for r, trace, sweep in results:
-        if check:
-            mins = sweep.min_slacks()
-            print(f"{_run_id(r)}: "
-                  + " ".join(f"min_{name}_slack={val:.3e}" for name, val in mins.items()))
-        else:
-            iters, comms = iterations_to_target(trace, target)
-            print(f"{_run_id(r)}: final rel_err={trace.rel_err[-1]:.3e} "
-                  f"comms={int(trace.comms[-1])} "
-                  f"iters_to_{target:g}={iters} (comms {comms})")
-        if sweep is not None:
-            falsified.extend(f"{_run_id(r)}: {name} violated at iteration {idx}"
-                             for name, idx in sweep.violations())
-
     with _output(csv_path):
         _write_csv(csv_path, results)
     if svg_path:
         with _output(svg_path):
             _write_svg(svg_path, results)
-    for line in falsified:
-        print(f"FALSIFIED {line}", file=sys.stderr)
+
+    falsified = [f"{_run_id(r)}: {name} violated at iteration {idx}"
+                 for r, _, sweep in results if sweep is not None
+                 for name, idx in sweep.violations()]
+    # a closed stdout must not hide a falsified certificate
+    try:
+        for r, trace, sweep in results:
+            if check:
+                mins = sweep.min_slacks()
+                print(f"{_run_id(r)}: "
+                      + " ".join(f"min_{name}_slack={val:.3e}" for name, val in mins.items()))
+            else:
+                iters, comms = iterations_to_target(trace, target)
+                print(f"{_run_id(r)}: final rel_err={trace.rel_err[-1]:.3e} "
+                      f"comms={int(trace.comms[-1])} "
+                      f"iters_to_{target:g}={iters} (comms {comms})")
+    finally:
+        for line in falsified:
+            print(f"FALSIFIED {line}", file=sys.stderr)
     return EXIT_FALSIFIED if falsified else EXIT_OK
 
 
@@ -275,16 +278,17 @@ def validate_config(cfg: ExperimentConfig, out_dir: str | None = None,
           f"L={instance.L:.6g} mu={instance.mu:.6g} kappa={kappa:.6g} alpha={alpha:.6g}")
     status = EXIT_OK
     for pair in pairs:
-        report = combiners.validate(pair)
-        if report.ok:
+        checks = combiners.validate(pair)
+        failed = [c.name for c in checks if not c.passed]
+        if failed:
+            print(f"{pair.variant}: FAILED audit: {', '.join(failed)}", file=sys.stderr)
+            status = EXIT_FALSIFIED
+        else:
             print(f"{pair.variant}: ok, comm_rounds={pair.comm_rounds} "
                   f"sigma_m={pair.sigma_m_b:.6g}")
-        else:
-            failed = ", ".join(c.name for c in report.failures())
-            print(f"{pair.variant}: FAILED audit: {failed}", file=sys.stderr)
-            status = EXIT_FALSIFIED
-        for line in str(report).splitlines():
-            print(f"  {line}")
+        for c in checks:
+            note = f" ({c.note})" if c.note else ""
+            print(f"  {c.name}: {'pass' if c.passed else 'FAIL'}, margin {c.margin:+.3e}{note}")
     return status
 
 
@@ -305,14 +309,25 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "validate":
-            return validate_config(load_config(args.config), args.out_dir, args.export_topology)
-        if args.threads < 1:
+            status = validate_config(load_config(args.config), args.out_dir, args.export_topology)
+        elif args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-        cfg = load_config(args.config)
-        if args.seed_override is not None:
-            check_seed(args.seed_override, "--seed-override")
-            cfg.run.seeds = (args.seed_override,)
-        return run_experiment(cfg, args.out_dir, args.threads, check=args.command == "check")
+        else:
+            cfg = load_config(args.config)
+            if args.seed_override is not None:
+                check_seed(args.seed_override, "--seed-override")
+                cfg.run.seeds = (args.seed_override,)
+            status = run_experiment(cfg, args.out_dir, args.threads, check=args.command == "check")
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError as exc:
+        # The reader closed stdout. Later writes, and the interpreter's
+        # flush at exit, go to os.devnull, so the error is reported once.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write <stdout>: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except (ConfigError, problem.ParseError, problem.ProblemError, graph.GraphError,
             combiners.CombinerError, MemoryError) as exc:
         # a MemoryError is numpy refusing an array the config asks for

@@ -12,7 +12,7 @@ Presets (selected by config string), as maps of an eigenvalue lam of W:
 A, B and sqrt(B) are formed on W's one eigendecomposition, and the
 structural assumptions (row sums, B >= 0, null(B) = span(1),
 I - A^2 - B >= 0) are checked on those scalars. validate() is the
-independent dense audit of a built pair.
+independent dense audit of a built pair: one named CheckResult per condition.
 
 A config string is "name" or "name:key=value". preset checks the name, then
 the parameter, then the PSD mixing matrix that the multi-gossip and
@@ -44,26 +44,6 @@ class CheckResult:
 
 
 @dataclass(eq=False)
-class ValidationReport:
-    checks: list[CheckResult]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-    def __str__(self) -> str:
-        out = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            note = f" ({c.note})" if c.note else ""
-            out.append(f"{c.name}: {status}, margin {c.margin:+.3e}{note}")
-        return "\n".join(out)
-
-
-@dataclass(eq=False)
 class CombinerPair:
     """Validated (A, B) pair with its communication cost and spectral data."""
 
@@ -92,48 +72,36 @@ def parse_variant(text: str) -> tuple[str, dict[str, float]]:
     return name.strip(), params
 
 
-def validate(pair: CombinerPair) -> ValidationReport:
+def validate(pair: CombinerPair) -> list[CheckResult]:
     """Audit every structural condition on the dense (A, B) from scratch,
-    independently of how the pair was built; a non-finite matrix raises LinalgError.
+    independently of how the pair was built, one CheckResult per condition;
+    a non-finite matrix raises LinalgError.
 
     Margins are lambda_min for PSD conditions and -max_error for equality
-    conditions, so a comfortable pass is a margin well above -PSD_TOL.
+    conditions, an exact zero error reading +0.0, so a comfortable pass is
+    a margin well above -PSD_TOL.
     """
     a, b, w = pair.a, pair.b, pair.w
     n = a.shape[0]
-    ones = np.ones(n)
-    checks = []
+
+    def equal(name: str, err: float) -> CheckResult:
+        return CheckResult(name, err <= 1e-10, 0.0 - float(err))
 
     sym_err = max(np.max(np.abs(a - a.T)), np.max(np.abs(b - b.T)))
-    checks.append(CheckResult("symmetry", sym_err <= 1e-10, -float(sym_err)))
-
-    row_err = np.max(np.abs(a @ ones - ones))
-    checks.append(CheckResult("a_row_sums_one", row_err <= 1e-10, -float(row_err)))
-
     lam_b = sym_eig(b).eigenvalues
-    checks.append(CheckResult("b_psd", lam_b[0] >= -PSD_TOL, float(lam_b[0])))
-
     null_dim = int(np.sum(lam_b <= DEFAULT_EIG_TOL * max(lam_b[-1], 0.0)))
-    checks.append(
-        CheckResult(
-            "b_null_space_span_ones",
-            null_dim == 1,
-            -float(abs(null_dim - 1)),
-            note=f"null dimension {null_dim}",
-        )
-    )
-
     lam_gap = sym_eig(np.eye(n) - a @ a - b).eigenvalues
-    checks.append(CheckResult("contraction_psd", lam_gap[0] >= -PSD_TOL, float(lam_gap[0])))
-
-    comm_aw = np.max(np.abs(a @ w - w @ a))
-    comm_bw = np.max(np.abs(b @ w - w @ b))
-    comm_ab = np.max(np.abs(a @ b - b @ a))
-    checks.append(CheckResult("a_commutes_with_w", comm_aw <= 1e-10, -float(comm_aw)))
-    checks.append(CheckResult("b_commutes_with_w", comm_bw <= 1e-10, -float(comm_bw)))
-    checks.append(CheckResult("a_commutes_with_b", comm_ab <= 1e-10, -float(comm_ab)))
-
-    return ValidationReport(checks)
+    return [
+        equal("symmetry", sym_err),
+        equal("a_row_sums_one", np.max(np.abs(a @ np.ones(n) - 1.0))),
+        CheckResult("b_psd", lam_b[0] >= -PSD_TOL, float(lam_b[0])),
+        CheckResult("b_null_space_span_ones", null_dim == 1, float(-abs(null_dim - 1)),
+                    note=f"null dimension {null_dim}"),
+        CheckResult("contraction_psd", lam_gap[0] >= -PSD_TOL, float(lam_gap[0])),
+        equal("a_commutes_with_w", np.max(np.abs(a @ w - w @ a))),
+        equal("b_commutes_with_w", np.max(np.abs(b @ w - w @ b))),
+        equal("a_commutes_with_b", np.max(np.abs(a @ b - b @ a))),
+    ]
 
 
 def _build(w: MixingMatrix, variant: str, comm_rounds: int, f, g) -> CombinerPair:

@@ -30,8 +30,9 @@ with the same per-row reductions, so the same bits, as one step at a time.
 block_length sizes T so that the widest array an oracle makes for the
 block, its iterates or its margins, T * S * n * width doubles, stays within
 _BLOCK_BUDGET. A divergence is reported at the end of the block it happens
-in, as the first step whose iterate left the finite ball; the later steps
-of that block run with numpy's overflow warnings silenced. An observer
+in, as the first step whose iterate left the finite ball of radius
+1e12 * max(1, ||x*||); the later steps of that block run with numpy's
+overflow warnings silenced. An observer
 receives each block, once recorded, as a GridBlock of the states its steps
 leave from, their gradients and both of their coin branches.
 """
@@ -53,10 +54,14 @@ _BLOCK_BUDGET = 2**14
 
 
 class DivergenceError(Exception):
+    """A run's iterate at `iteration` is not finite, or its norm exceeds
+    _DIVERGENCE_NORM * max(1, ||x*||) for the run's replicated reference x*
+    (just _DIVERGENCE_NORM without one)."""
+
     def __init__(self, iteration: int):
         self.iteration = iteration
         super().__init__(f"divergence detected at iteration {iteration}: an iterate is not "
-                         f"finite or has norm above {_DIVERGENCE_NORM:g}")
+                         f"finite or has norm above {_DIVERGENCE_NORM:g} * max(1, ||x*||)")
 
     def __reduce__(self):
         # Rebuild from the constructor's arguments, not from the formatted
@@ -165,7 +170,8 @@ def run_grid(
     The records and the divergence test are computed once per block of
     block_length steps (see the module docstring): a DivergenceError names
     the first step of the block whose iterate is not finite or has norm
-    above _DIVERGENCE_NORM, and is raised at the end of that block.
+    above _DIVERGENCE_NORM * max(1, ||reference||), the run's own reference
+    (_DIVERGENCE_NORM without one), and is raised at the end of that block.
 
     observer(block), when given, is called with each GridBlock once the
     block has been recorded, so a block that diverges is never observed; it
@@ -191,8 +197,13 @@ def run_grid(
 
     start = np.zeros(shape) if x0 is None else np.array(x0, dtype=float)
     u = np.zeros((count,) + shape)
+    bound, ref_norm = _DIVERGENCE_NORM, None
     if reference is not None:
         reference = np.ascontiguousarray(np.broadcast_to(reference, u.shape))
+        with np.errstate(over="ignore"):
+            ref_norm = np.sqrt(_sq_norms(reference[None])[0])
+            # capped below inf, so that an infinite norm always diverges
+            bound = np.minimum(_DIVERGENCE_NORM * np.maximum(1.0, ref_norm), np.finfo(float).max)
 
     # Squared norms per step; the roots are taken once, after the loop.
     err_sq, kkt_sq = np.full((iters, count), np.nan), np.full((iters, count), np.nan)
@@ -206,7 +217,7 @@ def run_grid(
 
     def record(k0: int, new: np.ndarray) -> None:
         """Check and measure steps k0 .. k0 + len(new) - 1 from their new iterates."""
-        bad = np.flatnonzero(~(np.sqrt(_sq_norms(new)) <= _DIVERGENCE_NORM).all(axis=1))
+        bad = np.flatnonzero(~(np.sqrt(_sq_norms(new)) <= bound).all(axis=1))
         if bad.size:
             raise DivergenceError(k0 + int(bad[0]))
         rows = slice(k0, k0 + len(new))
@@ -245,7 +256,7 @@ def run_grid(
     # against a zero optimum, a finite error reads as an infinite relative one
     with np.errstate(over="ignore"):
         rel_err = err_sq if reference is None else (
-            np.sqrt(err_sq) / np.maximum(np.sqrt(_sq_norms(reference[None])[0]), 1e-300))
+            np.sqrt(err_sq) / np.maximum(ref_norm, 1e-300))
     consensus, kkt = np.sqrt(consensus_sq), np.sqrt(kkt_sq)
     return [
         RunTrace(

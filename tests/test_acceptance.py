@@ -67,9 +67,9 @@ def test_criterion_1_preset_validation():
     for mm, lazy in ((ring, ring_lazy), (er, er)):
         for variant in PRESETS:
             pick = lazy if variant in NEEDS_PSD else mm
-            rep = fa.validate(fa.preset(variant, pick))
-            assert rep.ok, f"{variant}: {rep}"
-            worst = min(worst, min(c.margin for c in rep.checks))
+            checks = fa.validate(fa.preset(variant, pick))
+            assert all(c.passed for c in checks), f"{variant}: {checks}"
+            worst = min(worst, min(c.margin for c in checks))
     elapsed = time.perf_counter() - start
     report(1, "combiner validation", worst >= -1e-9 and elapsed < 5.0,
            f"worst margin {worst:.2e}, {elapsed:.2f}s")

@@ -287,6 +287,55 @@ def test_one_reference_solve_lifted_per_variant(tmp_path, capsys, monkeypatch, c
     assert len({id(call.args[3]) for call in lift.call_args_list}) == 1
 
 
+BROKEN_PIPE = "error: cannot write <stdout>: Broken pipe\n"
+
+
+def _cli_process(argv, stdout, unbuffered):
+    """The CLI in a child process run from the repository root, with stdout
+    as given and stderr piped."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "flexatc.cli", *argv], cwd=ROOT, env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+def test_stdout_closed_after_the_header_keeps_the_csv(tmp_path, capsys):
+    # the reader takes run's graph and problem lines and goes; the grid's
+    # files are written before the run lines meet the closed pipe. The
+    # longer grid keeps the pipe closing well before the first run line.
+    text = (ROOT / "configs" / "synthetic_check.ini").read_text()
+    conf = write_config(tmp_path, text.replace("iterations = 500", "iterations = 3000"))
+    argv = ["run", conf, "--out-dir"]
+    proc = _cli_process(argv + [str(tmp_path / "piped")], subprocess.PIPE, unbuffered=True)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1]
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert head[0].startswith("graph: ") and head[1].startswith("problem: ")
+    assert err == BROKEN_PIPE
+    assert cli.main(argv + [str(tmp_path / "normal")]) == cli.EXIT_OK
+    for name in ("synthetic_check.csv", "synthetic_check.svg"):
+        assert (tmp_path / "piped" / "out" / name).read_bytes() == (
+            tmp_path / "normal" / "out" / name).read_bytes()
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("command", ["validate", "run", "check"])
+def test_stdout_closed_before_any_write_exits_2_once(tmp_path, command, unbuffered):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _cli_process([command, "configs/synthetic_check.ini", "--out-dir", str(tmp_path)],
+                            write, unbuffered)
+    finally:
+        os.close(write)
+    err = proc.communicate(timeout=120)[1]
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert err == BROKEN_PIPE
+
+
 class TestRunCommand:
     def test_shipped_logistic_config_reads_its_file(self, monkeypatch):
         # test_shipped_config runs the config; this checks the instance it reads
@@ -506,9 +555,11 @@ class TestRunCommand:
     # finite data whose sums of squares overflow float64, which every command
     # runs with no warning: features of 1e80 on two agents, whose Gram's top
     # eigenvalue is 2.5e159, and one agent's targets and l1 weight of 1e300,
-    # whose fixed point has norms near 1e300
+    # whose fixed point has norms near 1e300; and targets of 1e13 on a 1-ring
+    # and a 3-ring, whose x* has a norm above 1e12, so the divergence bound
+    # scales with it
     @pytest.mark.parametrize("command", ["validate", "run", "check"])
-    @pytest.mark.parametrize("case", ["features", "targets"])
+    @pytest.mark.parametrize("case", ["features", "targets", "optimum-n1", "optimum-n3"])
     def test_large_finite_data_runs_without_a_warning(self, tmp_path, capsys, command, case):
         if case == "features":
             data = tmp_path / "data.svm"
@@ -516,6 +567,10 @@ class TestRunCommand:
             text = SMOKE.replace("kind = ring\nn = 1", "kind = complete\nn = 2").replace(
                 "type = quadratic\nd = 2\ntarget_seed = 3",
                 f"type = logistic\ndata = {data}\nridge = 0")
+        elif case.startswith("optimum"):
+            text = SMOKE.replace("kind = ring\nn = 1", f"kind = ring\nn = {case[-1]}").replace(
+                "target_seed = 3", "target_seed = 3\ntarget_scale = 1e13").replace(
+                "p_list = 1", "p_list = 1, 0.5") + "checks = true\n"
         else:
             text = SMOKE.replace("d = 2", "d = 3\ntarget_scale = 1e300\nprox = l1\n"
                                           "prox_weight = 1e300")
@@ -724,11 +779,20 @@ class TestValidateCommand:
         assert not (tmp_path / "topo.txt").exists()
         assert (out_dir / "topo.txt").read_text() == topology_to_edgelist(fa.gen_topology("ring", 6))
 
+    def test_exact_zero_margins_print_positive(self, capsys, monkeypatch):
+        # symmetry and the null space hold exactly on a built pair; their
+        # zero margins must not read as negative
+        monkeypatch.chdir(ROOT)
+        assert cli.main(["validate", "configs/synthetic_check.ini"]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "-0.000e+00" not in out
+        assert "  symmetry: pass, margin +0.000e+00\n" in out
+
     def test_failed_audit_exits_falsified(self, tmp_path, capsys, monkeypatch):
-        failing = combiners.ValidationReport([
+        failing = [
             combiners.CheckResult("symmetry", True, 0.0),
             combiners.CheckResult("contraction_psd", False, -0.5),
-        ])
+        ]
         monkeypatch.setattr(combiners, "validate", lambda pair: failing)
         conf = write_config(tmp_path, GRID)
         assert cli.main(["validate", conf]) == cli.EXIT_FALSIFIED

@@ -265,7 +265,8 @@ FAULTS = [
     # every run's iterates pass the divergence norm, each in its own worker
     # at --threads 2, and the error is reported once
     fault("divergence", grid("seeds = 1, 2", "seeds = 1, 2\ninit = random\ninit_scale = 1e13"),
-          "divergence detected at iteration 0: an iterate is not finite or has norm above 1e+12",
+          "divergence detected at iteration 0: an iterate is not finite or has norm above "
+          "1e+12 * max(1, ||x*||)",
           cli.EXIT_DIVERGENCE, validate=RUNTIME, grid=True),
 ]
 

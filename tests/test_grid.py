@@ -252,7 +252,7 @@ def test_divergence_inside_a_block_names_the_reference_step(monkeypatch, steps, 
             run_grid(lying, runs, alpha, iters, x0=x0, observer=observer)
     assert err.value.iteration == min(first)
     assert str(err.value) == (f"divergence detected at iteration {min(first)}: "
-                              "an iterate is not finite or has norm above 1e+12")
+                              "an iterate is not finite or has norm above 1e+12 * max(1, ||x*||)")
     # the blocks before the diverging one, and not that one, were certified
     length = min(iters, block_length(lying, len(runs)))
     assert certified == (list(range(min(first) // length * length)) if certify else [])

@@ -106,12 +106,35 @@ class TestFlexatcStep:
         assert str(back) == str(err)
         assert back.iteration == err.iteration
         assert str(err) == ("divergence detected at iteration 5: an iterate is not finite "
-                            "or has norm above 1e+12")
+                            "or has norm above 1e+12 * max(1, ||x*||)")
 
     def test_rejects_alpha_out_of_range(self):
         inst = quadratic_instance(2, 2, seed=0)
         with pytest.raises(SolverError):
             initial_state(inst, alpha=2.0 / inst.L, p=1.0)
+
+
+class TestDivergenceBound:
+    def test_scales_with_the_reference(self):
+        # one unit quadratic at alpha = 1/L lands on x* = 1e13 in one step:
+        # within 1e12 * ||x*||, but past the bare 1e12 without a reference
+        targets = np.full((1, 2), 1e13)
+        inst = fa.quadratic_from_targets(targets)
+        trace = run(inst, ring_pair(1), 1.0, 1.0, 0, 3, reference=targets)
+        assert np.all(trace.rel_err == 0.0)
+        with pytest.raises(DivergenceError) as err:
+            run(inst, ring_pair(1), 1.0, 1.0, 0, 3)
+        assert err.value.iteration == 0
+
+    def test_an_overflowing_norm_diverges_past_any_reference(self):
+        # ||x*||^2 overflows float64, so the bound is capped at its largest
+        # finite value: an iterate growing 14-fold a step from 1e150 is
+        # reported at step 3, the first whose squared norm overflows
+        lying = replace(fa.quadratic_from_targets(np.ones((1, 2))), L=0.1, mu=0.0)
+        with pytest.raises(DivergenceError) as err:
+            run(lying, ring_pair(1), 15.0, 1.0, 0, 200, reference=np.full((1, 2), 1e200),
+                x0=np.full((1, 2), 1e150))
+        assert err.value.iteration == 3
 
 
 class TestRunTrace:
