@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, combiners, graph, linalg, problem, solver
-from .config import ConfigError, ExperimentConfig, check_seed, check_unique, load_config
+from .config import ConfigError, ExperimentConfig, check_unique, load_config
 from .svgplot import render_convergence_svg
 
 EXIT_OK = 0
@@ -192,7 +192,7 @@ def _prepare(cfg: ExperimentConfig,
     x_opt = solver.centralized_proxgrad(instance)
     fps = {pair.variant: analysis.fixed_point(instance, pair, alpha, x_opt) for pair in pairs}
     x0 = None
-    if cfg.run.init != "zeros":
+    if cfg.run.init_scale:
         rng = np.random.default_rng(cfg.run.init_seed)
         x0 = cfg.run.init_scale * rng.standard_normal((instance.n, instance.d))
     runs = [solver.GridRun(pair, p, seed)
@@ -304,7 +304,6 @@ def main(argv=None) -> int:
             s.add_argument("--export-topology", default=None)
         else:
             s.add_argument("--threads", type=int, default=1)
-            s.add_argument("--seed-override", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
@@ -313,11 +312,8 @@ def main(argv=None) -> int:
         elif args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         else:
-            cfg = load_config(args.config)
-            if args.seed_override is not None:
-                check_seed(args.seed_override, "--seed-override")
-                cfg.run.seeds = (args.seed_override,)
-            status = run_experiment(cfg, args.out_dir, args.threads, check=args.command == "check")
+            status = run_experiment(load_config(args.config), args.out_dir, args.threads,
+                                    check=args.command == "check")
         sys.stdout.flush()
         return status
     except BrokenPipeError as exc:

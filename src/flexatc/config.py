@@ -98,9 +98,8 @@ class RunConfig:
     iterations: int = 100
     seeds: tuple[int, ...] = (1,)
     target_rel_err: float = 1e-6
-    init: str = "zeros"
     init_seed: int = 0
-    init_scale: float = 1.0
+    init_scale: float = 0.0  # the start is init_scale * a normal draw; 0 is the zero start
     record_kkt: bool = True
 
 
@@ -115,10 +114,10 @@ class OutputConfig:
 class ExperimentConfig:
     graph: GraphConfig = field(default_factory=GraphConfig)
     mixing: MixingConfig = field(default_factory=MixingConfig)
-    combiner: CombinerConfig = field(default_factory=CombinerConfig)
     problem: ProblemConfig = field(default_factory=ProblemConfig)
     run: RunConfig = field(default_factory=RunConfig)
     outputs: OutputConfig = field(default_factory=OutputConfig)
+    combiner: CombinerConfig = field(default_factory=CombinerConfig)
 
     def resolve_alpha(self, big_l: float) -> float:
         """The stepsize run.alpha names, checked against (0, 2/L)."""
@@ -174,13 +173,8 @@ _CONVERTERS = {
     "tuple[int, ...]": lambda raw, key: _parse_list(raw, key, _parse_int),
     "tuple[str, ...]": lambda raw, key: _parse_list(raw, key, lambda s, _k: s),
 }
-_SECTIONS = {"graph": GraphConfig, "mixing": MixingConfig, "problem": ProblemConfig,
-             "run": RunConfig, "outputs": OutputConfig, "combiner": CombinerConfig}
-
-
-def check_seed(seed: int, key: str) -> None:
-    if seed < 0:
-        raise ConfigError(f"{key} must be >= 0, got {seed}")
+# Each section is a field of ExperimentConfig, checked in field order.
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)}
 
 
 def check_unique(values, key: str) -> None:
@@ -228,7 +222,8 @@ def parse_config(text: str) -> ExperimentConfig:
                       ("problem.target_seed", cfg.problem.target_seed),
                       ("problem.partition_seed", cfg.problem.partition_seed),
                       ("run.seeds", min(cfg.run.seeds))):
-        check_seed(seed, key)
+        if seed < 0:
+            raise ConfigError(f"{key} must be >= 0, got {seed}")
     # run ids print p with 6 significant digits
     check_unique([f"{p:g}" for p in cfg.run.p_list], "run.p_list (to 6 significant digits)")
     check_unique(cfg.run.seeds, "run.seeds")
@@ -245,8 +240,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if elements > _MAX_ELEMENTS:
             raise ConfigError(f"{key} asks for an array of {elements} float64s, "
                               f"past numpy's limit of {_MAX_ELEMENTS}")
-    if cfg.run.init not in ("zeros", "random"):
-        raise ConfigError(f"run.init must be zeros|random, got {cfg.run.init!r}")
     if not math.isfinite(cfg.run.init_scale):
         raise ConfigError(f"run.init_scale must be finite, got {cfg.run.init_scale}")
     target = cfg.run.target_rel_err

@@ -303,10 +303,12 @@ def centralized_proxgrad(
 
     Iterates x+ = prox(x - alpha * mean_grad(x)) at alpha = 1/L, since the
     consensus solution x* does not depend on the stepsize, until the
-    fixed-point residual ||x - x+|| drops to tol; a residual that is not
-    finite ends the solve at once.
+    fixed-point residual ||x - x+|| drops to tol, or to float64's
+    resolution at x, 8 sqrt(d) spacings of ||x||, where that is larger; a
+    residual that is not finite ends the solve at once.
     """
     alpha = 1.0 / instance.L
+    spacings = 8.0 * math.sqrt(instance.d)
     x = np.zeros(instance.d)
     residual = np.inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -314,7 +316,7 @@ def centralized_proxgrad(
             x_next = instance.prox.apply(x - alpha * instance.mean_grad(x), alpha)
             residual = float(np.linalg.norm(x - x_next))
             x = x_next
-            if residual <= tol:
+            if residual <= max(tol, spacings * np.spacing(np.linalg.norm(x))):
                 return x
             if not math.isfinite(residual):
                 raise SolverError(f"reference solver residual is {residual} at iteration {k}")

@@ -92,7 +92,6 @@ prox_weight = 100
 p_list = 1
 alpha = 0.01
 iterations = 5
-init = random
 init_scale = 1e9
 
 [outputs]
@@ -216,7 +215,7 @@ class TestConfigParsing:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_init_scale_must_be_finite(self, value):
         with pytest.raises(ConfigError, match=f"run.init_scale must be finite, got {value}"):
-            parse_config(f"[run]\ninit = random\ninit_scale = {value}\n")
+            parse_config(f"[run]\ninit_scale = {value}\n")
         # large but finite stays valid: the run itself reports the divergence
         assert parse_config("[run]\ninit_scale = 1e13\n").run.init_scale == 1e13
 
@@ -463,13 +462,16 @@ class TestRunCommand:
         assert cli.main(["run", conf, "--out-dir", str(tmp_path)]) == cli.EXIT_OK
         assert "\ned|p=1|seed=1: final rel_err=" in capsys.readouterr().out
 
-    def test_seed_override(self, tmp_path, capsys):
-        conf = write_config(tmp_path, GRID)
-        assert cli.main(["run", conf, "--out-dir", str(tmp_path),
-                         "--seed-override", "9"]) == cli.EXIT_OK
-        rows = [line.split(",") for line in
-                (tmp_path / "grid.csv").read_text().strip().splitlines()[1:]]
-        assert {r[3] for r in rows} == {"9"}
+    @pytest.mark.parametrize("setting", ["", "init_scale = 0\n"], ids=["default", "zero"])
+    def test_zero_init_scale_is_the_zero_start(self, setting):
+        cfg = parse_config(FIVE_RING.replace("[run]\n", f"[run]\n{setting}"))
+        assert cli._prepare(cfg, checks=False)[2].x0 is None
+
+    def test_init_scale_scales_the_init_seed_draw(self):
+        cfg = parse_config(FIVE_RING.replace("[run]\n",
+                                             "[run]\ninit_seed = 4\ninit_scale = 2.5\n"))
+        x0 = cli._prepare(cfg, checks=False)[2].x0
+        assert np.array_equal(x0, 2.5 * np.random.default_rng(4).standard_normal((5, 2)))
 
     def test_threads_match_serial(self, tmp_path, capsys):
         # each pool worker evaluates its own unpickled copy of the stacked oracle
@@ -557,9 +559,12 @@ class TestRunCommand:
     # eigenvalue is 2.5e159, and one agent's targets and l1 weight of 1e300,
     # whose fixed point has norms near 1e300; and targets of 1e13 on a 1-ring
     # and a 3-ring, whose x* has a norm above 1e12, so the divergence bound
-    # scales with it
+    # scales with it; and targets of 1e11 on a 3-ring, where float64's
+    # spacing at x* (1.5e-5) is far above the reference's 1e-12 tolerance,
+    # so the reference stops at 8 sqrt(d) spacings of ||x||
     @pytest.mark.parametrize("command", ["validate", "run", "check"])
-    @pytest.mark.parametrize("case", ["features", "targets", "optimum-n1", "optimum-n3"])
+    @pytest.mark.parametrize("case", ["features", "targets", "optimum-n1", "optimum-n3",
+                                      "reference"])
     def test_large_finite_data_runs_without_a_warning(self, tmp_path, capsys, command, case):
         if case == "features":
             data = tmp_path / "data.svm"
@@ -571,6 +576,9 @@ class TestRunCommand:
             text = SMOKE.replace("kind = ring\nn = 1", f"kind = ring\nn = {case[-1]}").replace(
                 "target_seed = 3", "target_seed = 3\ntarget_scale = 1e13").replace(
                 "p_list = 1", "p_list = 1, 0.5") + "checks = true\n"
+        elif case == "reference":
+            text = FIVE_RING.replace("n = 5", "n = 3").replace(
+                "d = 2", "d = 2\ntarget_scale = 1e11")
         else:
             text = SMOKE.replace("d = 2", "d = 3\ntarget_scale = 1e300\nprox = l1\n"
                                           "prox_weight = 1e300")

@@ -130,8 +130,11 @@ FAULTS = [
           "target entries must be finite"),
     fault("curvature_max-inf", grid("curvature_max = 1.0", "curvature_max = inf"),
           "need 0 < curvature_min <= curvature_max < inf"),
-    fault("init_scale-nan", grid("seeds = 1, 2", "seeds = 1, 2\ninit = random\ninit_scale = nan"),
+    fault("init_scale-nan", grid("seeds = 1, 2", "seeds = 1, 2\ninit_scale = nan"),
           "run.init_scale must be finite, got nan"),
+    # the start's scale is the one setting of the start: 0 is the zero start
+    fault("init", grid("seeds = 1, 2", "seeds = 1, 2\ninit = random"),
+          "unknown keys in [run]: ['init']"),
     *(fault(f"target_rel_err-{value}",
             grid("seeds = 1, 2", f"seeds = 1, 2\ntarget_rel_err = {value}"),
             f"run.target_rel_err must be finite and > 0, got {float(value)}")
@@ -143,12 +146,11 @@ FAULTS = [
     seed("problem.partition_seed", "target_seed = 1", "target_seed = 1\npartition_seed = -1"),
     seed("graph.seed", "n = 6", "n = 6\nseed = -1"),
     seed("run.init_seed", "seeds = 1, 2", "seeds = 1, 2\ninit_seed = -1"),
-    fault("seed-override", GRID, "--seed-override must be >= 0, got -5",
-          commands=("run", "check"), argv=("--seed-override", "-5")),
-    # validate runs nothing, so it has neither --seed-override nor --threads
-    Fault("seed-override-validate", GRID, {"validate": (
-        2, f"{USAGE}flexatc: error: unrecognized arguments: --seed-override 3\n")},
-        argv=("--seed-override", "3")),
+    # run.seeds is the one setting of the seeds; validate runs nothing, so it
+    # has no --threads either
+    Fault("seed-override", GRID, {c: (
+        2, f"{USAGE}flexatc: error: unrecognized arguments: --seed-override 3\n")
+        for c in COMMANDS}, argv=("--seed-override", "3")),
     *(fault(f"threads{n}", GRID, f"--threads must be >= 1, got {n}", argv=("--threads", n),
             validate=(2, f"{USAGE}flexatc: error: unrecognized arguments: --threads {n}\n"))
       for n in ("0", "-3")),
@@ -257,14 +259,14 @@ FAULTS = [
           "fixed point solve failed: Singular matrix", cli.EXIT_FALSIFIED, validate=RUNTIME),
     # Phi overflows float64 at step 0: ||x0 - x*||^2 near 1e400, or
     # ||u - u*||^2 / p^2 with p^2 near 2e-308; no slack can be read
-    fault("huge-start", FIVE_RING.replace("[run]\n", "[run]\ninit = random\ninit_scale = 1e200\n"
+    fault("huge-start", FIVE_RING.replace("[run]\n", "[run]\ninit_scale = 1e200\n"
                                           "p_list = 1, 0.5\n"), OVERFLOW, cli.EXIT_DIVERGENCE,
           commands=("check",), validate=RUNTIME, grid=True),
     fault("tiny-p", FIVE_RING.replace("[run]\n", "[run]\np_list = 1.5e-154, 1\n"), OVERFLOW,
           cli.EXIT_DIVERGENCE, commands=("check",), validate=RUNTIME, grid=True),
     # every run's iterates pass the divergence norm, each in its own worker
     # at --threads 2, and the error is reported once
-    fault("divergence", grid("seeds = 1, 2", "seeds = 1, 2\ninit = random\ninit_scale = 1e13"),
+    fault("divergence", grid("seeds = 1, 2", "seeds = 1, 2\ninit_scale = 1e13"),
           "divergence detected at iteration 0: an iterate is not finite or has norm above "
           "1e+12 * max(1, ||x*||)",
           cli.EXIT_DIVERGENCE, validate=RUNTIME, grid=True),

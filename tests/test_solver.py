@@ -270,6 +270,27 @@ class TestCentralizedProxgrad:
         step = inst.prox.apply(x - alpha * inst.mean_grad(x), alpha)
         assert np.linalg.norm(x - step) <= 1e-12
 
+    def test_resolution_floor_stays_below_tol_at_unit_scale(self, tmp_path):
+        # 8 sqrt(d) spacings of ||x*|| are about 1e-14 here, so tol alone
+        # stops the solve, and x* has the bits of a loop that knows no floor
+        path = write_libsvm(synthetic_logistic_dataset(120, 5, seed=14), tmp_path / "data.libsvm")
+        inst = fa.logistic_instance(path, n=4, partition_seed=0, ridge=0.01,
+                                    prox=ProxSpec("l1", 0.01))
+        x = centralized_proxgrad(inst)
+        assert 8.0 * np.sqrt(inst.d) * np.spacing(np.linalg.norm(x)) < 1e-13
+        alpha, y, residual = 1.0 / inst.L, np.zeros(inst.d), np.inf
+        while residual > 1e-12:
+            y_next = inst.prox.apply(y - alpha * inst.mean_grad(y), alpha)
+            residual, y = np.linalg.norm(y - y_next), y_next
+        assert np.array_equal(x, y)
+
+    def test_large_optimum_stops_at_float64_resolution(self):
+        # ||x*|| near 1e11, whose spacing is 1.5e-5: a residual of 1e-12
+        # is out of reach, and the floor ends the solve within a few steps
+        targets = 1e11 * np.random.default_rng(0).standard_normal((3, 2))
+        x = centralized_proxgrad(fa.quadratic_from_targets(targets), max_iters=100)
+        assert np.allclose(x, targets.mean(axis=0), rtol=1e-15, atol=0.0)
+
     def test_non_finite_residual_stops_at_once(self):
         # understate L so the step 1/L = 10 explodes the unit-curvature
         # iterates; the solve ends when the residual overflows, not after
