@@ -69,21 +69,23 @@ def fixed_point(
     u*_b, the minimum-norm solution of B u = sqrt(B) w*, is one linear solve,
     (sqrt(B) + 11^T/n) u = w* - mean(w*), as null(B) = span(1) exactly.
     All stationarity residuals are verified before return; a singular
-    solve raises LinalgError.
+    solve raises LinalgError, and an overflowing w* - mean(w*) SolverError.
     """
     x_star = np.tile(x_opt, (instance.n, 1))
     w_star = x_star - alpha * instance.grad_stack(x_star)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = w_star - w_star.mean(axis=0)
+    if not np.all(np.isfinite(rhs)):
+        raise SolverError("fixed point overflows float64: w* - mean(w*) is not finite")
     try:
-        u_star = np.linalg.solve(pair.sqrt_b + 1.0 / instance.n,
-                                 w_star - w_star.mean(axis=0))
+        u_star = np.linalg.solve(pair.sqrt_b + 1.0 / instance.n, rhs)
     except np.linalg.LinAlgError as exc:
         raise LinalgError(f"fixed point solve failed: {exc}") from exc
 
     z_star = w_star - kron_apply(pair.sqrt_b, u_star)
     r_root = norm(kron_apply(pair.sqrt_b, z_star))
     r_prox = norm(x_star - instance.prox.apply(kron_apply(pair.a, z_star), alpha))
-    mean_block = u_star.mean(axis=0)
-    r_orth = math.sqrt(instance.n) * norm(mean_block)
+    r_orth = math.sqrt(instance.n) * norm(u_star.mean(axis=0))
 
     w_scale = 1.0 + norm(w_star)
     if r_root > 1e-8 * w_scale:

@@ -46,6 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combiners import CombinerPair
+from .linalg import norm
 from .problem import ProblemInstance
 
 _DIVERGENCE_NORM = 1e12
@@ -314,9 +315,9 @@ def centralized_proxgrad(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max_iters):
             x_next = instance.prox.apply(x - alpha * instance.mean_grad(x), alpha)
-            residual = float(np.linalg.norm(x - x_next))
+            residual = norm(x - x_next)
             x = x_next
-            if residual <= max(tol, spacings * np.spacing(np.linalg.norm(x))):
+            if residual <= max(tol, spacings * np.spacing(norm(x))):
                 return x
             if not math.isfinite(residual):
                 raise SolverError(f"reference solver residual is {residual} at iteration {k}")

@@ -6,10 +6,11 @@ same arithmetic one state at a time: the u-form step (mirror_step, which
 run_grid matches bit for bit), the paper's y-form step (flexatc_step, equal
 up to round-off), the p = 1 primal recursion, and every certificate of one
 state (branch_outcomes and the three checks, which GridCertificates matches
-bit for bit). initial_state starts a single-state loop, and
-IterateAverages is the run_grid observer behind the averaged-iterate bound
-(averaged_iterate_bound); skip_threshold is the smallest p that keeps the
-linear rate.
+bit for bit). proxskip is an outside oracle: the published ProxSkip loop,
+which FlexATC reproduces with the pair (J, I - J). initial_state starts a
+single-state loop, and IterateAverages is the run_grid observer behind the
+averaged-iterate bound (averaged_iterate_bound); skip_threshold is the
+smallest p that keeps the linear rate.
 
 The stacked oracles of problem.ProblemInstance are held against per-agent
 losses: QuadraticLoss, and LogisticLoss over the dense rows of one agent's
@@ -254,6 +255,34 @@ def primal_recursion_step(
         - kron_apply(pair.b, x_k)
         + kron_apply(pair.a, correction)
     )
+
+
+def proxskip(losses: list, gamma: float, p: float, coins: np.ndarray,
+             x0: np.ndarray) -> list[np.ndarray]:
+    """ProxSkip (Mishchenko, Malinovsky, Stich and Richtarik 2022,
+    Algorithm 1) on min_x sum_i f_i(x_i) + psi(x), psi the indicator of
+    consensus x_1 = ... = x_n, whose prox is the average (Scaffnew). With
+    control variates h (h_0 = 0) and coin theta_t:
+
+        x^_i = x_i - gamma (grad f_i(x_i) - h_i)
+        theta_t = 1:  x_i+ = mean_j (x^_j - (gamma / p) h_j)
+        theta_t = 0:  x_i+ = x^_i
+        h_i+ = h_i + (p / gamma) (x_i+ - x^_i)
+
+    One loss per agent, row i of x0 agent i's start; returns the (n, d)
+    iterates after each coin of `coins`."""
+    x = np.array(x0, dtype=float)
+    h = np.zeros_like(x)
+    iterates = []
+    for theta in coins:
+        x_hat = x - gamma * (np.stack([f.grad(xi) for f, xi in zip(losses, x)]) - h)
+        if theta:
+            x = np.tile(np.mean(x_hat - (gamma / p) * h, axis=0), (len(losses), 1))
+        else:
+            x = x_hat
+        h = h + (p / gamma) * (x - x_hat)
+        iterates.append(x)
+    return iterates
 
 
 def _sq(v: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from flexatc.solver import (
     GridRun,
     centralized_proxgrad,
     coin_flips,
+    run_grid,
 )
 from reference import (IterateAverages, SolverState, averaged_iterate_bound, branch_outcomes,
                        flexatc_step, initial_state, lemma2_check, mirror_step, skip_threshold,
@@ -227,6 +228,30 @@ class TestComplexity:
         assert full.communications / tuned.communications == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(15.8272, abs=1e-3)
         assert tuned.iterations == pytest.approx(full.iterations, rel=1e-12)
+
+    def test_nids_at_its_largest_c_needs_fewer_communications_than_ed(self):
+        # At p*, communications grow as sqrt(kappa / sigma_m). On a lazified
+        # ring, nids at c = 1/(1 - lambda_min) = 3/2 has 3 times ed's
+        # sigma_m, so complexity predicts sqrt(3) fewer. The margin, a gain
+        # of at least 1.25 on each seed, was fixed before any run.
+        mm = fa.lazify(fa.metropolis_weights(fa.gen_topology("ring", 10)))
+        c = float(1.0 / (1.0 - mm.decomposition.eigenvalues[0]))
+        nids, ed = fa.preset(f"nids:c={c!r}", mm), fa.preset("ed", mm)
+        assert nids.sigma_m_b == pytest.approx(3.0 * ed.sigma_m_b, rel=1e-12)
+        inst = quadratic_instance(10, 5, seed=3, curvature_min=0.01, curvature_max=1.0)
+        kappa, eps = inst.L / inst.mu, 1e-8
+        predicted = [complexity(kappa, pair.sigma_m_b, 1, 1.0, eps) for pair in (nids, ed)]
+        at_p_star = [complexity(kappa, pair.sigma_m_b, 1, est.p_star, eps).communications
+                     for pair, est in zip((nids, ed), predicted)]
+        assert at_p_star[1] / at_p_star[0] == pytest.approx(math.sqrt(3.0), rel=1e-12)
+        seeds = (0, 1, 2)
+        runs = [GridRun(pair, est.p_star, s) for pair, est in zip((nids, ed), predicted)
+                for s in seeds]
+        x_star = np.tile(centralized_proxgrad(inst), (10, 1))
+        traces = run_grid(inst, runs, 1.0 / inst.L, 3000, x_star, record_kkt=False)
+        comms = [int(t.comms[np.flatnonzero(t.rel_err <= eps)[0]]) for t in traces]
+        for nids_comms, ed_comms in zip(comms[:3], comms[3:]):
+            assert 1.25 * nids_comms <= ed_comms
 
     def test_well_conditioned_prefers_full_communication(self):
         est = complexity(kappa=2.0, sigma_m=0.1, rounds=1, p=1.0, eps=0.1)

@@ -738,6 +738,78 @@ class TestCsvCells:
             assert rows == _rows_cell_by_cell(res, "ed|p=0.5|seed=3")
 
 
+# The [graph] lines of a ring, an Erdos-Renyi graph and a complete graph
+JUDGED = {
+    "ring": "kind = ring\nn = 10",
+    "er": "kind = erdos_renyi\nn = 12\nseed = 4\nq = 0.4",
+    "complete": "kind = complete\nn = 5",
+}
+
+
+def judged_config(graph: str, lazify: bool, variants: str) -> str:
+    """An l1 quadratic grid, kappa = 200, on one of the JUDGED graphs."""
+    return f"""
+[graph]
+{JUDGED[graph]}
+
+[mixing]
+lazify = {str(lazify).lower()}
+
+[combiner]
+variants = {variants}
+
+[problem]
+d = 3
+curvature_min = 0.005
+prox = l1
+prox_weight = 0.01
+
+[run]
+p_list = 1, 0.5, 0.2
+seeds = 1, 2
+iterations = 300
+
+[outputs]
+csv = judged.csv
+svg = judged.svg
+"""
+
+
+class TestCombinerJudge:
+    """Whether a pair suits W is _build's call alone, through every command."""
+
+    def _exits(self, tmp_path, capsys, text, commands):
+        conf = write_config(tmp_path, text)
+        codes = [cli.main([command, conf, "--out-dir", str(tmp_path)]) for command in commands]
+        return codes, capsys.readouterr().err
+
+    @pytest.mark.parametrize("lazify", [False, True])
+    @pytest.mark.parametrize("graph", JUDGED)
+    def test_nids_certifies_up_to_its_bound(self, tmp_path, capsys, graph, lazify):
+        # NIDS's own bound (Li, Shi and Yan 2019), on the W the commands build
+        mixing = cli.build(parse_config(judged_config(graph, lazify, "ed")))[1]
+        c = float(1.0 / (1.0 - mixing.decomposition.eigenvalues[0]))
+        text = judged_config(graph, lazify, f"nids:c={c!r}")
+        assert self._exits(tmp_path, capsys, text, ("validate", "check")) == ([0, 0], "")
+        over = 1.01 * c
+        text = judged_config(graph, lazify, f"nids:c={over!r}")
+        message = f"error: combiner 'nids:c={over:g}' violates: contraction_psd\n"
+        assert self._exits(tmp_path, capsys, text, ("validate", "run", "check")) == (
+            [cli.EXIT_CONFIG] * 3, message * 3)
+
+    @pytest.mark.parametrize("graph", ["ring", "er"])
+    def test_a_psd_w_is_needed_only_where_the_contraction_fails(self, tmp_path, capsys, graph):
+        # the multi-gossip pairs with even powers, or with mg_ed's A and B,
+        # suit a W with negative eigenvalues; atc_gt and mg_sonata:N=1 do not
+        text = judged_config(graph, False, "mg_ed:N=2, mg_ed:N=3, mg_sonata:N=2")
+        assert self._exits(tmp_path, capsys, text, ("validate", "check")) == ([0, 0], "")
+        for variant in ("atc_gt", "mg_sonata:N=1"):
+            text = judged_config(graph, False, variant)
+            message = f"error: combiner '{variant}' violates: contraction_psd\n"
+            assert self._exits(tmp_path, capsys, text, ("validate", "run", "check")) == (
+                [cli.EXIT_CONFIG] * 3, message * 3)
+
+
 class TestValidateCommand:
     def test_report_and_export(self, tmp_path, capsys):
         conf = write_config(tmp_path, GRID)

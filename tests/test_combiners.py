@@ -79,9 +79,12 @@ class TestPresets:
         assert np.allclose(pair.b, (np.eye(4) - w2) @ (np.eye(4) - w2), atol=1e-14)
 
     # ring(4) Metropolis has a -1/3 eigenvalue, so it is the non-PSD W, and
-    # its lazified form the PSD one. preset checks the name, then the
-    # parameter, then the PSD need, then the value: each row has one fault,
-    # but the last, whose foreign parameter is named before the PSD need.
+    # its lazified form the PSD one, with lambda_min 1/3. preset checks the
+    # name, then the parameter, then its value; _build alone then judges the
+    # pair on W's spectrum: nids builds up to c = 1/(1 - lambda_min), 3/4 and
+    # 3/2 here, and atc_gt and odd-N mg_sonata need a PSD W. Each row has one
+    # fault, but the last, whose foreign parameter is named before the
+    # contraction that _build would refuse.
     @pytest.mark.parametrize("variant, lazified, message", [
         ("extra", True, "unknown combiner variant 'extra'"),
         ("ed:N=2", True, "unknown parameters ['N'] for ed"),
@@ -89,14 +92,14 @@ class TestPresets:
         ("atc_gt:c=0.3", True, "unknown parameters ['c'] for atc_gt"),
         ("mg_ed:c=0.3", True, "unknown parameters ['c'] for mg_ed"),
         ("mg_sonata:c=0.3", True, "unknown parameters ['c'] for mg_sonata"),
-        ("mg_ed:N=2", False, "combiner 'mg_ed' requires a PSD mixing matrix; apply lazify first"),
-        ("atc_gt", False, "combiner 'atc_gt' requires a PSD mixing matrix; apply lazify first"),
-        ("mg_sonata:N=1", False,
-         "combiner 'mg_sonata' requires a PSD mixing matrix; apply lazify first"),
-        ("nids:c=0.9", True, "nids requires c in (0, 1/2], got 0.9"),
-        ("nids:c=0", False, "nids requires c in (0, 1/2], got 0.0"),
+        ("mg_sonata:N=3", False, "combiner 'mg_sonata:N=3' violates: contraction_psd"),
+        ("atc_gt", False, "combiner 'atc_gt' violates: contraction_psd"),
+        ("mg_sonata:N=1", False, "combiner 'mg_sonata:N=1' violates: contraction_psd"),
+        ("nids:c=1.6", True, "combiner 'nids:c=1.6' violates: contraction_psd"),
+        ("nids:c=0", False, "nids requires c finite and > 0, got 0.0"),
         ("mg_ed:N=0.5", True, "mg_ed requires an integer N >= 1, got 0.5"),
         ("mg_ed:x=1", False, "unknown parameters ['x'] for mg_ed"),
+        ("atc_gt:N=2", False, "unknown parameters ['N'] for atc_gt"),
     ])
     def test_rejects_naming_the_first_fault(self, ring4, variant, lazified, message):
         with pytest.raises(CombinerError) as exc:
@@ -182,7 +185,6 @@ def _spectral_graphs():
 
 SPECTRAL_GRAPHS = _spectral_graphs()
 VARIANTS = ("nids:c=0.5", "nids:c=0.3", "ed", "mg_ed:N=3", "atc_gt", "mg_sonata:N=2")
-PSD_ONLY = ("mg_ed", "atc_gt", "mg_sonata")
 # (f, g) that break one scalar check each; a negative g breaks the null-space
 # check as well
 BAD_MAPS = {
@@ -209,9 +211,10 @@ def dense_pair(variant: str, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestSpectralPairs:
+    # every pair but atc_gt builds on every graph; atc_gt needs a PSD W
     @pytest.mark.parametrize("graph_name, variant", [
         (g, v) for g, mm in SPECTRAL_GRAPHS.items() for v in VARIANTS
-        if mm.psd or not v.startswith(PSD_ONLY)
+        if mm.psd or v != "atc_gt"
     ])
     def test_matches_dense_polynomials(self, graph_name, variant):
         mm = SPECTRAL_GRAPHS[graph_name]
@@ -235,6 +238,45 @@ class TestSpectralPairs:
         f, g = BAD_MAPS[check]
         with pytest.raises(CombinerError, match=f"combiner 'bad' violates: .*{check}"):
             _build(ring4, "bad", 1, f, g)
+
+
+def _judged_graphs():
+    """A ring, an Erdos-Renyi graph and a complete graph, plain and lazified;
+    the plain ring and ER graph are the ones with a negative eigenvalue."""
+    plain = {
+        "ring10": fa.metropolis_weights(fa.gen_topology("ring", 10)),
+        "er12": fa.metropolis_weights(fa.gen_topology("erdos_renyi", 12, seed=4, q=0.4)),
+        "complete5": fa.metropolis_weights(fa.gen_topology("complete", 5)),
+    }
+    return {**plain, **{f"{name}_lazy": fa.lazify(mm) for name, mm in plain.items()}}
+
+
+JUDGED_GRAPHS = _judged_graphs()
+PRESETS = ("nids", "ed", "mg_ed:N=2", "mg_ed:N=3", "atc_gt", "mg_sonata:N=1", "mg_sonata:N=2")
+
+
+class TestBuildIsTheOneJudge:
+    @pytest.mark.parametrize("graph_name", JUDGED_GRAPHS)
+    def test_each_pair_passes_the_audit_or_violates_a_check(self, graph_name):
+        # a well-formed variant is refused only by _build, naming its checks;
+        # atc_gt and mg_sonata:N=1 map a negative eigenvalue of W past the
+        # contraction, and every other pair suits every W
+        mm = JUDGED_GRAPHS[graph_name]
+        refused = []
+        for variant in PRESETS:
+            name = "nids:c=0.5" if variant == "nids" else variant
+            try:
+                pair = preset(variant, mm)
+            except CombinerError as exc:
+                head, _, checks = str(exc).partition(" violates: ")
+                assert head == f"combiner {name!r}"
+                assert set(checks.split(", ")) <= set(BAD_MAPS)
+                refused.append((name, checks))
+                continue
+            assert pair.variant == name
+            assert all(c.passed for c in validate(pair)), name
+        expected = [("atc_gt", "contraction_psd"), ("mg_sonata:N=1", "contraction_psd")]
+        assert refused == ([] if mm.psd else expected)
 
 
 class TestParseVariant:

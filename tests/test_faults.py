@@ -115,8 +115,11 @@ P6 = "run.p_list (to 6 significant digits)"
 OVERFLOW = "certificate terms overflow float64 at iteration 0"
 STEPS = "iterations = 10000000000000\nseeds = 1, 2"
 TOPOLOGY = ("--export-topology", "topo.txt")
-MG_ED_RING4 = variant("mg_ed:N=2", SMOKE.replace("n = 1", "n = 4"))
-MG_ED_PSD = "combiner 'mg_ed' requires a PSD mixing matrix; apply lazify first"
+# the 4-ring's W has eigenvalue -1/3, so nids builds up to c = 3/4, and
+# atc_gt and odd-N mg_sonata not at all
+RING4 = SMOKE.replace("n = 1", "n = 4")
+SONATA3_RING4 = variant("mg_sonata:N=3", RING4)
+SONATA3_REFUSED = "combiner 'mg_sonata:N=3' violates: contraction_psd"
 PAPER = (Path(__file__).resolve().parent.parent / "configs" / "paper_replica.ini").read_text()
 
 FAULTS = [
@@ -241,22 +244,36 @@ FAULTS = [
                 "graph.n", 10**40) for kind in ("ring", "complete", "erdos_renyi")),
     oversized("iterations-1e20", SMOKE.replace("iterations = 6", f"iterations = {10**20}"),
               "run.iterations", 10**20),
-    # combiners that fail their assumptions
-    fault("nids:c=0.9", variant("nids:c=0.9"), "nids requires c in (0, 1/2], got 0.9"),
-    fault("mg_ed:N=2", MG_ED_RING4, MG_ED_PSD),
-    fault("mg_sonata:N=2", grid("ed, nids:c=0.4", "mg_sonata:N=2"),
-          "combiner 'mg_sonata' requires a PSD mixing matrix; apply lazify first"),
+    # combiners that fail their assumptions: a c or an N that is not a number
+    # of its kind, or a pair that fails one of _build's checks on W's spectrum
+    *(fault(f"nids:c={c}", variant(f"nids:c={c}"),
+            f"nids requires c finite and > 0, got {float(c)}") for c in ("inf", "nan", "0", "-1")),
+    fault("nids:c=0.9", variant("nids:c=0.9", RING4),
+          "combiner 'nids:c=0.9' violates: contraction_psd"),
+    # c^2 overflows float64, which fails the contraction without a warning
+    fault("nids:c=1e200", variant("nids:c=1e200", RING4),
+          "combiner 'nids:c=1e+200' violates: contraction_psd"),
+    fault("mg_sonata:N=3", SONATA3_RING4, SONATA3_REFUSED),
+    fault("atc_gt", grid("ed, nids:c=0.4", "atc_gt"),
+          "combiner 'atc_gt' violates: contraction_psd"),
     *(fault(f"{name}:N={rounds}", variant(f"{name}:N={rounds}"),
             f"{name} requires an integer N >= 1, got {rounds}")
       for name in ("mg_ed", "mg_sonata") for rounds in ("inf", "-inf", "nan")),
     # validate writes its topology only once the problem and the pairs build
     fault("topology-dataset-missing", logistic(), f"cannot read dataset data.svm: {MISSING}: "
           "'data.svm'", commands=("validate",), argv=TOPOLOGY),
-    fault("topology-mg_ed:N=2", MG_ED_RING4, MG_ED_PSD, commands=("validate",), argv=TOPOLOGY),
+    fault("topology-mg_sonata:N=3", SONATA3_RING4, SONATA3_REFUSED, commands=("validate",),
+          argv=TOPOLOGY),
     # faults that only running shows: validate passes each. sqrt(B)
     # underflows to zero next to 11^T/n, so the fixed point's solve is singular
     fault("singular", FIVE_RING + "\n[combiner]\nvariants = nids:c=1e-300\n",
           "fixed point solve failed: Singular matrix", cli.EXIT_FALSIFIED, validate=RUNTIME),
+    # finite targets whose x* the reference solves, but whose w* sums past
+    # float64's top across the 6 agents
+    fault("target_scale-1e308-grid",
+          grid("curvature_max = 1.0", "curvature_max = 1.0\ntarget_scale = 1e308"),
+          "fixed point overflows float64: w* - mean(w*) is not finite", cli.EXIT_DIVERGENCE,
+          validate=RUNTIME),
     # Phi overflows float64 at step 0: ||x0 - x*||^2 near 1e400, or
     # ||u - u*||^2 / p^2 with p^2 near 2e-308; no slack can be read
     fault("huge-start", FIVE_RING.replace("[run]\n", "[run]\ninit_scale = 1e200\n"

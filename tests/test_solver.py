@@ -15,8 +15,8 @@ from flexatc.solver import (
     coin_flips,
     run,
 )
-from reference import (IterateAverages, flexatc_step, initial_state, mirror_step,
-                       primal_recursion_step)
+from reference import (IterateAverages, QuadraticLoss, flexatc_step, initial_state, mirror_step,
+                       primal_recursion_step, proxskip)
 
 
 def ring_pair(n: int, variant: str = "ed", lazy: bool = False):
@@ -245,6 +245,33 @@ class TestPrimalRecursion:
             x_next = primal_recursion_step(x_k, x_prev, g_k, g_prev, pair, alpha)
             assert np.linalg.norm(x_next - xs[k + 1]) <= 1e-10
             x_prev, x_k, g_prev = x_k, x_next, g_k
+
+
+class TestProxSkip:
+    # On the complete graph W = J, so nids:c=1 is the pair (J, I - J), and
+    # FlexATC with it is ProxSkip whose prox is the average; run is held
+    # against the published loop on the same coins, agent by agent
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_nids_at_c_one_on_the_complete_graph_is_proxskip(self, n):
+        pair = fa.preset("nids:c=1", fa.metropolis_weights(fa.gen_topology("complete", n)))
+        assert np.allclose(pair.a, np.full((n, n), 1.0 / n), rtol=0.0, atol=1e-15)
+        assert np.allclose(pair.b, np.eye(n) - 1.0 / n, rtol=0.0, atol=1e-15)
+        iters = 400
+        for seed in (0, 1, 2):
+            # kappa = 100 keeps rel_err far above the reference's 1e-12 over
+            # the 400 steps, so a relative comparison reads round-off only
+            inst = quadratic_instance(n, 4, seed=seed, curvature_min=0.01)
+            losses = [QuadraticLoss(b, h)
+                      for b, h in zip(inst.stack.targets, inst.stack.curvatures)]
+            x_star = np.tile(centralized_proxgrad(inst), (n, 1))
+            alpha = 1.0 / inst.L
+            for p in (1.0, 0.5, 0.1):
+                trace = run(inst, pair, alpha, p, seed, iters, x_star)
+                iterates = proxskip(losses, alpha, p, coin_flips(p, seed, iters),
+                                    np.zeros((n, 4)))
+                rel_err = np.array([np.linalg.norm(x - x_star) for x in iterates])
+                rel_err /= np.linalg.norm(x_star)
+                assert np.max(np.abs(trace.rel_err - rel_err) / rel_err) <= 1e-12, (seed, p)
 
 
 class TestCentralizedProxgrad:
